@@ -5,20 +5,25 @@ Usage:
     flagval --suite SUITE [options]
 
 The report JSON goes to stdout (and to --out when given); wall-clock
-timing goes to stderr so the artifact stays byte-deterministic.  Exit
-status: 0 when the suite ran with zero violations, 1 when violations
-were found, 2 for unknown suites, bad configuration, or size refusals.
+timing goes to stderr so the artifact stays byte-deterministic.  Files
+are written before stdout, each through a temporary file, so a failed
+write leaves neither a partial file nor a printed report.  Exit status:
+0 when the suite ran with zero violations, 1 when violations were
+found, 2 for unknown suites, bad configuration, or size refusals, and 3
+when the program itself failed (the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+import traceback
 
 from .errors import FlagvalError, InvalidConfig
-from .suites import SuiteConfig, render_report, run_suite
+from .suites import SuiteConfig, render_report, run_suite, suite_name
 
 _SOURCE_RE = re.compile(r"^F(\d+)\((\w+(?:,\s*\w+)*)\)$")
 
@@ -38,6 +43,19 @@ def _parse_psi(text: str) -> str:
     if head != "from-valuation" or not rest:
         raise InvalidConfig(f"psi spec must look like from-valuation:curve:x, got {text!r}")
     return rest
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,53 +81,57 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        suite = ns.suite or ns.suite_pos
-        if ns.suite and ns.suite_pos and ns.suite != ns.suite_pos:
-            raise InvalidConfig("conflicting suite names given")
-        if not suite:
-            raise InvalidConfig("a suite name is required")
-        q = ns.q
-        place = ns.place
-        if ns.psi:
-            place = _parse_psi(ns.psi)
-        if ns.source:
-            src_q, src_vars = _parse_source(ns.source)
-            if sorted(src_vars) != ["x", "y"]:
-                raise InvalidConfig("the round-trip suite runs over F_q(x,y)")
-            if q is not None and q != src_q:
-                raise InvalidConfig("conflicting field sizes given")
-            q = src_q
-        cfg = SuiteConfig(
-            suite=suite,
-            q=q,
-            p=ns.p,
-            mode=ns.mode,
-            seed=ns.seed,
-            arena_deg=ns.arena_deg,
-            samples=ns.samples,
-            check=ns.check,
-            place=place,
-            out=ns.out,
-        )
-        report = run_suite(cfg)
+        return _run(ns)
     except FlagvalError as e:
         print(f"flagval: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a crash must not read as a verdict: exit 1 means "violations found"
+        traceback.print_exc()
+        print(f"flagval: error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+
+
+def _run(ns: argparse.Namespace) -> int:
+    suite = ns.suite or ns.suite_pos
+    if ns.suite and ns.suite_pos and ns.suite != ns.suite_pos:
+        raise InvalidConfig("conflicting suite names given")
+    if not suite:
+        raise InvalidConfig("a suite name is required")
+    if ns.report and suite_name(suite) != "reconstruct-roundtrip":
+        raise InvalidConfig("--report applies to the round-trip suite only")
+    q = ns.q
+    place = ns.place
+    if ns.psi:
+        place = _parse_psi(ns.psi)
+    if ns.source:
+        src_q, src_vars = _parse_source(ns.source)
+        if sorted(src_vars) != ["x", "y"]:
+            raise InvalidConfig("the round-trip suite runs over F_q(x,y)")
+        if q is not None and q != src_q:
+            raise InvalidConfig("conflicting field sizes given")
+        q = src_q
+    cfg = SuiteConfig(
+        suite=suite,
+        q=q,
+        p=ns.p,
+        mode=ns.mode,
+        seed=ns.seed,
+        arena_deg=ns.arena_deg,
+        samples=ns.samples,
+        check=ns.check,
+        place=place,
+        out=ns.out,
+    )
+    report = run_suite(cfg)
     text = render_report(report)
-    sys.stdout.write(text)
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        _write_atomic(ns.out, text)
     if ns.report:
-        inner = report["witnesses"].get("report")
-        if inner is None:
-            print("flagval: --report applies to the round-trip suite only", file=sys.stderr)
-            return 2
-        with open(ns.report, "w") as fh:
-            fh.write(json.dumps(inner, indent=2) + "\n")
+        _write_atomic(ns.report, json.dumps(report["witnesses"]["report"], indent=2) + "\n")
+    sys.stdout.write(text)
     return 0 if report["violations"] == 0 else 1
 
 

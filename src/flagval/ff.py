@@ -7,7 +7,10 @@ vector of a polynomial in the canonical generator.  The canonical
 modulus is the lexicographically least monic irreducible of degree e
 over F_p, so two fields of the same order are literally identical.
 
-All arithmetic is exact table lookup; there is no floating point here.
+All arithmetic is exact table lookup, for prime and extension fields
+alike: each field builds its add, sub, mul, neg and inverse tables once,
+when it is first constructed, so no operation goes back to base-p
+digits.  There is no floating point here.
 """
 
 from __future__ import annotations
@@ -140,17 +143,14 @@ class FiniteField:
         self.p = p
         self.e = e
         self.modulus = canonical_modulus(p, e) if e > 1 else ()
-        if e == 1:
-            self._add = None
-            self._mul = None
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-        else:
-            self._build_tables()
+        self._build_tables()
         self._order_cache: dict[int, int] = {}
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        mod = list(self.modulus) + [1]
+        # tables indexed [a][b], built from the digit form; for e == 1
+        # the modulus is t and every element is a constant
+        p, q = self.p, self.q
+        mod = list(canonical_modulus(p, self.e)) + [1]
         digits = [self._digits(n) for n in range(q)]
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
@@ -162,13 +162,12 @@ class FiniteField:
                 add[a][b] = add[b][a] = s
                 m = self._undigits(_fp_poly_mulmod(da, db, mod, p))
                 mul[a][b] = mul[b][a] = m
+        neg = [row.index(0) for row in add]
         self._add = add
         self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = row.index(1)
-        self._inv = inv
+        self._neg = neg
+        self._sub = [[row[nb] for nb in neg] for row in add]
+        self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
 
     def _digits(self, n: int) -> list[int]:
         out = []
@@ -194,8 +193,6 @@ class FiniteField:
         Values already in range(q) are taken verbatim (digit codes for
         extension fields); anything else reduces into the prime subfield.
         """
-        if 0 <= n < self.q and self.e == 1:
-            return n
         if 0 <= n < self.q:
             return n
         return n % self.p
@@ -207,22 +204,15 @@ class FiniteField:
         return range(1, self.q)
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        # char p negation acts digitwise
-        return self._undigits([(-d) % self.p for d in self._digits(a)])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         return self._mul[a][b]
 
     def inv(self, a: int) -> int:
@@ -274,10 +264,6 @@ class FiniteField:
             if self.element_order(a) == self.q - 1:
                 return a
         return 1  # q == 2
-
-    def embed_prime(self, c: int) -> int:
-        """Image of c in F_p under the prime-subfield inclusion."""
-        return c % self.p
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

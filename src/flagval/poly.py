@@ -5,15 +5,20 @@ to nonzero field elements.  Term order is graded lexicographic (total
 degree first, then the exponent tuple), which is all the canonical
 normalization below relies on.
 
-Univariate factorization is complete (trial division against enumerated
-monic irreducibles).  Bivariate factorization is deliberately windowed
-to total degree <= 3, where reducibility is equivalent to having a
-linear factor; larger elements must arrive pre-factored.
+Univariate arithmetic (division, gcd, multiplicity, factoring) runs on
+dense coefficient lists through the field's op tables, in one division
+kernel, and builds Poly objects only for its results.  Univariate
+factorization is complete: trial division of the dense list against the
+enumerated monic irreducibles.  Bivariate inputs keep the sparse grlex
+division; their factorization is deliberately windowed to total degree
+<= 3, where reducibility is equivalent to having a linear factor; larger
+elements must arrive pre-factored.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import FactoringWindowExceeded, InvalidInput
@@ -311,42 +316,64 @@ def _exponents_upto(arity: int, d: int):
                 yield (a, b)
 
 
+def _divrem(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of dense coefficient lists, constant term first.
+
+    b must have a nonzero last entry; a is left unchanged.  Both results
+    are trimmed, so [] is the zero polynomial.  All GF(q) work goes
+    through the field's op tables.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    mul, sub = F._mul, F._sub
+    lead_inv = F._inv[b[-1]]
+    low = b[:db]
+    r = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            c = mul[c][lead_inv]
+            quo[i - db] = c
+            mc = mul[c]
+            k = i - db
+            # r[i] cancels exactly; only positions below it change
+            r[k:i] = [sub[x][mc[y]] for x, y in zip(r[k:i], low)]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return quo, r
+
+
 def divmod_univariate(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of univariate polynomials, g nonzero."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     F = f.field
     var = f.vars[0]
-    a = f.to_dense()
-    b = g.to_dense()
-    db = len(b) - 1
-    lead_inv = F.inv(b[-1])
-    q = [0] * max(len(a) - db, 0)
-    a = list(a)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            c = F.mul(c, lead_inv)
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = F.sub(a[i - db + j], F.mul(c, b[j]))
-    return Poly.from_dense(F, var, q), Poly.from_dense(F, var, a[:db])
+    q, r = _divrem(F, f.to_dense(), g.to_dense())
+    return Poly.from_dense(F, var, q), Poly.from_dense(F, var, r)
 
 
 def gcd_univariate(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
-    while g:
-        f, g = g, divmod_univariate(f, g)[1]
-    if not f:
-        return f
-    return f.make_canonical()[1]
+    F = f.field
+    a, b = f.to_dense(), g.to_dense()
+    while b:
+        a, b = b, _divrem(F, a, b)[1]
+    if a:
+        inv = F._mul[F._inv[a[-1]]]
+        a = [inv[c] for c in a]
+    return Poly.from_dense(F, f.vars[0], a)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
     """Exact quotient f/g, or None when g does not divide f.
 
     Single-divisor graded-lex division: sound because the leading term
-    of a product is the product of leading terms.
+    of a product is the product of leading terms.  This sparse route
+    serves bivariate inputs.
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -372,12 +399,26 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
     return Poly(F, f.vars, out)
 
 
+def _multiplicity_dense(F: FiniteField, a: list[int], b: Sequence[int]) -> tuple[int, list[int]]:
+    """Largest k with b**k dividing a, plus the quotient, on dense lists."""
+    k = 0
+    while True:
+        q, r = _divrem(F, a, b)
+        if r:
+            return k, a
+        a = q
+        k += 1
+
+
 def multiplicity(f: Poly, g: Poly) -> tuple[int, Poly]:
     """Largest k with g**k dividing f, plus the cofactor f / g**k."""
     if not f:
         raise InvalidInput("zero polynomial has no multiplicity")
     if g.degree() < 1:
         raise InvalidInput("multiplicity needs a nonconstant divisor")
+    if len(f.vars) == 1:
+        k, a = _multiplicity_dense(f.field, f.to_dense(), g.to_dense())
+        return k, (Poly.from_dense(f.field, f.vars[0], a) if k else f)
     k = 0
     while True:
         nxt = divide_exact(f, g)
@@ -410,23 +451,31 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
     return tuple(found)
 
 
+@lru_cache(maxsize=None)
+def _dense_irreducibles(q: int, var: str, max_deg: int) -> tuple[tuple[Poly, tuple[int, ...]], ...]:
+    """monic_irreducibles paired with their dense coefficient tuples."""
+    return tuple((g, tuple(g.to_dense())) for g in monic_irreducibles(q, var, max_deg))
+
+
 def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     """Complete factorization (unit, {monic irreducible: multiplicity})."""
     if not f:
         raise InvalidInput("cannot factor the zero polynomial")
     unit, f = f.make_canonical()
-    out: dict[Poly, int] = {}
-    q = f.field.q
+    F = f.field
     var = f.vars[0]
-    d = f.degree()
-    for g in monic_irreducibles(q, var, max(d // 2, 1) if d else 0):
-        if f.degree() < 2 * g.degree():
+    a = f.to_dense()
+    d = len(a) - 1
+    out: dict[Poly, int] = {}
+    for g, b in _dense_irreducibles(F.q, var, max(d // 2, 1) if d else 0):
+        if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
             break
-        k, f = multiplicity(f, g)
+        k, a = _multiplicity_dense(F, a, b)
         if k:
             out[g] = k
-    if f.degree() >= 1:
-        out[f] = out.get(f, 0) + 1
+    if len(a) > 1:
+        rest = f if len(a) == d + 1 else Poly.from_dense(F, var, a)
+        out[rest] = out.get(rest, 0) + 1
     return unit, out
 
 

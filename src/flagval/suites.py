@@ -15,7 +15,6 @@ unbounded lists capped at a small fixed size.  A process exit status of
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -109,24 +108,13 @@ class SuiteConfig:
         }
 
 
-def thread_cap() -> int:
-    """FLAGVAL_THREADS, validated.  Suites currently run on one thread,
-    so any positive cap is honored trivially; 0/garbage is rejected so a
-    typo does not silently change the run."""
-    raw = os.environ.get("FLAGVAL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"FLAGVAL_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InvalidConfig("FLAGVAL_THREADS must be >= 1")
-    return n
+def suite_name(name: str) -> str:
+    """The registered name behind a suite name or alias."""
+    return _ALIASES.get(name, name)
 
 
 def _resolve(cfg: SuiteConfig) -> SuiteConfig:
-    suite = _ALIASES.get(cfg.suite, cfg.suite)
+    suite = suite_name(cfg.suite)
     if suite not in _DEFAULT_MODE:
         raise UnknownSuite(f"no suite named {cfg.suite!r}")
     cfg = replace(cfg, suite=suite)
@@ -571,7 +559,6 @@ SUITES = {
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute one suite and assemble the fixed-order report object."""
     cfg = _resolve(cfg)
-    thread_cap()
     t0 = time.monotonic()
     body = SUITES[cfg.suite](cfg)
     elapsed = time.monotonic() - t0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from flagval.errors import InvalidInput, UnsupportedField
 from flagval.ff import (
     FiniteField,
+    canonical_modulus,
     factorize,
     prime_power_decomposition,
 )
@@ -131,3 +132,51 @@ def test_negative_exponent():
         assert F.mul(F.pow(a, -2), F.pow(a, 2)) == 1
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+PRIME_POWERS = [q for q in range(2, 50) if len(factorize(q)) == 1]
+
+
+def _digit_arithmetic(q):
+    """Reference ops on base-p digit vectors, reduced by the canonical modulus."""
+    p, e = prime_power_decomposition(q)
+    mod = canonical_modulus(p, e)
+
+    def digits(n):
+        return [n // p**i % p for i in range(e)]
+
+    def undigits(d):
+        return sum(c * p**i for i, c in enumerate(d))
+
+    def mul(a, b):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for i in range(len(prod) - 1, e - 1, -1):  # t^e = -sum mod[j] t^j
+            c, prod[i] = prod[i], 0
+            for j in range(e):
+                prod[i - e + j] -= c * mod[j]
+        return undigits([c % p for c in prod[:e]])
+
+    def sub(a, b):
+        return undigits([(x - y) % p for x, y in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return undigits([-x % p for x in digits(a)])
+
+    return mul, sub, neg
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_op_tables_match_digit_arithmetic(q):
+    F = FiniteField(q)
+    mul, sub, neg = _digit_arithmetic(q)
+    for a in range(q):
+        assert F.neg(a) == neg(a)
+        for b in range(q):
+            assert F.mul(a, b) == mul(a, b), (a, b)
+            assert F.sub(a, b) == sub(a, b), (a, b)
+            assert F.add(a, b) == sub(a, neg(b)), (a, b)
+        if a:
+            assert F.mul(a, F.inv(a)) == 1

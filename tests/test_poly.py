@@ -1,5 +1,7 @@
 """Polynomial layer: parsing, grlex order, division, factoring."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,3 +228,111 @@ def test_from_dense_to_dense():
     assert str(f) == "3*t^2+1"
     assert f.to_dense() == [1, 0, 3]
     assert Poly.from_dense(F5, "t", [0, 0]) == Poly.zero(F5, ("t",))
+
+
+# -- dense univariate kernels against the sparse reference ---------------
+
+
+def _monics(F, max_deg):
+    """Every monic polynomial over F of degree 0..max_deg."""
+    for d in range(max_deg + 1):
+        for code in range(F.q**d):
+            dense = []
+            for _ in range(d):
+                dense.append(code % F.q)
+                code //= F.q
+            yield Poly.from_dense(F, "t", dense + [1])
+
+
+def _gf49_sample():
+    """Seeded monic sample over GF(49): random ones and products with repeats."""
+    F = FiniteField(49)
+    rng = random.Random(49)
+    lin = monic_irreducibles(49, "t", 1)
+    out = []
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        out.append(Poly.from_dense(F, "t", [rng.randrange(49) for _ in range(d)] + [1]))
+    for _ in range(40):
+        # degree <= 5 keeps the trial divisors at degree <= 2
+        f = rng.choice(lin) ** rng.randint(1, 3) * rng.choice(lin) ** rng.randint(0, 2)
+        out.append(f)
+    return out
+
+
+def _multiplicity_reference(f, g):
+    k = 0
+    while (nxt := divide_exact(f, g)) is not None:
+        f, k = nxt, k + 1
+    return k
+
+
+def _is_irreducible_reference(g):
+    """No monic irreducible of degree <= deg(g)/2 divides g (sparse division)."""
+    lower = monic_irreducibles(g.field.q, "t", g.degree() // 2) if g.degree() > 1 else ()
+    return g.degree() >= 1 and all(divide_exact(g, h) is None for h in lower)
+
+
+def _derivative(f):
+    F = f.field
+    dense = f.to_dense()
+    return Poly.from_dense(F, "t", [F.mul(F.from_int(i % F.p), c) for i, c in enumerate(dense)][1:])
+
+
+DENSE_CASES = [(2, 5), (3, 4), (4, 3), (9, 3), (49, None)]
+
+
+@pytest.mark.parametrize("q,max_deg", DENSE_CASES)
+def test_dense_kernels_match_sparse_reference(q, max_deg):
+    F = FiniteField(q)
+    polys = list(_monics(F, max_deg)) if max_deg is not None else _gf49_sample()
+    divisors = monic_irreducibles(q, "t", 2 if q < 9 else 1)
+    prev = Poly.constant(F, T, 1)
+    for f in polys:
+        unit, parts = factor_univariate(f)
+        assert unit == 1
+        # the factors multiply back to the input
+        back = Poly.constant(F, T, 1)
+        for g, e in parts.items():
+            back = back * g**e
+        assert back == f
+        # each factor is one of the enumerated irreducibles (the same
+        # object, in enumeration order) or irreducible by the reference
+        bound = max(f.degree() // 2, 1)
+        table = monic_irreducibles(q, "t", bound)
+        index = [next((i for i, h in enumerate(table) if h is g), None) for g in parts]
+        listed = [i for i in index if i is not None]
+        assert listed == sorted(listed)
+        for g, i in zip(parts, index):
+            assert i is not None or _is_irreducible_reference(g), g
+            assert parts[g] == _multiplicity_reference(f, g)
+            assert multiplicity(f, g) == (parts[g], divide_exact(f, g ** parts[g]))
+        # divmod agrees with the sparse exact quotient
+        for h in divisors:
+            quo, rem = divmod_univariate(f, h)
+            exact = divide_exact(f, h)
+            assert (rem == Poly.zero(F, T)) == (exact is not None)
+            if exact is not None:
+                assert quo == exact
+            assert quo * h + rem == f
+        # the gcd is monic, divides both inputs and has the degree of the
+        # common part of the two factorizations
+        assert gcd_univariate(f, prev * f) == f
+        for other in (_derivative(f), prev):
+            g = gcd_univariate(f, other)
+            assert g.leading_coeff() == 1
+            assert divide_exact(f, g) is not None
+            if not other:
+                assert g == f
+                continue
+            assert divide_exact(other, g) is not None
+            _, oparts = factor_univariate(other)
+            common = sum(h.degree() * min(e, oparts[h]) for h, e in parts.items() if h in oparts)
+            assert g.degree() == common
+        prev = f
+
+
+def test_gcd_univariate_of_zero():
+    zero = Poly.zero(F3, T)
+    assert gcd_univariate(zero, zero) == zero
+    assert gcd_univariate(zero, t_("2*t+1")) == t_("t+2")

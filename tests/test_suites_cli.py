@@ -236,19 +236,6 @@ def test_config_validation():
         run_suite(SuiteConfig(suite="ktheory", seed=1, check="nonsense"))
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("FLAGVAL_THREADS", raising=False)
-    assert suites.thread_cap() == 1
-    monkeypatch.setenv("FLAGVAL_THREADS", "4")
-    assert suites.thread_cap() == 4
-    monkeypatch.setenv("FLAGVAL_THREADS", "0")
-    with pytest.raises(InvalidConfig):
-        suites.thread_cap()
-    monkeypatch.setenv("FLAGVAL_THREADS", "many")
-    with pytest.raises(InvalidConfig):
-        suites.thread_cap()
-
-
 # -- command line front end ----------------------------------------------
 
 
@@ -271,7 +258,7 @@ def test_cli_violations_exit_one(capsys):
     assert rep["violations"] == 168
 
 
-def test_cli_error_exits(capsys, monkeypatch):
+def test_cli_error_exits(capsys):
     assert cli.main(["no-such-suite"]) == 2
     assert "UnknownSuite" in capsys.readouterr().err
     assert cli.main(["ktheory"]) == 2  # sampled mode needs a seed
@@ -288,17 +275,52 @@ def test_cli_error_exits(capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["reconstruct", "--q", "5", "--source", "F3(x,y)"]) == 2
     capsys.readouterr()
-    monkeypatch.setenv("FLAGVAL_THREADS", "zero")
-    assert cli.main(["flag-classify"]) == 2
-    assert "FLAGVAL_THREADS" in capsys.readouterr().err
 
 
-def test_cli_report_flag_wrong_suite(tmp_path, capsys):
+def test_cli_report_flag_wrong_suite(tmp_path, capsys, monkeypatch):
     path = tmp_path / "inner.json"
+
+    def must_not_run(cfg):
+        raise AssertionError("the suite ran before --report was rejected")
+
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
     code = cli.main(["flag-classify", "--report", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert "round-trip suite" in captured.err
     assert not path.exists()
-    # the outer report was still printed before the flag was rejected
-    assert json.loads(captured.out)["suite"] == "flag-classify"
+    assert captured.out == ""
+    # the alias of the round-trip suite passes the check and fails later
+    code = cli.main(["reconstruct", "--report", str(path), "--q", "5", "--source", "F3(x,y)"])
+    assert code == 2
+    assert "conflicting field sizes" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_exits_three(tmp_path, capsys):
+    out = tmp_path / "missing" / "rep.json"
+    code = cli.main(["lemma-p2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.splitlines()[-1].startswith("flagval: error: FileNotFoundError")
+    assert not out.parent.exists()
+
+
+def test_cli_out_written_atomically(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    out.write_text("old bytes\n")
+    assert cli.main(["lemma-p2", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json"]
+
+
+def test_cli_internal_error_exits_three(capsys, monkeypatch):
+    def broken(cfg):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert cli.main(["lemma-p2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "flagval: error: KeyError: 'boom'"
