@@ -123,7 +123,6 @@ def _run(ns: argparse.Namespace) -> int:
         samples=ns.samples,
         check=ns.check,
         place=place,
-        out=ns.out,
     )
     report = run_suite(cfg)
     text = render_report(report)

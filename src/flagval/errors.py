@@ -53,10 +53,6 @@ class PreconditionFailed(FlagvalError):
     """A documented precondition of the routine does not hold."""
 
 
-class ReconstructionFailed(FlagvalError):
-    """Reconstruction pipeline could not certify a result."""
-
-
 class SizeBound(FlagvalError):
     """Requested enumeration exceeds the configured hard limit."""
 

@@ -4,8 +4,10 @@ A map is a flag map when some full chain of nested subspaces exists on
 whose difference strata the map is constant (values may repeat across
 non-adjacent strata; the constant map is a flag map through any chain).
 The line criterion - constant off at most one point on every line - is
-checked independently, and the sweeps compare the two verdicts over
-entire map spaces rather than assuming the equivalence.
+a separate verdict over the same strata (a line minus one of its points
+is a stratum of every chain through that point and line), and the
+sweeps compare the two verdicts over entire map spaces rather than
+assuming the equivalence.
 
 Every flag map passes the line criterion.  The converse fails over
 F_2: a line of P^n(F_2) has only three points, so any map taking at
@@ -26,7 +28,7 @@ import numpy as np
 from . import fqlin
 from .errors import InvalidInput, SizeBound
 from .ff import FiniteField
-from .projspace import ProjGeometry, geometry
+from .projspace import ProjGeometry, StratumTable, geometry
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,50 @@ class FlagVerdict:
     note: str = ""
 
 
-def _constant_on(values, stratum) -> bool:
-    first = values[stratum[0]]
-    return all(values[i] == first for i in stratum[1:])
+# -- the flag kernel ----------------------------------------------------
+#
+# One primitive decides every flag and line property: "is the map
+# constant on stratum k" for each stratum of the geometry's
+# StratumTable, giving the set of bad strata.  A chain is flag when none
+# of its strata is bad; a line passes when one of its strata "line minus
+# a point" is not bad.  The scalar entry point takes per-point level
+# bitmasks (from a value list or from an F_2 ones mask); the bulk entry
+# point gives one boolean column per stratum for a value matrix.
+
+
+def _bad_strata(table: StratumTable, level) -> int:
+    """Bitmask of the strata the map is not constant on.
+
+    level[i] is the bitmask of the points where the map takes the value
+    it takes at point i.
+    """
+    bad = 0
+    for k, (stratum, mask) in enumerate(zip(table.strata, table.masks)):
+        if level[stratum[0]] & mask != mask:
+            bad |= 1 << k
+    return bad
+
+
+def _value_levels(values) -> list[int]:
+    by_value: dict = {}
+    for i, v in enumerate(values):
+        by_value[v] = by_value.get(v, 0) | 1 << i
+    return [by_value[v] for v in values]
+
+
+def _ones_levels(npts: int, ones: int) -> list[int]:
+    zeros = ((1 << npts) - 1) ^ ones
+    return [ones if ones >> i & 1 else zeros for i in range(npts)]
+
+
+def _flag_chain(table: StratumTable, bad: int) -> int | None:
+    """Index of the first chain with no bad stratum."""
+    return next((c for c, ids in enumerate(table.chains) if not ids & bad), None)
+
+
+def _bad_line(table: StratumTable, bad: int) -> int | None:
+    """Index of the first line on which every "line minus a point" is bad."""
+    return next((l for l, ids in enumerate(table.lines) if ids & bad == ids), None)
 
 
 def is_flag_map(geom: ProjGeometry, values) -> FlagVerdict:
@@ -62,41 +105,35 @@ def is_flag_map(geom: ProjGeometry, values) -> FlagVerdict:
     """
     if len(values) != len(geom.points):
         raise InvalidInput("value list does not match the point count")
-    for chain in geom.chains:
-        if all(_constant_on(values, s) for s in chain):
-            return FlagVerdict(True, chain=chain)
-    bad = line_criterion_witness(geom, values)
-    if bad is not None:
-        return FlagVerdict(False, witness_line=bad)
+    bad = _bad_strata(geom.strata, _value_levels(values))
+    chain = _flag_chain(geom.strata, bad)
+    if chain is not None:
+        return FlagVerdict(True, chain=geom.chains[chain])
+    line = _bad_line(geom.strata, bad)
+    if line is not None:
+        return FlagVerdict(False, witness_line=geom.lines[line])
     return FlagVerdict(
         False, note="line criterion holds but no stratum chain exists"
     )
 
 
-def _line_ok(values, line) -> bool:
-    # constant off at most one point
-    for skip in range(len(line)):
-        rest = [values[p] for i, p in enumerate(line) if i != skip]
-        if all(v == rest[0] for v in rest[1:]):
-            return True
-    return False
-
-
 def line_criterion(geom: ProjGeometry, values) -> bool:
-    return line_criterion_witness(geom, values) is None
-
-
-def line_criterion_witness(geom: ProjGeometry, values):
-    """First line (in canonical order) violating constant-off-one-point."""
-    for line in geom.lines:
-        if not _line_ok(values, line):
-            return line
-    return None
+    """Whether the map is constant off at most one point on every line."""
+    return _bad_line(geom.strata, _bad_strata(geom.strata, _value_levels(values))) is None
 
 
 def is_flag_subset(geom: ProjGeometry, subset: frozenset[int]) -> bool:
-    values = [1 if i in subset else 0 for i in range(len(geom.points))]
-    return is_flag_map(geom, values).is_flag
+    ones = sum(1 << i for i in subset)
+    bad = _bad_strata(geom.strata, _ones_levels(len(geom.points), ones))
+    return _flag_chain(geom.strata, bad) is not None
+
+
+def _constant_bulk(table: StratumTable, vals: np.ndarray) -> np.ndarray:
+    """(rows, strata) matrix: whether each row is constant on each stratum."""
+    const = np.empty((len(vals), len(table.strata)), dtype=bool)
+    for k, stratum in enumerate(table.strata):
+        np.all(vals[:, stratum[1:]] == vals[:, stratum[:1]], axis=1, out=const[:, k])
+    return const
 
 
 # -- Example census ---------------------------------------------------
@@ -334,35 +371,16 @@ class CollineationReport:
     first_non_flag_star: list | None  # the p = 2 model-failure exhibit
 
 
-def _chain_masks(geom: ProjGeometry) -> list[list[int]]:
-    out = []
-    for chain in geom.chains:
-        masks = []
-        for stratum in chain:
-            msk = 0
-            for i in stratum:
-                msk |= 1 << i
-            masks.append(msk)
-        out.append(masks)
-    return out
+def _two_values_at_most(vals: list[int], line) -> bool:
+    """The (*) test on one line: vals (in 0..3) take at most two values.
 
-
-def _is_flag_f2(chain_masks: list[list[int]], ones_mask: int) -> bool:
-    for masks in chain_masks:
-        if all((ones_mask & s) == 0 or (ones_mask & s) == s for s in masks):
-            return True
-    return False
-
-
-def _is_flag_pair(chain_masks: list[list[int]], m1: int, m2: int) -> bool:
-    # flag as a map into the 4-element target: both bits constant per stratum
-    for masks in chain_masks:
-        if all(
-            ((m1 & s) == 0 or (m1 & s) == s) and ((m2 & s) == 0 or (m2 & s) == s)
-            for s in masks
-        ):
-            return True
-    return False
+    Three distinct points of A^2(F_2) are never collinear, so this is
+    star_condition's rank test for the coordinate maps P^2(F_p) -> A^2(F_2).
+    """
+    seen = 0
+    for i in line:
+        seen |= 1 << vals[i]
+    return seen.bit_count() <= 2
 
 
 def _greedy_point_order(geom: ProjGeometry) -> tuple[list[int], list[list[int]]]:
@@ -409,37 +427,25 @@ def collineation_analyze(
     """
     geom = geometry(2, p)
     npts = len(geom.points)
-    cmasks = _chain_masks(geom)
-    lines = [tuple(L) for L in geom.lines]
+    table = geom.strata
+    lines = geom.lines
 
     star_values: "list[list[int]]" = []
-    examined = 0
 
     if mode == "exhaustive":
         if p not in (2, 3):
             raise SizeBound("exhaustive collineation sweep supports p in {2, 3}")
         order, completed_at = _greedy_point_order(geom)
         vals = [0] * npts
-        line_pts = [tuple(L) for L in lines]
 
         def dfs(pos: int):
-            nonlocal examined
             if pos == npts:
-                examined += 1
                 star_values.append(list(vals))
                 return
             pt = order[pos]
             for v in range(4):
                 vals[pt] = v
-                ok = True
-                for li in completed_at[pos]:
-                    seen = 0
-                    for q_ in line_pts[li]:
-                        seen |= 1 << vals[q_]
-                    if bin(seen).count("1") > 2:
-                        ok = False
-                        break
-                if ok:
+                if all(_two_values_at_most(vals, lines[li]) for li in completed_at[pos]):
                     dfs(pos + 1)
             vals[pt] = 0
 
@@ -453,15 +459,7 @@ def collineation_analyze(
         maps_examined = samples
         for _ in range(samples):
             vals = [int(v) for v in rng.integers(0, 4, npts)]
-            ok = True
-            for L in lines:
-                seen = 0
-                for q_ in L:
-                    seen |= 1 << vals[q_]
-                if bin(seen).count("1") > 2:
-                    ok = False
-                    break
-            if ok:
+            if all(_two_values_at_most(vals, L) for L in lines):
                 star_values.append(vals)
         star_count = len(star_values)
     else:
@@ -486,10 +484,12 @@ def collineation_analyze(
                 m1 |= 1 << i
             if v >> 1 & 1:
                 m2 |= 1 << i
+        bad1 = _bad_strata(table, _ones_levels(npts, m1))
+        bad2 = _bad_strata(table, _ones_levels(npts, m2))
         has_combo = (
-            _is_flag_f2(cmasks, m1)
-            or _is_flag_f2(cmasks, m2)
-            or _is_flag_f2(cmasks, m1 ^ m2)
+            _flag_chain(table, bad1) is not None
+            or _flag_chain(table, bad2) is not None
+            or _flag_chain(table, _bad_strata(table, _ones_levels(npts, m1 ^ m2))) is not None
         )
         if not has_combo:
             no_combo += 1
@@ -497,7 +497,8 @@ def collineation_analyze(
                 first_no_combo = list(vals)
             if p != 2:
                 combo_viol.append(list(vals))
-        if not _is_flag_pair(cmasks, m1, m2):
+        # the pair map is constant on a stratum when both coordinates are
+        if _flag_chain(table, bad1 | bad2) is None:
             non_flag_star += 1
             if first_non_flag is None:
                 first_non_flag = list(vals)
@@ -520,37 +521,33 @@ def collineation_analyze(
 # -- bulk equivalence sweeps ------------------------------------------
 
 
-def _line_ok_bulk(geom: ProjGeometry, vals: np.ndarray) -> np.ndarray:
-    """Per-row line criterion over a (rows, points) value matrix."""
-    ok = np.ones(len(vals), dtype=bool)
-    for line in geom.lines:
-        line_any = np.zeros(len(vals), dtype=bool)
-        for skip in range(len(line)):
-            rest = [p for i, p in enumerate(line) if i != skip]
-            eq = np.ones(len(vals), dtype=bool)
-            for a, b in zip(rest, rest[1:]):
-                eq &= vals[:, a] == vals[:, b]
-            line_any |= eq
-        ok &= line_any
-    return ok
+_BULK_ROWS = 8192  # rows per block: bounds the (rows, strata) matrix near 2 MB
 
 
-def _chain_flag_bulk(geom: ProjGeometry, vals: np.ndarray) -> np.ndarray:
-    """Per-row chain-flag verdict over a (rows, points) value matrix."""
-    flag = np.zeros(len(vals), dtype=bool)
-    for chain in geom.chains:
-        this = np.ones(len(vals), dtype=bool)
-        for stratum in chain:
-            for a, b in zip(stratum, stratum[1:]):
-                this &= vals[:, a] == vals[:, b]
-        flag |= this
-    return flag
+def _ids(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _verdicts_bulk(geom: ProjGeometry, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (line criterion, chain flag) verdicts over a (rows, points) value matrix."""
+    table = geom.strata
+    chains = [_ids(c) for c in table.chains]
+    lines = [_ids(l) for l in table.lines]
+    line_ok = np.ones(len(vals), dtype=bool)
+    chain_ok = np.zeros(len(vals), dtype=bool)
+    for lo in range(0, len(vals), _BULK_ROWS):
+        rows = slice(lo, lo + _BULK_ROWS)
+        const = _constant_bulk(table, vals[rows])
+        for ids in lines:
+            line_ok[rows] &= const[:, ids].any(axis=1)
+        for ids in chains:
+            chain_ok[rows] |= const[:, ids].all(axis=1)
+    return line_ok, chain_ok
 
 
 def _compare_verdicts(geom: ProjGeometry, vals: np.ndarray) -> dict:
     """Line criterion vs chain search on every row of a value matrix."""
-    line_ok = _line_ok_bulk(geom, vals)
-    chain_ok = _chain_flag_bulk(geom, vals)
+    line_ok, chain_ok = _verdicts_bulk(geom, vals)
     mism = np.nonzero(line_ok != chain_ok)[0]
     witnesses = [[int(x) for x in vals[i]] for i in mism[:5]]
     return {

@@ -1,8 +1,9 @@
 """Finite projective spaces P^n(F_q) and embedded subspaces of P_k(K).
 
 Geometry objects are cached per (n, q) and carry points in a canonical
-lexicographic order, all proper subspaces, and the full chains used by
-the flag machinery.  Point counts are the usual (q^(n+1)-1)/(q-1).
+lexicographic order, all proper subspaces, the full chains used by the
+flag machinery, and the table of strata those chains and the lines
+test.  Point counts are the usual (q^(n+1)-1)/(q-1).
 """
 
 from __future__ import annotations
@@ -55,6 +56,42 @@ class ProjSubspace:
         return index in self.points
 
 
+@dataclass(frozen=True)
+class StratumTable:
+    """Each stratum a flag or line check tests, stored once per geometry.
+
+    Stratum k is the point tuple strata[k] and the point bitmask
+    masks[k].  Only strata of two or more points appear: every map is
+    constant on one point.  chains[c] holds the stratum ids of the
+    geometry's chain c and lines[l] the ids of the strata "line l minus
+    one of its points", both as bitmasks over stratum ids.  A line minus
+    a point is the second stratum of every chain through that point and
+    line, so chains and lines share the one table.
+    """
+
+    strata: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    chains: tuple[int, ...]
+    lines: tuple[int, ...]
+
+    @classmethod
+    def build(cls, chains, lines) -> "StratumTable":
+        ids: dict[tuple[int, ...], int] = {}
+
+        def id_mask(strata) -> int:
+            out = 0
+            for s in strata:
+                if len(s) > 1:
+                    out |= 1 << ids.setdefault(s, len(ids))
+            return out
+
+        chain_ids = tuple(id_mask(chain) for chain in chains)
+        line_ids = tuple(id_mask(line[:i] + line[i + 1 :] for i in range(len(line))) for line in lines)
+        strata = tuple(ids)
+        masks = tuple(sum(1 << i for i in s) for s in strata)
+        return cls(strata, masks, chain_ids, line_ids)
+
+
 class ProjGeometry:
     """All incidence data of P^n(F_q) needed by the flag machinery."""
 
@@ -86,6 +123,7 @@ class ProjGeometry:
         else:
             self.lines = [tuple(sorted(s.points)) for s in self.subspaces[1]]
         self.chains = self._enumerate_chains()
+        self.strata = StratumTable.build(self.chains, self.lines)
 
     def span(self, indices: list[int]) -> ProjSubspace:
         rows = [list(self.points[i].coords) for i in indices]
@@ -152,12 +190,6 @@ class ProjGeometry:
 @lru_cache(maxsize=None)
 def geometry(n: int, q: int) -> ProjGeometry:
     return ProjGeometry(n, q)
-
-
-def line_through(geom: ProjGeometry, a: ProjPoint, b: ProjPoint) -> ProjSubspace:
-    if a == b:
-        raise InvalidInput("two distinct points are needed to span a line")
-    return geom.span([geom.index[a.coords], geom.index[b.coords]])
 
 
 class EmbeddedSubspace:

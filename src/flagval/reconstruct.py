@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedValueGroup,
 )
 from .ff import FiniteField
+from .flagkit import line_criterion
 from .fields import (
     INF,
     DivisorRep,
@@ -518,14 +519,6 @@ class UniverseReport:
     notes: tuple[str, ...] = ()
 
 
-def _flag_values(vals: list) -> bool:
-    n = len(vals)
-    for skip in range(n):
-        if len({v for i, v in enumerate(vals) if i != skip}) <= 1:
-            return True
-    return False
-
-
 def build_u(psi: PsiMap, arena: Arena, bound: int = 4, _line_images=None) -> UniverseReport:
     """Union of catalog lines l(1,x) on which psi is injective, plus
     the independence check on its images: two units with independent
@@ -549,7 +542,7 @@ def build_u(psi: PsiMap, arena: Arena, bound: int = 4, _line_images=None) -> Uni
             for f, img in zip(line.functions, imgs):
                 d = arena.divisor_of(f)
                 u.setdefault(d.class_key(), (f, d, img))
-        elif _flag_values(keys):
+        elif line_criterion(line.geometry, keys):
             status.append((gen_name, "flag"))
         else:
             status.append((gen_name, "neither"))
@@ -778,7 +771,7 @@ def _certify_flag_on_lines(gamma: _Gamma, arena: Arena) -> tuple[bool, list[str]
         for f in line.functions:
             v = gamma.nu_key(arena.divisor_of(f).class_key())
             vals.append(("outside",) if v is None else v)
-        if not _flag_values(vals):
+        if not line_criterion(line.geometry, vals):
             bad.append(str(gen))
     return not bad, bad
 

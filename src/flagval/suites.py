@@ -37,44 +37,30 @@ from .valuations import (
     ultrametric_ok,
     valuation_flag_structure,
 )
-from .weil import ZZ, WeilElement, c_pair_test, find_supporting_valuation, solve_inertia, value_vector, weil_from_valuation
+from .weil import ZZ, WeilElement, c_pair_test, find_supporting_valuation, is_inertia, solve_inertia, value_vector, weil_from_valuation
 
 REPORT_VERSION = 1
 WITNESS_CAP = 5
 SAMPLE_CAP = 2_000_000
 
-# suites that draw randomness must be given a seed; the rest enumerate
-_DEFAULT_MODE = {
-    "flag-classify": "exhaustive",
-    "prop-flag-map": "exhaustive",
-    "lemma-p2": "exhaustive",
-    "collineation": "exhaustive",
-    "valuation-axioms": "sampled",
-    "weil-inertia": "exhaustive",
-    "c-pairs": "exhaustive",
-    "ktheory": "sampled",
-    "reconstruct-roundtrip": "exhaustive",
-}
+# name -> suite function; each function carries its allowed modes (the
+# first is the default) and its default sample count as attributes, so a
+# wrapper made with functools.update_wrapper keeps them
+SUITES: dict = {}
 
-_ALLOWED_MODES = {
-    "flag-classify": ("exhaustive",),
-    "prop-flag-map": ("exhaustive", "sampled"),
-    "lemma-p2": ("exhaustive",),
-    "collineation": ("exhaustive", "sampled"),
-    "valuation-axioms": ("sampled",),
-    "weil-inertia": ("exhaustive",),
-    "c-pairs": ("exhaustive",),
-    "ktheory": ("sampled",),
-    "reconstruct-roundtrip": ("exhaustive",),
-}
 
-_DEFAULT_SAMPLES = {
-    "prop-flag-map": 10_000,
-    "collineation": 10_000,
-    "valuation-axioms": 10_000,
-    "ktheory": 1_000,
-    "reconstruct-roundtrip": 50,  # conclusion sample budget
-}
+def _suite(name: str, modes: tuple[str, ...], samples: int | None = None):
+    """Register a suite.  Suites that draw randomness must be given a seed
+    in sampled mode; samples is the default count for every mode."""
+
+    def register(fn):
+        fn.modes = modes
+        fn.default_samples = samples
+        SUITES[name] = fn
+        return fn
+
+    return register
+
 
 _ALIASES = {"reconstruct": "reconstruct-roundtrip"}
 
@@ -92,7 +78,6 @@ class SuiteConfig:
     samples: int | None = None
     check: str | None = None
     place: str | None = None
-    out: str | None = None
 
     def echo(self) -> dict:
         return {
@@ -115,24 +100,21 @@ def suite_name(name: str) -> str:
 
 def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     suite = suite_name(cfg.suite)
-    if suite not in _DEFAULT_MODE:
+    fn = SUITES.get(suite)
+    if fn is None:
         raise UnknownSuite(f"no suite named {cfg.suite!r}")
-    cfg = replace(cfg, suite=suite)
-    mode = cfg.mode or _DEFAULT_MODE[suite]
-    if mode not in _ALLOWED_MODES[suite]:
-        raise InvalidConfig(f"suite {suite!r} supports modes {_ALLOWED_MODES[suite]}, got {mode!r}")
-    cfg = replace(cfg, mode=mode)
+    mode = cfg.mode or fn.modes[0]
+    if mode not in fn.modes:
+        raise InvalidConfig(f"suite {suite!r} supports modes {fn.modes}, got {mode!r}")
+    samples = cfg.samples if cfg.samples is not None else fn.default_samples
     if mode == "sampled":
         if cfg.seed is None:
             raise InvalidConfig("sampled mode requires an explicit seed")
-        samples = cfg.samples if cfg.samples is not None else _DEFAULT_SAMPLES.get(suite, 1000)
         if samples < 1:
             raise InvalidConfig("samples must be >= 1")
         if samples > SAMPLE_CAP:
             raise SizeBound(f"samples capped at {SAMPLE_CAP}")
-        cfg = replace(cfg, samples=samples)
-    elif suite in _DEFAULT_SAMPLES and cfg.samples is None:
-        cfg = replace(cfg, samples=_DEFAULT_SAMPLES[suite])
+    cfg = replace(cfg, suite=suite, mode=mode, samples=samples)
     if cfg.seed is not None and not 0 <= cfg.seed < 2**63:
         raise InvalidConfig("seed must fit in 63 bits")
     return cfg
@@ -163,6 +145,7 @@ def _random_rational(rng, field: FiniteField, var: str, max_deg: int = 2) -> Rat
 # -- individual suites ---------------------------------------------------
 
 
+@_suite("flag-classify", ("exhaustive",))
 def _suite_flag_classify(cfg: SuiteConfig) -> dict:
     q = cfg.q or 2
     if q > 3:
@@ -182,6 +165,7 @@ def _suite_flag_classify(cfg: SuiteConfig) -> dict:
     }
 
 
+@_suite("prop-flag-map", ("exhaustive", "sampled"), samples=10_000)
 def _suite_prop_flag_map(cfg: SuiteConfig) -> dict:
     if cfg.mode == "exhaustive":
         q = cfg.q or 2
@@ -210,6 +194,7 @@ def _suite_prop_flag_map(cfg: SuiteConfig) -> dict:
     }
 
 
+@_suite("lemma-p2", ("exhaustive",))
 def _suite_lemma_p2(cfg: SuiteConfig) -> dict:
     q = cfg.q or 2
     r = flagkit.sweep_decomposition_lemma(q)
@@ -225,6 +210,7 @@ def _suite_lemma_p2(cfg: SuiteConfig) -> dict:
     }
 
 
+@_suite("collineation", ("exhaustive", "sampled"), samples=10_000)
 def _suite_collineation(cfg: SuiteConfig) -> dict:
     p = cfg.p or 3
     rep = flagkit.collineation_analyze(
@@ -262,6 +248,7 @@ def _axiom_places(field: FiniteField):
     return [FinitePlace(lin), FinitePlace(lin1), FinitePlace(deg2), InfinitePlace(field, var)]
 
 
+@_suite("valuation-axioms", ("sampled",), samples=10_000)
 def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -316,6 +303,7 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     }
 
 
+@_suite("weil-inertia", ("exhaustive",))
 def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -333,7 +321,7 @@ def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
         vv = value_vector(place, gens)
         exact = len(rows) == 1 and (rows[0] == vv or rows[0] == [-x for x in vv])
         w = weil_from_valuation(place)
-        if not (exact and _inertia_holds(w, place, gens)):
+        if not (exact and is_inertia(w, place, gens)):
             bad.append(serialize_place(place))
     return {
         "cases_total": len(places),
@@ -346,12 +334,7 @@ def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     }
 
 
-def _inertia_holds(w: WeilElement, place, gens) -> bool:
-    from .weil import is_inertia
-
-    return is_inertia(w, place, gens)
-
-
+@_suite("c-pairs", ("exhaustive",))
 def _suite_c_pairs(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -415,6 +398,7 @@ def _composite(field: FiniteField):
     return CompositePlace(curve, point)
 
 
+@_suite("ktheory", ("sampled",), samples=1_000)
 def _suite_ktheory(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -491,6 +475,7 @@ def _arena(field: FiniteField, vars: tuple[str, ...], deg: int) -> Arena:
     return a
 
 
+@_suite("reconstruct-roundtrip", ("exhaustive",), samples=50)  # conclusion sample budget
 def _suite_reconstruct(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -541,19 +526,6 @@ def _suite_reconstruct(cfg: SuiteConfig) -> dict:
             "failures": failures,
         },
     }
-
-
-SUITES = {
-    "flag-classify": _suite_flag_classify,
-    "prop-flag-map": _suite_prop_flag_map,
-    "lemma-p2": _suite_lemma_p2,
-    "collineation": _suite_collineation,
-    "valuation-axioms": _suite_valuation_axioms,
-    "weil-inertia": _suite_weil_inertia,
-    "c-pairs": _suite_c_pairs,
-    "ktheory": _suite_ktheory,
-    "reconstruct-roundtrip": _suite_reconstruct,
-}
 
 
 def run_suite(cfg: SuiteConfig) -> dict:

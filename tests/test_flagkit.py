@@ -1,10 +1,19 @@
 """Flag maps, the subset census, the decomposition lemma, collineations."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from flagval.errors import InvalidInput, SizeBound
 from flagval.flagkit import (
+    FlagVerdict,
     StarMap,
+    _bad_strata,
+    _flag_chain,
+    _ones_levels,
+    _value_levels,
+    _verdicts_bulk,
     check_decomposition_lemma,
     classify_flag_subsets,
     collineation_analyze,
@@ -87,6 +96,81 @@ def test_is_flag_map_verdicts():
     assert v.witness_line is not None
 
 
+@pytest.mark.parametrize(
+    "n,q,values,chain,witness_line",
+    [
+        (2, 2, [1] * 7, ((0,), (1, 2), (3, 4, 5, 6)), None),
+        (2, 2, [0, 2, 0, 0, 1, 0, 2], ((4,), (1, 6), (0, 2, 3, 5)), None),
+        (2, 2, [0, 1, 0, 2, 1, 1, 0], None, (0, 3, 4)),
+        (2, 2, [1, 2, 2, 2, 1, 2, 1], None, None),
+        (2, 3, [0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1], ((7,), (3, 5, 12), (0, 1, 2, 4, 6, 8, 9, 10, 11)), None),
+        (2, 3, [2, 0, 2, 0, 2, 1, 0, 1, 0, 0, 1, 1, 2], None, (0, 1, 2, 3)),
+        (
+            3,
+            2,
+            [0, 2, 0, 0, 2, 0, 2, 0, 2, 0, 1, 2, 0, 1, 0],
+            ((4,), (10, 13), (1, 6, 8, 11), (0, 2, 3, 5, 7, 9, 12, 14)),
+            None,
+        ),
+        (3, 2, [2, 1, 1, 2, 1, 1, 1, 0, 0, 2, 1, 1, 2, 1, 1], None, (1, 7, 9)),
+        (3, 2, [1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1], None, None),
+        (1, 3, [0, 2, 2, 2], ((0,), (1, 2, 3)), None),
+        (1, 3, [0, 2, 1, 1], None, (0, 1, 2, 3)),
+    ],
+)
+def test_is_flag_map_first_chain_and_witness(n, q, values, chain, witness_line):
+    # the first accepting chain and the first witness line in canonical order
+    v = is_flag_map(geometry(n, q), values)
+    note = "line criterion holds but no stratum chain exists" if chain is witness_line is None else ""
+    assert v == FlagVerdict(chain is not None, chain, witness_line, note)
+
+
+def _assert_scalar_matches_bulk(geom, maps):
+    line_ok, chain_ok = _verdicts_bulk(geom, np.array(maps, dtype=np.int8))
+    for row, vals in enumerate(maps):
+        assert line_criterion(geom, vals) == line_ok[row], vals
+        assert is_flag_map(geom, vals).is_flag == chain_ok[row], vals
+
+
+@pytest.mark.parametrize("n,q,k", [(2, 2, 3), (2, 2, 4), (1, 3, 3), (1, 3, 4)])
+def test_kernel_scalar_and_bulk_agree_exhaustive(n, q, k):
+    geom = geometry(n, q)
+    maps = list(itertools.product(range(k), repeat=len(geom.points)))
+    _assert_scalar_matches_bulk(geom, maps)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_kernel_scalar_and_bulk_agree_sampled(n, q):
+    geom = geometry(n, q)
+    rng = np.random.Generator(np.random.PCG64(11))
+    maps = rng.integers(0, 3, size=(10_000, len(geom.points)), dtype=np.int8).tolist()
+    _assert_scalar_matches_bulk(geom, maps)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kernel_ones_mask_entry_matches_values(q):
+    geom = geometry(2, q)
+    npts = len(geom.points)
+    table = geom.strata
+    for ones in range(1 << npts):
+        subset = frozenset(i for i in range(npts) if ones >> i & 1)
+        indicator = [1 if i in subset else 0 for i in range(npts)]
+        assert _bad_strata(table, _ones_levels(npts, ones)) == _bad_strata(table, _value_levels(indicator))
+        assert is_flag_subset(geom, subset) == is_flag_map(geom, indicator).is_flag
+
+
+def test_kernel_pair_verdict_is_the_four_valued_map():
+    # collineation_analyze judges the pair (bit 0, bit 1) of a map into
+    # {0,1,2,3} through the union of the two coordinates' bad strata
+    table = FANO.strata
+    for vals in itertools.product(range(4), repeat=7):
+        m1 = sum(1 << i for i, v in enumerate(vals) if v & 1)
+        m2 = sum(1 << i for i, v in enumerate(vals) if v & 2)
+        pair = _bad_strata(table, _ones_levels(7, m1)) | _bad_strata(table, _ones_levels(7, m2))
+        assert pair == _bad_strata(table, _value_levels(vals))
+        assert (_flag_chain(table, pair) is not None) == is_flag_map(FANO, vals).is_flag
+
+
 def test_is_flag_map_on_projective_line():
     p1 = geometry(1, 3)
     assert is_flag_map(p1, [0, 1, 1, 1]).is_flag
@@ -104,8 +188,6 @@ def test_is_flag_subset_families():
     assert subset_family(FANO, punctured) == "punctured-line"
     # a triangle (three points not on a line) is not a flag subset
     tri = None
-    import itertools
-
     for combo in itertools.combinations(range(7), 3):
         if not any(set(combo) <= set(L) for L in FANO.lines):
             tri = frozenset(combo)
@@ -230,6 +312,16 @@ def test_collineation_p2_frozen():
     assert rep.non_flag_star_maps == 336
     assert rep.first_non_flag_star == [0, 0, 0, 0, 1, 1, 1]
     assert rep.flag_combo_violations == []
+
+
+def test_star_condition_counts_the_collineation_star_maps():
+    # the sweep's "at most two values on each line" test against the
+    # rank test of star_condition, on all 4^7 maps P^2(F_2) -> A^2(F_2)
+    passing = sum(
+        star_condition(StarMap(2, 2, tuple((v & 1, v >> 1) for v in vals)))
+        for vals in itertools.product(range(4), repeat=7)
+    )
+    assert passing == collineation_analyze(2).star_maps == 1264
 
 
 def test_collineation_errors():

@@ -215,6 +215,17 @@ def test_resolve_alias_and_defaults():
     assert cfg.samples == 50
 
 
+def test_suite_table_modes_and_default_samples():
+    assert len(suites.SUITES) == 9
+    for name, fn in suites.SUITES.items():
+        assert fn.modes and set(fn.modes) <= {"exhaustive", "sampled"}, name
+        if "sampled" in fn.modes:
+            assert fn.default_samples >= 1, name
+        cfg = suites._resolve(SuiteConfig(suite=name, seed=1))
+        assert cfg.mode == fn.modes[0]
+        assert cfg.samples == fn.default_samples
+
+
 def test_config_validation():
     with pytest.raises(UnknownSuite):
         run_suite(SuiteConfig(suite="no-such-suite"))
