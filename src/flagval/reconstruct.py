@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedValueGroup,
 )
 from .ff import FiniteField
-from .flagkit import line_criterion
 from .fields import (
     INF,
     DivisorRep,
@@ -38,6 +37,7 @@ from .fields import (
     from_divisor,
     to_divisor,
 )
+from .flagkit import line_criterion
 from .intlin import RowLattice, hermite_normal_form, quotient as z_quotient
 from .poly import irreducible_canonicals_bivariate, monic_irreducibles
 from .projspace import EmbeddedSubspace
