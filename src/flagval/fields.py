@@ -61,11 +61,12 @@ class RationalFn:
                             k = min(nparts[p], dparts[p])
                             nparts[p] -= k
                             dparts[p] -= k
-                    num = Poly.constant(F, num.vars, nu)
+                    # nu and du are the nonzero units factor split off
+                    num = Poly._make(F, num.vars, {(0, 0): nu})
                     for p, k in nparts.items():
                         if k:
                             num = num * p**k
-                    den = Poly.constant(F, den.vars, du)
+                    den = Poly._make(F, den.vars, {(0, 0): du})
                     for p, k in dparts.items():
                         if k:
                             den = den * p**k
@@ -93,7 +94,7 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFn":
-        return cls(p, Poly.constant(p.field, p.vars, 1))
+        return cls(p, p._one())
 
     @classmethod
     def constant(cls, field: FiniteField, vars: tuple[str, ...], c: int) -> "RationalFn":
@@ -346,8 +347,8 @@ def to_divisor(f: RationalFn) -> DivisorRep:
 def from_divisor(d: DivisorRep) -> RationalFn:
     """Multiply the divisor form back out; checks INF consistency."""
     F = d.field
-    num = Poly.constant(F, d.vars, d.unit)
-    den = Poly.constant(F, d.vars, 1)
+    num = Poly._make(F, d.vars, {(0,) * len(d.vars): d.unit})  # the unit is validated and nonzero
+    den = num._one()
     for g, e in d.exps.items():
         if g == INF:
             continue

@@ -430,49 +430,19 @@ def collineation_analyze(
     table = geom.strata
     lines = geom.lines
 
-    star_values: "list[list[int]]" = []
-
-    if mode == "exhaustive":
-        if p not in (2, 3):
-            raise SizeBound("exhaustive collineation sweep supports p in {2, 3}")
-        order, completed_at = _greedy_point_order(geom)
-        vals = [0] * npts
-
-        def dfs(pos: int):
-            if pos == npts:
-                star_values.append(list(vals))
-                return
-            pt = order[pos]
-            for v in range(4):
-                vals[pt] = v
-                if all(_two_values_at_most(vals, lines[li]) for li in completed_at[pos]):
-                    dfs(pos + 1)
-            vals[pt] = 0
-
-        dfs(0)
-        star_count = len(star_values)
-        maps_examined = 4**npts
-    elif mode == "sampled":
-        if seed is None:
-            raise InvalidInput("sampled mode requires a seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        maps_examined = samples
-        for _ in range(samples):
-            vals = [int(v) for v in rng.integers(0, 4, npts)]
-            if all(_two_values_at_most(vals, L) for L in lines):
-                star_values.append(vals)
-        star_count = len(star_values)
-    else:
-        raise InvalidInput(f"unknown mode {mode!r}")
-
     image_size_counts: dict[int, int] = {}
     image_viol = []
+    star_count = 0
     no_combo = 0
     first_no_combo = None
     combo_viol = []
     non_flag_star = 0
     first_non_flag = None
-    for vals in star_values:
+
+    def analyse(vals: list[int]) -> None:
+        # one (*) map, recorded as the sweep accepts it
+        nonlocal star_count, no_combo, first_no_combo, non_flag_star, first_non_flag
+        star_count += 1
         img = len(set(vals))
         image_size_counts[img] = image_size_counts.get(img, 0) + 1
         if img > 3:
@@ -502,6 +472,38 @@ def collineation_analyze(
             non_flag_star += 1
             if first_non_flag is None:
                 first_non_flag = list(vals)
+
+    if mode == "exhaustive":
+        if p not in (2, 3):
+            raise SizeBound("exhaustive collineation sweep supports p in {2, 3}")
+        order, completed_at = _greedy_point_order(geom)
+        vals = [0] * npts
+
+        def dfs(pos: int):
+            if pos == npts:
+                analyse(vals)
+                return
+            pt = order[pos]
+            for v in range(4):
+                vals[pt] = v
+                if all(_two_values_at_most(vals, lines[li]) for li in completed_at[pos]):
+                    dfs(pos + 1)
+            vals[pt] = 0
+
+        dfs(0)
+        maps_examined = 4**npts
+    elif mode == "sampled":
+        if seed is None:
+            raise InvalidInput("sampled mode requires a seed")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        maps_examined = samples
+        for _ in range(samples):
+            vals = [int(v) for v in rng.integers(0, 4, npts)]
+            if all(_two_values_at_most(vals, L) for L in lines):
+                analyse(vals)
+    else:
+        raise InvalidInput(f"unknown mode {mode!r}")
+
     return CollineationReport(
         p=p,
         mode=mode,

@@ -5,6 +5,14 @@ to nonzero field elements.  Term order is graded lexicographic (total
 degree first, then the exponent tuple), which is all the canonical
 normalization below relies on.
 
+Validation happens at the API edge only.  The public constructors
+(`Poly(...)`, `parse`, `from_dense`, `constant`, `variable`) check every
+coefficient and exponent tuple.  Results of the ring operations and the
+kernels below are built with `Poly._make`, which trusts its input: a
+coefficient dict of in-range, nonzero field elements that the kernel
+built itself through the field's op tables.  The hash is computed
+lazily, on the first `hash()`, and `sort_key` is memoised per object.
+
 Univariate arithmetic (division, gcd, multiplicity, factoring) runs on
 dense coefficient lists through the field's op tables, in one division
 kernel, and builds Poly objects only for its results.  Univariate
@@ -13,10 +21,16 @@ enumerated monic irreducibles.  Bivariate inputs keep the sparse grlex
 division; their factorization is deliberately windowed to total degree
 <= 3, where reducibility is equivalent to having a linear factor; larger
 elements must arrive pre-factored.
+
+This module owns the one factorization cache: `factor_bivariate`
+memoises its answer per input, at most `FACTOR_CACHE_SIZE` of them, and
+hands each caller a fresh dict.  Univariate factoring is not cached;
+its inputs are mostly fresh.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Sequence
 from functools import lru_cache
@@ -29,10 +43,20 @@ def _grlex(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
 
 
-class Poly:
-    """Immutable polynomial over a FiniteField in named variables."""
+FACTOR_CACHE_SIZE = 4096  # bound of the bivariate factorization cache
 
-    __slots__ = ("field", "vars", "coeffs", "_key")
+
+class Poly:
+    """Immutable polynomial over a FiniteField in named variables.
+
+    `coeffs` maps exponent tuples to nonzero field elements.  The
+    constructor validates every entry and drops zeros; `_make` is the
+    trusted internal route for results built from table ops, which must
+    already hold only nonzero in-range coefficients.  The hash is
+    computed on the first `hash()` and `sort_key` on its first call.
+    """
+
+    __slots__ = ("field", "vars", "coeffs", "_hash", "_sort_key")
 
     def __init__(self, field: FiniteField, vars: tuple[str, ...], coeffs: dict) -> None:
         if not 1 <= len(vars) <= 2:
@@ -45,10 +69,14 @@ class Poly:
             c = field.check(c)
             if c:
                 clean[exp] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_key", (field.q, self.vars, tuple(sorted(clean.items()))))
+        _init(self, field, tuple(vars), clean)
+
+    @classmethod
+    def _make(cls, field: FiniteField, vars: tuple[str, ...], clean: dict) -> "Poly":
+        """Trusted construction: clean holds only nonzero elements of field."""
+        self = object.__new__(cls)
+        _init(self, field, vars, clean)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -58,6 +86,9 @@ class Poly:
     @classmethod
     def zero(cls, field: FiniteField, vars: tuple[str, ...]) -> "Poly":
         return cls(field, vars, {})
+
+    def _one(self) -> "Poly":
+        return Poly._make(self.field, self.vars, {(0,) * len(self.vars): 1})
 
     @classmethod
     def constant(cls, field: FiniteField, vars: tuple[str, ...], c: int) -> "Poly":
@@ -133,10 +164,18 @@ class Poly:
         return f"Poly({self})"
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        h = self._hash
+        if h is None:
+            h = hash((self.field.q, self.vars, tuple(sorted(self.coeffs.items()))))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self._key == other._key
+        # coeffs never hold zeros, so equal dicts mean equal polynomials
+        return isinstance(other, Poly) and (
+            self is other
+            or (self.field.q == other.field.q and self.vars == other.vars and self.coeffs == other.coeffs)
+        )
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -149,24 +188,29 @@ class Poly:
                 raise InvalidInput("mixed polynomial domains")
             return other
         if isinstance(other, int):
-            return Poly.constant(self.field, self.vars, self.field.from_int(other))
+            c = self.field.from_int(other)
+            return Poly._make(self.field, self.vars, {(0,) * len(self.vars): c} if c else {})
         return NotImplemented
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.field
+        add = self.field._add
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            out[exp] = F.add(out.get(exp, 0), c)
-        return Poly(F, self.vars, out)
+            v = add[out.get(exp, 0)][c]
+            if v:
+                out[exp] = v
+            else:
+                del out[exp]
+        return Poly._make(self.field, self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, self.vars, {e: F.neg(c) for e, c in self.coeffs.items()})
+        neg = self.field._neg
+        return Poly._make(self.field, self.vars, {e: neg[c] for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -182,26 +226,39 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         F = self.field
+        add, mul = F._add, F._mul
         out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = F.add(out.get(e, 0), F.mul(c1, c2))
-        return Poly(F, self.vars, out)
+        get = out.get
+        other_items = other.coeffs.items()
+        # exponent addition unrolled for the two supported arities
+        if len(self.vars) == 1:
+            for (a,), c1 in self.coeffs.items():
+                m1 = mul[c1]
+                for (b,), c2 in other_items:
+                    e = (a + b,)
+                    out[e] = add[get(e, 0)][m1[c2]]
+        else:
+            for (a1, a2), c1 in self.coeffs.items():
+                m1 = mul[c1]
+                for (b1, b2), c2 in other_items:
+                    e = (a1 + b1, a2 + b2)
+                    out[e] = add[get(e, 0)][m1[c2]]
+        return Poly._make(F, self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise InvalidInput("negative power of a polynomial")
-        out = Poly.constant(self.field, self.vars, 1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self._one() if out is None else out
 
     # -- structure queries -------------------------------------------
 
@@ -209,7 +266,7 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(sum(e) for e in self.coeffs)
+        return max(map(sum, self.coeffs))
 
     def deg_in(self, i: int) -> int:
         if not self.coeffs:
@@ -240,8 +297,8 @@ class Poly:
         if u == 1:
             return 1, self
         F = self.field
-        inv = F.inv(u)
-        return u, Poly(F, self.vars, {e: F.mul(c, inv) for e, c in self.coeffs.items()})
+        scale = F._mul[F._inv[u]]
+        return u, Poly._make(F, self.vars, {e: scale[c] for e, c in self.coeffs.items()})
 
     def evaluate(self, point: tuple[int, ...]) -> int:
         F = self.field
@@ -284,26 +341,43 @@ class Poly:
 
     def sort_key(self) -> tuple:
         """Canonical (degree, coefficient tuple) key for generator ordering."""
-        d = self.degree()
-        exps = sorted(
-            (e for e in _exponents_upto(len(self.vars), max(d, 0))), key=_grlex
-        )
-        return (d, tuple(self.coeffs.get(e, 0) for e in exps))
+        key = self._sort_key
+        if key is None:
+            d = self.degree()
+            exps = sorted(_exponents_upto(len(self.vars), max(d, 0)), key=_grlex)
+            key = (d, tuple(self.coeffs.get(e, 0) for e in exps))
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
     # -- univariate kernels ------------------------------------------
 
     def to_dense(self) -> list[int]:
         if len(self.vars) != 1:
             raise InvalidInput("dense form is univariate-only")
-        d = self.degree()
-        out = [0] * (d + 1 if d >= 0 else 0)
-        for (e,), c in self.coeffs.items():
+        coeffs = self.coeffs
+        if not coeffs:
+            return []
+        out = [0] * (max(coeffs)[0] + 1)
+        for (e,), c in coeffs.items():
             out[e] = c
         return out
 
     @classmethod
     def from_dense(cls, field: FiniteField, var: str, dense: list[int]) -> "Poly":
         return cls(field, (var,), {(i,): c for i, c in enumerate(dense) if c})
+
+
+def _init(p: Poly, field: FiniteField, vars: tuple[str, ...], clean: dict) -> None:
+    object.__setattr__(p, "field", field)
+    object.__setattr__(p, "vars", vars)
+    object.__setattr__(p, "coeffs", clean)
+    object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_sort_key", None)
+
+
+def _from_dense(F: FiniteField, var: str, dense: Sequence[int]) -> Poly:
+    """Trusted from_dense for coefficient lists a kernel built from table ops."""
+    return Poly._make(F, (var,), {(i,): c for i, c in enumerate(dense) if c})
 
 
 def _exponents_upto(arity: int, d: int):
@@ -353,7 +427,7 @@ def divmod_univariate(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     F = f.field
     var = f.vars[0]
     q, r = _divrem(F, f.to_dense(), g.to_dense())
-    return Poly.from_dense(F, var, q), Poly.from_dense(F, var, r)
+    return _from_dense(F, var, q), _from_dense(F, var, r)
 
 
 def gcd_univariate(f: Poly, g: Poly) -> Poly:
@@ -365,7 +439,7 @@ def gcd_univariate(f: Poly, g: Poly) -> Poly:
     if a:
         inv = F._mul[F._inv[a[-1]]]
         a = [inv[c] for c in a]
-    return Poly.from_dense(F, f.vars[0], a)
+    return _from_dense(F, f.vars[0], a)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
@@ -378,25 +452,30 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     F = f.field
+    mul, sub = F._mul, F._sub
     rem = dict(f.coeffs)
+    get = rem.get
     out: dict[tuple[int, ...], int] = {}
     ge = g.leading_exp()
-    gc_inv = F.inv(g.leading_coeff())
+    to_quo = mul[F._inv[g.coeffs[ge]]]
+    g_items = list(g.coeffs.items())
     while rem:
         re = max(rem, key=_grlex)
         diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
+        if min(diff) < 0:
             return None
-        c = F.mul(rem[re], gc_inv)
-        out[diff] = F.add(out.get(diff, 0), c)
-        for e2, c2 in g.coeffs.items():
-            e = tuple(a + b for a, b in zip(diff, e2))
-            v = F.sub(rem.get(e, 0), F.mul(c, c2))
+        # the leading monomial falls at every step, so each diff is new
+        c = to_quo[rem[re]]
+        out[diff] = c
+        mc = mul[c]
+        for e2, c2 in g_items:
+            e = tuple(map(operator.add, diff, e2))
+            v = sub[get(e, 0)][mc[c2]]
             if v:
                 rem[e] = v
             else:
-                rem.pop(e, None)
-    return Poly(F, f.vars, out)
+                del rem[e]
+    return Poly._make(F, f.vars, out)
 
 
 def _multiplicity_dense(F: FiniteField, a: list[int], b: Sequence[int]) -> tuple[int, list[int]]:
@@ -418,7 +497,7 @@ def multiplicity(f: Poly, g: Poly) -> tuple[int, Poly]:
         raise InvalidInput("multiplicity needs a nonconstant divisor")
     if len(f.vars) == 1:
         k, a = _multiplicity_dense(f.field, f.to_dense(), g.to_dense())
-        return k, (Poly.from_dense(f.field, f.vars[0], a) if k else f)
+        return k, (_from_dense(f.field, f.vars[0], a) if k else f)
     k = 0
     while True:
         nxt = divide_exact(f, g)
@@ -445,7 +524,7 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
                 dense.append(n % q)
                 n //= q
             dense.append(1)
-            f = Poly.from_dense(F, var, dense)
+            f = _from_dense(F, var, dense)
             if all(divmod_univariate(f, g)[1] for g in lower):
                 found.append(f)
     return tuple(found)
@@ -474,7 +553,7 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
         if k:
             out[g] = k
     if len(a) > 1:
-        rest = f if len(a) == d + 1 else Poly.from_dense(F, var, a)
+        rest = f if len(a) == d + 1 else _from_dense(F, var, a)
         out[rest] = out.get(rest, 0) + 1
     return unit, out
 
@@ -497,6 +576,8 @@ def factor_bivariate(f: Poly) -> tuple[int, dict[Poly, int]]:
 
     In this window reducibility is equivalent to having a linear factor,
     so trial division against the canonical linear list is complete.
+    Answers come from a bounded per-input cache; each call gets its own
+    dict, which the caller may change.
     """
     if not f:
         raise InvalidInput("cannot factor the zero polynomial")
@@ -505,6 +586,13 @@ def factor_bivariate(f: Poly) -> tuple[int, dict[Poly, int]]:
             f"total degree {f.degree()} exceeds the bivariate window (3); "
             "supply the element in factored form"
         )
+    unit, parts = _factor_bivariate_cached(f)
+    return unit, dict(parts)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor_bivariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...]]:
+    # the answer as immutable (factor, multiplicity) pairs, in factor order
     unit, f = f.make_canonical()
     out: dict[Poly, int] = {}
     for g in linear_canonicals(f.field.q, f.vars):
@@ -516,7 +604,7 @@ def factor_bivariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     if f.degree() >= 1:
         # no linear factor and degree <= 3: irreducible
         out[f] = out.get(f, 0) + 1
-    return unit, out
+    return unit, tuple(out.items())
 
 
 def factor(f: Poly) -> tuple[int, dict[Poly, int]]:

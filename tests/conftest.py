@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-The degree-2 bivariate arena is expensive to build (about ten seconds),
-so it is constructed once per session through the same cache the check
-suites use; every extraction test and the acceptance round trips then
-share one instance.
+The degree-2 bivariate arena over F_3 is the most expensive fixture
+(about four seconds to build on a 2-core box), so it is constructed
+once per session through the same cache the check suites use; every
+extraction test and the acceptance round trips then share one instance.
 """
 
 import pytest

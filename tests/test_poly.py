@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagval.errors import FactoringWindowExceeded, InvalidInput
+from flagval import poly as poly_module
 from flagval.ff import FiniteField
 from flagval.poly import (
     Poly,
@@ -336,3 +337,135 @@ def test_gcd_univariate_of_zero():
     zero = Poly.zero(F3, T)
     assert gcd_univariate(zero, zero) == zero
     assert gcd_univariate(zero, t_("2*t+1")) == t_("t+2")
+
+
+# -- trusted internal construction against the validating constructor ----
+
+
+def _bivariate_upto(F, max_deg):
+    """Every bivariate polynomial over F of total degree <= max_deg."""
+    exps = [(a, d - a) for d in range(max_deg + 1) for a in range(d + 1)]
+    for code in range(F.q ** len(exps)):
+        coeffs = {}
+        for e in exps:
+            coeffs[e] = code % F.q
+            code //= F.q
+        yield Poly(F, XY, coeffs)
+
+
+def _random_bivariate(F, rng, max_deg):
+    return Poly(
+        F, XY, {(a, b): rng.randrange(F.q) for a in range(max_deg + 1) for b in range(max_deg + 1 - a)}
+    )
+
+
+def _reference_mul(f, g):
+    """Sparse product through the field's methods and the validating constructor."""
+    F = f.field
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = F.add(out.get(e, 0), F.mul(c1, c2))
+    return Poly(F, f.vars, out)
+
+
+def _assert_validated(p):
+    """p equals, and hashes like, its rebuild through the validating constructor."""
+    again = Poly(p.field, p.vars, dict(p.coeffs))
+    assert p == again and again == p
+    assert hash(p) == hash(again)
+    assert all(p.coeffs.values()), p.coeffs  # no stored zero
+
+
+def _trusted_results(a, b):
+    out = [a + b, a - b, a * b, -a, a * 2, b * 0]
+    out += [a**k for k in range(4)]
+    if a:
+        out.append(a.make_canonical()[1])
+    if b:
+        out.append(divide_exact(a * b, b))
+    return out
+
+
+def _trusted_pairs():
+    every = list(_bivariate_upto(F2, 2))
+    yield from ((a, b) for a in every for b in every)
+    for q in (3, 4, 49):
+        F = FiniteField(q)
+        rng = random.Random(q)
+        for _ in range(60):
+            yield _random_bivariate(F, rng, 2), _random_bivariate(F, rng, rng.randint(0, 2))
+
+
+def test_trusted_results_match_validated_constructor():
+    for a, b in _trusted_pairs():
+        results = _trusted_results(a, b)
+        for p in results:
+            _assert_validated(p)
+        assert results[2] == _reference_mul(a, b)
+        if b:
+            assert results[-1] == a
+
+
+def test_public_constructors_still_validate():
+    bad_coeffs = [3, -1, "1", 1.0]
+    for c in bad_coeffs:
+        with pytest.raises(InvalidInput):
+            Poly(F3, XY, {(1, 0): c})
+        with pytest.raises(InvalidInput):
+            Poly.constant(F3, T, c)
+        with pytest.raises(InvalidInput):
+            Poly.from_dense(F3, "t", [1, c])
+    for exp in [(1,), (1, 0, 0), (-1, 0), (1.0, 0), ("1", 0)]:
+        with pytest.raises(InvalidInput):
+            Poly(F3, XY, {exp: 1})
+    with pytest.raises(InvalidInput):
+        Poly(F3, ("x", "y", "z"), {})
+
+
+# -- the bivariate factorization cache ------------------------------------
+
+
+def _uncached_factor(f):
+    unit, parts = poly_module._factor_bivariate_cached.__wrapped__(f)
+    return unit, dict(parts)
+
+
+def test_factor_cache_hands_out_fresh_dicts():
+    for fn, f in ((factor_bivariate, xy("x*y^2+x*y")), (factor, xy("x*y^2+x*y")), (factor, t_("t^3+t"))):
+        unit, parts = fn(f)
+        expected = dict(parts)
+        parts.clear()
+        parts[xy("x+1")] = 7
+        assert fn(f) == (unit, expected)
+
+
+def _factor_cases():
+    yield from (f for f in _bivariate_upto(F2, 3) if f)
+    rng = random.Random(3)
+    lin = linear_canonicals(3, XY)
+    for _ in range(150):
+        f = _random_bivariate(F3, rng, rng.randint(1, 3))
+        if f:
+            yield f
+    for _ in range(50):
+        f = Poly.constant(F3, XY, rng.randint(1, 2))
+        for _ in range(rng.randint(1, 3)):
+            f = f * rng.choice(lin)
+        yield f
+
+
+def test_factor_cache_matches_uncached_and_multiplies_back():
+    for f in _factor_cases():
+        first = factor_bivariate(f)
+        cached = factor_bivariate(f)
+        uncached = _uncached_factor(f)
+        assert cached == first == uncached
+        assert list(cached[1].items()) == list(uncached[1].items())  # same factor order
+        unit, parts = cached
+        back = Poly.constant(f.field, XY, unit)
+        for g, e in parts.items():
+            assert g.leading_coeff() == 1 and g.degree() >= 1
+            back = back * g**e
+        assert back == f
