@@ -16,7 +16,6 @@ digits.  There is no floating point here.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .errors import InvalidInput, UnsupportedField
 
@@ -144,7 +143,6 @@ class FiniteField:
         self.e = e
         self.modulus = canonical_modulus(p, e) if e > 1 else ()
         self._build_tables()
-        self._order_cache: dict[int, int] = {}
 
     def _build_tables(self) -> None:
         # tables indexed [a][b], built from the digit form; for e == 1
@@ -235,35 +233,6 @@ class FiniteField:
             base = self.mul(base, base)
             n >>= 1
         return out
-
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise InvalidInput("0 has no multiplicative order")
-        if a in self._order_cache:
-            return self._order_cache[a]
-        n = self.q - 1
-        for ell in factorize(n):
-            while n % ell == 0 and self.pow(a, n // ell) == 1:
-                n //= ell
-        self._order_cache[a] = n
-        return n
-
-    def is_nth_power(self, a: int, n: int) -> bool:
-        """Whether a == b**n for some b in this field (n >= 1)."""
-        if n < 1:
-            raise InvalidInput(f"exponent must be positive, got {n}")
-        if a == 0:
-            return True
-        # nonzero a is an n-th power iff ord(a) divides (q-1)/gcd(n, q-1)
-        g = (self.q - 1) // gcd(n, self.q - 1)
-        return g % self.element_order(a) == 0
-
-    def multiplicative_generator(self) -> int:
-        for a in range(2, self.q):
-            if self.element_order(a) == self.q - 1:
-                return a
-        return 1  # q == 2
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from . import fqlin
 from .errors import InvalidInput
 from .ff import FiniteField
-from .poly import (
-    Poly,
-    divmod_univariate,
-    factor,
-    gcd_univariate,
-    is_irreducible,
-)
+from .poly import Poly, divmod_univariate, factor, gcd_univariate
 
 INF = "inf"
 _RESERVED_NAMES = (INF, "unit")
@@ -363,20 +357,6 @@ def from_divisor(d: DivisorRep) -> RationalFn:
             f"({den.degree() - num.degree()})"
         )
     return RationalFn(num, den)
-
-
-def make_generator(field: FiniteField, vars: tuple[str, ...], text: str) -> Poly:
-    """Parse and validate a canonical irreducible generator."""
-    g = Poly.parse(field, text, vars)
-    if g.degree() < 1:
-        raise InvalidInput(f"generator {text!r} is constant")
-    if g.leading_coeff() != 1:
-        raise InvalidInput(f"generator {text!r} is not canonical (leading coefficient)")
-    if len(vars) == 2 and g.degree() > 3:
-        return g  # beyond the factoring window: irreducibility trusted by contract
-    if not is_irreducible(g):
-        raise InvalidInput(f"generator {text!r} is not irreducible")
-    return g
 
 
 # -- algebraic dependence ---------------------------------------------

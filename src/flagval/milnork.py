@@ -1,21 +1,13 @@
 """Symbols over F_q(t): tame residues at every place, the Steinberg
-relation, Weil reciprocity through explicit residue-field norms, and
-divisibility probes up a tower of constant-field extensions.
-
-Divisibility questions are answered by order arithmetic alone: an
-element of F_{q^d} is an n-th power of F_{q^m}-points precisely when
-its multiplicative order divides (q^e - 1)/gcd(n, q^e - 1) for
-e = lcm(m, d), so no extension field is ever materialized.
+relation, and Weil reciprocity through explicit residue-field norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .errors import InvalidInput
-from .ff import FiniteField
-from .fields import INF, DivisorRep, RationalFn, to_divisor
+from .fields import INF, RationalFn, to_divisor
 from .valuations import FinitePlace, InfinitePlace
 
 
@@ -81,12 +73,6 @@ def _res_norm(place, a) -> int:
     return place.ring.norm_to_base(a)
 
 
-def _res_order(place, a) -> int:
-    if place.ring is None:
-        return place.field.element_order(a)
-    return place.ring.element_order(a)
-
-
 def tame_symbol(sym: K2Symbol, place):
     """Residue of the symbol at one place:
     (-1)^(mn) f^n / g^m with m = val(f), n = val(g), per term."""
@@ -124,113 +110,3 @@ def weil_reciprocity_check(f: RationalFn, g: RationalFn) -> bool:
     for place in support_places(sym):
         total = field.mul(total, _res_norm(place, tame_symbol(sym, place)))
     return total == 1
-
-
-# -- towers and divisibility -------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tower:
-    """Constant-field extension ladder F_{q^(d_0)} < F_{q^(d_1)} < ...
-    with each degree dividing the next (so power-ness is monotone)."""
-
-    field: FiniteField
-    degrees: tuple[int, ...] = (1, 2, 4, 8)
-
-    def __post_init__(self):
-        ds = self.degrees
-        if not ds or ds[0] != 1:
-            raise InvalidInput("tower must start at the base field")
-        for a, b in zip(ds, ds[1:]):
-            if b % a != 0 or b <= a:
-                raise InvalidInput("tower degrees must strictly increase and divide")
-
-    def label(self, degree: int) -> str:
-        return f"F{self.field.q ** degree}"
-
-
-def default_tower(field: FiniteField, height: int = 4) -> Tower:
-    return Tower(field, tuple(2**i for i in range(height)))
-
-
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    kind: str  # divisible-here | divisible-in-tower | not-divisible | not-divisible-in-tower
-    level_degree: int | None = None
-    field_order: int | None = None
-
-
-def _is_power_in_extension(field: FiniteField, order: int, n: int, e: int) -> bool:
-    # ord divides (q^e - 1)/gcd(n, q^e - 1)  <=>  n-th power over F_{q^e}
-    m = field.q**e - 1
-    return ((m // gcd(n, m)) % order) == 0
-
-
-def divisible_in_k1(f, n: int, tower: Tower) -> DivisibilityVerdict:
-    """n-divisibility of a divisor class in K_1 = K*: every exponent must
-    be divisible by n (tower-independent), and the retained unit must be
-    an n-th power of a constant, here or at some tower level."""
-    if isinstance(f, RationalFn):
-        d = to_divisor(f)
-    elif isinstance(f, DivisorRep):
-        d = f
-    else:
-        raise InvalidInput("expected a function or a divisor representative")
-    field = tower.field
-    if n <= 0:
-        raise InvalidInput("n must be positive")
-    if n % field.p == 0:
-        raise InvalidInput("n must be coprime to the characteristic")
-    if any(e % n != 0 for e in d.exps.values()):
-        return DivisibilityVerdict("not-divisible")
-    if d.unit == 0:
-        raise InvalidInput("zero element")
-    order = field.element_order(d.unit)
-    for deg in tower.degrees:
-        if _is_power_in_extension(field, order, n, deg):
-            if deg == 1:
-                return DivisibilityVerdict("divisible-here", 1, field.q)
-            return DivisibilityVerdict("divisible-in-tower", deg, field.q**deg)
-    return DivisibilityVerdict("not-divisible-in-tower")
-
-
-@dataclass(frozen=True)
-class ProbeVerdict:
-    kind: str  # obstructed | unobstructed
-    # unobstructed: least ladder degree at which every residue is an
-    # ell-th power (clearance then persists up to top_degree, since each
-    # ladder degree divides the next).  obstructed: equal to top_degree.
-    level_degree: int
-    top_degree: int
-    place: str | None = None
-
-
-def symbol_divisibility_probe(f: RationalFn, g: RationalFn, ell: int, tower: Tower) -> ProbeVerdict:
-    """Necessary condition for ell-divisibility of {f, g}: every tame
-    residue must be an ell-th power of its residue field, viewed over
-    each tower level.  Power-ness is monotone up the ladder, so an
-    obstruction surviving the top level is final; otherwise the verdict
-    names the lowest all-clear level."""
-    field = tower.field
-    if ell == field.p:
-        raise InvalidInput("ell must differ from the characteristic")
-    sym = K2Symbol.pair(f, g)
-    data = []
-    for place in support_places(sym):
-        r = tame_symbol(sym, place)
-        if r == _res_one(place):
-            continue
-        data.append((place, _res_order(place, r)))
-    top = tower.degrees[-1]
-    for place, order in data:
-        if not _is_power_in_extension(field, order, ell, lcm(top, place.degree)):
-            from .valuations import serialize_place
-
-            return ProbeVerdict("obstructed", top, top, serialize_place(place))
-    for deg in tower.degrees:
-        if all(
-            _is_power_in_extension(field, order, ell, lcm(deg, place.degree))
-            for place, order in data
-        ):
-            return ProbeVerdict("unobstructed", deg, top)
-    raise AssertionError("unreachable: the top level cleared above")

@@ -17,7 +17,8 @@ Univariate arithmetic (division, gcd, multiplicity, factoring) runs on
 dense coefficient lists through the field's op tables, in one division
 kernel, and builds Poly objects only for its results.  Univariate
 factorization is complete: trial division of the dense list against the
-enumerated monic irreducibles.  Bivariate inputs keep the sparse grlex
+enumerated monic irreducibles, refused with SizeBound beyond
+`FACTOR_CANDIDATE_CAP` candidates.  Bivariate inputs keep the sparse grlex
 division; their factorization is deliberately windowed to total degree
 <= 3, where reducibility is equivalent to having a linear factor; larger
 elements must arrive pre-factored.
@@ -35,7 +36,7 @@ import re
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .errors import FactoringWindowExceeded, InvalidInput
+from .errors import FactoringWindowExceeded, InvalidInput, SizeBound
 from .ff import FiniteField
 
 
@@ -536,8 +537,19 @@ def _dense_irreducibles(q: int, var: str, max_deg: int) -> tuple[tuple[Poly, tup
     return tuple((g, tuple(g.to_dense())) for g in monic_irreducibles(q, var, max_deg))
 
 
+# trial division enumerates about q^(d//2) candidate divisors of a
+# degree-d input; the suites need at most 49 of them, while degree 8
+# over GF(49) would enumerate 5.8M quartics and run for minutes
+FACTOR_CANDIDATE_CAP = 10_000
+
+
 def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
-    """Complete factorization (unit, {monic irreducible: multiplicity})."""
+    """Complete factorization (unit, {monic irreducible: multiplicity}).
+
+    Raises SizeBound when q^(deg f // 2) exceeds FACTOR_CANDIDATE_CAP
+    (10,000), for example degree 6 and up over GF(49), instead of
+    enumerating that many candidate divisors.
+    """
     if not f:
         raise InvalidInput("cannot factor the zero polynomial")
     unit, f = f.make_canonical()
@@ -545,6 +557,11 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     var = f.vars[0]
     a = f.to_dense()
     d = len(a) - 1
+    if F.q ** (d // 2) > FACTOR_CANDIDATE_CAP:
+        raise SizeBound(
+            f"factoring degree {d} over GF({F.q}) would try {F.q}^{d // 2} candidate divisors; "
+            f"the cap is {FACTOR_CANDIDATE_CAP}"
+        )
     out: dict[Poly, int] = {}
     for g, b in _dense_irreducibles(F.q, var, max(d // 2, 1) if d else 0):
         if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g

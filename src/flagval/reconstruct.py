@@ -7,8 +7,8 @@ the unit group is assembled from lines on which psi is injective, and
 the quotient by it is an ordered group.  This module makes that
 pipeline executable on a finite window (the arena): build psi from a
 valuation and a splitting, decompose subspaces by image dependence,
-classify planes, collect the unit universe, and extract the quotient
-with its order certified by flag behavior on every catalog line.
+collect the unit universe, and extract the quotient with its order
+certified by flag behavior on every catalog line.
 
 All verdicts are arena-relative; the window parameters are recorded in
 every report, and anything that falls outside the window is counted in
@@ -38,10 +38,13 @@ from .fields import (
     to_divisor,
 )
 from .flagkit import line_criterion
-from .intlin import RowLattice, hermite_normal_form, quotient as z_quotient
+from .intlin import RowLattice
 from .poly import irreducible_canonicals_bivariate, monic_irreducibles
 from .projspace import EmbeddedSubspace
 from .valuations import CompositePlace, Splitting
+
+# bidegree bound of the annihilator search behind the image relation
+DEP_BOUND = 4
 
 _REL_CACHE: dict = {}
 
@@ -63,10 +66,6 @@ def _related(a: DivisorRep, b: DivisorRep, bound: int) -> bool:
     return hit
 
 
-def _independent(a: DivisorRep, b: DivisorRep, bound: int) -> bool:
-    return not _related(a, b, bound)
-
-
 # -- psi maps ----------------------------------------------------------
 
 
@@ -77,10 +76,6 @@ class PsiMap:
     target_vars: tuple[str, ...]
 
     def evaluate(self, f) -> DivisorRep:
-        raise NotImplementedError
-
-    @property
-    def kind(self) -> str:
         raise NotImplementedError
 
 
@@ -110,10 +105,6 @@ class ValuationPsi(PsiMap):
         self.target_vars = target_vars
         self.uniformizer_image = uniformizer_image
         self.collapse_residue = collapse_residue
-
-    @property
-    def kind(self) -> str:
-        return "from-valuation"
 
     def _embed_residue(self, r) -> DivisorRep:
         F, tvars = self.target_field, self.target_vars
@@ -206,10 +197,6 @@ class GenTablePsi(PsiMap):
         self.target_vars = target_vars
         self._one = DivisorRep.one(target_field, target_vars)
 
-    @property
-    def kind(self) -> str:
-        return "table"
-
     def evaluate(self, f) -> DivisorRep:
         d = f if isinstance(f, DivisorRep) else to_divisor(f)
         out = self._one
@@ -220,10 +207,10 @@ class GenTablePsi(PsiMap):
         return out
 
 
-def check_multiplicative(psi: PsiMap, fns: list[RationalFn], limit: int = 12) -> list[str]:
+def check_multiplicative(psi: PsiMap, fns: list[RationalFn]) -> list[str]:
     """Spot-check psi(ab) = psi(a)psi(b) and psi(1/a) = psi(a)^-1."""
     defects: list[str] = []
-    sample = list(fns)[:limit]
+    sample = list(fns)
     for i, a in enumerate(sample):
         b = sample[(i * 7 + 3) % len(sample)]
         lhs = psi.evaluate(a * b).class_key()
@@ -238,25 +225,23 @@ def check_multiplicative(psi: PsiMap, fns: list[RationalFn], limit: int = 12) ->
 # -- the arena ---------------------------------------------------------
 
 
+# exponents beyond this are outside the window of the closure check
+EXP_BOUND = 6
+
+
 class Arena:
     """Finite window onto the projective space of K: canonical
     irreducible generators up to a degree, catalog lines l(1,g) for
     every generator plus the ratio lines l(1,g/h) over linear h, and a
-    few planes.  Divisor computations are cached per function."""
+    few planes.  Divisor computations are cached per function.
 
-    def __init__(
-        self,
-        field: FiniteField,
-        vars: tuple[str, ...],
-        gen_degree: int = 2,
-        exp_bound: int = 6,
-        ratio_lines: bool = True,
-        with_planes: bool = True,
-    ) -> None:
+    Valuation extraction needs two variables; the one-variable catalog
+    serves the flag checks of the valuation axioms."""
+
+    def __init__(self, field: FiniteField, vars: tuple[str, ...], gen_degree: int = 2) -> None:
         self.field = field
         self.vars = tuple(vars)
         self.gen_degree = gen_degree
-        self.exp_bound = exp_bound
         if len(self.vars) == 1:
             self.gens = monic_irreducibles(field.q, self.vars[0], gen_degree)
         elif len(self.vars) == 2:
@@ -278,26 +263,23 @@ class Arena:
 
         for g in self.gens:
             push(RationalFn.from_poly(g))
-        if ratio_lines:
-            for g in self.gens:
-                for h in linear:
-                    if g is not h:
-                        push(RationalFn.from_poly(g) / RationalFn.from_poly(h))
+        for g in self.gens:
+            for h in linear:
+                if g is not h:
+                    push(RationalFn.from_poly(g) / RationalFn.from_poly(h))
         self.line_gens = tuple(line_gens)
         self.lines = tuple(EmbeddedSubspace([self.one, x]) for x in self.line_gens)
 
-        self.planes: tuple[EmbeddedSubspace, ...] = ()
-        if with_planes:
-            if len(self.vars) == 2:
-                x = RationalFn.parse(field, self.vars[0], self.vars)
-                y = RationalFn.parse(field, self.vars[1], self.vars)
-                self.planes = (
-                    EmbeddedSubspace([self.one, x, y]),
-                    EmbeddedSubspace([self.one, x, x * y]),
-                )
-            else:
-                t = RationalFn.parse(field, self.vars[0], self.vars)
-                self.planes = (EmbeddedSubspace([self.one, t, t * t]),)
+        if len(self.vars) == 2:
+            x = RationalFn.parse(field, self.vars[0], self.vars)
+            y = RationalFn.parse(field, self.vars[1], self.vars)
+            self.planes = (
+                EmbeddedSubspace([self.one, x, y]),
+                EmbeddedSubspace([self.one, x, x * y]),
+            )
+        else:
+            t = RationalFn.parse(field, self.vars[0], self.vars)
+            self.planes = (EmbeddedSubspace([self.one, t, t * t]),)
 
     def divisor_of(self, f: RationalFn) -> DivisorRep:
         key = (f.num, f.den)
@@ -308,14 +290,14 @@ class Arena:
         return d
 
     def within_bounds(self, d: DivisorRep) -> bool:
-        return all(abs(e) <= self.exp_bound for e in d.exps.values())
+        return all(abs(e) <= EXP_BOUND for e in d.exps.values())
 
     def describe(self) -> dict:
         return {
             "field": self.field.q,
             "vars": list(self.vars),
             "gen_degree": self.gen_degree,
-            "exp_bound": self.exp_bound,
+            "exp_bound": EXP_BOUND,
             "generators": len(self.gens),
             "lines": len(self.lines),
             "planes": len(self.planes),
@@ -335,7 +317,7 @@ class Decomposition:
     l43_report: dict
 
 
-def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace, bound: int = 4) -> Decomposition:
+def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
     """Split S into the kernel part and classes of points with mutually
     dependent images, then check the containment properties the
     decomposition must satisfy: each part closed under products, unit
@@ -348,7 +330,7 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace, bound: int = 4) -> Deco
     reps: list[int] = []
     members: dict[int, list[int]] = {}
     for i in rest:
-        hits = [r for r in reps if _related(images[i], images[r], bound)]
+        hits = [r for r in reps if _related(images[i], images[r], DEP_BOUND)]
         if not hits:
             reps.append(i)
             members[i] = [i]
@@ -356,15 +338,15 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace, bound: int = 4) -> Deco
             members[hits[0]].append(i)
         else:
             raise DependenceBoundTooSmall(
-                f"point {i} relates to {len(hits)} distinct classes at bound {bound}"
+                f"point {i} relates to {len(hits)} distinct classes at bound {DEP_BOUND}"
             )
     for r in reps:
         mem = members[r]
         for ai in range(len(mem)):
             for bi in range(ai + 1, len(mem)):
-                if not _related(images[mem[ai]], images[mem[bi]], bound):
+                if not _related(images[mem[ai]], images[mem[bi]], DEP_BOUND):
                     raise DependenceBoundTooSmall(
-                        f"class of point {r} is not transitive at bound {bound}"
+                        f"class of point {r} is not transitive at bound {DEP_BOUND}"
                     )
 
     F = S.field
@@ -376,7 +358,7 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace, bound: int = 4) -> Deco
         # retries once at a doubled bound before reporting a violation;
         # products of class members need annihilators of larger bidegree
         # than the members themselves
-        return _related(d, images[rep], bound) or _related(d, images[rep], 2 * bound)
+        return _related(d, images[rep], DEP_BOUND) or _related(d, images[rep], 2 * DEP_BOUND)
 
     for r in reps:
         part = s1 + members[r]
@@ -399,7 +381,7 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace, bound: int = 4) -> Deco
             if images[i].class_key() == images[j].class_key():
                 continue
             fi, fj = S.functions[i], S.functions[j]
-            if _related(images[i], images[j], bound):
+            if _related(images[i], images[j], DEP_BOUND):
                 for c in k_units:
                     if not in_part(psi.evaluate(fi + fj * c), i):
                         violations["pair_lines"].append(f"l({fi},{fj}) at +{c}({fj})")
@@ -421,90 +403,6 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace, bound: int = 4) -> Deco
     )
 
 
-# -- plane classification ----------------------------------------------
-
-
-@dataclass
-class PlaneVerdict:
-    kind: str  # injective | case1 | case2 | hypothesis-violation
-    case1_lines: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-    precondition_witness: tuple[int, int, int]
-    notes: tuple[str, ...] = ()
-
-
-def classify_plane(psi: PsiMap, plane: EmbeddedSubspace, bound: int = 4) -> PlaneVerdict:
-    """Exhaustive point evaluation of a plane: either psi is injective
-    on it, or it is constant off a line, or a single pivot point
-    carries the independent direction.
-
-    Precondition: some triple of distinct images has independent ratios
-    (the plane actually spans two directions in the image)."""
-    images = [psi.evaluate(f) for f in plane.functions]
-    keys = [d.class_key() for d in images]
-    npts = len(plane.functions)
-
-    witness = None
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            for k in range(npts):
-                if len({keys[i], keys[j], keys[k]}) != 3:
-                    continue
-                if _independent(images[i] / images[k], images[j] / images[k], bound):
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness is None:
-        raise PreconditionFailed(
-            "plane spans no two independent image directions; every ratio is dependent"
-        )
-
-    notes: list[str] = []
-    if len(set(keys)) == npts:
-        return PlaneVerdict("injective", (), (), witness)
-
-    case1 = []
-    for line in plane.geometry.lines:
-        off = {keys[i] for i in range(npts) if i not in line}
-        if len(off) == 1:
-            case1.append(tuple(line))
-
-    pivots = []
-    for g in range(npts):
-        if images[g].is_trivial():
-            continue
-        through = [line for line in plane.geometry.lines if g in line]
-        if not all(len({keys[i] for i in line if i != g}) == 1 for line in through):
-            continue
-        others_nt = [f for f in range(npts) if f != g and not images[f].is_trivial()]
-        if not others_nt:
-            continue
-        if any(_related(images[g], images[f], bound) for f in others_nt):
-            continue
-        others = [f for f in range(npts) if f != g]
-        if all(
-            _related(images[a], images[b], bound) for a in others for b in others if a < b
-        ):
-            pivots.append(g)
-
-    if case1 and pivots:
-        notes.append("both patterns matched; the constant-off-a-line reading is reported")
-    if case1:
-        return PlaneVerdict("case1", tuple(case1), tuple(pivots), witness, tuple(notes))
-    if pivots:
-        return PlaneVerdict("case2", (), tuple(pivots), witness, tuple(notes))
-    return PlaneVerdict(
-        "hypothesis-violation",
-        (),
-        (),
-        witness,
-        ("non-injective plane fits neither pattern; the map hypotheses fail here",),
-    )
-
-
 # -- the unit universe -------------------------------------------------
 
 
@@ -519,7 +417,7 @@ class UniverseReport:
     notes: tuple[str, ...] = ()
 
 
-def build_u(psi: PsiMap, arena: Arena, bound: int = 4, _line_images=None) -> UniverseReport:
+def build_u(psi: PsiMap, arena: Arena, _line_images=None) -> UniverseReport:
     """Union of catalog lines l(1,x) on which psi is injective, plus
     the independence check on its images: two units with independent
     images make the unit universe multiplicatively productive.  The
@@ -563,7 +461,7 @@ def build_u(psi: PsiMap, arena: Arena, bound: int = 4, _line_images=None) -> Uni
             break
     for i in range(len(nontrivial)):
         for j in range(i + 1, len(nontrivial)):
-            if _independent(nontrivial[i][1], nontrivial[j][1], bound):
+            if not _related(nontrivial[i][1], nontrivial[j][1], DEP_BOUND):
                 held = True
                 witness = (str(nontrivial[i][0]), str(nontrivial[j][0]))
                 break
@@ -603,74 +501,25 @@ class _Columns:
         return len(self.index)
 
 
-def _hnf_basis(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    H, _ = hermite_normal_form(rows)
-    basis = [r for r in H if any(r)]
-    pivots = [next(j for j, v in enumerate(r) if v) for r in basis]
-    return basis, pivots
-
-
-def _hnf_solve(basis: list[list[int]], pivots: list[int], vec: list[int]) -> list[int] | None:
-    """Integer coordinates of vec in the row basis, or None if outside."""
-    v = list(vec)
-    out = []
-    for row, p in zip(basis, pivots):
-        if v[p] % row[p] != 0:
-            return None
-        c = v[p] // row[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-        out.append(c)
-    if any(v):
-        return None
-    return out
-
-
 class _Gamma:
     """Value group of the extracted map: the catalog class group modulo
     the unit subgroup, with an exact coordinate evaluator.
 
     Over two variables every generator is itself a catalog point, so
     the ambient group is free on the columns and the sparse projected
-    quotient applies.  Over one variable the infinite generator ties
-    the columns together (principal divisors have degree zero), so the
-    ambient is a proper sublattice and coordinates are taken in its
-    Hermite basis first.
+    quotient applies.
     """
 
-    def __init__(self, arena: Arena, classes: dict, unit_keys: set) -> None:
+    def __init__(self, classes: dict, unit_keys: set) -> None:
         self.cols = _Columns()
         self.vecs = {key: self.cols.vec(d) for key, (_, d, _) in classes.items()}
-        n = self.cols.ncols
-        self.skipped = 0
-        if len(arena.vars) == 1:
-            dense = [[v.get(j, 0) for j in range(n)] for v in self.vecs.values()]
-            basis, pivots = _hnf_basis(dense)
-            sub = []
-            for key in unit_keys:
-                v = self.vecs[key]
-                c = _hnf_solve(basis, pivots, [v.get(j, 0) for j in range(n)])
-                if c is None:
-                    self.skipped += 1
-                else:
-                    sub.append(c)
-            Q = z_quotient(len(basis), sub)
-
-            def coords_of(v):
-                c = _hnf_solve(basis, pivots, [v.get(j, 0) for j in range(n)])
-                return None if c is None else Q.coords(c)
-
-            self._coords_of = coords_of
-            self.free_rank = Q.free_rank
-            self.torsion = tuple(Q.torsion)
-        else:
-            lat = RowLattice()
-            for key in unit_keys:
-                lat.add(self.vecs[key])
-            P = lat.quotient(n)
-            self._coords_of = P.coords
-            self.free_rank = P.free_rank
-            self.torsion = tuple(P.torsion)
+        lat = RowLattice()
+        for key in unit_keys:
+            lat.add(self.vecs[key])
+        P = lat.quotient(self.cols.ncols)
+        self._coords_of = P.coords
+        self.free_rank = P.free_rank
+        self.torsion = tuple(P.torsion)
         self._by_key: dict = {}
 
     def nu_key(self, key):
@@ -832,7 +681,7 @@ def _orient_rank_one(gamma: _Gamma, arena: Arena) -> tuple[int | None, dict]:
     return None, stats
 
 
-def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> ReconstructionResult:
+def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
     """Full pipeline: multiplicativity precheck, kernel sweep, unit
     universe, route selection, quotient computation, and order
     certification through flag behavior on every catalog line.
@@ -841,7 +690,9 @@ def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> Reconstructi
     (the map is already its own valuation), or all non-flag images
     confined to one dependence class (units pulled back from there).
     """
-    defects = check_multiplicative(psi, list(arena.line_gens[:24]))
+    if len(arena.vars) != 2:
+        raise InvalidInput("valuation extraction needs a two-variable arena")
+    defects = check_multiplicative(psi, list(arena.line_gens[:12]))
     if defects:
         raise PreconditionFailed("psi is not multiplicative on the arena: " + defects[0])
 
@@ -855,15 +706,12 @@ def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> Reconstructi
     notes: list[str] = []
     flags: dict = {}
 
-    if arena.planes:
-        try:
-            decs = [decompose_subspace(psi, P, bound) for P in arena.planes]
-            lemma_checks["l43"] = all(d.l43_ok for d in decs)
-        except DependenceBoundTooSmall as e:
-            lemma_checks["l43"] = False
-            notes.append(f"plane decomposition aborted: {e}")
-    else:
-        notes.append("no planes in the catalog; containment properties not exercised")
+    try:
+        decs = [decompose_subspace(psi, P) for P in arena.planes]
+        lemma_checks["l43"] = all(d.l43_ok for d in decs)
+    except DependenceBoundTooSmall as e:
+        lemma_checks["l43"] = False
+        notes.append(f"plane decomposition aborted: {e}")
 
     if not kernel_keys:
         return ReconstructionResult(
@@ -874,7 +722,7 @@ def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> Reconstructi
             notes=tuple(notes + ["no kernel detectable on the arena"]),
         )
 
-    ur = build_u(psi, arena, bound, _line_images=per_line)
+    ur = build_u(psi, arena, _line_images=per_line)
 
     if ur.u_classes:
         case = "main"
@@ -945,7 +793,7 @@ def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> Reconstructi
                     bad_imgs.append(img)
         rep = bad_imgs[0]
         for other in bad_imgs[1:]:
-            if _independent(rep, other, bound):
+            if not _related(rep, other, DEP_BOUND):
                 return ReconstructionResult(
                     "inconclusive",
                     "A",
@@ -963,7 +811,7 @@ def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> Reconstructi
         unit_keys = {
             key
             for key, (_, d, img) in classes.items()
-            if img.is_trivial() or _related(img, rep, bound)
+            if img.is_trivial() or _related(img, rep, DEP_BOUND)
         }
         if len(unit_keys) == len(classes):
             return ReconstructionResult(
@@ -978,9 +826,7 @@ def extract_valuation(psi: PsiMap, arena: Arena, bound: int = 4) -> Reconstructi
                 ),
             )
 
-    gamma = _Gamma(arena, classes, unit_keys)
-    if gamma.skipped:
-        flags["units_outside_catalog_span"] = gamma.skipped
+    gamma = _Gamma(classes, unit_keys)
 
     o_keys = {key for key in classes if _is_zero(gamma.nu_key(key))}
 

@@ -37,7 +37,7 @@ from .valuations import (
     ultrametric_ok,
     valuation_flag_structure,
 )
-from .weil import ZZ, WeilElement, c_pair_test, find_supporting_valuation, is_inertia, solve_inertia, value_vector, weil_from_valuation
+from .weil import WeilElement, c_pair_test, find_supporting_valuation, is_inertia, solve_inertia, value_vector
 
 REPORT_VERSION = 1
 WITNESS_CAP = 5
@@ -320,7 +320,7 @@ def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
         rows = solve_inertia(place, gens)
         vv = value_vector(place, gens)
         exact = len(rows) == 1 and (rows[0] == vv or rows[0] == [-x for x in vv])
-        w = weil_from_valuation(place)
+        w = WeilElement(place)
         if not (exact and is_inertia(w, place, gens)):
             bad.append(serialize_place(place))
     return {
@@ -343,8 +343,8 @@ def _suite_c_pairs(cfg: SuiteConfig) -> dict:
     y = RationalFn.parse(field, "y", vars2)
     curve_x = DivisorialCurve(Poly.parse(field, "x", vars2))
     curve_y = DivisorialCurve(Poly.parse(field, "y", vars2))
-    gamma = weil_from_valuation(curve_x)
-    gamma_p = weil_from_valuation(curve_y)
+    gamma = WeilElement(curve_x)
+    gamma_p = WeilElement(curve_y)
 
     failures: list[str] = []
     # 1. the independent pair is refuted on the ratio subfield
@@ -358,8 +358,8 @@ def _suite_c_pairs(cfg: SuiteConfig) -> dict:
 
     # 2. the two components of one composite place pass a five-subfield family
     comp = _composite(field)
-    g1 = WeilElement(ZZ, place=comp, character=(1, 0))
-    g2 = WeilElement(ZZ, place=comp, character=(0, 1))
+    g1 = WeilElement(comp, (1, 0))
+    g2 = WeilElement(comp, (0, 1))
     family = [x, y, x + y, x * y, x / y]
     v2 = c_pair_test(g1, g2, family)
     if not v2.cyclic:

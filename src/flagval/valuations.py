@@ -13,7 +13,6 @@ graph curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import (
     InvalidInput,
@@ -21,10 +20,10 @@ from .errors import (
     UnsupportedResidue,
     UnsupportedValueGroup,
 )
-from .ff import FiniteField, factorize
+from .ff import FiniteField
 from .fields import INF, DivisorRep, RationalFn, to_divisor
 from .flagkit import FlagVerdict, is_flag_map
-from .poly import Poly, divide_exact, is_irreducible, multiplicity
+from .poly import Poly, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
 
 
@@ -130,21 +129,6 @@ class QuotientRing:
         if not self.is_constant(out):
             raise AssertionError("norm left the base field")
         return out[0]
-
-    def element_order(self, a) -> int:
-        if a == self.zero:
-            raise InvalidInput("zero has no multiplicative order")
-        n = self.order - 1
-        for p in factorize(n):
-            while n % p == 0 and self.pow(a, n // p) == self.one:
-                n //= p
-        return n
-
-    def is_nth_power(self, a, n: int) -> bool:
-        if a == self.zero:
-            raise InvalidInput("zero is not in the unit group")
-        g = (self.order - 1) // gcd(n, self.order - 1)
-        return g % self.element_order(a) == 0
 
 
 # -- places ------------------------------------------------------------
@@ -406,25 +390,6 @@ Place = FinitePlace | InfinitePlace | DivisorialCurve | CompositePlace
 
 
 # -- shared operations -------------------------------------------------
-
-
-def _zero_value(place):
-    return (0, 0) if isinstance(place, CompositePlace) else 0
-
-
-def in_units(place, f) -> bool:
-    return place.val(f) == _zero_value(place)
-
-
-def in_one_plus_m(place, f: RationalFn) -> bool:
-    """Membership in 1 + m: f - 1 has strictly positive value (needs
-    genuine rational arithmetic, not just a divisor)."""
-    if not isinstance(f, RationalFn):
-        raise InvalidInput("1+m membership needs a RationalFn")
-    diff = f - 1
-    if not diff:
-        return True
-    return place.val(diff) > _zero_value(place)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Homomorphisms K*/k* -> R built from valuations, their restriction to
+"""Integer characters K*/k* -> Z built from valuations, their values on
 one-dimensional subfields, and the inertia / c-pair machinery.
 
 Everything is arena-relative: an arena is a finite list of multiplicative
@@ -14,123 +14,47 @@ from dataclasses import dataclass
 
 from . import intlin
 from .errors import InvalidInput, ProportionalPair
-from .fields import DivisorRep, RationalFn, compose_rational, to_divisor
-from .poly import Poly, monic_irreducibles
+from .fields import RationalFn, compose_rational
+from .poly import monic_irreducibles
 from .valuations import CompositePlace
 
-
-@dataclass(frozen=True)
-class CoefficientRing:
-    """Z (modulus 0) or Z/m for a prime-power m coprime to the field
-    characteristic (enforced where the characteristic is in scope)."""
-
-    modulus: int = 0
-
-    def __post_init__(self):
-        if self.modulus < 0 or self.modulus == 1:
-            raise InvalidInput("modulus must be 0 (for Z) or >= 2")
-
-    def reduce(self, v: int) -> int:
-        return v if self.modulus == 0 else v % self.modulus
-
-    def is_zero(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def label(self) -> str:
-        return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
-
-
-ZZ = CoefficientRing(0)
+SUBFIELD_GEN_DEGREE = 2  # generators P(h) of k(h) have deg P <= this
 
 
 class WeilElement:
-    """Additive map on K*/k* with values in a coefficient ring.
+    """Integer character of a place on K*/k*: f -> character . val(f),
+    one integer coefficient per component of the value group."""
 
-    rule "valuation": character . val(place, f), the character being an
-    integer coefficient per component of the value group.  rule "table":
-    finitely many generator values extended additively over divisor
-    exponents, 0 elsewhere (the infinite generator may carry a value).
-    """
-
-    def __init__(self, ring: CoefficientRing, *, place=None, character=None, table=None):
-        self.ring = ring
-        if (place is None) == (table is None):
-            raise InvalidInput("give exactly one of place/table")
-        if place is not None:
-            ncomp = 2 if isinstance(place, CompositePlace) else 1
-            character = tuple(character if character is not None else [1] * ncomp)
-            if len(character) != ncomp:
-                raise InvalidInput(f"character needs {ncomp} coefficients")
-            if ring.modulus and place.field.p and ring.modulus % place.field.p == 0:
-                raise InvalidInput("coefficient modulus must be coprime to p")
+    def __init__(self, place, character=None):
+        ncomp = 2 if isinstance(place, CompositePlace) else 1
+        character = tuple(character if character is not None else [1] * ncomp)
+        if len(character) != ncomp:
+            raise InvalidInput(f"character needs {ncomp} coefficients")
         self.place = place
         self.character = character
-        self.table = dict(table) if table is not None else None
 
     def evaluate(self, f) -> int:
-        if self.place is not None:
-            v = self.place.val(f)
-            if not isinstance(v, tuple):
-                v = (v,)
-            return self.ring.reduce(sum(c * x for c, x in zip(self.character, v)))
-        d = f if isinstance(f, DivisorRep) else to_divisor(f)
-        total = 0
-        for g, e in d.exps.items():
-            total += e * self.table.get(g, 0)
-        return self.ring.reduce(total)
+        v = self.place.val(f)
+        if not isinstance(v, tuple):
+            v = (v,)
+        return sum(c * x for c, x in zip(self.character, v))
 
     def values_on(self, gens) -> tuple[int, ...]:
         return tuple(self.evaluate(g) for g in gens)
 
-    def additivity_check(self, pairs) -> bool:
-        """Spot-check w(fg) = w(f) + w(g) on explicit rational pairs."""
-        for f, g in pairs:
-            lhs = self.evaluate(f * g)
-            rhs = self.ring.reduce(self.evaluate(f) + self.evaluate(g))
-            if lhs != rhs:
-                return False
-        return True
 
-    def to_json_obj(self) -> dict:
-        if self.place is not None:
-            from .valuations import serialize_place
-
-            return {
-                "rule": "valuation",
-                "place": serialize_place(self.place),
-                "character": list(self.character),
-            }
-        return {
-            "rule": "table",
-            "values": {str(g): v for g, v in sorted(self.table.items(), key=lambda kv: str(kv[0]))},
-            "default": 0,
-        }
+# -- subfield generators -------------------------------------------------
 
 
-def weil_from_valuation(place, character=None, ring: CoefficientRing = ZZ) -> WeilElement:
-    return WeilElement(ring, place=place, character=character)
-
-
-# -- subfield restriction ----------------------------------------------
-
-
-def subfield_generators(field, h: RationalFn, deg_bound: int = 2):
-    """Generators of k(h)*/k* up to the degree bound: every monic
+def subfield_generators(h: RationalFn):
+    """Generators of k(h)*/k* up to SUBFIELD_GEN_DEGREE: every monic
     irreducible P over k, evaluated at h.  Pairs (P, P(h))."""
-    if h.is_constant():
-        raise InvalidInput("h must be nonconstant")
+    if not isinstance(h, RationalFn) or h.is_constant():
+        raise InvalidInput("subfields are generated by a nonconstant RationalFn")
     out = []
-    for P in monic_irreducibles(field.q, "s", deg_bound):
+    for P in monic_irreducibles(h.field.q, "s", SUBFIELD_GEN_DEGREE):
         out.append((P, compose_rational(P, h)))
     return out
-
-
-def restrict_to_subfield(w: WeilElement, h: RationalFn, deg_bound: int = 2):
-    """Value row of w on the canonical generators of E = k(h)."""
-    gens = subfield_generators(
-        h.field if hasattr(h, "field") else w.place.field, h, deg_bound
-    )
-    return [(P, w.evaluate(fh)) for P, fh in gens]
 
 
 # -- inertia -----------------------------------------------------------
@@ -157,19 +81,7 @@ def is_inertia(w: WeilElement, place, gens) -> bool:
     """
     vals = w.values_on(gens)
     for x in unit_lattice_basis(place, gens):
-        if not w.ring.is_zero(sum(a * b for a, b in zip(x, vals))):
-            return False
-    return True
-
-
-def is_decomposition(w: WeilElement, place, one_plus_m_samples) -> bool:
-    """Sound refutation only: w must vanish on the sampled 1+m elements."""
-    from .valuations import in_one_plus_m
-
-    for f in one_plus_m_samples:
-        if not in_one_plus_m(place, f):
-            raise InvalidInput(f"{f} is not in 1+m of {place}")
-        if not w.ring.is_zero(w.evaluate(f)):
+        if sum(a * b for a, b in zip(x, vals)):
             return False
     return True
 
@@ -213,29 +125,20 @@ def _minor(a, b, c, d) -> int:
     return a * d - b * c
 
 
-def c_pair_test(
-    gamma: WeilElement,
-    gamma_p: WeilElement,
-    family,
-    deg_bound: int = 2,
-) -> CPairVerdict:
+def c_pair_test(gamma: WeilElement, gamma_p: WeilElement, family) -> CPairVerdict:
     """Cyclic iff on every subfield k(h) of the family the two value rows
-    are proportional (all 2x2 minors vanish in R).
+    are proportional (all 2x2 minors vanish).
 
     The pair must be independent somewhere on the tested generators,
     otherwise ProportionalPair is raised (the test presumes a rank-2
     span).  Witnesses are re-verified by fresh evaluation.
     """
-    ring = gamma.ring
-    if ring.modulus != gamma_p.ring.modulus:
-        raise InvalidInput("mixed coefficient rings")
     rows_report = []
     found = None
     all_pairs = []
     for h in family:
         restricted = [
-            (P, gamma.evaluate(fh), gamma_p.evaluate(fh))
-            for P, fh in subfield_generators(_family_field(gamma, gamma_p, h), h, deg_bound)
+            (P, gamma.evaluate(fh), gamma_p.evaluate(fh)) for P, fh in subfield_generators(h)
         ]
         rows_report.append((str(h), tuple((str(P), a, b) for P, a, b in restricted)))
         all_pairs.extend((a, b) for _, a, b in restricted)
@@ -245,14 +148,14 @@ def c_pair_test(
                     Pa, a1, b1 = restricted[i]
                     Pb, a2, b2 = restricted[j]
                     m = _minor(a1, a2, b1, b2)
-                    if not ring.is_zero(m):
-                        found = (h, Pa, Pb, ring.reduce(m))
+                    if m:
+                        found = (h, Pa, Pb, m)
                         break
                 if found:
                     break
     # rank-2 precondition on everything seen
     independent = any(
-        not ring.is_zero(_minor(a1, a2, b1, b2))
+        _minor(a1, a2, b1, b2)
         for i, (a1, b1) in enumerate(all_pairs)
         for (a2, b2) in all_pairs[i + 1 :]
     )
@@ -267,15 +170,9 @@ def c_pair_test(
     again = _minor(
         gamma.evaluate(fa), gamma.evaluate(fb), gamma_p.evaluate(fa), gamma_p.evaluate(fb)
     )
-    if ring.reduce(again) != m:
+    if again != m:
         raise AssertionError("witness minor failed re-verification")
     return CPairVerdict(False, witness=(str(h), str(Pa), str(Pb), m), rows=tuple(rows_report))
-
-
-def _family_field(gamma, gamma_p, h):
-    if isinstance(h, RationalFn):
-        return h.field
-    raise InvalidInput("family members must be RationalFn")
 
 
 def _unit_element(gens, exponents) -> RationalFn:
@@ -305,36 +202,22 @@ def find_supporting_valuation(
     """
     gvals = gamma.values_on(gens)
     pvals = gamma_p.values_on(gens)
-    ring = gamma.ring
     for place in universe:
         units = unit_lattice_basis(place, gens)
         a_row = [sum(x * v for x, v in zip(u, gvals)) for u in units]
         b_row = [sum(x * v for x, v in zip(u, pvals)) for u in units]
-        if not units:
-            combos = [[1, 0]]
-        elif ring.modulus == 0:
-            combos = intlin.kernel_basis([a_row, b_row])
-        else:
-            combos = [
-                [r, rp]
-                for r in range(ring.modulus)
-                for rp in range(ring.modulus)
-                if (r, rp) != (0, 0)
-                and all(
-                    ring.is_zero(r * a + rp * b) for a, b in zip(a_row, b_row)
-                )
-            ]
+        combos = intlin.kernel_basis([a_row, b_row]) if units else [[1, 0]]
         for r, rp in combos:
-            if ring.is_zero(r) and ring.is_zero(rp):
+            if r == 0 and rp == 0:
                 continue
             # independent route: evaluate the combination on real units
             ok = True
             for u in units:
                 elem = _unit_element(gens, u)
                 total = r * gamma.evaluate(elem) + rp * gamma_p.evaluate(elem)
-                if not ring.is_zero(total):
+                if total:
                     ok = False
                     break
             if ok:
-                return place, (int(r), int(rp))
+                return place, (r, rp)
     return None

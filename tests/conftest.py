@@ -37,4 +37,4 @@ def arena3():
 def small_arena3():
     from flagval.reconstruct import Arena
 
-    return Arena(FiniteField(3), ("x", "y"), gen_degree=1, exp_bound=6)
+    return Arena(FiniteField(3), ("x", "y"), gen_degree=1)

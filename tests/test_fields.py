@@ -14,7 +14,6 @@ from flagval.fields import (
     algebraically_dependent,
     compose_rational,
     from_divisor,
-    make_generator,
     to_divisor,
 )
 from flagval.poly import Poly
@@ -186,17 +185,6 @@ def test_bivariate_divisor_window():
     with pytest.raises(FactoringWindowExceeded):
         to_divisor(RationalFn(Poly.parse(F3, "x^2+1", XY) * Poly.parse(F3, "y^2+1", XY),
                               Poly.parse(F3, "1", XY)))
-
-
-def test_make_generator():
-    g = make_generator(F3, XY, "x^2+2*y")
-    assert g.degree() == 2
-    with pytest.raises(InvalidInput):
-        make_generator(F3, XY, "2*x")
-    with pytest.raises(InvalidInput):
-        make_generator(F3, XY, "x^2+2*x+1")  # (x+1)^2
-    with pytest.raises(InvalidInput):
-        make_generator(F3, T, "2")
 
 
 def test_algebraic_dependence_positive():

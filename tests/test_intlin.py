@@ -169,3 +169,35 @@ def test_row_lattice_add_reports_growth():
     assert not lat.add({0: 2, 1: 2})
     assert not lat.add({0: 4, 1: 4})
     assert lat.add({0: 1, 1: 1})  # refines the pivot to content 1
+
+
+def _rows_of_width(max_width=4, max_rows=4):
+    return st.integers(1, max_width).flatmap(
+        lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=1, max_size=max_rows)
+    )
+
+
+@settings(max_examples=150)
+@given(_rows_of_width())
+def test_smith_agrees_with_hermite(rows):
+    n = len(rows[0])
+    H, _ = hermite_normal_form(rows)
+    diag, _ = smith_normal_form(rows, n)
+    basis = [r for r in H if any(r)]
+    # both forms see the same rank
+    assert sum(1 for d in diag if d) == len(basis)
+    if len(basis) == n:
+        # full rank (square nonsingular among them): the index of the row
+        # lattice is the product of the Smith invariants and, up to sign,
+        # of the Hermite pivots
+        pivots = [next(x for x in r if x) for r in basis]
+        index = 1
+        for p in pivots:
+            index *= p
+        snf_index = 1
+        for d in diag:
+            snf_index *= d
+        assert snf_index == abs(index)
+    Q = quotient(n, rows)
+    assert Q.torsion == tuple(d for d in diag if d > 1)
+    assert Q.free_rank == n - len(basis)

@@ -1,20 +1,15 @@
-"""Tame symbols, Steinberg relation, reciprocity, K1 divisibility."""
+"""Tame symbols, Steinberg relation and reciprocity."""
 
 import numpy as np
 import pytest
 
 from flagval.errors import InvalidInput
 from flagval.ff import FiniteField
-from flagval.fields import DivisorRep, RationalFn
+from flagval.fields import RationalFn
 from flagval.milnork import (
-    DivisibilityVerdict,
     K2Symbol,
-    Tower,
-    default_tower,
-    divisible_in_k1,
     steinberg_check,
     support_places,
-    symbol_divisibility_probe,
     tame_symbol,
     weil_reciprocity_check,
 )
@@ -129,33 +124,3 @@ def test_support_is_canonically_ordered():
     names = [serialize_place(p) for p in support_places(sym)]
     finite = [n for n in names if n.startswith("finite")]
     assert names == sorted(finite) + [n for n in names if n == "infinite"]
-
-
-def test_divisibility_verdicts():
-    tower = Tower(F3, (1, 2, 4))
-    v = divisible_in_k1(t3**2, 2, tower)
-    assert v.kind == "divisible-here"
-    two = DivisorRep(F3, ("t",), {}, 2)
-    assert divisible_in_k1(two, 2, tower) == DivisibilityVerdict("divisible-in-tower", 2, 9)
-    assert divisible_in_k1(t3, 2, tower).kind == "not-divisible"
-    assert divisible_in_k1(two, 8, Tower(F3, (1, 2))).kind == "not-divisible-in-tower"
-
-
-def test_default_tower():
-    tw = default_tower(F3)
-    assert tw.field is F3
-    assert len(tw.degrees) >= 2
-
-
-def test_divisibility_probes_frozen():
-    pv = symbol_divisibility_probe(t3, t3 - 1, 2, Tower(F3, (1,)))
-    assert (pv.kind, pv.level_degree) == ("obstructed", 1)
-    assert pv.place == "finite:t"
-    pv2 = symbol_divisibility_probe(t3, t3 - 1, 2, Tower(F3, (1, 2)))
-    assert (pv2.kind, pv2.level_degree) == ("unobstructed", 2)
-    h = t3**2
-    pv3 = symbol_divisibility_probe(h, h + 1, 2, Tower(F3, (1, 2, 4)))
-    assert pv3.kind == "unobstructed"
-    f = (t3 + 2) / (t3**2 + 1)
-    pv4 = symbol_divisibility_probe(f, f**2, 2, Tower(F3, (1, 2, 4)))
-    assert pv4.kind == "unobstructed" and pv4.level_degree == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagval.errors import FactoringWindowExceeded, InvalidInput
+from flagval.errors import FactoringWindowExceeded, InvalidInput, SizeBound
 from flagval import poly as poly_module
 from flagval.ff import FiniteField
 from flagval.poly import (
@@ -182,6 +182,28 @@ def test_factor_univariate():
         assert is_irreducible(g)
         out = out * g**e
     assert out == f
+
+
+def test_factor_univariate_candidate_cap():
+    import time
+
+    F49 = FiniteField(49)
+    # degree 8 would enumerate 49^4 candidate divisors: refused at once
+    f8 = Poly.from_dense(F49, "t", [3, 1, 0, 5, 0, 0, 0, 0, 1])
+    start = time.perf_counter()
+    with pytest.raises(SizeBound):
+        factor_univariate(f8)
+    with pytest.raises(SizeBound):
+        factor_univariate(Poly.from_dense(F49, "t", [1] * 7))  # degree 6: 49^3
+    assert time.perf_counter() - start < 1.0
+    # degree 5 (49^2 candidates) still factors completely
+    f5 = Poly.from_dense(F49, "t", [7, 0, 1]) * Poly.from_dense(F49, "t", [2, 30, 0, 1])
+    unit, parts = factor_univariate(f5)
+    out = Poly.constant(F49, T, unit)
+    for g, e in parts.items():
+        assert is_irreducible(g)
+        out = out * g**e
+    assert out == f5
 
 
 def test_factor_bivariate_window():

@@ -1,4 +1,4 @@
-"""Valuation extraction round trips and plane classification."""
+"""Valuation extraction round trips."""
 
 import pytest
 
@@ -18,7 +18,6 @@ from flagval.reconstruct import (
     PsiMap,
     build_psi_from_valuation,
     build_u,
-    classify_plane,
     decompose_subspace,
     extract_valuation,
     verify_theorem_conclusions,
@@ -40,7 +39,7 @@ def psi_x():
 
 @pytest.fixture(scope="module")
 def res_x(psi_x, arena3):
-    return extract_valuation(psi_x, arena3, 4)
+    return extract_valuation(psi_x, arena3)
 
 
 def rxy(text):
@@ -76,19 +75,12 @@ def test_psi_constructor_validation():
 def test_decompose_plane(psi_x):
     one = RationalFn.constant(F3, XY, 1)
     plane = EmbeddedSubspace([one, rxy("x"), rxy("y")])
-    dec = decompose_subspace(psi_x, plane, 4)
+    dec = decompose_subspace(psi_x, plane)
     s1 = {str(plane.functions[i]) for i in dec.s1}
     assert s1 == {"1", "x", "x+1", "2*x+1"}
     assert len(dec.classes) == 1
     assert len(dec.classes[0][1]) == 9
     assert dec.l43_ok
-
-
-def test_classify_plane_needs_two_directions(psi_x):
-    one = RationalFn.constant(F3, XY, 1)
-    plane = EmbeddedSubspace([one, rxy("x"), rxy("x*y")])
-    with pytest.raises(PreconditionFailed):
-        classify_plane(psi_x, plane, 4)
 
 
 def test_arena_describe(arena3):
@@ -103,7 +95,7 @@ def test_arena_describe(arena3):
 
 
 def test_build_u(psi_x, arena3):
-    ur = build_u(psi_x, arena3, 4)
+    ur = build_u(psi_x, arena3)
     status = dict(ur.line_status)
     assert status["y"] == "injective"
     assert status["x"] == "flag"
@@ -201,26 +193,22 @@ def test_case_b_value_character(arena3):
         CURVE_X, make_splitting(CURVE_X), {}, F3, W,
         uniformizer_image=w_img, collapse_residue=True,
     )
-    res = extract_valuation(psi_b, arena3, 4)
+    res = extract_valuation(psi_b, arena3)
     assert res.verdict == "valuation" and res.case == "B"
     assert res.gamma_rank == 1 and res.gamma_torsion == ()
     assert res.orientation == 1
     assert res.o_units_size == 4080
 
 
-def test_case_b_univariate():
+def test_extraction_needs_two_variables():
     pt = FinitePlace(Poly.parse(F3, "t", ("t",)))
     w_img = to_divisor(RationalFn.parse(F3, "w", W))
     psi_t = build_psi_from_valuation(
         pt, make_splitting(pt), {}, F3, W,
         uniformizer_image=w_img, collapse_residue=True,
     )
-    arena_t = Arena(F3, ("t",), gen_degree=2, exp_bound=6)
-    res = extract_valuation(psi_t, arena_t, 4)
-    assert res.verdict == "valuation" and res.case == "B"
-    assert res.gamma_rank == 1 and res.gamma_torsion == ()
-    tors, free = res.nu(RationalFn.parse(F3, "t", ("t",)))
-    assert not any(tors) and abs(free[0]) == 1
+    with pytest.raises(InvalidInput):
+        extract_valuation(psi_t, Arena(F3, ("t",), gen_degree=1))
 
 
 # -- synthetic generator tables on the small arena ----------------------
@@ -237,7 +225,7 @@ def test_degenerate_table_psi(small_arena3):
     gx = Poly.parse(F3, "x", XY)
     gy = Poly.parse(F3, "y", XY)
     psi = GenTablePsi(F3, XY, {gx: _uc("u"), gy: _uc("u+1")}, F3, U1)
-    res = extract_valuation(psi, small_arena3, 4)
+    res = extract_valuation(psi, small_arena3)
     assert res.verdict == "inconclusive" and res.case == "A"
     assert any("whole window" in n for n in res.notes)
 
@@ -246,7 +234,7 @@ def test_hypothesis_violation_table_psi(small_arena3):
     gx = Poly.parse(F3, "x", XY)
     gy = Poly.parse(F3, "y", XY)
     psi = GenTablePsi(F3, XY, {gx: _uc("u", UV), gy: _uc("v", UV)}, F3, UV)
-    res = extract_valuation(psi, small_arena3, 4)
+    res = extract_valuation(psi, small_arena3)
     assert res.verdict == "inconclusive" and res.case == "A"
     assert any("independent directions" in n for n in res.notes)
 
@@ -261,12 +249,8 @@ def _injective_psi(small):
 
 def test_injective_table_psi(small_arena3):
     psi = _injective_psi(small_arena3)
-    res = extract_valuation(psi, small_arena3, 4)
+    res = extract_valuation(psi, small_arena3)
     assert res.verdict == "injective"
-    one = RationalFn.constant(F3, XY, 1)
-    plane = EmbeddedSubspace([one, rxy("x"), rxy("y")])
-    pv = classify_plane(psi, plane, 4)
-    assert pv.kind == "injective"
 
 
 class _Perturbed(PsiMap):
@@ -275,10 +259,6 @@ class _Perturbed(PsiMap):
         self.bad_key = bad_key
         self.target_field = inner.target_field
         self.target_vars = inner.target_vars
-
-    @property
-    def kind(self):
-        return "perturbed"
 
     def evaluate(self, f):
         out = self.inner.evaluate(f)
@@ -294,47 +274,4 @@ def test_non_multiplicative_psi_rejected(small_arena3):
     b0 = small_arena3.line_gens[3]
     bad = _Perturbed(psi, to_divisor(a0 * b0).class_key())
     with pytest.raises(PreconditionFailed):
-        extract_valuation(bad, small_arena3, 4)
-
-
-def test_case1_plane(small_arena3):
-    images = {}
-    for g_pol in small_arena3.gens:
-        cs = g_pol.coeffs
-        cy = cs.get((0, 1), 0)
-        cx = cs.get((1, 0), 0)
-        c0 = cs.get((0, 0), 0)
-        if cy != 0:
-            images[g_pol] = _uc("v", UV)
-        elif cx != 0 and c0 != 0:
-            images[g_pol] = _uc(f"u+{c0}", UV)
-        elif cx != 0:
-            images[g_pol] = _uc("u", UV)
-    psi = GenTablePsi(F3, XY, images, F3, UV)
-    one = RationalFn.constant(F3, XY, 1)
-    plane = EmbeddedSubspace([one, rxy("x"), rxy("y")])
-    pv = classify_plane(psi, plane, 4)
-    assert pv.kind == "case1"
-    assert pv.case1_lines
-    assert pv.case1_lines[0] == (1, 4, 7, 10)
-
-
-def test_case2_plane(small_arena3):
-    images = {}
-    for g_pol in small_arena3.gens:
-        cs = g_pol.coeffs
-        cy = cs.get((0, 1), 0)
-        cx = cs.get((1, 0), 0)
-        c0 = cs.get((0, 0), 0)
-        if cx != 0 and cy == 0 and c0 == 0:
-            images[g_pol] = _uc("v", UV)  # the pivot direction
-        elif cy != 0:
-            shift = F3.div(c0, cy)
-            images[g_pol] = _uc(f"u+{shift}", UV)
-    psi = GenTablePsi(F3, XY, images, F3, UV)
-    one = RationalFn.constant(F3, XY, 1)
-    plane = EmbeddedSubspace([one, rxy("x"), rxy("y")])
-    pv = classify_plane(psi, plane, 4)
-    assert pv.kind == "case2"
-    assert len(pv.pivots) == 1
-    assert str(plane.functions[pv.pivots[0]]) == "x"
+        extract_valuation(bad, small_arena3)

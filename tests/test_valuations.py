@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from flagval.errors import InvalidInput, NotAUnit, UnsupportedResidue, UnsupportedValueGroup
 from flagval.ff import FiniteField
-from flagval.fields import RationalFn
+from flagval.fields import INF, RationalFn, to_divisor
 from flagval.poly import Poly
 from flagval.projspace import EmbeddedSubspace
 from flagval.valuations import (
@@ -15,8 +15,6 @@ from flagval.valuations import (
     FinitePlace,
     InfinitePlace,
     degree_sum,
-    in_one_plus_m,
-    in_units,
     make_splitting,
     parse_place,
     serialize_place,
@@ -118,21 +116,6 @@ def test_composite_place_lex():
     assert comp.val(rxy("y+1")) == (0, 0)
 
 
-def test_in_units_and_one_plus_m():
-    p = FinitePlace(Poly.parse(F3, "t", T))
-    assert in_units(p, rt("t+1"))
-    assert not in_units(p, rt("t"))
-    assert in_one_plus_m(p, rt("t+1"))
-    assert in_one_plus_m(p, RationalFn.constant(F3, T, 1))
-    assert not in_one_plus_m(p, rt("t+2"))
-    assert not in_one_plus_m(p, rt("t"))
-    c = DivisorialCurve(Poly.parse(F3, "x", XY))
-    assert in_one_plus_m(c, rxy("x+1"))
-    assert not in_one_plus_m(c, rxy("y+1"))
-    with pytest.raises(InvalidInput):
-        in_one_plus_m(p, Poly.parse(F3, "t+1", T))
-
-
 def test_make_splitting():
     p = FinitePlace(Poly.parse(F3, "t^2+1", T))
     s = make_splitting(p)
@@ -187,6 +170,38 @@ def test_degree_sum_zero():
         degree_sum(rxy("x"))
     with pytest.raises(InvalidInput):
         degree_sum(RationalFn.constant(F3, T, 0))
+
+
+def _check_places_against_divisor(f):
+    d = to_divisor(f)
+    for g in d.support():
+        place = InfinitePlace(f.field, f.vars[0]) if g == INF else FinitePlace(g)
+        assert place.val(f) == d.exponent(g), (str(f), str(g))
+    assert degree_sum(f) == d.deg_sum() + d.exponent(INF) == 0, str(f)
+
+
+def test_place_values_match_divisor_exhaustive_f3():
+    # repeated division at each place against the factorisation route,
+    # on every a/b with a, b nonzero of degree <= 2 over GF(3)
+    polys = [Poly.from_dense(F3, "t", [a, b, c]) for a in range(3) for b in range(3) for c in range(3)]
+    polys = [p for p in polys if p]
+    for a in polys:
+        for b in polys:
+            _check_places_against_divisor(RationalFn(a, b))
+
+
+def test_place_values_match_divisor_sampled_f4():
+    import random
+
+    F4 = FiniteField(4)
+    rng = random.Random(4)
+    for _ in range(200):
+        parts = []
+        while len(parts) < 2:
+            p = Poly.from_dense(F4, "t", [rng.randrange(4) for _ in range(rng.randint(1, 4))])
+            if p:
+                parts.append(p)
+        _check_places_against_divisor(RationalFn(*parts))
 
 
 def test_valuation_flag_structure():
