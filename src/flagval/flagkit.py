@@ -16,19 +16,29 @@ criterion accepts every two-valued map whatever its level set.  On
 P^2(F_2) the two verdicts diverge exactly on the two-valued maps whose
 level set is not a flag subset (168 of the 3^7 maps); on all 3^13 maps
 of P^2(F_3) they agree.
+
+The sweeps over F_2 subsets (the census, the decomposition lemma, the
+coordinate maps of the collineation sweep) read one subset table per
+geometry: the bad strata and the flag bit of every subset, indexed by
+its ones mask and built once in bulk (subset_table).  numpy is
+imported only inside the bulk kernels: the subset table build, the map
+sweeps of prop_equivalence_* and sampled collineation_analyze.
+Importing this module does not load it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from . import fqlin
 from .errors import InvalidInput, SizeBound
 from .ff import FiniteField
 from .projspace import ProjGeometry, StratumTable, geometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,18 +132,67 @@ def line_criterion(geom: ProjGeometry, values) -> bool:
     return _bad_line(geom.strata, _bad_strata(geom.strata, _value_levels(values))) is None
 
 
-def is_flag_subset(geom: ProjGeometry, subset: frozenset[int]) -> bool:
-    ones = sum(1 << i for i in subset)
-    bad = _bad_strata(geom.strata, _ones_levels(len(geom.points), ones))
-    return _flag_chain(geom.strata, bad) is not None
+def _ids(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _constant_bulk(table: StratumTable, vals: np.ndarray) -> np.ndarray:
     """(rows, strata) matrix: whether each row is constant on each stratum."""
+    import numpy as np
+
     const = np.empty((len(vals), len(table.strata)), dtype=bool)
     for k, stratum in enumerate(table.strata):
         np.all(vals[:, stratum[1:]] == vals[:, stratum[:1]], axis=1, out=const[:, k])
     return const
+
+
+# -- the subset table -------------------------------------------------
+
+SUBSET_WINDOW = 16  # points; the table has 2^points rows
+
+
+@dataclass(frozen=True)
+class SubsetTable:
+    """Per ones mask: flag[ones] says whether the subset is a flag
+    subset, and bad[ones] is the bad-strata bitmask of its indicator map.
+
+    The masks stay packed, width bytes per row, until bad is first read:
+    only the collineation sweep ORs them, and as ints the 8,192 masks of
+    P^2(F_3) would hold about 0.35 MB through every other sweep.
+    """
+
+    flag: bytes
+    packed_bad: bytes
+    width: int
+
+    @cached_property
+    def bad(self) -> tuple[int, ...]:
+        rows, w = self.packed_bad, self.width
+        return tuple(int.from_bytes(rows[i : i + w], "little") for i in range(0, len(rows), w))
+
+
+@lru_cache(maxsize=None)
+def subset_table(n: int, q: int) -> SubsetTable:
+    """The subset table of P^n(F_q), built on first use and kept."""
+    geom = geometry(n, q)
+    npts = len(geom.points)
+    if npts > SUBSET_WINDOW:
+        raise SizeBound(f"2^{npts} subsets is beyond the census window")
+    import numpy as np
+
+    ones = np.arange(1 << npts, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    indicator = np.unpackbits(ones, axis=1, count=npts, bitorder="little")
+    const = _constant_bulk(geom.strata, indicator)
+    flag = np.zeros(len(const), dtype=bool)
+    for chain in geom.strata.chains:
+        flag |= const[:, _ids(chain)].all(axis=1)
+    np.logical_not(const, out=const)
+    packed = np.packbits(const, axis=1, bitorder="little")
+    return SubsetTable(flag.tobytes(), packed.tobytes(), packed.shape[1])
+
+
+def is_flag_subset(geom: ProjGeometry, subset: frozenset[int]) -> bool:
+    return subset_table(geom.n, geom.q).flag[sum(1 << i for i in subset)] == 1
 
 
 # -- Example census ---------------------------------------------------
@@ -181,12 +240,11 @@ def classify_flag_subsets(q: int) -> FlagCensus:
     """Exhaustive census of nonempty proper flag subsets of P^2(F_q).
 
     Every subset is judged twice: by chain search on its characteristic
-    function and by structural shape; the two must agree.
+    function (read from the subset table) and by structural shape; the
+    two must agree.  Past SUBSET_WINDOW points the census is refused.
     """
     geom = geometry(2, q)
     npts = len(geom.points)
-    if npts > 16:
-        raise SizeBound(f"2^{npts} subsets is beyond the census window")
     counts = {f: 0 for f in FAMILIES}
     mismatches = []
     for code in range(1, (1 << npts) - 1):
@@ -202,14 +260,13 @@ def classify_flag_subsets(q: int) -> FlagCensus:
 
 def flag_subset_table(q: int) -> set[frozenset[int]]:
     """All nonempty proper flag subsets, as a lookup set."""
-    geom = geometry(2, q)
-    npts = len(geom.points)
-    out = set()
-    for code in range(1, (1 << npts) - 1):
-        s = frozenset(i for i in range(npts) if code >> i & 1)
-        if is_flag_subset(geom, s):
-            out.add(s)
-    return out
+    npts = len(geometry(2, q).points)
+    flag = subset_table(2, q).flag
+    return {
+        frozenset(i for i in range(npts) if code >> i & 1)
+        for code in range(1, (1 << npts) - 1)
+        if flag[code]
+    }
 
 
 # -- decomposition lemma ----------------------------------------------
@@ -383,6 +440,11 @@ def _two_values_at_most(vals: list[int], line) -> bool:
     return seen.bit_count() <= 2
 
 
+# _ALLOWED[seen]: the values (as a bitmask) a line's last point may take
+# when the line's other points take the values in the bitmask seen
+_ALLOWED = tuple(sum(1 << v for v in range(4) if (seen | 1 << v).bit_count() <= 2) for seen in range(16))
+
+
 def _greedy_point_order(geom: ProjGeometry) -> tuple[list[int], list[list[int]]]:
     """Point order that completes lines early, plus per-position lists of
     lines whose last point sits at that position."""
@@ -423,7 +485,9 @@ def collineation_analyze(
     Exhaustive for p in {2, 3} (4^7 and 4^13 maps, pruned on the first
     line with three distinct image points).  For every (*) map the
     image size and the existence of a flag F_2-combination of the two
-    coordinate maps are recorded.
+    coordinate maps are recorded.  The coordinate maps and their sum
+    are F_2 subsets, judged by the subset table; sampled mode past
+    SUBSET_WINDOW points judges them with the scalar kernel instead.
     """
     geom = geometry(2, p)
     npts = len(geom.points)
@@ -439,36 +503,40 @@ def collineation_analyze(
     non_flag_star = 0
     first_non_flag = None
 
-    def analyse(vals: list[int]) -> None:
-        # one (*) map, recorded as the sweep accepts it
+    if npts <= SUBSET_WINDOW:
+        subsets = subset_table(2, p)
+        bad_of, flag_of = subsets.bad.__getitem__, subsets.flag.__getitem__
+    else:
+
+        def bad_of(ones: int) -> int:
+            return _bad_strata(table, _ones_levels(npts, ones))
+
+        def flag_of(ones: int) -> bool:
+            return _flag_chain(table, bad_of(ones)) is not None
+
+    pair_flag: dict[int, bool] = {}  # pair verdict by the union of the coordinates' bad strata
+
+    def analyse(vals: list[int], m1: int, m2: int, used: int) -> None:
+        # one (*) map with coordinate ones masks m1, m2 and value set used,
+        # recorded as the sweep accepts it
         nonlocal star_count, no_combo, first_no_combo, non_flag_star, first_non_flag
         star_count += 1
-        img = len(set(vals))
+        img = used.bit_count()
         image_size_counts[img] = image_size_counts.get(img, 0) + 1
         if img > 3:
             image_viol.append(list(vals))
-        m1 = 0
-        m2 = 0
-        for i, v in enumerate(vals):
-            if v & 1:
-                m1 |= 1 << i
-            if v >> 1 & 1:
-                m2 |= 1 << i
-        bad1 = _bad_strata(table, _ones_levels(npts, m1))
-        bad2 = _bad_strata(table, _ones_levels(npts, m2))
-        has_combo = (
-            _flag_chain(table, bad1) is not None
-            or _flag_chain(table, bad2) is not None
-            or _flag_chain(table, _bad_strata(table, _ones_levels(npts, m1 ^ m2))) is not None
-        )
-        if not has_combo:
+        if not (flag_of(m1) or flag_of(m2) or flag_of(m1 ^ m2)):
             no_combo += 1
             if first_no_combo is None:
                 first_no_combo = list(vals)
             if p != 2:
                 combo_viol.append(list(vals))
         # the pair map is constant on a stratum when both coordinates are
-        if _flag_chain(table, bad1 | bad2) is None:
+        pair = bad_of(m1) | bad_of(m2)
+        flag = pair_flag.get(pair)
+        if flag is None:
+            flag = pair_flag[pair] = _flag_chain(table, pair) is not None
+        if not flag:
             non_flag_star += 1
             if first_non_flag is None:
                 first_non_flag = list(vals)
@@ -477,30 +545,42 @@ def collineation_analyze(
         if p not in (2, 3):
             raise SizeBound("exhaustive collineation sweep supports p in {2, 3}")
         order, completed_at = _greedy_point_order(geom)
+        # per position: the earlier points of each line completed there
+        others = [[[i for i in lines[li] if i != pt] for li in completed_at[pos]] for pos, pt in enumerate(order)]
         vals = [0] * npts
 
-        def dfs(pos: int):
+        def dfs(pos: int, m1: int, m2: int, used: int) -> None:
             if pos == npts:
-                analyse(vals)
+                analyse(vals, m1, m2, used)
                 return
+            allowed = 15
+            for line in others[pos]:
+                seen = 0
+                for i in line:
+                    seen |= 1 << vals[i]
+                allowed &= _ALLOWED[seen]
             pt = order[pos]
+            bit = 1 << pt
             for v in range(4):
-                vals[pt] = v
-                if all(_two_values_at_most(vals, lines[li]) for li in completed_at[pos]):
-                    dfs(pos + 1)
-            vals[pt] = 0
+                if allowed >> v & 1:
+                    vals[pt] = v
+                    dfs(pos + 1, m1 | bit if v & 1 else m1, m2 | bit if v & 2 else m2, used | 1 << v)
 
-        dfs(0)
+        dfs(0, 0, 0, 0)
         maps_examined = 4**npts
     elif mode == "sampled":
         if seed is None:
             raise InvalidInput("sampled mode requires a seed")
+        import numpy as np
+
         rng = np.random.Generator(np.random.PCG64(seed))
         maps_examined = samples
         for _ in range(samples):
             vals = [int(v) for v in rng.integers(0, 4, npts)]
             if all(_two_values_at_most(vals, L) for L in lines):
-                analyse(vals)
+                m1 = sum(1 << i for i, v in enumerate(vals) if v & 1)
+                m2 = sum(1 << i for i, v in enumerate(vals) if v & 2)
+                analyse(vals, m1, m2, sum({1 << v for v in vals}))
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
@@ -526,12 +606,10 @@ def collineation_analyze(
 _BULK_ROWS = 8192  # rows per block: bounds the (rows, strata) matrix near 2 MB
 
 
-def _ids(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
-
-
 def _verdicts_bulk(geom: ProjGeometry, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (line criterion, chain flag) verdicts over a (rows, points) value matrix."""
+    import numpy as np
+
     table = geom.strata
     chains = [_ids(c) for c in table.chains]
     lines = [_ids(l) for l in table.lines]
@@ -549,6 +627,8 @@ def _verdicts_bulk(geom: ProjGeometry, vals: np.ndarray) -> tuple[np.ndarray, np
 
 def _compare_verdicts(geom: ProjGeometry, vals: np.ndarray) -> dict:
     """Line criterion vs chain search on every row of a value matrix."""
+    import numpy as np
+
     line_ok, chain_ok = _verdicts_bulk(geom, vals)
     mism = np.nonzero(line_ok != chain_ok)[0]
     witnesses = [[int(x) for x in vals[i]] for i in mism[:5]]
@@ -569,6 +649,8 @@ def prop_equivalence_exhaustive(n: int, q: int) -> dict:
     The sweep holds every map in memory at once, so it refuses spaces
     with more than 13 points (3^13 = 1,594,323 maps, P^2(F_3)).
     """
+    import numpy as np
+
     geom = geometry(n, q)
     npts = len(geom.points)
     if npts > 13:
@@ -589,6 +671,8 @@ def prop_equivalence_exhaustive_q2() -> dict:
 
 def prop_equivalence_random(n: int, q: int, count: int, seed: int) -> dict:
     """Random maps P^n(F_q) -> {0,1,2}: chain verdict vs line criterion."""
+    import numpy as np
+
     geom = geometry(n, q)
     rng = np.random.Generator(np.random.PCG64(seed))
     vals = rng.integers(0, 3, size=(count, len(geom.points)), dtype=np.int8)

@@ -101,22 +101,26 @@ class Poly:
         exp = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(field, vars, {exp: 1})
 
-    _FACTOR_RE = re.compile(r"^(?:(\d+)|([A-Za-z]\w*)(?:\^(\d+))?)$")
+    _FACTOR_RE = re.compile(r"(?:(\d+)|([A-Za-z]\w*)(?:\^(\d+))?)")
 
     @classmethod
     def parse(cls, field: FiniteField, text: str, vars: tuple[str, ...]) -> "Poly":
         """Parse `c*x^a*y^b` terms joined by `+` (a leading or joining `-`
         negates the following term).  Integer literals outside range(q)
-        reduce into the prime subfield.
+        reduce into the prime subfield.  Every term must be nonempty:
+        `+x`, `x++y`, `x+-y` and `x+` are refused, as is a sign with no
+        term after it.
         """
         s = text.replace(" ", "")
         if not s:
             raise InvalidInput("empty polynomial text")
-        s = s.replace("-", "+-")
+        terms = s.replace("-", "+-").split("+")
+        if s.startswith("-"):
+            terms = terms[1:]  # the empty term before a leading "-"
         coeffs: dict[tuple[int, ...], int] = {}
-        for term in s.split("+"):
+        for term in terms:
             if not term:
-                continue
+                raise InvalidInput(f"empty term in {text!r}")
             neg = term.startswith("-")
             if neg:
                 term = term[1:]
@@ -125,16 +129,20 @@ class Poly:
             c = 1
             exp = [0] * len(vars)
             for factor in term.split("*"):
-                m = cls._FACTOR_RE.match(factor)
+                m = cls._FACTOR_RE.fullmatch(factor)
                 if not m:
                     raise InvalidInput(f"bad factor {factor!r} in {text!r}")
                 lit, name, power = m.groups()
+                try:
+                    n = int(lit or power or 1)
+                except ValueError:  # more digits than int() accepts
+                    raise InvalidInput(f"integer too long in {text[:40]!r}...") from None
                 if lit is not None:
-                    c = field.mul(c, field.from_int(int(lit)))
+                    c = field.mul(c, field.from_int(n))
                 else:
                     if name not in vars:
                         raise InvalidInput(f"unknown variable {name!r} in {text!r}")
-                    exp[vars.index(name)] += int(power) if power else 1
+                    exp[vars.index(name)] += n
             if neg:
                 c = field.neg(c)
             key = tuple(exp)
@@ -555,13 +563,15 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     unit, f = f.make_canonical()
     F = f.field
     var = f.vars[0]
-    a = f.to_dense()
-    d = len(a) - 1
-    if F.q ** (d // 2) > FACTOR_CANDIDATE_CAP:
+    d = max(f.coeffs)[0]  # read before a dense list of length d + 1 exists
+    # q >= 2, so q^k > FACTOR_CANDIDATE_CAP once k reaches its bit length;
+    # clamping k keeps the power small for huge degrees
+    if F.q ** min(d // 2, FACTOR_CANDIDATE_CAP.bit_length()) > FACTOR_CANDIDATE_CAP:
         raise SizeBound(
             f"factoring degree {d} over GF({F.q}) would try {F.q}^{d // 2} candidate divisors; "
             f"the cap is {FACTOR_CANDIDATE_CAP}"
         )
+    a = f.to_dense()
     out: dict[Poly, int] = {}
     for g, b in _dense_irreducibles(F.q, var, max(d // 2, 1) if d else 0):
         if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g

@@ -5,13 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+from flagval import flagkit
 from flagval.errors import InvalidInput, SizeBound
 from flagval.flagkit import (
+    CollineationReport,
     FlagVerdict,
     StarMap,
     _bad_strata,
     _flag_chain,
-    _ones_levels,
+    _greedy_point_order,
     _value_levels,
     _verdicts_bulk,
     check_decomposition_lemma,
@@ -27,6 +29,7 @@ from flagval.flagkit import (
     set_partitions,
     star_condition,
     subset_family,
+    subset_table,
     sweep_decomposition_lemma,
 )
 from flagval.projspace import geometry
@@ -149,24 +152,38 @@ def test_kernel_scalar_and_bulk_agree_sampled(n, q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_kernel_ones_mask_entry_matches_values(q):
+    # the bulk subset table against the scalar kernel and the chain
+    # search on every indicator map of P^2(F_q)
     geom = geometry(2, q)
     npts = len(geom.points)
     table = geom.strata
+    subsets = subset_table(2, q)
+    assert len(subsets.bad) == len(subsets.flag) == 1 << npts
     for ones in range(1 << npts):
+        indicator = [ones >> i & 1 for i in range(npts)]
+        assert subsets.bad[ones] == _bad_strata(table, _value_levels(indicator)), ones
+        assert subsets.flag[ones] == is_flag_map(geom, indicator).is_flag, ones
         subset = frozenset(i for i in range(npts) if ones >> i & 1)
-        indicator = [1 if i in subset else 0 for i in range(npts)]
-        assert _bad_strata(table, _ones_levels(npts, ones)) == _bad_strata(table, _value_levels(indicator))
-        assert is_flag_subset(geom, subset) == is_flag_map(geom, indicator).is_flag
+        assert is_flag_subset(geom, subset) == bool(subsets.flag[ones])
+
+
+def test_subset_table_window():
+    assert subset_table(2, 3) is subset_table(2, 3)  # built once per geometry
+    with pytest.raises(SizeBound):
+        subset_table(2, 4)  # 21 points
+    with pytest.raises(SizeBound):
+        is_flag_subset(geometry(2, 4), frozenset([0]))
 
 
 def test_kernel_pair_verdict_is_the_four_valued_map():
     # collineation_analyze judges the pair (bit 0, bit 1) of a map into
     # {0,1,2,3} through the union of the two coordinates' bad strata
     table = FANO.strata
+    subsets = subset_table(2, 2)
     for vals in itertools.product(range(4), repeat=7):
         m1 = sum(1 << i for i, v in enumerate(vals) if v & 1)
         m2 = sum(1 << i for i, v in enumerate(vals) if v & 2)
-        pair = _bad_strata(table, _ones_levels(7, m1)) | _bad_strata(table, _ones_levels(7, m2))
+        pair = subsets.bad[m1] | subsets.bad[m2]
         assert pair == _bad_strata(table, _value_levels(vals))
         assert (_flag_chain(table, pair) is not None) == is_flag_map(FANO, vals).is_flag
 
@@ -314,14 +331,71 @@ def test_collineation_p2_frozen():
     assert rep.flag_combo_violations == []
 
 
-def test_star_condition_counts_the_collineation_star_maps():
-    # the sweep's "at most two values on each line" test against the
-    # rank test of star_condition, on all 4^7 maps P^2(F_2) -> A^2(F_2)
-    passing = sum(
-        star_condition(StarMap(2, 2, tuple((v & 1, v >> 1) for v in vals)))
-        for vals in itertools.product(range(4), repeat=7)
+def _scalar_collineation_report(p: int, order: list[int]) -> CollineationReport:
+    """collineation_analyze(p) rebuilt from scalar per-map verdicts.
+
+    Every map P^2(F_p) -> A^2(F_2) is visited, in the sweep's order:
+    lexicographic in the values at order[0], order[1], ...  The (*)
+    test is star_condition's rank test, the pair verdict is the chain
+    search on the 4-valued map, and the combination verdicts are the
+    scalar kernel on the indicator maps of bit 0, bit 1 and their sum.
+    """
+    geom = geometry(2, p)
+    npts = len(geom.points)
+    table = geom.strata
+
+    def combo_flag(vals, f):
+        return _flag_chain(table, _bad_strata(table, _value_levels([f(v) for v in vals]))) is not None
+
+    counts: dict[int, int] = {}
+    star = []
+    no_combo = []
+    non_flag = []
+    for code in itertools.product(range(4), repeat=npts):
+        vals = [0] * npts
+        for pt, v in zip(order, code):
+            vals[pt] = v
+        if not star_condition(StarMap(p, 2, tuple((v & 1, v >> 1) for v in vals))):
+            continue
+        star.append(vals)
+        img = len(set(vals))
+        counts[img] = counts.get(img, 0) + 1
+        if not any(combo_flag(vals, f) for f in (lambda v: v & 1, lambda v: v >> 1, lambda v: (v ^ v >> 1) & 1)):
+            no_combo.append(vals)
+        if not is_flag_map(geom, vals).is_flag:
+            non_flag.append(vals)
+    return CollineationReport(
+        p=p,
+        mode="exhaustive",
+        maps_examined=4**npts,
+        star_maps=len(star),
+        max_image_size=max(counts),
+        image_size_counts=counts,
+        image_size_violations=[v for v in star if len(set(v)) > 3],
+        no_flag_combo_maps=len(no_combo),
+        first_no_flag_combo=no_combo[0] if no_combo else None,
+        flag_combo_violations=no_combo if p != 2 else [],
+        non_flag_star_maps=len(non_flag),
+        first_non_flag_star=non_flag[0] if non_flag else None,
     )
-    assert passing == collineation_analyze(2).star_maps == 1264
+
+
+def test_star_condition_counts_the_collineation_star_maps():
+    # every field of the p = 2 report, rebuilt map by map from the scalar
+    # verdicts over all 4^7 maps P^2(F_2) -> A^2(F_2)
+    order, _ = _greedy_point_order(FANO)
+    expected = _scalar_collineation_report(2, order)
+    assert expected.star_maps == 1264
+    assert collineation_analyze(2) == expected
+
+
+def test_collineation_scalar_masks_match_the_table(monkeypatch):
+    # sampled mode past SUBSET_WINDOW judges the coordinate maps with the
+    # scalar kernel; shrinking the window sends the same sweeps there
+    table_reports = [collineation_analyze(2), collineation_analyze(3, mode="sampled", samples=3000, seed=9)]
+    monkeypatch.setattr(flagkit, "SUBSET_WINDOW", 0)
+    assert collineation_analyze(2) == table_reports[0]
+    assert collineation_analyze(3, mode="sampled", samples=3000, seed=9) == table_reports[1]
 
 
 def test_collineation_errors():

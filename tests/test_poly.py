@@ -51,6 +51,41 @@ def test_parse_rejects_garbage():
         Poly.parse(F3, "t^-1", T)
     with pytest.raises(InvalidInput):
         Poly.parse(F3, "u+1", T)  # unknown variable
+    with pytest.raises(InvalidInput):
+        Poly.parse(F3, "t\n+1", T)  # a factor ends at the end of its text, not at a newline
+
+
+@pytest.mark.parametrize("text", ["+", "x+y+", "x++y", "+x", "x+-y", "x-", "-", "--x", "x*-y"])
+def test_parse_rejects_empty_terms(text):
+    with pytest.raises(InvalidInput):
+        xy(text)
+
+
+def test_parse_leading_and_joining_minus():
+    assert xy("-x") == xy("2*x")
+    assert xy("-x-y") == xy("2*x+2*y")
+    assert xy(" - x + y") == xy("2*x+y")
+    assert xy("x-y+y") == xy("x")
+
+
+def test_parse_refuses_overlong_integers():
+    # Python refuses to convert integer strings past 4300 digits
+    for text in ["1" * 5000, "t^" + "1" * 5000]:
+        with pytest.raises(InvalidInput):
+            t_(text)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_parse_str_roundtrip_drawn(data):
+    F = FiniteField(data.draw(st.sampled_from([2, 3, 4])))
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(1, F.q - 1), max_size=6
+        )
+    )
+    p = Poly(F, XY, terms)
+    assert Poly.parse(F, str(p), XY) == p
 
 
 def test_grlex_leading_term():
@@ -195,6 +230,8 @@ def test_factor_univariate_candidate_cap():
         factor_univariate(f8)
     with pytest.raises(SizeBound):
         factor_univariate(Poly.from_dense(F49, "t", [1] * 7))  # degree 6: 49^3
+    with pytest.raises(SizeBound):
+        factor_univariate(t_("t^99999999+1"))  # refused before a dense list is built
     assert time.perf_counter() - start < 1.0
     # degree 5 (49^2 candidates) still factors completely
     f5 = Poly.from_dense(F49, "t", [7, 0, 1]) * Poly.from_dense(F49, "t", [2, 30, 0, 1])

@@ -1,6 +1,10 @@
 """Named check suites: report shape, frozen results, CLI behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +339,19 @@ def test_cli_internal_error_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "flagval: error: KeyError: 'boom'"
+
+
+def test_non_flag_suites_do_not_import_numpy():
+    # numpy is imported only by the bulk flag kernels and the sampled
+    # flag modes, so a cold start that runs no flag sweep never pays for it
+    script = (
+        "import sys\n"
+        "import flagval.suites as suites\n"
+        "suites.run_suite(suites.SuiteConfig(suite='ktheory', q=3, samples=20, seed=1))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

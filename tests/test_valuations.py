@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagval.errors import InvalidInput, NotAUnit, UnsupportedResidue, UnsupportedValueGroup
+from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue, UnsupportedValueGroup
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
 from flagval.poly import Poly
@@ -237,6 +237,26 @@ def test_place_serialization_roundtrip():
     assert parse_place(F3, "composite:x|y+1", XY) == comp
     comp_inf = parse_place(F3, "composite:x|infinite", XY)
     assert isinstance(comp_inf.point, InfinitePlace)
+
+
+_PARSE_TOKENS = list("xyt0123456789+-^*:|() ") + ["finite:", "curve:", "composite:", "infinite"]
+
+
+@settings(max_examples=400, deadline=2000)
+@given(
+    st.lists(st.sampled_from(_PARSE_TOKENS), max_size=16).map("".join),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from([T, XY]),
+)
+def test_parse_fuzz_returns_or_refuses(text, q, vars):
+    # any text either parses or is refused with a FlagvalError, promptly:
+    # another exception, or a hang on a huge exponent, is a bug
+    F = FiniteField(q)
+    for parse in (Poly.parse, parse_place):
+        try:
+            parse(F, text, vars)
+        except FlagvalError:
+            pass
 
 
 def test_parse_place_errors():
