@@ -29,7 +29,7 @@ Importing this module does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import fqlin
@@ -154,21 +154,20 @@ SUBSET_WINDOW = 16  # points; the table has 2^points rows
 @dataclass(frozen=True)
 class SubsetTable:
     """Per ones mask: flag[ones] says whether the subset is a flag
-    subset, and bad[ones] is the bad-strata bitmask of its indicator map.
+    subset, and bad_masks()[ones] is the bad-strata bitmask of its
+    indicator map.
 
-    The masks stay packed, width bytes per row, until bad is first read:
-    only the collineation sweep ORs them, and as ints the 8,192 masks of
-    P^2(F_3) would hold about 0.35 MB through every other sweep.
+    The masks are kept packed, width bytes per row; only the collineation
+    sweep reads them as ints, and it unpacks them for the one sweep.
     """
 
     flag: bytes
     packed_bad: bytes
     width: int
 
-    @cached_property
-    def bad(self) -> tuple[int, ...]:
+    def bad_masks(self) -> list[int]:
         rows, w = self.packed_bad, self.width
-        return tuple(int.from_bytes(rows[i : i + w], "little") for i in range(0, len(rows), w))
+        return [int.from_bytes(rows[i : i + w], "little") for i in range(0, len(rows), w)]
 
 
 @lru_cache(maxsize=None)
@@ -505,7 +504,7 @@ def collineation_analyze(
 
     if npts <= SUBSET_WINDOW:
         subsets = subset_table(2, p)
-        bad_of, flag_of = subsets.bad.__getitem__, subsets.flag.__getitem__
+        bad_of, flag_of = subsets.bad_masks().__getitem__, subsets.flag.__getitem__
     else:
 
         def bad_of(ones: int) -> int:

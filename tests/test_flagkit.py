@@ -14,6 +14,7 @@ from flagval.flagkit import (
     _bad_strata,
     _flag_chain,
     _greedy_point_order,
+    _ones_levels,
     _value_levels,
     _verdicts_bulk,
     check_decomposition_lemma,
@@ -158,10 +159,14 @@ def test_kernel_ones_mask_entry_matches_values(q):
     npts = len(geom.points)
     table = geom.strata
     subsets = subset_table(2, q)
-    assert len(subsets.bad) == len(subsets.flag) == 1 << npts
+    bad = subsets.bad_masks()
+    assert len(bad) == len(subsets.flag) == 1 << npts
     for ones in range(1 << npts):
         indicator = [ones >> i & 1 for i in range(npts)]
-        assert subsets.bad[ones] == _bad_strata(table, _value_levels(indicator)), ones
+        assert bad[ones] == _bad_strata(table, _value_levels(indicator)), ones
+        # the scalar ones-mask entry that sampled collineation_analyze
+        # uses past SUBSET_WINDOW points
+        assert bad[ones] == _bad_strata(table, _ones_levels(npts, ones)), ones
         assert subsets.flag[ones] == is_flag_map(geom, indicator).is_flag, ones
         subset = frozenset(i for i in range(npts) if ones >> i & 1)
         assert is_flag_subset(geom, subset) == bool(subsets.flag[ones])
@@ -179,11 +184,11 @@ def test_kernel_pair_verdict_is_the_four_valued_map():
     # collineation_analyze judges the pair (bit 0, bit 1) of a map into
     # {0,1,2,3} through the union of the two coordinates' bad strata
     table = FANO.strata
-    subsets = subset_table(2, 2)
+    bad = subset_table(2, 2).bad_masks()
     for vals in itertools.product(range(4), repeat=7):
         m1 = sum(1 << i for i, v in enumerate(vals) if v & 1)
         m2 = sum(1 << i for i, v in enumerate(vals) if v & 2)
-        pair = subsets.bad[m1] | subsets.bad[m2]
+        pair = bad[m1] | bad[m2]
         assert pair == _bad_strata(table, _value_levels(vals))
         assert (_flag_chain(table, pair) is not None) == is_flag_map(FANO, vals).is_flag
 
@@ -391,11 +396,15 @@ def test_star_condition_counts_the_collineation_star_maps():
 
 def test_collineation_scalar_masks_match_the_table(monkeypatch):
     # sampled mode past SUBSET_WINDOW judges the coordinate maps with the
-    # scalar kernel; shrinking the window sends the same sweeps there
-    table_reports = [collineation_analyze(2), collineation_analyze(3, mode="sampled", samples=3000, seed=9)]
+    # scalar kernel; shrinking the window sends the same sweeps there.
+    # About 1 in 1,300 maps of P^2(F_3) satisfies (*), so the p = 3 sweep
+    # takes 40,000 samples and must reach a real number of (*) maps.
+    table_reports = [collineation_analyze(2), collineation_analyze(3, mode="sampled", samples=40_000, seed=9)]
+    assert table_reports[1].star_maps >= 20
+    assert table_reports[1].non_flag_star_maps >= 10
     monkeypatch.setattr(flagkit, "SUBSET_WINDOW", 0)
     assert collineation_analyze(2) == table_reports[0]
-    assert collineation_analyze(3, mode="sampled", samples=3000, seed=9) == table_reports[1]
+    assert collineation_analyze(3, mode="sampled", samples=40_000, seed=9) == table_reports[1]
 
 
 def test_collineation_errors():
