@@ -28,7 +28,7 @@ class RationalFn:
     the denominator's leading coefficient moved into the numerator.
     """
 
-    __slots__ = ("num", "den", "reduced")
+    __slots__ = ("num", "den")
     __hash__ = None  # equality is cross-multiplication; no canonical hash
 
     def __init__(self, num: Poly, den: Poly) -> None:
@@ -39,7 +39,6 @@ class RationalFn:
         if any(v in _RESERVED_NAMES for v in num.vars):
             raise InvalidInput(f"variable names {_RESERVED_NAMES} are reserved")
         F = num.field
-        reduced = True
         if num:
             if len(num.vars) == 1:
                 g = gcd_univariate(num, den)
@@ -64,8 +63,6 @@ class RationalFn:
                     for p, k in dparts.items():
                         if k:
                             den = den * p**k
-                else:
-                    reduced = False
         lc = den.leading_coeff()
         if lc != 1:
             inv = F.inv(lc)
@@ -73,7 +70,6 @@ class RationalFn:
             den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "reduced", reduced)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalFn is immutable")

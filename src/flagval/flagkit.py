@@ -210,7 +210,7 @@ def subset_family(geom: ProjGeometry, s: frozenset[int]) -> str | None:
     """Which of the six structural families a subset of P^2 belongs to."""
     npts = len(geom.points)
     q = geom.q
-    lines = [frozenset(L) for L in geom.lines]
+    lines = [L.points for L in geom.subspaces[1]]
     comp = frozenset(range(npts)) - s
     if len(s) == 1:
         return "point"

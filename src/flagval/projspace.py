@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import fqlin
 from .errors import InvalidInput, SizeBound
-from .fields import DivisorRep, RationalFn, to_divisor
+from .fields import RationalFn
 from .ff import FiniteField
 
 MAX_POINTS = 500
@@ -194,7 +194,7 @@ def geometry(n: int, q: int) -> ProjGeometry:
 
 class EmbeddedSubspace:
     """P^n(1, f_0, ..., f_n) inside P_k(K): an abstract P^n(F_q) whose
-    points carry the rational function and the divisor they stand for.
+    points carry the rational function they stand for.
     """
 
     def __init__(self, gens: list[RationalFn]) -> None:
@@ -208,7 +208,6 @@ class EmbeddedSubspace:
         self._check_independent(gens)
         self.geometry = geometry(len(gens) - 1, F.q)
         self.functions: list[RationalFn] = []
-        self.divisors: list[DivisorRep] = []
         for pt in self.geometry.points:
             f = RationalFn.constant(F, vars, 0)
             for c, g in zip(pt.coords, gens):
@@ -217,7 +216,6 @@ class EmbeddedSubspace:
             if not f:
                 raise InvalidInput("generators produced a vanishing combination")
             self.functions.append(f)
-            self.divisors.append(to_divisor(f))
 
     @staticmethod
     def _check_independent(gens: list[RationalFn]) -> None:

@@ -8,7 +8,9 @@ the quotient by it is an ordered group.  This module makes that
 pipeline executable on a finite window (the arena): build psi from a
 valuation and a splitting, decompose subspaces by image dependence,
 collect the unit universe, and extract the quotient with its order
-certified by flag behavior on every catalog line.
+certified by flag behavior on every catalog line.  psi is evaluated as
+the product of its generator images over the divisor form, so it is a
+homomorphism on K*/k* by construction.
 
 All verdicts are arena-relative; the window parameters are recorded in
 every report, and anything that falls outside the window is counted in
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (
     ClosureFailure,
     DependenceBoundTooSmall,
+    FactoringWindowExceeded,
     InvalidInput,
     OrderFailure,
     PreconditionFailed,
@@ -70,17 +73,37 @@ def _related(a: DivisorRep, b: DivisorRep, bound: int) -> bool:
 
 
 class PsiMap:
-    """Multiplicative map K*/k* -> L*/l*, evaluated on divisor classes."""
+    """Multiplicative map K*/k* -> L*/l*, given by the images of the
+    canonical irreducible generators: the class of f goes to the product
+    of image(g)**e over the divisor of f.  Units are dropped, since psi
+    lives on K*/k*."""
 
     target_field: FiniteField
     target_vars: tuple[str, ...]
 
-    def evaluate(self, f) -> DivisorRep:
+    def image(self, g) -> DivisorRep | None:
+        """Image of one generator; None stands for the trivial class."""
         raise NotImplementedError
+
+    def evaluate(self, f) -> DivisorRep:
+        d = f if isinstance(f, DivisorRep) else to_divisor(f)
+        exps: dict = {}
+        for g, e in d.exps.items():
+            img = self.image(g)
+            if img is not None:
+                for h, k in img.exps.items():
+                    exps[h] = exps.get(h, 0) + e * k
+        return DivisorRep(self.target_field, self.target_vars, exps)
 
 
 class ValuationPsi(PsiMap):
     """psi(f) = embed(residue(f * s(-nu(f)))) * w^nu(f).
+
+    The formula runs once per generator; its result is kept on the psi,
+    so the cache holds at most the generators of the window.  The
+    infinite generator has no image: the finite part of a divisor
+    already fixes f up to a constant.  An f whose divisor lies beyond
+    the factoring window is evaluated by the formula directly.
 
     The optional uniformizer image w covers the freedom in extending the
     residue embedding along a splitting; by default the uniformizer is
@@ -105,6 +128,7 @@ class ValuationPsi(PsiMap):
         self.target_vars = target_vars
         self.uniformizer_image = uniformizer_image
         self.collapse_residue = collapse_residue
+        self._images: dict = {}
 
     def _embed_residue(self, r) -> DivisorRep:
         F, tvars = self.target_field, self.target_vars
@@ -112,25 +136,20 @@ class ValuationPsi(PsiMap):
             if r == 0:
                 raise InvalidInput("residue of a unit vanished")
             return DivisorRep(F, tvars, {}, r)
-        if len(r.vars) == 1:
-            # factor in the residue variable first: univariate factoring
-            # has no degree window, and a one-variable irreducible stays
-            # irreducible and canonical when renamed into the target
-            d = to_divisor(r)
-            idx = tvars.index(self.embed[r.vars[0]])
-            exps = {}
-            for g, e in d.exps.items():
-                if g == INF:
-                    continue
-                exps[g.map_vars(tvars, {0: idx})] = e
-            return DivisorRep(F, tvars, exps, d.unit)
-        where = {i: tvars.index(self.embed[v]) for i, v in enumerate(r.vars)}
-        fn = RationalFn(r.num.map_vars(tvars, where), r.den.map_vars(tvars, where))
-        return to_divisor(fn)
+        # factor in the residue variable first: univariate factoring has
+        # no degree window, and a one-variable irreducible stays
+        # irreducible and canonical when renamed into the target
+        d = to_divisor(r)
+        idx = tvars.index(self.embed[r.vars[0]])
+        exps = {}
+        for g, e in d.exps.items():
+            if g == INF:
+                continue
+            exps[g.map_vars(tvars, {0: idx})] = e
+        return DivisorRep(F, tvars, exps, d.unit)
 
-    def evaluate(self, f) -> DivisorRep:
-        if isinstance(f, DivisorRep):
-            f = from_divisor(f)
+    def formula(self, f: RationalFn) -> DivisorRep:
+        """The residue formula on f itself."""
         n = self.place.val(f)
         if self.collapse_residue:
             out = DivisorRep.one(self.target_field, self.target_vars)
@@ -139,6 +158,20 @@ class ValuationPsi(PsiMap):
         if self.uniformizer_image is not None and n:
             out = out * self.uniformizer_image**n
         return out
+
+    def image(self, g) -> DivisorRep | None:
+        if g == INF:
+            return None
+        img = self._images.get(g)
+        if img is None:
+            img = self._images[g] = self.formula(RationalFn.from_poly(g))
+        return img
+
+    def evaluate(self, f) -> DivisorRep:
+        try:
+            return super().evaluate(f)
+        except FactoringWindowExceeded:
+            return self.formula(f)
 
 
 def build_psi_from_valuation(
@@ -177,9 +210,9 @@ def build_psi_from_valuation(
 
 class GenTablePsi(PsiMap):
     """Table map: each canonical irreducible generator (and the infinite
-    generator in the univariate case) is sent to a chosen target class;
-    the map extends to all of K*/k* through the divisor form, so it is
-    multiplicative by construction.  Generators absent from the table
+    generator in the univariate case) is sent to a chosen target class,
+    and psi is the product of these images over the divisor form, so it
+    is multiplicative by construction.  Generators absent from the table
     are sent to the trivial class."""
 
     def __init__(
@@ -195,20 +228,14 @@ class GenTablePsi(PsiMap):
         self.images = dict(images)
         self.target_field = target_field
         self.target_vars = target_vars
-        self._one = DivisorRep.one(target_field, target_vars)
-
-    def evaluate(self, f) -> DivisorRep:
-        d = f if isinstance(f, DivisorRep) else to_divisor(f)
-        out = self._one
-        for g, e in d.exps.items():
-            img = self.images.get(g)
-            if img is not None and e:
-                out = out * img**e
-        return out
+        self.image = self.images.get
 
 
 def check_multiplicative(psi: PsiMap, fns: list[RationalFn]) -> list[str]:
-    """Spot-check psi(ab) = psi(a)psi(b) and psi(1/a) = psi(a)^-1."""
+    """Spot-check psi(ab) = psi(a)psi(b) and psi(1/a) = psi(a)^-1.  A
+    product beyond the factoring window takes the formula of a
+    ValuationPsi, so there the check sets the two routes against each
+    other."""
     defects: list[str] = []
     sample = list(fns)
     for i, a in enumerate(sample):
@@ -417,7 +444,7 @@ class UniverseReport:
     notes: tuple[str, ...] = ()
 
 
-def build_u(psi: PsiMap, arena: Arena, _line_images=None) -> UniverseReport:
+def build_u(psi: PsiMap, arena: Arena) -> UniverseReport:
     """Union of catalog lines l(1,x) on which psi is injective, plus
     the independence check on its images: two units with independent
     images make the unit universe multiplicatively productive.  The
@@ -426,19 +453,16 @@ def build_u(psi: PsiMap, arena: Arena, _line_images=None) -> UniverseReport:
     status: list[tuple[str, str]] = []
     inj_gens: list[str] = []
     all_flag = True
-    for li, line in enumerate(arena.lines):
-        if _line_images is not None:
-            imgs = _line_images[li]
-        else:
-            imgs = [psi.evaluate(f) for f in line.functions]
-        keys = [d.class_key() for d in imgs]
-        gen_name = str(arena.line_gens[li])
+    for gen, line in zip(arena.line_gens, arena.lines):
+        divs = [arena.divisor_of(f) for f in line.functions]
+        imgs = [psi.evaluate(d) for d in divs]
+        keys = [img.class_key() for img in imgs]
+        gen_name = str(gen)
         if len(set(keys)) == len(keys):
             status.append((gen_name, "injective"))
             inj_gens.append(gen_name)
             all_flag = False
-            for f, img in zip(line.functions, imgs):
-                d = arena.divisor_of(f)
+            for f, d, img in zip(line.functions, divs, imgs):
                 u.setdefault(d.class_key(), (f, d, img))
         elif line_criterion(line.geometry, keys):
             status.append((gen_name, "flag"))
@@ -582,25 +606,16 @@ class ReconstructionResult:
         }
 
 
-def _collect_point_classes(psi: PsiMap, arena: Arena):
-    """One sweep over the catalog: class_key -> (fn, divisor, image),
-    plus per-line image lists for reuse."""
+def _collect_point_classes(psi: PsiMap, arena: Arena) -> dict:
+    """One sweep over the catalog: class_key -> (fn, divisor, image)."""
     classes: dict = {}
-    per_line: list[list[DivisorRep]] = []
     for line in arena.lines:
-        imgs = []
         for f in line.functions:
             d = arena.divisor_of(f)
             key = d.class_key()
-            hit = classes.get(key)
-            if hit is None:
-                img = psi.evaluate(f)
-                classes[key] = (f, d, img)
-            else:
-                img = hit[2]
-            imgs.append(img)
-        per_line.append(imgs)
-    return classes, per_line
+            if key not in classes:
+                classes[key] = (f, d, psi.evaluate(d))
+    return classes
 
 
 def _pair_witness(target: DivisorRep, u_divs: list, u_keys: set) -> bool:
@@ -696,7 +711,7 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
     if defects:
         raise PreconditionFailed("psi is not multiplicative on the arena: " + defects[0])
 
-    classes, per_line = _collect_point_classes(psi, arena)
+    classes = _collect_point_classes(psi, arena)
     kernel_keys = {
         key for key, (_, d, img) in classes.items() if img.is_trivial() and not d.is_trivial()
     }
@@ -722,7 +737,7 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
             notes=tuple(notes + ["no kernel detectable on the arena"]),
         )
 
-    ur = build_u(psi, arena, _line_images=per_line)
+    ur = build_u(psi, arena)
 
     if ur.u_classes:
         case = "main"
@@ -784,10 +799,11 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
         case = "A"
         bad_imgs: list[DivisorRep] = []
         seen_img: set = set()
-        for li, (_, st) in enumerate(ur.line_status):
+        for line, (_, st) in zip(arena.lines, ur.line_status):
             if st != "neither":
                 continue
-            for img in per_line[li]:
+            for f in line.functions:
+                img = psi.evaluate(arena.divisor_of(f))
                 if not img.is_trivial() and img.class_key() not in seen_img:
                     seen_img.add(img.class_key())
                     bad_imgs.append(img)

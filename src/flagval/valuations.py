@@ -23,7 +23,7 @@ from .errors import (
 from .ff import FiniteField
 from .fields import INF, DivisorRep, RationalFn, to_divisor
 from .flagkit import FlagVerdict, is_flag_map
-from .poly import Poly, is_irreducible, multiplicity
+from .poly import Poly, _divrem, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
 
 
@@ -56,47 +56,26 @@ class QuotientRing:
     def constant(self, c: int) -> tuple[int, ...]:
         return tuple([self.field.from_int(c)] + [0] * (self.d - 1))
 
+    def _reduce(self, dense: list[int]) -> tuple[int, ...]:
+        r = _divrem(self.field, dense, self._mod_dense)[1]
+        return tuple(r) + (0,) * (self.d - len(r))
+
     def from_poly(self, p: Poly) -> tuple[int, ...]:
-        F = self.field
-        dense = p.to_dense()
-        m = self._mod_dense
-        # plain remainder by the monic modulus
-        for i in range(len(dense) - 1, self.d - 1, -1):
-            c = dense[i]
-            if c == 0:
-                continue
-            for j in range(self.d + 1):
-                dense[i - self.d + j] = F.sub(dense[i - self.d + j], F.mul(c, m[j]))
-        dense = dense[: self.d] + [0] * max(0, self.d - len(dense))
-        return tuple(dense[: self.d])
+        return self._reduce(p.to_dense())
 
     def is_constant(self, a: tuple[int, ...]) -> bool:
         return all(c == 0 for c in a[1:])
 
-    def add(self, a, b) -> tuple[int, ...]:
-        F = self.field
-        return tuple(F.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple(self.field.neg(x) for x in a)
-
     def mul(self, a, b) -> tuple[int, ...]:
-        F = self.field
+        add, mul = self.field._add, self.field._mul
         prod = [0] * (2 * self.d - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-        m = self._mod_dense
-        for i in range(len(prod) - 1, self.d - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            for j in range(self.d + 1):
-                prod[i - self.d + j] = F.sub(prod[i - self.d + j], F.mul(c, m[j]))
-        return tuple(prod[: self.d])
+            if x:
+                mx = mul[x]
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] = add[prod[i + j]][mx[y]]
+        return self._reduce(prod)
 
     def pow(self, a, n: int) -> tuple[int, ...]:
         n %= self.order - 1

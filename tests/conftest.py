@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The degree-2 bivariate arena over F_3 is the most expensive fixture
-(about four seconds to build on a 2-core box), so it is constructed
+(about two seconds to build on a 2-core box), so it is constructed
 once per session through the same cache the check suites use; every
 extraction test and the acceptance round trips then share one instance.
 """

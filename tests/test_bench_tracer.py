@@ -9,11 +9,13 @@ run; this test catches it on a cold import in a fresh interpreter.
 Each traced function must also still be called on its home workload.
 A cache or a shortcut that stops a layer's function from being called
 would make that layer read as zero time; the round-trip test below
-catches it in tier-1 on one small round trip.
+catches it in tier-1 for every function whose home is `roundtrip`, on
+one small round trip.
 """
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -57,14 +59,10 @@ def test_tracer_installs_on_cold_import():
 
 
 def test_roundtrip_reaches_its_home_functions():
+    layers = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["LAYERS"]
+    homes = [f"{mod}.{fn}" for mod, fns in layers.items() for fn, home in fns.items() if home == "roundtrip"]
+    assert homes
     calls = _traced_calls(
         {"suite": "reconstruct-roundtrip", "q": 2, "place": "curve:x", "arena_deg": 1, "samples": 10}
     )
-    for name in (
-        "poly.factor_bivariate",
-        "poly.divide_exact",
-        "fields.RationalFn.__init__",
-        "fields.to_divisor",
-        "fqlin.nullspace",
-    ):
-        assert calls[name] > 0, name
+    assert [name for name in homes if not calls[name]] == []

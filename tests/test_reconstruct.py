@@ -3,6 +3,7 @@
 import pytest
 
 from flagval.errors import (
+    FactoringWindowExceeded,
     InvalidInput,
     PreconditionFailed,
     UnsupportedResidue,
@@ -22,7 +23,8 @@ from flagval.reconstruct import (
     extract_valuation,
     verify_theorem_conclusions,
 )
-from flagval.valuations import CompositePlace, DivisorialCurve, FinitePlace, make_splitting
+from flagval.suites import _arena
+from flagval.valuations import CompositePlace, DivisorialCurve, FinitePlace, make_splitting, parse_place
 
 F3 = FiniteField(3)
 XY = ("x", "y")
@@ -102,6 +104,62 @@ def test_build_u(psi_x, arena3):
     assert ur.hypothesis_held is False
     assert len(ur.u_classes) == 3790
     assert sum(1 for _, s in ur.line_status if s == "injective") == 3150
+
+
+def _catalog_classes(arena):
+    """One representative function per catalog class."""
+    out = {}
+    for line in arena.lines:
+        for f in line.functions:
+            out.setdefault(arena.divisor_of(f).class_key(), f)
+    return out
+
+
+def _roundtrip_psi(field, text):
+    # the psi the round-trip suite builds for a curve place
+    place = parse_place(field, text, XY)
+    rvar = place.residue_var
+    fresh = next(v for v in ("z", "w", "u") if v != rvar)
+    return build_psi_from_valuation(place, make_splitting(place), {rvar: rvar}, field, (rvar, fresh))
+
+
+@pytest.mark.parametrize(
+    "q, places, n_classes, n_gens",
+    [
+        (2, ("curve:x^2+y", "curve:y^2+x", "curve:x^2+x+y"), 381, 41),
+        (3, ("curve:x",), 4576, 285),
+    ],
+)
+def test_generator_route_matches_formula(q, places, n_classes, n_gens, arena3):
+    # psi as the product of generator images over the divisor against
+    # the residue formula on the element itself, on every catalog class
+    F = FiniteField(q)
+    arena = arena3 if q == 3 else _arena(F, XY, 2)
+    classes = _catalog_classes(arena)
+    assert len(classes) == n_classes
+    for text in places:
+        psi = _roundtrip_psi(F, text)
+        for f in classes.values():
+            d = arena.divisor_of(f)
+            assert psi.evaluate(d).class_key() == psi.formula(f).class_key(), (text, str(f))
+        assert len(psi._images) == n_gens
+
+
+@pytest.mark.parametrize("q, place", [(2, "curve:x^2+y"), (3, "curve:x")])
+def test_out_of_window_products_take_the_formula(q, place, arena3):
+    # degree-4 products have no divisor form in the bivariate window;
+    # their images must still multiply like the images of the factors
+    F = FiniteField(q)
+    arena = arena3 if q == 3 else _arena(F, XY, 2)
+    psi = _roundtrip_psi(F, place)
+    quads = [g for g in arena.line_gens if g.den.is_constant() and g.num.degree() == 2][:40]
+    assert len(quads) >= 30
+    for i, a in enumerate(quads):
+        b = quads[(7 * i + 3) % len(quads)]
+        with pytest.raises(FactoringWindowExceeded):
+            to_divisor(a * b)
+        want = (psi.evaluate(a) * psi.evaluate(b)).class_key()
+        assert psi.evaluate(a * b).class_key() == want, (str(a), str(b))
 
 
 def test_extraction_verdict(res_x):

@@ -1,5 +1,7 @@
 """Places, valuations, residues, splittings, serialization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue, UnsupportedValueGroup
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
-from flagval.poly import Poly
+from flagval.poly import Poly, divide_exact, is_irreducible
 from flagval.projspace import EmbeddedSubspace
 from flagval.valuations import (
     CompositePlace,
@@ -54,6 +56,41 @@ def test_finite_place_residue():
     assert p.residue(rt("t+2/t+1")) == 2
     with pytest.raises(NotAUnit):
         p.residue(rt("t"))
+
+
+def _ring_cases():
+    """Residue rings with an exhaustive (None) or seeded pair sample."""
+    import random
+
+    F49 = FiniteField(49)
+    yield FinitePlace(Poly.parse(F3, "t^2+1", T)).ring, None
+    yield FinitePlace(Poly.parse(FiniteField(2), "t^3+t+1", T)).ring, None
+    quadratics = (Poly.from_dense(F49, "t", [c, 0, 1]) for c in range(1, 49))
+    yield FinitePlace(next(p for p in quadratics if is_irreducible(p))).ring, random.Random(49)
+
+
+def test_quotient_ring_matches_polynomial_arithmetic():
+    # ring products and reductions lifted to Poly differ from the plain
+    # polynomial product by a multiple of the modulus
+    for ring, rng in _ring_cases():
+        F, d, pi = ring.field, ring.d, ring.modulus
+        elems = [tuple(c) for c in itertools.product(F.elements(), repeat=d)]
+        if rng is None:
+            pairs = [(a, b) for a in elems for b in elems]
+        else:
+            pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(300)]
+
+        def lift(a):
+            return Poly.from_dense(F, "t", list(a))
+
+        for a, b in pairs:
+            c = ring.mul(a, b)
+            assert len(c) == d
+            assert divide_exact(lift(a) * lift(b) - lift(c), pi) is not None, (a, b, c)
+            big = lift(a) * lift(b) * lift(b)
+            r = ring.from_poly(big)
+            assert len(r) == d
+            assert divide_exact(big - lift(r), pi) is not None, (a, b, r)
 
 
 def test_finite_place_deg2():
