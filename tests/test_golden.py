@@ -4,8 +4,9 @@ The digests were taken before the flag kernel and the suite table were
 rewritten, so any change in a verdict, a witness, a count or the order
 of a report's fields shows here as a changed digest.  The configs are
 those of tests/test_suites_cli.py and criterion 10, plus both modes of
-prop-flag-map and collineation, and the default sample counts of the
-sampled suites.
+prop-flag-map and collineation, the default sample counts of the
+sampled suites, and ktheory over GF(4), GF(9) and GF(49), which pins
+the tame symbols of residue fields larger than the prime field.
 """
 
 import hashlib
@@ -37,6 +38,10 @@ GOLDEN = [
     ({'suite': 'ktheory', 'seed': 11, 'samples': 60}, "852017a49e3383d43bf48b267ffcb68f78279014833777a59ea108b9577b9dbc"),
     ({'suite': 'ktheory', 'seed': 11, 'check': 'worked'}, "94a71c85cdf86e4b5d58ffd0e676025e1c14cc725a6a06d3ac3ef3e528d93867"),
     ({'suite': 'ktheory', 'seed': 101, 'samples': 100}, "ad76565026a035bef9db4b7086059ecc5f8704aa4dd92b580a28ae7d0d743766"),
+    ({'suite': 'ktheory', 'q': 4, 'seed': 11, 'samples': 60}, "275f75e13f5155548a2ed496190fb8e4f246a843321fdb980560a5d23eef705f"),
+    ({'suite': 'ktheory', 'q': 9, 'seed': 11, 'samples': 60}, "6959adad1b2ab25ea50ce4703cfa773acc83b77e72619cec3a4932d3c0dd7222"),
+    ({'suite': 'ktheory', 'q': 49, 'seed': 11, 'samples': 40}, "a3ce731e722b98f4b8bb4ff167d3ad68f9ecaf0aa17eb095c5a1e2e2bf262880"),
+    ({'suite': 'ktheory', 'q': 49, 'seed': 11, 'check': 'worked'}, "103ab4426fed5cce1334b961442042bc0ca58edc382d4aeec30344d6c2f691ce"),
     ({'suite': 'reconstruct-roundtrip', 'place': 'curve:x', 'arena_deg': 1, 'samples': 10}, "6d2812cb36f862491fc12164d32db91174e96065b9d39ba70b5b885bb664bcb2"),
 ]
 
