@@ -30,6 +30,8 @@ class K2Symbol:
 def support_places(sym: K2Symbol) -> list:
     """Places where some entry has nonzero value, in canonical order."""
     field = sym.terms[0][0].field
+    if any(len(h.vars) != 1 for f, g, _ in sym.terms for h in (f, g)):
+        raise InvalidInput("symbols are taken in F_q(t)")
     var = sym.terms[0][0].vars[0]
     finite: dict = {}
     has_inf = False
@@ -41,7 +43,8 @@ def support_places(sym: K2Symbol) -> list:
                     has_inf = True
                 else:
                     finite[gen] = None
-    places = [FinitePlace(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
+    # every gen is a monic irreducible factor_univariate returned
+    places = [FinitePlace._of_factor(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
     if has_inf:
         places.append(InfinitePlace(field, var))
     return places
@@ -66,6 +69,13 @@ def _res_pow(place, a, n: int):
     return place.ring.pow(a, n) if n >= 0 else place.ring.inv(place.ring.pow(a, -n))
 
 
+def _res_neg(place, a):
+    if place.ring is None:
+        return place.field.neg(a)
+    neg = place.field._neg
+    return tuple(neg[c] for c in a)
+
+
 def _res_norm(place, a) -> int:
     """Norm from the residue field down to F_q."""
     if place.ring is None:
@@ -75,17 +85,20 @@ def _res_norm(place, a) -> int:
 
 def tame_symbol(sym: K2Symbol, place):
     """Residue of the symbol at one place:
-    (-1)^(mn) f^n / g^m with m = val(f), n = val(g), per term."""
+    (-1)^(mn) f^n / g^m with m = val(f), n = val(g), per term.
+
+    With f = pi^m u and g = pi^n w, f^n / g^m = u^n / w^m, so the symbol
+    is (-1)^(mn) r_f^n r_g^(-m) for the unit residues r_f, r_g of f, g.
+    """
     out = _res_one(place)
     for f, g, mult in sym.terms:
         if not f or not g:
             raise InvalidInput("symbol entries must be nonzero")
-        m = place.val(f)
-        n = place.val(g)
-        h = f**n / g**m
+        m, rf = place.unit_residue(f)
+        n, rg = place.unit_residue(g)
+        r = _res_mul(place, _res_pow(place, rf, n), _res_pow(place, rg, -m))
         if (m * n) % 2:
-            h = h * place.field.neg(1)
-        r = place.residue(h)
+            r = _res_neg(place, r)
         out = _res_mul(place, out, _res_pow(place, r, mult))
     return out
 

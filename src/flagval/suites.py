@@ -106,6 +106,11 @@ def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     mode = cfg.mode or fn.modes[0]
     if mode not in fn.modes:
         raise InvalidConfig(f"suite {suite!r} supports modes {fn.modes}, got {mode!r}")
+    # a zero would read as unset in the suites' `cfg.q or 3` defaults
+    for knob in ("q", "p", "arena_deg"):
+        value = getattr(cfg, knob)
+        if value is not None and value < 1:
+            raise InvalidConfig(f"{knob} must be positive, got {value}")
     samples = cfg.samples if cfg.samples is not None else fn.default_samples
     if mode == "sampled":
         if cfg.seed is None:
@@ -251,6 +256,9 @@ def _axiom_places(field: FiniteField):
 @_suite("valuation-axioms", ("sampled",), samples=10_000)
 def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
+    if q > 13:
+        # the degree-2 subspace catalog costs about q^5: 20 s at q=13
+        raise SizeBound("the valuation subspace catalog supports q <= 13")
     field = FiniteField(q)
     places = _axiom_places(field)
     rng = _rng_ints(cfg.seed)

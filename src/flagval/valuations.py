@@ -4,10 +4,11 @@ Four kinds of places: finite and infinite places of the rational
 function field in one variable, divisorial valuations of the plane
 cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
-lexicographically).  Residues are computed concretely: by evaluation
-at the root for degree-one places, in F_q[t]/(pi) for higher degree,
-as a leading-coefficient ratio at infinity, and by substitution along
-graph curves.
+lexicographically).  Residues are computed concretely: on F_q(t), from
+the unit part f / pi^v that repeated division leaves (evaluation at the
+root for degree-one places, F_q[t]/(pi) for higher degree), as a
+leading-coefficient ratio at infinity, and by substitution along graph
+curves.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ class QuotientRing:
             raise InvalidInput("quotient modulus must be univariate")
         if modulus.leading_coeff() != 1 or not is_irreducible(modulus):
             raise InvalidInput("quotient modulus must be monic irreducible")
+        self._set(modulus)
+
+    @classmethod
+    def _of_factor(cls, modulus: Poly) -> "QuotientRing":
+        """Trusted construction: modulus is a monic irreducible that the
+        caller has proved or took from factor_univariate."""
+        self = object.__new__(cls)
+        self._set(modulus)
+        return self
+
+    def _set(self, modulus: Poly) -> None:
         self.field = modulus.field
         self.modulus = modulus
         self.d = modulus.degree()
@@ -78,6 +90,11 @@ class QuotientRing:
         return self._reduce(prod)
 
     def pow(self, a, n: int) -> tuple[int, ...]:
+        if a == self.zero:
+            if n < 0:
+                raise ZeroDivisionError("zero has no inverse")
+            return self.zero if n else self.one
+        # units form a group of order q^d - 1
         n %= self.order - 1
         out = self.one
         base = a
@@ -124,18 +141,40 @@ def _as_rational(f) -> RationalFn:
 
 
 class FinitePlace:
-    """Place of F_q(t) cut out by a monic irreducible polynomial."""
+    """Place of F_q(t) cut out by a monic irreducible polynomial.
+
+    `FinitePlace(pi)` proves pi monic irreducible; `_of_factor` trusts a
+    factor that factor_univariate returned.  Either way the residue ring
+    is built without a second proof, and a degree-one place keeps its
+    root.
+    """
 
     def __init__(self, pi: Poly) -> None:
         if len(pi.vars) != 1:
             raise InvalidInput("finite places are univariate")
         if pi.leading_coeff() != 1 or not is_irreducible(pi):
             raise InvalidInput(f"{pi} is not monic irreducible")
+        self._set(pi)
+
+    @classmethod
+    def _of_factor(cls, pi: Poly) -> "FinitePlace":
+        """Trusted construction: pi is a monic irreducible factor that
+        factor_univariate returned."""
+        self = object.__new__(cls)
+        self._set(pi)
+        return self
+
+    def _set(self, pi: Poly) -> None:
         self.field = pi.field
         self.vars = pi.vars
         self.pi = pi
         self.degree = pi.degree()
-        self.ring = QuotientRing(pi) if self.degree > 1 else None
+        if self.degree == 1:
+            self.root = self.field.neg(pi.coeffs.get((0,), 0))
+            self.ring = None
+        else:
+            self.root = None
+            self.ring = QuotientRing._of_factor(pi)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePlace) and self.pi == other.pi
@@ -156,21 +195,30 @@ class FinitePlace:
         b, _ = multiplicity(f.den, self.pi)
         return a - b
 
+    def unit_residue(self, f) -> tuple:
+        """(v, r): the value v of f and the residue r of its unit part
+        f / pi^v, read from the cofactors that repeated division leaves."""
+        f = _as_rational(f)
+        if not f:
+            raise InvalidInput("the zero element has no value")
+        a, num = multiplicity(f.num, self.pi)
+        b, den = multiplicity(f.den, self.pi)
+        if self.degree == 1:
+            point = (self.root,)
+            d = den.evaluate(point)
+            if d == 0:
+                raise AssertionError("unit denominator vanished at the root")
+            return a - b, self.field.div(num.evaluate(point), d)
+        ring = self.ring
+        return a - b, ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
+
     def residue(self, f):
         """Class of a unit in the residue field: an element of F_q for a
         degree-one place, a QuotientRing tuple otherwise."""
-        f = _as_rational(f)
-        if self.val(f) != 0:
+        v, r = self.unit_residue(f)
+        if v != 0:
             raise NotAUnit(f"{f} has nonzero value at {self}")
-        if self.degree == 1:
-            root = self.field.neg(self.pi.to_dense()[0])
-            out = f.evaluate((root,))
-            if out is None:
-                raise AssertionError("unit denominator vanished at the root")
-            return out
-        num = self.ring.from_poly(f.num)
-        den = self.ring.from_poly(f.den)
-        return self.ring.mul(num, self.ring.inv(den))
+        return r
 
     def uniformizer(self) -> RationalFn:
         return RationalFn.from_poly(self.pi)
@@ -207,11 +255,17 @@ class InfinitePlace:
             raise InvalidInput("the zero element has no value")
         return f.den.degree() - f.num.degree()
 
-    def residue(self, f) -> int:
+    def unit_residue(self, f) -> tuple[int, int]:
+        """(v, r): the value of f and the residue lc(num)/lc(den) of its
+        unit part f * t^v."""
         f = _as_rational(f)
-        if self.val(f) != 0:
+        return self.val(f), self.field.div(f.num.leading_coeff(), f.den.leading_coeff())
+
+    def residue(self, f) -> int:
+        v, r = self.unit_residue(f)
+        if v != 0:
             raise NotAUnit(f"{f} has nonzero value at infinity")
-        return self.field.div(f.num.leading_coeff(), f.den.leading_coeff())
+        return r
 
     def uniformizer(self) -> RationalFn:
         t = Poly.variable(self.field, self.vars, self.vars[0])
@@ -428,7 +482,7 @@ def degree_sum(f: RationalFn) -> int:
         if g == INF:
             place = InfinitePlace(f.field, f.vars[0])
         else:
-            place = FinitePlace(g)
+            place = FinitePlace._of_factor(g)
         total += place.degree * place.val(f)
     return total
 

@@ -54,6 +54,15 @@ def test_symbol_pair_rejects_zero():
         K2Symbol.pair(t3, RationalFn.constant(F3, ("t",), 0))
 
 
+def test_support_places_refuses_bivariate_entries():
+    # support generators are trusted as univariate factors
+    x = RationalFn.parse(F3, "x", ("x", "y"))
+    with pytest.raises(InvalidInput):
+        support_places(K2Symbol.pair(x, x + 1))
+    with pytest.raises(InvalidInput):
+        steinberg_check(x)
+
+
 def test_self_pairing_sign_pattern():
     # {f, f} has residue (-1)^m at a place of value m
     f = t3**2 * (t3 - 1)
@@ -124,3 +133,54 @@ def test_support_is_canonically_ordered():
     names = [serialize_place(p) for p in support_places(sym)]
     finite = [n for n in names if n.startswith("finite")]
     assert names == sorted(finite) + [n for n in names if n == "infinite"]
+
+
+def _tame_oracle(sym, place):
+    """The defining formula: the residue of (-1)^(mn) f^n / g^m per term,
+    formed as a rational function first."""
+    ring = place.ring
+    out = 1 if ring is None else ring.one
+    for f, g, mult in sym.terms:
+        m, n = place.val(f), place.val(g)
+        h = f**n / g**m
+        if (m * n) % 2:
+            h = h * place.field.neg(1)
+        r = place.residue(h)
+        if ring is None:
+            out = place.field.mul(out, place.field.pow(r, mult))
+        else:
+            out = ring.mul(out, ring.pow(r, mult))
+    return out
+
+
+def _draw_fn(F, rng, dmax=3):
+    while True:
+        num, den = (
+            Poly.from_dense(F, "t", [rng.randrange(F.q) for _ in range(rng.randint(1, dmax + 1))])
+            for _ in range(2)
+        )
+        if num and den:
+            return RationalFn(num, den)
+
+
+# degree <= 2 over GF(49) keeps f*g inside the factoring cap
+@pytest.mark.parametrize("q,draws,dmax", [(2, 60, 3), (3, 60, 3), (4, 50, 3), (5, 50, 3), (9, 40, 3), (49, 40, 2)])
+def test_tame_symbol_matches_formula(q, draws, dmax):
+    # unit residues r_f^n r_g^(-m) against the formula on the rational
+    # function itself, on every support place of seeded symbols
+    import random
+
+    F = FiniteField(q)
+    rng = random.Random(q)
+    checked = odd = 0
+    for _ in range(draws):
+        f, g = _draw_fn(F, rng, dmax), _draw_fn(F, rng, dmax)
+        syms = [K2Symbol.pair(f, g), K2Symbol.pair(f, f), K2Symbol.pair(f, g, 2) + K2Symbol.pair(g, f * g, -1)]
+        if f - 1:
+            syms.append(K2Symbol.pair(f, 1 - f))
+        for sym in syms:
+            for place in support_places(sym):
+                assert tame_symbol(sym, place) == _tame_oracle(sym, place), (q, str(f), str(g), place)
+                checked += 1
+                odd += any(place.val(a) * place.val(b) % 2 for a, b, _ in sym.terms)
+    assert checked > 300 and odd > 100, (checked, odd)

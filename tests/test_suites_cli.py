@@ -1,5 +1,7 @@
 """Named check suites: report shape, frozen results, CLI behavior."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagval import cli, suites
 from flagval.errors import InvalidConfig, SizeBound, UnknownSuite
@@ -251,6 +255,51 @@ def test_config_validation():
         run_suite(SuiteConfig(suite="ktheory", seed=1, check="nonsense"))
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"suite": "ktheory", "q": 0, "seed": 1},
+        {"suite": "ktheory", "q": -1, "seed": 1},
+        {"suite": "valuation-axioms", "q": 0, "seed": 1},
+        {"suite": "collineation", "p": 0},
+        {"suite": "weil-inertia", "arena_deg": 0},
+        {"suite": "reconstruct-roundtrip", "arena_deg": -2},
+    ],
+)
+def test_non_positive_knobs_refused(cfg):
+    # `cfg.q or 3` would run the default while the report echoed the 0
+    with pytest.raises(InvalidConfig):
+        run_suite(SuiteConfig(**cfg))
+
+
+def test_valuation_axioms_catalog_window(monkeypatch):
+    # the window is read from q before the catalog is built: q=13 passes
+    # it, q=16 and q=49 are refused without building anything
+    class Built(Exception):
+        pass
+
+    def no_build(*args):
+        raise Built
+
+    monkeypatch.setattr(suites, "_arena", no_build)
+    with pytest.raises(Built):
+        run_suite(SuiteConfig(suite="valuation-axioms", q=13, seed=1, samples=1))
+    for q in (16, 49):
+        with pytest.raises(SizeBound):
+            run_suite(SuiteConfig(suite="valuation-axioms", q=q, seed=1, samples=1))
+
+
+def test_cli_valuation_axioms_q49_exits_two_at_once(capsys):
+    import time
+
+    t0 = time.monotonic()
+    assert cli.main(["valuation-axioms", "--q", "49", "--seed", "1"]) == 2
+    assert time.monotonic() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "flagval: SizeBound: the valuation subspace catalog supports q <= 13\n"
+
+
 # -- command line front end ----------------------------------------------
 
 
@@ -339,6 +388,36 @@ def test_cli_internal_error_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "flagval: error: KeyError: 'boom'"
+
+
+_FUZZ_CHECKS = ["all", "steinberg", "reciprocity", "worked", "nonsense", ""]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    suite=st.sampled_from(["ktheory", "valuation-axioms"]),
+    q=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 49, 64]),
+    samples=st.integers(-1, 4),
+    seed=st.integers(0, 2**20),
+    check=st.one_of(st.sampled_from(_FUZZ_CHECKS), st.text(max_size=6)),
+)
+def test_cli_fuzz_ends_in_a_verdict_or_a_refusal(suite, q, samples, seed, check):
+    # every drawn argument list ends in exit 0/1 with a report whose
+    # violations match the status, or in exit 2 with a one-line error;
+    # exit 3 (a traceback) is a bug
+    argv = [suite, f"--q={q}", f"--samples={samples}", f"--seed={seed}", f"--check={check}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("flagval: "), (argv, lines)
+    else:
+        rep = json.loads(out.getvalue())
+        assert rep["config"]["q"] == q
+        assert (rep["violations"] == 0) == (code == 0)
 
 
 def test_non_flag_suites_do_not_import_numpy():

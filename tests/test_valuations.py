@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue, UnsupportedValueGroup
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
-from flagval.poly import Poly, divide_exact, is_irreducible
+from flagval.poly import Poly, divide_exact, factor_univariate, is_irreducible, monic_irreducibles
 from flagval.projspace import EmbeddedSubspace
 from flagval.valuations import (
     CompositePlace,
     DivisorialCurve,
     FinitePlace,
     InfinitePlace,
+    QuotientRing,
     degree_sum,
     make_splitting,
     parse_place,
@@ -107,6 +108,82 @@ def test_finite_place_deg2():
         FinitePlace(Poly.parse(F3, "t^2+2", T))  # reducible
     with pytest.raises(InvalidInput):
         FinitePlace(Poly.parse(F3, "2*t+1", T))  # not monic
+
+
+def test_unit_residues():
+    p = FinitePlace(Poly.parse(F3, "t", T))
+    # t^2 (t+2) / (t+1): value 2, unit part (t+2)/(t+1) = 2 at t = 0
+    assert p.unit_residue(rt("t^3+2*t^2/t+1")) == (2, 2)
+    assert p.unit_residue(rt("t+1/t")) == (-1, 1)
+    q2 = FinitePlace(Poly.parse(F3, "t^2+1", T))
+    v, r = q2.unit_residue(rt("t^3+t/t+1"))  # t (t^2+1) / (t+1)
+    assert v == 1
+    assert r == q2.residue(rt("t/t+1"))
+    inf = InfinitePlace(F3, "t")
+    assert inf.unit_residue(rt("2*t^2+1/t+2")) == (-1, 2)
+    with pytest.raises(InvalidInput):
+        inf.unit_residue(RationalFn.constant(F3, T, 0))
+
+
+def test_quotient_ring_pow_of_zero():
+    ring = QuotientRing(Poly.parse(F3, "t^2+1", T))
+    zero = ring.zero
+    # 8 = order - 1: the unit-group reduction must not turn 0^8 into 1
+    for n in (1, 2, 8, 16):
+        assert ring.pow(zero, n) == zero
+    assert ring.pow(zero, 0) == ring.one
+    with pytest.raises(ZeroDivisionError):
+        ring.pow(zero, -1)
+    t = ring.from_poly(Poly.parse(F3, "t", T))
+    assert ring.pow(t, 8) == ring.one
+    assert ring.mul(ring.pow(t, -1), t) == ring.one
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 3), (3, 3), (4, 3), (49, 2)])
+def test_trusted_place_equals_validated(q, max_deg):
+    for pi in monic_irreducibles(q, "t", max_deg):
+        _, parts = factor_univariate(pi)
+        (g,) = parts
+        a, b = FinitePlace(pi), FinitePlace._of_factor(g)
+        assert a == b
+        assert (a.pi, a.degree, a.root) == (b.pi, b.degree, b.root)
+        if a.degree == 1:
+            assert a.ring is None and b.ring is None
+            assert pi.evaluate((a.root,)) == 0
+        else:
+            assert a.root is None and b.root is None
+            assert a.ring.modulus == b.ring.modulus == pi
+            assert (a.ring.d, a.ring.order) == (b.ring.d, b.ring.order) == (pi.degree(), q ** pi.degree())
+
+
+def test_place_and_ring_refuse_bad_moduli():
+    for text in ["t^2+2", "2*t+1", "2*t^2+2", "1"]:  # reducible, non-monic, constant
+        m = Poly.parse(F3, text, T)
+        with pytest.raises(InvalidInput):
+            FinitePlace(m)
+        with pytest.raises(InvalidInput):
+            QuotientRing(m)
+    m = Poly.parse(F3, "x+y", XY)
+    with pytest.raises(InvalidInput):
+        FinitePlace(m)
+    with pytest.raises(InvalidInput):
+        QuotientRing(m)
+
+
+def test_validated_place_factors_once(monkeypatch):
+    from flagval import poly
+
+    calls = []
+    real = poly.factor_univariate
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(poly, "factor_univariate", counting)
+    p = FinitePlace(Poly.parse(F3, "t^2+1", T))
+    assert p.ring is not None
+    assert len(calls) == 1
 
 
 def test_infinite_place():
