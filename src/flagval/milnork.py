@@ -66,7 +66,7 @@ def _res_mul(place, a, b):
 def _res_pow(place, a, n: int):
     if place.ring is None:
         return place.field.pow(a, n)
-    return place.ring.pow(a, n) if n >= 0 else place.ring.inv(place.ring.pow(a, -n))
+    return place.ring.pow(a, n)
 
 
 def _res_neg(place, a):

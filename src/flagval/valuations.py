@@ -90,6 +90,7 @@ class QuotientRing:
         return self._reduce(prod)
 
     def pow(self, a, n: int) -> tuple[int, ...]:
+        """a^n for any integer n; a negative n needs a unit."""
         if a == self.zero:
             if n < 0:
                 raise ZeroDivisionError("zero has no inverse")
