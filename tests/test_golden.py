@@ -5,8 +5,10 @@ rewritten, so any change in a verdict, a witness, a count or the order
 of a report's fields shows here as a changed digest.  The configs are
 those of tests/test_suites_cli.py and criterion 10, plus both modes of
 prop-flag-map and collineation, the default sample counts of the
-sampled suites, and ktheory over GF(4), GF(9) and GF(49), which pins
-the tame symbols of residue fields larger than the prime field.
+sampled suites, ktheory over GF(4), GF(9) and GF(49), which pins
+the tame symbols of residue fields larger than the prime field, and the
+three degree-2 round trips of the benchmark's `roundtrip` workload,
+which pin the dependence classes that reconstruction builds.
 """
 
 import hashlib
@@ -43,6 +45,9 @@ GOLDEN = [
     ({'suite': 'ktheory', 'q': 49, 'seed': 11, 'samples': 40}, "a3ce731e722b98f4b8bb4ff167d3ad68f9ecaf0aa17eb095c5a1e2e2bf262880"),
     ({'suite': 'ktheory', 'q': 49, 'seed': 11, 'check': 'worked'}, "103ab4426fed5cce1334b961442042bc0ca58edc382d4aeec30344d6c2f691ce"),
     ({'suite': 'reconstruct-roundtrip', 'place': 'curve:x', 'arena_deg': 1, 'samples': 10}, "6d2812cb36f862491fc12164d32db91174e96065b9d39ba70b5b885bb664bcb2"),
+    ({'suite': 'reconstruct-roundtrip', 'q': 2, 'arena_deg': 2, 'place': 'curve:x^2+y', 'samples': 50}, "ac65d56d2fb5e756ac3eeb8538600207208b8ca998a05b044306aa0cb23c7157"),
+    ({'suite': 'reconstruct-roundtrip', 'q': 2, 'arena_deg': 2, 'place': 'curve:y^2+x', 'samples': 50}, "e2439a5a00c0b4b007a18d8353d771cd70a4fbf778984b74295b47c177a6df8c"),
+    ({'suite': 'reconstruct-roundtrip', 'q': 2, 'arena_deg': 2, 'place': 'curve:x^2+x+y', 'samples': 50}, "82d4ed6ef9ead5771be4eddcc9331a31af7fcf39e6f468fabc8cbab610b0f752"),
 ]
 
 
