@@ -1,5 +1,10 @@
 """Linear algebra over GF(q): rref, rank and nullspace against enumeration.
 
+nullspace and rank eliminate in one pass of row insertion; rref is the
+reference they are held to, column by column, on small matrices and on
+tall ones of the shapes the dependence search builds (up to 80 rows by
+25 or 81 columns).
+
 The kernel of each small matrix is also found by brute force: every
 vector of GF(q)^ncols is multiplied by the matrix through numpy copies
 of the field's tables, so the count of kernel vectors does not depend
@@ -95,3 +100,67 @@ def test_rref_is_reduced(q):
             assert all(red[k][c] == 0 for k in range(len(red)) if k != i)
         # the input rows lie in the span of the result
         assert rank(F, red + rows) == len(red)
+
+
+def _rref_kernel(F, rows):
+    """The kernel basis read off the reduced rows, one vector per free
+    column: 1 there, 0 at the other free columns, minus the column's
+    entries at the pivots."""
+    ncols = len(rows[0])
+    red, pivots = rref(F, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = F.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def _tall(F, rng, nrows, ncols, r):
+    """nrows combinations of r random rows, about half their entries
+    zero, as in the term matrices of the dependence search."""
+    gens = [[rng.randrange(F.q) if rng.random() < 0.5 else 0 for _ in range(ncols)] for _ in range(r)]
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for g in gens:
+            s = rng.randrange(F.q)
+            row = [F.add(x, F.mul(s, y)) for x, y in zip(row, g)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("ncols", [25, 81])
+def test_tall_nullspace_is_the_rref_basis(q, ncols):
+    F = FiniteField(q)
+    rng = random.Random(1000 * q + ncols)
+    ranks = set()
+    for nrows in (20, 50, 80):
+        for r in (1, ncols // 3, min(nrows, ncols) - 2, min(nrows, ncols)):
+            rows = _tall(F, rng, nrows, ncols, r)
+            before = [list(x) for x in rows]
+            basis = nullspace(F, rows)
+            assert rows == before
+            assert basis == _rref_kernel(F, rows)
+            assert rank(F, rows) == len(rref(F, rows)[0]) == ncols - len(basis)
+            ranks.add(ncols - len(basis))
+    assert len(ranks) >= 4
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_full_rank_has_no_kernel(q):
+    F = FiniteField(q)
+    rng = random.Random(7 * q)
+    for nrows in (25, 40, 80):
+        while True:
+            rows = [[rng.randrange(q) for _ in range(25)] for _ in range(nrows)]
+            if len(rref(F, rows)[0]) == 25:
+                break
+        assert nullspace(F, rows) == []
+        assert rank(F, rows) == 25
+    # an identity block on top of anything stops the search at full rank
+    eye = [[int(i == j) for j in range(25)] for i in range(25)]
+    assert nullspace(F, eye + [[rng.randrange(q) for _ in range(25)] for _ in range(55)]) == []
