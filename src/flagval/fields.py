@@ -371,7 +371,17 @@ class DependenceVerdict:
 def algebraically_dependent(f: RationalFn, g: RationalFn, bound: int) -> DependenceVerdict:
     """Search for a nonzero annihilator P of bidegree <= (bound, bound)
     with P(f, g) = 0, by exact nullspace computation after clearing
-    denominators.  The witness is re-verified by rational substitution.
+    denominators.
+
+    With D = bound, P(f, g) = 0 iff the terms fn^i fd^(D-i) gn^j gd^(D-j)
+    are linearly dependent.  Each term is the product of two power rows,
+    A_i = fn^i fd^(D-i) and B_j = gn^j gd^(D-j), built once per call
+    with every power one step from the last.  The columns of the matrix
+    are the terms in (i, j) order and its rows their monomials; the
+    witness is the first vector of `fqlin.nullspace`, the one of its
+    first free column, so it is the annihilator whose largest term in
+    that order comes first.  It is re-verified without the term table:
+    see `_annihilates`.
     """
     if bound < 1:
         raise InvalidInput("dependence bound must be >= 1")
@@ -379,36 +389,94 @@ def algebraically_dependent(f: RationalFn, g: RationalFn, bound: int) -> Depende
         raise InvalidInput("dependence test needs nonconstant inputs")
     F = f.field
     D = bound
-    fn_pows = [f.num**i for i in range(D + 1)]
-    fd_pows = [f.den**i for i in range(D + 1)]
-    gn_pows = [g.num**j for j in range(D + 1)]
-    gd_pows = [g.den**j for j in range(D + 1)]
-    terms: list[Poly] = []
-    for i in range(D + 1):
-        for j in range(D + 1):
-            terms.append(fn_pows[i] * fd_pows[D - i] * gn_pows[j] * gd_pows[D - j])
-    monomials = sorted({e for t in terms for e in t.coeffs}, key=lambda e: e)
-    rows = [[t.coeffs.get(m, 0) for t in terms] for m in monomials]
-    basis = fqlin.nullspace(F, rows)
+    # exponent tuples packed into one int each, so a product adds keys;
+    # no exponent of a term reaches `base`
+    base = D * (max(f.num.degree(), f.den.degree()) + max(g.num.degree(), g.den.degree())) + 1
+    A = _power_rows(F, _packed(f.num, base), _packed(f.den, base), D)
+    B = _power_rows(F, _packed(g.num, base), _packed(g.den, base), D)
+    ncols = (D + 1) ** 2
+    by_monomial: dict[int, list[int]] = {}
+    k = 0
+    for a in A:
+        for b in B:
+            for e, c in _mul_packed(F, a, b).items():
+                row = by_monomial.get(e)
+                if row is None:
+                    row = by_monomial[e] = [0] * ncols
+                row[k] = c
+            k += 1
+    basis = fqlin.nullspace(F, list(by_monomial.values()))
     if not basis:
         return DependenceVerdict(False, D)
-    vec = basis[0]
-    UV = ("U", "V")
-    coeffs = {}
-    k = 0
-    for i in range(D + 1):
-        for j in range(D + 1):
-            if vec[k]:
-                coeffs[(i, j)] = vec[k]
-            k += 1
-    witness = Poly(F, UV, coeffs)
-    # independent verification through plain rational arithmetic
-    total = RationalFn.constant(F, f.vars, 0)
-    for (i, j), c in witness.coeffs.items():
-        total = total + (f**i) * (g**j) * c
-    if total:
+    coeffs = {divmod(k, D + 1): c for k, c in enumerate(basis[0]) if c}
+    if not _annihilates(f, g, coeffs):
         raise InvalidInput("internal: annihilator failed substitution check")
-    return DependenceVerdict(True, D, witness)
+    return DependenceVerdict(True, D, Poly._make(F, ("U", "V"), coeffs))
+
+
+def _packed(p: Poly, base: int) -> dict[int, int]:
+    if len(p.vars) == 1:
+        return {e: c for (e,), c in p.coeffs.items()}
+    return {a * base + b: c for (a, b), c in p.coeffs.items()}
+
+
+def _mul_packed(F: FiniteField, p: dict[int, int], r: dict[int, int]) -> dict[int, int]:
+    add, mul = F._add, F._mul
+    out: dict[int, int] = {}
+    get = out.get
+    r_items = r.items()
+    for ep, cp in p.items():
+        m = mul[cp]
+        for er, cr in r_items:
+            e = ep + er
+            out[e] = add[get(e, 0)][m[cr]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _power_rows(F: FiniteField, num: dict, den: dict, D: int) -> list[dict]:
+    """num^i den^(D-i) for i = 0..D, each power one product from the last."""
+    npow, dpow = [num], [den]
+    for _ in range(D - 1):
+        npow.append(_mul_packed(F, npow[-1], num))
+        dpow.append(_mul_packed(F, dpow[-1], den))
+    middle = [_mul_packed(F, npow[i - 1], dpow[D - i - 1]) for i in range(1, D)]
+    return [dpow[-1]] + middle + [npow[-1]]
+
+
+def _annihilates(f: RationalFn, g: RationalFn, coeffs: dict) -> bool:
+    """P(f, g) == 0 for P = sum c_ij U^i V^j, by homogeneous Horner.
+
+    With (du, dv) the bidegree of P this computes, in Poly arithmetic
+    and from f.num, f.den, g.num and g.den alone,
+        fd^du gd^dv P(f, g) = sum_i fn^i fd^(du-i) sum_j c_ij gn^j gd^(dv-j),
+    each sum as (..(s_d x + s_(d-1) y) x + s_(d-2) y^2 ..) x + s_0 y^d.
+    The denominators are nonzero, so the result is zero iff P(f, g) is.
+    """
+    du = max(i for i, _ in coeffs)
+    dv = max(j for _, j in coeffs)
+    fd_pows = _powers(f.den, du)
+    gd_pows = _powers(g.den, dv)
+    total = zero = Poly._make(f.field, f.vars, {})
+    for i in range(du, -1, -1):
+        inner = zero
+        for j in range(dv, -1, -1):
+            if inner:
+                inner = inner * g.num
+            c = coeffs.get((i, j))
+            if c:
+                inner = inner + gd_pows[dv - j] * c
+        if total:
+            total = total * f.num
+        if inner:
+            total = total + inner * fd_pows[du - i]
+    return not total
+
+
+def _powers(y: Poly, d: int) -> list[Poly]:
+    out = [y._one()]
+    for _ in range(d):
+        out.append(out[-1] * y)
+    return out
 
 
 def compose_rational(p: Poly, h: RationalFn) -> RationalFn:

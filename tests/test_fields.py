@@ -1,9 +1,13 @@
 """Rational functions, divisor representations, algebraic dependence."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagval import fqlin
 from flagval.errors import FactoringWindowExceeded, InvalidInput
 from flagval.ff import FiniteField
 from flagval.fields import (
@@ -16,6 +20,7 @@ from flagval.fields import (
     from_divisor,
     to_divisor,
 )
+from flagval.fqlin import rref
 from flagval.poly import Poly
 
 F3 = FiniteField(3)
@@ -214,6 +219,110 @@ def test_algebraic_dependence_validation():
         algebraically_dependent(rt("t"), rt("t"), 0)
     with pytest.raises(InvalidInput):
         algebraically_dependent(rt("t"), RationalFn.constant(F3, T, 1), 2)
+
+
+def _oracle_dependence(f, g, bound):
+    """The dependence search as first written: each term a chain of three
+    products of powers raised from scratch, the kernel read off rref,
+    and the witness checked by rational substitution."""
+    F, D = f.field, bound
+    fn = [f.num**i for i in range(D + 1)]
+    fd = [f.den**i for i in range(D + 1)]
+    gn = [g.num**j for j in range(D + 1)]
+    gd = [g.den**j for j in range(D + 1)]
+    terms = [fn[i] * fd[D - i] * gn[j] * gd[D - j] for i in range(D + 1) for j in range(D + 1)]
+    monomials = sorted({e for t in terms for e in t.coeffs})
+    rows = [[t.coeffs.get(m, 0) for t in terms] for m in monomials]
+    red, pivots = rref(F, rows)
+    free = [c for c in range(len(terms)) if c not in pivots]
+    if not free:
+        return False, None
+    vec = [0] * len(terms)
+    vec[free[0]] = 1
+    for row, pc in zip(red, pivots):
+        vec[pc] = F.neg(row[free[0]])
+    witness = {divmod(k, D + 1): c for k, c in enumerate(vec) if c}
+    total = RationalFn.constant(F, f.vars, 0)
+    for (i, j), c in witness.items():
+        total = total + (f**i) * (g**j) * c
+    assert not total
+    return True, witness
+
+
+def _random_poly(F, rng, vars, max_deg):
+    while True:
+        coeffs = {
+            e: rng.randrange(F.q)
+            for e in itertools.product(range(max_deg + 1), repeat=len(vars))
+            if sum(e) <= max_deg
+        }
+        p = Poly(F, vars, coeffs)
+        if p:
+            return p
+
+
+def _random_fn(F, rng, vars):
+    """A nonconstant f: a polynomial, or a quotient with a linear or
+    quadratic denominator."""
+    while True:
+        num = _random_poly(F, rng, vars, 2)
+        den = _random_poly(F, rng, vars, rng.choice([0, 1, 2]))
+        f = RationalFn(num, den)
+        if not f.is_constant():
+            return f
+
+
+def _dependence_pairs(F, rng):
+    """Seeded pairs: independent ones, and g = P(f) / Q(f) for small P, Q."""
+    for vars in (XY, XY, T):
+        f = _random_fn(F, rng, vars)
+        yield f, _random_fn(F, rng, vars)
+        for _ in range(2):
+            top = compose_rational(_random_poly(F, rng, ("s",), rng.choice([1, 2])), f)
+            bottom = compose_rational(_random_poly(F, rng, ("s",), rng.choice([0, 1])), f)
+            if bottom and not (top / bottom).is_constant():
+                yield f, top / bottom
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_dependence_matches_the_first_route(q):
+    """Verdict and witness equal the product chain, rref kernel and
+    rational substitution on seeded pairs, at bounds 1-4 and 8."""
+    F = FiniteField(q)
+    rng = random.Random(q)
+    pairs = list(_dependence_pairs(F, rng))
+    pairs.append((rxy("x^3", F), rxy("x^6", F) + rxy("x^4", F)))
+    assert any(f.den.degree() > 0 for f, _ in pairs) and any(g.den.degree() > 0 for _, g in pairs)
+    verdicts = set()
+    for f, g in pairs:
+        for bound in (1, 2, 3, 4):
+            v = algebraically_dependent(f, g, bound)
+            dependent, witness = _oracle_dependence(f, g, bound)
+            assert v.dependent == dependent, (f, g, bound)
+            assert (dict(v.witness.coeffs) if v.witness else None) == witness, (f, g, bound)
+            verdicts.add(dependent)
+    for f, g in [pairs[1], pairs[-2], pairs[-1]]:
+        v = algebraically_dependent(f, g, 8)
+        dependent, witness = _oracle_dependence(f, g, 8)
+        assert (v.dependent, dict(v.witness.coeffs) if v.witness else None) == (dependent, witness)
+    assert verdicts == {True, False}
+
+
+def test_corrupted_witness_fails_the_check(monkeypatch):
+    real = fqlin.nullspace
+
+    def corrupted(field, rows):
+        basis = real(field, rows)
+        vec = list(basis[0])
+        k = next(i for i, c in enumerate(vec) if c)
+        vec[k] = field.add(vec[k], 1)
+        return [vec] + basis[1:]
+
+    t = rt("t")
+    assert algebraically_dependent(t, t * t, 2).dependent
+    monkeypatch.setattr(fqlin, "nullspace", corrupted)
+    with pytest.raises(InvalidInput, match="substitution check"):
+        algebraically_dependent(t, t * t, 2)
 
 
 def test_compose_rational():
