@@ -28,6 +28,19 @@ from .poly import Poly, _divrem, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
 
 
+def _dense_mul(F: FiniteField, a, b) -> list[int]:
+    """Product of dense coefficient lists, constant term first."""
+    add, mul = F._add, F._mul
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            mx = mul[x]
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = add[prod[i + j]][mx[y]]
+    return prod
+
+
 class QuotientRing:
     """F_q[t]/(pi) for a monic irreducible pi; elements are coefficient
     tuples of length deg(pi)."""
@@ -79,15 +92,7 @@ class QuotientRing:
         return all(c == 0 for c in a[1:])
 
     def mul(self, a, b) -> tuple[int, ...]:
-        add, mul = self.field._add, self.field._mul
-        prod = [0] * (2 * self.d - 1)
-        for i, x in enumerate(a):
-            if x:
-                mx = mul[x]
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = add[prod[i + j]][mx[y]]
-        return self._reduce(prod)
+        return self._reduce(_dense_mul(self.field, a, b))
 
     def pow(self, a, n: int) -> tuple[int, ...]:
         """a^n for any integer n; a negative n needs a unit."""
@@ -107,9 +112,26 @@ class QuotientRing:
         return out
 
     def inv(self, a) -> tuple[int, ...]:
+        """Inverse by the extended Euclidean algorithm on dense lists.
+
+        Each step keeps s * a = r (mod pi).  pi is irreducible, so the
+        remainders end at a nonzero constant c, and s / c is the inverse.
+        """
         if a == self.zero:
             raise ZeroDivisionError("zero has no inverse")
-        return self.pow(a, self.order - 2)
+        F = self.field
+        sub = F._sub
+        r0, r1 = self._mod_dense, list(a)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quo, rem = _divrem(F, r0, r1)
+            qs = _dense_mul(F, quo, s1)
+            s0 = s0 + [0] * (len(qs) - len(s0))
+            r0, r1, s0, s1 = r1, rem, s1, [sub[x][y] for x, y in zip(s0, qs)]
+        scale = F._mul[F._inv[r1[0]]]
+        return self._reduce([scale[x] for x in s1])
 
     def frobenius(self, a) -> tuple[int, ...]:
         return self.pow(a, self.field.q)

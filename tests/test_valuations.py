@@ -1,6 +1,7 @@
 """Places, valuations, residues, splittings, serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -61,8 +62,6 @@ def test_finite_place_residue():
 
 def _ring_cases():
     """Residue rings with an exhaustive (None) or seeded pair sample."""
-    import random
-
     F49 = FiniteField(49)
     yield FinitePlace(Poly.parse(F3, "t^2+1", T)).ring, None
     yield FinitePlace(Poly.parse(FiniteField(2), "t^3+t+1", T)).ring, None
@@ -137,6 +136,34 @@ def test_quotient_ring_pow_of_zero():
     t = ring.from_poly(Poly.parse(F3, "t", T))
     assert ring.pow(t, 8) == ring.one
     assert ring.mul(ring.pow(t, -1), t) == ring.one
+
+
+def _inv_agrees(ring, a):
+    inv = ring.inv(a)
+    assert len(inv) == ring.d
+    assert ring.mul(a, inv) == ring.one
+    # Euclid against the exponentiation it replaced: a^(q^d - 2)
+    assert inv == ring.pow(a, ring.order - 2)
+
+
+@pytest.mark.parametrize("q,modulus", [(3, "t^2+1"), (2, "t^3+t+1")])
+def test_quotient_ring_inv_every_unit(q, modulus):
+    ring = QuotientRing(Poly.parse(FiniteField(q), modulus, T))
+    units = [a for a in itertools.product(range(q), repeat=ring.d) if a != ring.zero]
+    assert len(units) == ring.order - 1
+    for a in units:
+        _inv_agrees(ring, a)
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(ring.zero)
+
+
+def test_quotient_ring_inv_gf49_quadratics():
+    rng = random.Random(49)
+    moduli = [pi for pi in monic_irreducibles(49, "t", 2) if pi.degree() == 2]
+    for _ in range(300):
+        ring = QuotientRing._of_factor(rng.choice(moduli))
+        a = (rng.randrange(49), rng.randrange(1, 49))  # nonzero: a unit
+        _inv_agrees(ring, a)
 
 
 @pytest.mark.parametrize("q,max_deg", [(2, 3), (3, 3), (4, 3), (49, 2)])
