@@ -377,11 +377,11 @@ def algebraically_dependent(f: RationalFn, g: RationalFn, bound: int) -> Depende
     are linearly dependent.  Each term is the product of two power rows,
     A_i = fn^i fd^(D-i) and B_j = gn^j gd^(D-j), built once per call
     with every power one step from the last.  The columns of the matrix
-    are the terms in (i, j) order and its rows their monomials; the
+    are the terms in (i, j) order and its rows their monomials.  The
     witness is the first vector of `fqlin.nullspace`, the one of its
-    first free column, so it is the annihilator whose largest term in
-    that order comes first.  It is re-verified without the term table:
-    see `_annihilates`.
+    first free column: of all annihilators, the one whose last term in
+    that order is earliest, with coefficient 1 there.  It is checked
+    again without the term table or the matrix, by `_annihilates`.
     """
     if bound < 1:
         raise InvalidInput("dependence bound must be >= 1")

@@ -64,7 +64,7 @@ def _echelon(field: FiniteField, rows: list[list[int]], ncols: int) -> dict[int,
                 basis[c] = [scale[y] for y in row[c:]]
                 break
             mx = mul[x]
-            # row[c] cancels; row is a fresh list from here on
+            # a new list: the caller's row is never written
             row = row[:c] + [sub[y][mx[t]] for y, t in zip(row[c:], tail)]
         if len(basis) == ncols:
             break
@@ -92,8 +92,9 @@ def nullspace(field: FiniteField, rows: list[list[int]]) -> list[list[int]]:
     for fc in range(ncols):
         if fc in basis:
             continue
-        # v is 1 at fc and 0 at every other free column; each pivot entry,
-        # last pivot first, cancels its row against the entries already set
+        # v is 1 at fc and 0 at the other free columns and past fc; each
+        # pivot before fc, the last first, takes the value that makes its
+        # basis row orthogonal to v, from the entries already set
         v = [0] * ncols
         v[fc] = 1
         done = [(fc, 1)]

@@ -128,7 +128,7 @@ class QuotientRing:
         while len(r1) > 1:
             quo, rem = _divrem(F, r0, r1)
             qs = _dense_mul(F, quo, s1)
-            s0 = s0 + [0] * (len(qs) - len(s0))
+            s0 = s0 + [0] * (len(qs) - len(s0))  # deg(quo * s1) > deg(s0)
             r0, r1, s0, s1 = r1, rem, s1, [sub[x][y] for x, y in zip(s0, qs)]
         scale = F._mul[F._inv[r1[0]]]
         return self._reduce([scale[x] for x in s1])

@@ -293,19 +293,17 @@ def test_dependence_matches_the_first_route(q):
     pairs = list(_dependence_pairs(F, rng))
     pairs.append((rxy("x^3", F), rxy("x^6", F) + rxy("x^4", F)))
     assert any(f.den.degree() > 0 for f, _ in pairs) and any(g.den.degree() > 0 for _, g in pairs)
-    verdicts = set()
-    for f, g in pairs:
-        for bound in (1, 2, 3, 4):
-            v = algebraically_dependent(f, g, bound)
-            dependent, witness = _oracle_dependence(f, g, bound)
-            assert v.dependent == dependent, (f, g, bound)
-            assert (dict(v.witness.coeffs) if v.witness else None) == witness, (f, g, bound)
-            verdicts.add(dependent)
-    for f, g in [pairs[1], pairs[-2], pairs[-1]]:
-        v = algebraically_dependent(f, g, 8)
-        dependent, witness = _oracle_dependence(f, g, 8)
-        assert (v.dependent, dict(v.witness.coeffs) if v.witness else None) == (dependent, witness)
+
+    def same_as_oracle(f, g, bound):
+        v = algebraically_dependent(f, g, bound)
+        got = (v.dependent, dict(v.witness.coeffs) if v.witness else None)
+        assert got == _oracle_dependence(f, g, bound), (f, g, bound)
+        return v.dependent
+
+    verdicts = {same_as_oracle(f, g, bound) for f, g in pairs for bound in (1, 2, 3, 4)}
     assert verdicts == {True, False}
+    for f, g in [pairs[1], pairs[-2], pairs[-1]]:
+        same_as_oracle(f, g, 8)
 
 
 def test_corrupted_witness_fails_the_check(monkeypatch):
