@@ -1,5 +1,8 @@
 """Valuation extraction round trips."""
 
+import hashlib
+import json
+
 import pytest
 
 from flagval.errors import (
@@ -245,6 +248,11 @@ def test_result_json_shape(res_x):
     ]
 
 
+# sha256 of the case-B report of the pure value character f -> w^nu(f)
+# of curve:x on the q=3 degree-2 arena
+CASE_B_DIGEST = "5d070f98781c482af95d89c72435114b2ecb5fe616a1e2b83720937d9e695a76"
+
+
 def test_case_b_value_character(arena3):
     w_img = to_divisor(RationalFn.parse(F3, "w", W))
     psi_b = build_psi_from_valuation(
@@ -252,6 +260,7 @@ def test_case_b_value_character(arena3):
         uniformizer_image=w_img, collapse_residue=True,
     )
     res = extract_valuation(psi_b, arena3)
+    assert hashlib.sha256(json.dumps(res.to_json_obj()).encode()).hexdigest() == CASE_B_DIGEST
     assert res.verdict == "valuation" and res.case == "B"
     assert res.gamma_rank == 1 and res.gamma_torsion == ()
     assert res.orientation == 1
