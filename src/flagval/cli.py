@@ -106,6 +106,8 @@ def _run(ns: argparse.Namespace) -> int:
     place = ns.place
     if ns.psi:
         place = _parse_psi(ns.psi)
+        if ns.place is not None and ns.place != place:
+            raise InvalidConfig("conflicting place specs given")
     if ns.source:
         src_q, src_vars = _parse_source(ns.source)
         if sorted(src_vars) != ["x", "y"]:

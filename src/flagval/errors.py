@@ -29,10 +29,6 @@ class NotAUnit(FlagvalError):
     """Residue requested for an element of nonzero value."""
 
 
-class UnsupportedValueGroup(FlagvalError):
-    """Operation requires a rank-one value group."""
-
-
 class ProportionalPair(FlagvalError):
     """Two characters that were required to be independent are proportional."""
 

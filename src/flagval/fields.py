@@ -159,9 +159,6 @@ class RationalFn:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other) -> "RationalFn":
-        return self.inverse() * other
-
     def inverse(self) -> "RationalFn":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
@@ -180,21 +177,6 @@ class RationalFn:
         F = self.field
         c = F.div(self.num.leading_coeff(), self.den.leading_coeff())
         return self.num == self.den * c
-
-    def constant_value(self) -> int:
-        if not self.num:
-            return 0
-        if not self.is_constant():
-            raise InvalidInput(f"{self} is not constant")
-        return self.field.div(self.num.leading_coeff(), self.den.leading_coeff())
-
-    def evaluate(self, point: tuple[int, ...]) -> int | None:
-        """Value at a point, or None when the denominator vanishes there."""
-        d = self.den.evaluate(point)
-        if d == 0:
-            return None
-        F = self.field
-        return F.div(self.num.evaluate(point), d)
 
 
 class DivisorRep:
@@ -240,10 +222,6 @@ class DivisorRep:
     def _sorted_items(self) -> tuple:
         return tuple(sorted(self.exps.items(), key=lambda kv: _gen_order(kv[0])))
 
-    @classmethod
-    def one(cls, field: FiniteField, vars: tuple[str, ...]) -> "DivisorRep":
-        return cls(field, vars, {}, 1)
-
     def __hash__(self) -> int:
         return hash(self._key)
 
@@ -282,14 +260,6 @@ class DivisorRep:
     def __truediv__(self, other: "DivisorRep") -> "DivisorRep":
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "DivisorRep":
-        return DivisorRep(
-            self.field,
-            self.vars,
-            {g: e * n for g, e in self.exps.items()},
-            self.field.pow(self.unit, n),
-        )
-
     def deg_sum(self) -> int:
         """Sum of deg(g) * exponent over the finite generators."""
         return sum(g.degree() * e for g, e in self.exps.items() if g != INF)
@@ -304,13 +274,6 @@ class DivisorRep:
 
     def __repr__(self) -> str:
         return f"DivisorRep({self})"
-
-    def to_json_obj(self) -> dict:
-        out = {}
-        for g, e in self._sorted_items():
-            out[str(g) if g != INF else INF] = e
-        out["unit"] = self.unit
-        return out
 
 
 def _gen_order(g) -> tuple:

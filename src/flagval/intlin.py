@@ -8,7 +8,7 @@ clarity beats asymptotics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -190,10 +190,6 @@ class AbelianQuotient:
         free = tuple(y[r:])
         return tors, free
 
-    def is_member(self, x: list[int]) -> bool:
-        tors, free = self.coords(x)
-        return not any(tors) and not any(free)
-
 
 def quotient(ncols: int, rows: list[list[int]]) -> AbelianQuotient:
     diag, V = smith_normal_form(rows, ncols)
@@ -253,16 +249,6 @@ class RowLattice:
                     grew = True
         return grew
 
-    def contains(self, vec: dict[int, int]) -> bool:
-        v = {c: x for c, x in vec.items() if x}
-        while v:
-            c = min(v)
-            p = self.pivots.get(c)
-            if p is None or v[c] % p[c]:
-                return False
-            v = self._combine(v, p, -(v[c] // p[c]))
-        return True
-
     def rows(self) -> list[dict[int, int]]:
         return [self.pivots[c] for c in sorted(self.pivots)]
 
@@ -296,26 +282,21 @@ class RowLattice:
                     dense[c] = x
                 reduced_rows.append(dense)
         q = quotient(len(kept), reduced_rows)
-        return _ProjectedQuotient(ncols, q, kept, self)
+        return _ProjectedQuotient(ncols, q, kept)
 
 
 class _ProjectedQuotient:
     """Quotient of Z^ncols by a RowLattice, via column elimination."""
 
-    def __init__(self, ncols: int, inner: AbelianQuotient, kept: list[int], lat: RowLattice):
+    def __init__(self, ncols: int, inner: AbelianQuotient, kept: list[int]):
         self.ncols = ncols
         self.torsion = inner.torsion
         self.free_rank = inner.free_rank
         self._inner = inner
         self._kept = kept
-        self._lat = lat
 
     def coords(self, sparse: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # eliminated columns satisfy e_c = 0 in the quotient, so they
         # simply drop out of the coordinates
         dense = [sparse.get(c, 0) for c in self._kept]
         return self._inner.coords(dense)
-
-    def is_member(self, sparse: dict[int, int]) -> bool:
-        tors, free = self.coords(sparse)
-        return not any(tors) and not any(free)

@@ -52,9 +52,6 @@ class ProjSubspace:
     def dim(self) -> int:
         return len(self.basis) - 1
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.points
-
 
 @dataclass(frozen=True)
 class StratumTable:
@@ -180,12 +177,6 @@ class ProjGeometry:
             grow([p], 1)
         return chains
 
-    def line_through(self, a: int, b: int) -> tuple[int, ...]:
-        if a == b:
-            raise InvalidInput("two distinct points are needed to span a line")
-        s = self.span([a, b])
-        return tuple(sorted(s.points))
-
 
 @lru_cache(maxsize=None)
 def geometry(n: int, q: int) -> ProjGeometry:
@@ -204,7 +195,6 @@ class EmbeddedSubspace:
         vars = gens[0].vars
         self.field = F
         self.vars = vars
-        self.gens = tuple(gens)
         self._check_independent(gens)
         self.geometry = geometry(len(gens) - 1, F.q)
         self.functions: list[RationalFn] = []
@@ -232,10 +222,3 @@ class EmbeddedSubspace:
         rows = [[p.coeffs.get(m, 0) for m in monomials] for p in cleared]
         if fqlin.rank(F, rows) != len(gens):
             raise InvalidInput("generators are linearly dependent over the ground field")
-
-    def shift(self, h: RationalFn) -> "EmbeddedSubspace":
-        """Multiplicative shift h * P: same geometry, shifted functions."""
-        return EmbeddedSubspace([g * h for g in self.gens])
-
-    def __len__(self) -> int:
-        return len(self.geometry.points)

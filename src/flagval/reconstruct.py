@@ -6,7 +6,7 @@ one-dimensional subfields, the non-injective case hides a valuation:
 the unit group is assembled from lines on which psi is injective, and
 the quotient by it is an ordered group.  This module makes that
 pipeline executable on a finite window (the arena): build psi from a
-valuation and a splitting, decompose subspaces by image dependence,
+divisorial curve valuation, decompose subspaces by image dependence,
 collect the unit universe, and extract the quotient with its order
 certified by flag behavior on every catalog line.  psi is evaluated as
 the product of its generator images over the divisor form, so it is a
@@ -28,8 +28,6 @@ from .errors import (
     InvalidInput,
     OrderFailure,
     PreconditionFailed,
-    UnsupportedResidue,
-    UnsupportedValueGroup,
 )
 from .ff import FiniteField
 from .fields import (
@@ -44,7 +42,7 @@ from .flagkit import line_criterion
 from .intlin import RowLattice
 from .poly import irreducible_canonicals_bivariate, monic_irreducibles
 from .projspace import EmbeddedSubspace
-from .valuations import CompositePlace, Splitting
+from .valuations import DivisorialCurve
 
 # bidegree bound of the annihilator search behind the image relation
 DEP_BOUND = 4
@@ -73,17 +71,22 @@ def _related(a: DivisorRep, b: DivisorRep, bound: int) -> bool:
 
 
 class PsiMap:
-    """Multiplicative map K*/k* -> L*/l*, given by the images of the
-    canonical irreducible generators: the class of f goes to the product
-    of image(g)**e over the divisor of f.  Units are dropped, since psi
-    lives on K*/k*."""
+    """Multiplicative map K*/k* -> L*/l*, given by a table of images of
+    the canonical irreducible generators: the class of f goes to the
+    product of image(g)**e over the divisor of f.  Generators absent
+    from the table go to the trivial class, and units are dropped, since
+    psi lives on K*/k*."""
 
-    target_field: FiniteField
-    target_vars: tuple[str, ...]
+    def __init__(
+        self, images: dict, target_field: FiniteField, target_vars: tuple[str, ...]
+    ) -> None:
+        self.images = dict(images)
+        self.target_field = target_field
+        self.target_vars = target_vars
 
     def image(self, g) -> DivisorRep | None:
         """Image of one generator; None stands for the trivial class."""
-        raise NotImplementedError
+        return self.images.get(g)
 
     def evaluate(self, f) -> DivisorRep:
         d = f if isinstance(f, DivisorRep) else to_divisor(f)
@@ -97,48 +100,35 @@ class PsiMap:
 
 
 class ValuationPsi(PsiMap):
-    """psi(f) = embed(residue(f * s(-nu(f)))) * w^nu(f).
+    """psi(f) = embed(residue(f * pi^-nu(f))) for the valuation nu of a
+    divisorial curve pi = 0.  The uniformizer pi splits the value off f,
+    and psi kills it.
 
-    The formula runs once per generator; its result is kept on the psi,
-    so the cache holds at most the generators of the window.  The
-    infinite generator has no image: the finite part of a divisor
-    already fixes f up to a constant.  An f whose divisor lies beyond
-    the factoring window is evaluated by the formula directly.
-
-    The optional uniformizer image w covers the freedom in extending the
-    residue embedding along a splitting; by default the uniformizer is
-    killed.  collapse_residue additionally kills the residue part,
-    leaving the pure value character f -> w^nu(f).
+    The table is filled lazily: the formula runs once per generator, so
+    it holds at most the generators of the window.  An f whose divisor
+    lies beyond the factoring window is evaluated by the formula
+    directly.
     """
 
     def __init__(
         self,
-        place,
-        splitting: Splitting,
+        place: DivisorialCurve,
         embed: dict[str, str],
         target_field: FiniteField,
         target_vars: tuple[str, ...],
-        uniformizer_image: DivisorRep | None = None,
-        collapse_residue: bool = False,
     ) -> None:
+        super().__init__({}, target_field, target_vars)
         self.place = place
-        self.splitting = splitting
         self.embed = dict(embed)
-        self.target_field = target_field
-        self.target_vars = target_vars
-        self.uniformizer_image = uniformizer_image
-        self.collapse_residue = collapse_residue
-        self._images: dict = {}
+        self._uniformizer = RationalFn.from_poly(place.pi)
+        if place.val(self._uniformizer) != 1:
+            raise AssertionError("uniformizer does not have value 1")
 
-    def _embed_residue(self, r) -> DivisorRep:
-        F, tvars = self.target_field, self.target_vars
-        if isinstance(r, int):
-            if r == 0:
-                raise InvalidInput("residue of a unit vanished")
-            return DivisorRep(F, tvars, {}, r)
+    def _embed_residue(self, r: RationalFn) -> DivisorRep:
         # factor in the residue variable first: univariate factoring has
         # no degree window, and a one-variable irreducible stays
         # irreducible and canonical when renamed into the target
+        tvars = self.target_vars
         d = to_divisor(r)
         idx = tvars.index(self.embed[r.vars[0]])
         exps = {}
@@ -146,25 +136,17 @@ class ValuationPsi(PsiMap):
             if g == INF:
                 continue
             exps[g.map_vars(tvars, {0: idx})] = e
-        return DivisorRep(F, tvars, exps, d.unit)
+        return DivisorRep(self.target_field, tvars, exps, d.unit)
 
     def formula(self, f: RationalFn) -> DivisorRep:
         """The residue formula on f itself."""
         n = self.place.val(f)
-        if self.collapse_residue:
-            out = DivisorRep.one(self.target_field, self.target_vars)
-        else:
-            out = self._embed_residue(self.place.residue(f * self.splitting.section(-n)))
-        if self.uniformizer_image is not None and n:
-            out = out * self.uniformizer_image**n
-        return out
+        return self._embed_residue(self.place.residue(f * self._uniformizer ** (-n)))
 
-    def image(self, g) -> DivisorRep | None:
-        if g == INF:
-            return None
-        img = self._images.get(g)
+    def image(self, g) -> DivisorRep:
+        img = self.images.get(g)
         if img is None:
-            img = self._images[g] = self.formula(RationalFn.from_poly(g))
+            img = self.images[g] = self.formula(RationalFn.from_poly(g))
         return img
 
     def evaluate(self, f) -> DivisorRep:
@@ -176,23 +158,15 @@ class ValuationPsi(PsiMap):
 
 def build_psi_from_valuation(
     place,
-    splitting: Splitting,
     embed: dict[str, str],
     target_field: FiniteField,
     target_vars: tuple[str, ...],
-    uniformizer_image: DivisorRep | None = None,
-    collapse_residue: bool = False,
 ) -> ValuationPsi:
-    """Forward construction: the map defined by a valuation, a chosen
-    multiplicative splitting, and an embedding of the residue field."""
-    if isinstance(place, CompositePlace):
-        raise UnsupportedValueGroup("psi construction needs an integer value group")
-    if splitting.place is not place:
-        raise InvalidInput("splitting belongs to a different place")
-    if getattr(place, "ring", None) is not None:
-        raise UnsupportedResidue(
-            "residue field is a proper constant extension; no variable embedding exists"
-        )
+    """Forward construction: the map defined by a divisorial curve
+    valuation, its uniformizer as the splitting, and an embedding of the
+    residue field."""
+    if not isinstance(place, DivisorialCurve):
+        raise InvalidInput("psi is built from divisorial curve places only")
     if target_field.q != place.field.q:
         raise InvalidInput("bad embedding: constant fields differ")
     if len(set(embed.values())) != len(embed):
@@ -200,35 +174,10 @@ def build_psi_from_valuation(
     for v in embed.values():
         if v not in target_vars:
             raise InvalidInput(f"bad embedding: {v!r} is not a target variable")
-    res_var = getattr(place, "residue_var", None)
-    if res_var is not None and res_var not in embed and not collapse_residue:
+    res_var = place.residue_var
+    if res_var not in embed:
         raise InvalidInput(f"bad embedding: no image for residue variable {res_var!r}")
-    return ValuationPsi(
-        place, splitting, embed, target_field, target_vars, uniformizer_image, collapse_residue
-    )
-
-
-class GenTablePsi(PsiMap):
-    """Table map: each canonical irreducible generator (and the infinite
-    generator in the univariate case) is sent to a chosen target class,
-    and psi is the product of these images over the divisor form, so it
-    is multiplicative by construction.  Generators absent from the table
-    are sent to the trivial class."""
-
-    def __init__(
-        self,
-        source_field: FiniteField,
-        source_vars: tuple[str, ...],
-        images: dict,
-        target_field: FiniteField,
-        target_vars: tuple[str, ...],
-    ) -> None:
-        self.source_field = source_field
-        self.source_vars = source_vars
-        self.images = dict(images)
-        self.target_field = target_field
-        self.target_vars = target_vars
-        self.image = self.images.get
+    return ValuationPsi(place, embed, target_field, target_vars)
 
 
 def check_multiplicative(psi: PsiMap, fns: list[RationalFn]) -> list[str]:
@@ -936,7 +885,7 @@ def verify_theorem_conclusions(
 
     units = [fn for fn in arena.line_gens if value(fn) == 0]
     c2 = {"samples": 0, "passes": 0, "failures": [], "method": None}
-    if isinstance(psi, ValuationPsi) and not psi.collapse_residue:
+    if isinstance(psi, ValuationPsi):
         c2["method"] = "distinct residue classes keep distinct images"
         place = psi.place
         for i in range(len(units)):
@@ -944,10 +893,7 @@ def verify_theorem_conclusions(
                 break
             for j in range(i + 1, len(units)):
                 f, g = units[i], units[j]
-                rf, rg = place.residue(f), place.residue(g)
-                if isinstance(rf, int) or isinstance(rg, int):
-                    continue
-                if (rf / rg).is_constant():
+                if (place.residue(f) / place.residue(g)).is_constant():
                     continue
                 c2["samples"] += 1
                 if psi.evaluate(f).class_key() != psi.evaluate(g).class_key():

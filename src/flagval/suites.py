@@ -17,21 +17,20 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import flagkit
 from .errors import InvalidConfig, SizeBound, UnknownSuite
 from .ff import FiniteField
 from .fields import RationalFn
-from .milnork import K2Symbol, steinberg_check, support_places, tame_symbol, weil_reciprocity_check
-from .poly import Poly
+from .milnork import steinberg_check, support_places, tame_symbol, weil_reciprocity_check
+from .poly import Poly, monic_irreducibles
 from .reconstruct import Arena, build_psi_from_valuation, extract_valuation, verify_theorem_conclusions
 from .valuations import (
     DivisorialCurve,
     FinitePlace,
     InfinitePlace,
     degree_sum,
-    make_splitting,
     parse_place,
     serialize_place,
     ultrametric_ok,
@@ -80,17 +79,7 @@ class SuiteConfig:
     place: str | None = None
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "q": self.q,
-            "p": self.p,
-            "mode": self.mode,
-            "seed": self.seed,
-            "arena_deg": self.arena_deg,
-            "samples": self.samples,
-            "check": self.check,
-            "place": self.place,
-        }
+        return asdict(self)
 
 
 def suite_name(name: str) -> str:
@@ -106,8 +95,9 @@ def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     mode = cfg.mode or fn.modes[0]
     if mode not in fn.modes:
         raise InvalidConfig(f"suite {suite!r} supports modes {fn.modes}, got {mode!r}")
-    # a zero would read as unset in the suites' `cfg.q or 3` defaults
-    for knob in ("q", "p", "arena_deg"):
+    # a zero would read as unset in the suites' `cfg.q or 3` defaults,
+    # and no mode runs on fewer than one sample
+    for knob in ("q", "p", "arena_deg", "samples"):
         value = getattr(cfg, knob)
         if value is not None and value < 1:
             raise InvalidConfig(f"{knob} must be positive, got {value}")
@@ -115,8 +105,6 @@ def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     if mode == "sampled":
         if cfg.seed is None:
             raise InvalidConfig("sampled mode requires an explicit seed")
-        if samples < 1:
-            raise InvalidConfig("samples must be >= 1")
         if samples > SAMPLE_CAP:
             raise SizeBound(f"samples capped at {SAMPLE_CAP}")
     cfg = replace(cfg, suite=suite, mode=mode, samples=samples)
@@ -247,8 +235,6 @@ def _axiom_places(field: FiniteField):
     var = "t"
     lin = Poly.parse(field, var, (var,))
     lin1 = Poly.parse(field, f"{var}+1", (var,))
-    from .poly import monic_irreducibles
-
     deg2 = next(p for p in monic_irreducibles(field.q, var, 2) if p.degree() == 2)
     return [FinitePlace(lin), FinitePlace(lin1), FinitePlace(deg2), InfinitePlace(field, var)]
 
@@ -311,15 +297,30 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     }
 
 
+# the inertia solves cost about the cube of the generator count: 285
+# generators (q = 9 at degree 3) take 20 s
+INERTIA_GENERATOR_CAP = 285
+
+
+def _irreducible_count(q: int, deg: int) -> int:
+    """Number of monic irreducibles of degree 1..deg <= 3 over F_q, by
+    Gauss's formula d N(d) = sum over e | d of mu(e) q^(d/e)."""
+    return sum((q, (q * q - q) // 2, (q**3 - q) // 3)[:deg])
+
+
 @_suite("weil-inertia", ("exhaustive",))
 def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
-    from .poly import monic_irreducibles
-
     deg = cfg.arena_deg or 3
     if deg > 3:
         raise SizeBound("inertia arena is sized for generator degree <= 3")
+    n = _irreducible_count(q, deg)
+    if n > INERTIA_GENERATOR_CAP:
+        raise SizeBound(
+            f"the inertia arena holds at most {INERTIA_GENERATOR_CAP} generators; "
+            f"q={q} at degree {deg} has {n}"
+        )
     irr = monic_irreducibles(field.q, "t", deg)
     gens = [RationalFn.from_poly(p) for p in irr]
     places = [FinitePlace(p) for p in irr] + [InfinitePlace(field, "t")]
@@ -445,9 +446,8 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
 
         cases += 1
         t = RationalFn.parse(field, "t", ("t",))
-        sym = K2Symbol.pair(t, t - 1)
-        places = support_places(sym)
-        residues = [tame_symbol(sym, pl) for pl in places]
+        places = support_places(t, t - 1)
+        residues = [tame_symbol(t, t - 1, pl) for pl in places]
         product = 1
         for pl, r in zip(places, residues):
             product = field.mul(product, _res_norm(pl, r))
@@ -498,9 +498,7 @@ def _suite_reconstruct(cfg: SuiteConfig) -> dict:
     arena = _arena(field, vars2, deg)
     rvar = place.residue_var
     fresh = next(v for v in ("z", "w", "u") if v != rvar)
-    psi = build_psi_from_valuation(
-        place, make_splitting(place), {rvar: rvar}, field, (rvar, fresh)
-    )
+    psi = build_psi_from_valuation(place, {rvar: rvar}, field, (rvar, fresh))
     res = extract_valuation(psi, arena)
     failures: list[str] = []
     if res.verdict != "valuation":
@@ -512,7 +510,7 @@ def _suite_reconstruct(cfg: SuiteConfig) -> dict:
         failures.append(f"value group rank {res.gamma_rank} torsion {list(res.gamma_torsion)}")
     conclusions = None
     if res.verdict == "valuation":
-        conclusions = verify_theorem_conclusions(res, psi, arena, samples=cfg.samples or 50)
+        conclusions = verify_theorem_conclusions(res, psi, arena, samples=cfg.samples)
         if not conclusions["all_passed"]:
             failures.append("conclusion checks failed")
     n_subspaces = len(arena.lines) + len(arena.planes)

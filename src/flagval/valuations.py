@@ -13,13 +13,10 @@ curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InvalidInput,
     NotAUnit,
     UnsupportedResidue,
-    UnsupportedValueGroup,
 )
 from .ff import FiniteField
 from .fields import INF, DivisorRep, RationalFn, to_divisor
@@ -77,9 +74,6 @@ class QuotientRing:
     @property
     def one(self) -> tuple[int, ...]:
         return tuple([1] + [0] * (self.d - 1))
-
-    def constant(self, c: int) -> tuple[int, ...]:
-        return tuple([self.field.from_int(c)] + [0] * (self.d - 1))
 
     def _reduce(self, dense: list[int]) -> tuple[int, ...]:
         r = _divrem(self.field, dense, self._mod_dense)[1]
@@ -235,17 +229,6 @@ class FinitePlace:
         ring = self.ring
         return a - b, ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
 
-    def residue(self, f):
-        """Class of a unit in the residue field: an element of F_q for a
-        degree-one place, a QuotientRing tuple otherwise."""
-        v, r = self.unit_residue(f)
-        if v != 0:
-            raise NotAUnit(f"{f} has nonzero value at {self}")
-        return r
-
-    def uniformizer(self) -> RationalFn:
-        return RationalFn.from_poly(self.pi)
-
 
 class InfinitePlace:
     """The degree place of F_q(t): val = deg(den) - deg(num)."""
@@ -284,17 +267,6 @@ class InfinitePlace:
         f = _as_rational(f)
         return self.val(f), self.field.div(f.num.leading_coeff(), f.den.leading_coeff())
 
-    def residue(self, f) -> int:
-        v, r = self.unit_residue(f)
-        if v != 0:
-            raise NotAUnit(f"{f} has nonzero value at infinity")
-        return r
-
-    def uniformizer(self) -> RationalFn:
-        t = Poly.variable(self.field, self.vars, self.vars[0])
-        one = Poly.constant(self.field, self.vars, 1)
-        return RationalFn(one, t)
-
 
 class DivisorialCurve:
     """Divisorial valuation of F_q(x,y): order of vanishing along an
@@ -312,8 +284,6 @@ class DivisorialCurve:
         self.field = pi.field
         self.vars = pi.vars
         self.pi = pi
-        self.degree = 1  # arena bookkeeping; divisor degree theory not modeled
-        self.ring = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DivisorialCurve) and self.pi == other.pi
@@ -392,9 +362,6 @@ class DivisorialCurve:
             num2.map_vars((rvar,), proj), den2.map_vars((rvar,), proj)
         )
 
-    def uniformizer(self) -> RationalFn:
-        return RationalFn.from_poly(self.pi)
-
 
 class CompositePlace:
     """Rank-two valuation: order along a curve, then a place of the
@@ -435,40 +402,11 @@ class CompositePlace:
         r = self.curve.residue(u)
         return (m, self.point.val(r))
 
-    def residue(self, f):
-        f = _as_rational(f)
-        if self.val(f) != (0, 0):
-            raise NotAUnit(f"{f} has nonzero value at {self}")
-        return self.point.residue(self.curve.residue(f))
-
 
 Place = FinitePlace | InfinitePlace | DivisorialCurve | CompositePlace
 
 
 # -- shared operations -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Splitting:
-    """Multiplicative section of a rank-one valuation: n -> u^n."""
-
-    place: object
-    u: RationalFn
-
-    def section(self, n: int) -> RationalFn:
-        return self.u**n
-
-
-def make_splitting(place) -> Splitting:
-    if isinstance(place, CompositePlace):
-        raise UnsupportedValueGroup("no canonical splitting for rank-two places")
-    u = place.uniformizer()
-    if place.val(u) != 1:
-        raise AssertionError("uniformizer does not have value 1")
-    s = Splitting(place, u)
-    if s.section(1) * s.section(2) != s.section(3):
-        raise AssertionError("section is not multiplicative")
-    return s
 
 
 def valuation_flag_structure(place, S: EmbeddedSubspace) -> FlagVerdict:

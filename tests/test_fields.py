@@ -159,8 +159,7 @@ def test_divisor_group_ops():
     g = to_divisor(rt("t+1"))
     assert (f * g).exponent(Poly.parse(F3, "t", T)) == 1
     assert (f * g) / g == f
-    assert (f**3).exponent(Poly.parse(F3, "t", T)) == 3
-    assert f * f.inverse() == DivisorRep.one(F3, T)
+    assert f * f.inverse() == DivisorRep(F3, T, {})
     with pytest.raises(InvalidInput):
         f * to_divisor(rxy("x"))
 
@@ -177,11 +176,9 @@ def test_divisor_validation():
     assert d.is_trivial()  # zero exponents are dropped
 
 
-def test_divisor_json_and_str():
+def test_divisor_str():
     d = to_divisor(rt("2*t+2/t^2"))
-    obj = d.to_json_obj()
-    assert obj == {"t": -2, "t+1": 1, "inf": 1, "unit": 2}
-    assert "(t+1)" in str(d)
+    assert str(d) == "2 (t)^-2 (t+1) (inf)"
 
 
 def test_bivariate_divisor_window():

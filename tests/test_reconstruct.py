@@ -10,7 +10,6 @@ from flagval.errors import (
     InvalidInput,
     PreconditionFailed,
     UnsupportedResidue,
-    UnsupportedValueGroup,
 )
 from flagval.ff import FiniteField
 from flagval.fields import RationalFn, to_divisor
@@ -18,7 +17,6 @@ from flagval.poly import Poly
 from flagval.projspace import EmbeddedSubspace
 from flagval.reconstruct import (
     Arena,
-    GenTablePsi,
     PsiMap,
     build_psi_from_valuation,
     build_u,
@@ -27,7 +25,7 @@ from flagval.reconstruct import (
     verify_theorem_conclusions,
 )
 from flagval.suites import _arena
-from flagval.valuations import CompositePlace, DivisorialCurve, FinitePlace, make_splitting, parse_place
+from flagval.valuations import CompositePlace, DivisorialCurve, FinitePlace, InfinitePlace, parse_place
 
 F3 = FiniteField(3)
 XY = ("x", "y")
@@ -39,7 +37,7 @@ CURVE_X = DivisorialCurve(Poly.parse(F3, "x", XY))
 
 @pytest.fixture(scope="module")
 def psi_x():
-    return build_psi_from_valuation(CURVE_X, make_splitting(CURVE_X), {"y": "y"}, F3, YZ)
+    return build_psi_from_valuation(CURVE_X, {"y": "y"}, F3, YZ)
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +60,23 @@ def test_psi_formula(psi_x):
 
 
 def test_psi_constructor_validation():
-    with pytest.raises(UnsupportedValueGroup):
-        build_psi_from_valuation(
-            CompositePlace(CURVE_X, FinitePlace(Poly.parse(F3, "y", ("y",)))),
-            make_splitting(CURVE_X),
-            {"y": "y"},
-            F3,
-            YZ,
-        )
-    deg2 = FinitePlace(Poly.parse(F3, "t^2+1", ("t",)))
-    with pytest.raises(UnsupportedResidue):
-        build_psi_from_valuation(deg2, make_splitting(deg2), {}, F3, W)
+    # psi is built from divisorial curve places only
+    for place in (
+        CompositePlace(CURVE_X, FinitePlace(Poly.parse(F3, "y", ("y",)))),
+        FinitePlace(Poly.parse(F3, "t^2+1", ("t",))),
+        InfinitePlace(F3, "t"),
+    ):
+        with pytest.raises(InvalidInput):
+            build_psi_from_valuation(place, {"y": "y"}, F3, YZ)
     with pytest.raises(InvalidInput):
-        build_psi_from_valuation(CURVE_X, make_splitting(CURVE_X), {"y": "q"}, F3, YZ)
+        build_psi_from_valuation(CURVE_X, {"y": "q"}, F3, YZ)
+    with pytest.raises(InvalidInput):
+        build_psi_from_valuation(CURVE_X, {}, F3, YZ)  # no image for y
+    with pytest.raises(InvalidInput):
+        build_psi_from_valuation(CURVE_X, {"y": "y"}, FiniteField(5), YZ)
+    nongraph = DivisorialCurve(Poly.parse(F3, "x^2+y^2+1", XY))
+    with pytest.raises(UnsupportedResidue):
+        build_psi_from_valuation(nongraph, {"y": "y"}, F3, YZ)
 
 
 def test_decompose_plane(psi_x):
@@ -123,7 +125,7 @@ def _roundtrip_psi(field, text):
     place = parse_place(field, text, XY)
     rvar = place.residue_var
     fresh = next(v for v in ("z", "w", "u") if v != rvar)
-    return build_psi_from_valuation(place, make_splitting(place), {rvar: rvar}, field, (rvar, fresh))
+    return build_psi_from_valuation(place, {rvar: rvar}, field, (rvar, fresh))
 
 
 @pytest.mark.parametrize(
@@ -145,7 +147,7 @@ def test_generator_route_matches_formula(q, places, n_classes, n_gens, arena3):
         for f in classes.values():
             d = arena.divisor_of(f)
             assert psi.evaluate(d).class_key() == psi.formula(f).class_key(), (text, str(f))
-        assert len(psi._images) == n_gens
+        assert len(psi.images) == n_gens
 
 
 @pytest.mark.parametrize("q, place", [(2, "curve:x^2+y"), (3, "curve:x")])
@@ -248,37 +250,7 @@ def test_result_json_shape(res_x):
     ]
 
 
-# sha256 of the case-B report of the pure value character f -> w^nu(f)
-# of curve:x on the q=3 degree-2 arena
-CASE_B_DIGEST = "5d070f98781c482af95d89c72435114b2ecb5fe616a1e2b83720937d9e695a76"
-
-
-def test_case_b_value_character(arena3):
-    w_img = to_divisor(RationalFn.parse(F3, "w", W))
-    psi_b = build_psi_from_valuation(
-        CURVE_X, make_splitting(CURVE_X), {}, F3, W,
-        uniformizer_image=w_img, collapse_residue=True,
-    )
-    res = extract_valuation(psi_b, arena3)
-    assert hashlib.sha256(json.dumps(res.to_json_obj()).encode()).hexdigest() == CASE_B_DIGEST
-    assert res.verdict == "valuation" and res.case == "B"
-    assert res.gamma_rank == 1 and res.gamma_torsion == ()
-    assert res.orientation == 1
-    assert res.o_units_size == 4080
-
-
-def test_extraction_needs_two_variables():
-    pt = FinitePlace(Poly.parse(F3, "t", ("t",)))
-    w_img = to_divisor(RationalFn.parse(F3, "w", W))
-    psi_t = build_psi_from_valuation(
-        pt, make_splitting(pt), {}, F3, W,
-        uniformizer_image=w_img, collapse_residue=True,
-    )
-    with pytest.raises(InvalidInput):
-        extract_valuation(psi_t, Arena(F3, ("t",), gen_degree=1))
-
-
-# -- synthetic generator tables on the small arena ----------------------
+# -- generator tables ----------------------------------------------------
 
 U1 = ("u",)
 UV = ("u", "v")
@@ -288,10 +260,32 @@ def _uc(text, vars=U1):
     return to_divisor(RationalFn.parse(F3, text, vars))
 
 
+# sha256 of the case-B report of the pure value character f -> w^nu(f)
+# of curve:x on the q=3 degree-2 arena, taken from the residue formula
+# with the residue part killed and the uniformizer sent to w
+CASE_B_DIGEST = "5d070f98781c482af95d89c72435114b2ecb5fe616a1e2b83720937d9e695a76"
+
+
+def test_case_b_value_character(arena3):
+    psi_b = PsiMap({CURVE_X.pi: _uc("w", W)}, F3, W)
+    res = extract_valuation(psi_b, arena3)
+    assert hashlib.sha256(json.dumps(res.to_json_obj()).encode()).hexdigest() == CASE_B_DIGEST
+    assert res.verdict == "valuation" and res.case == "B"
+    assert res.gamma_rank == 1 and res.gamma_torsion == ()
+    assert res.orientation == 1
+    assert res.o_units_size == 4080
+
+
+def test_extraction_needs_two_variables():
+    psi_t = PsiMap({Poly.parse(F3, "t", ("t",)): _uc("w", W)}, F3, W)
+    with pytest.raises(InvalidInput):
+        extract_valuation(psi_t, Arena(F3, ("t",), gen_degree=1))
+
+
 def test_degenerate_table_psi(small_arena3):
     gx = Poly.parse(F3, "x", XY)
     gy = Poly.parse(F3, "y", XY)
-    psi = GenTablePsi(F3, XY, {gx: _uc("u"), gy: _uc("u+1")}, F3, U1)
+    psi = PsiMap({gx: _uc("u"), gy: _uc("u+1")}, F3, U1)
     res = extract_valuation(psi, small_arena3)
     assert res.verdict == "inconclusive" and res.case == "A"
     assert any("whole window" in n for n in res.notes)
@@ -300,7 +294,7 @@ def test_degenerate_table_psi(small_arena3):
 def test_hypothesis_violation_table_psi(small_arena3):
     gx = Poly.parse(F3, "x", XY)
     gy = Poly.parse(F3, "y", XY)
-    psi = GenTablePsi(F3, XY, {gx: _uc("u", UV), gy: _uc("v", UV)}, F3, UV)
+    psi = PsiMap({gx: _uc("u", UV), gy: _uc("v", UV)}, F3, UV)
     res = extract_valuation(psi, small_arena3)
     assert res.verdict == "inconclusive" and res.case == "A"
     assert any("independent directions" in n for n in res.notes)
@@ -311,7 +305,7 @@ def _injective_psi(small):
     for g_pol in small.gens:
         target = g_pol.map_vars(UV, {0: 0, 1: 1})
         images[g_pol] = to_divisor(RationalFn.from_poly(target))
-    return GenTablePsi(F3, XY, images, F3, UV)
+    return PsiMap(images, F3, UV)
 
 
 def test_injective_table_psi(small_arena3):

@@ -264,10 +264,13 @@ def test_config_validation():
         {"suite": "collineation", "p": 0},
         {"suite": "weil-inertia", "arena_deg": 0},
         {"suite": "reconstruct-roundtrip", "arena_deg": -2},
+        {"suite": "reconstruct-roundtrip", "arena_deg": 1, "samples": 0},
+        {"suite": "reconstruct-roundtrip", "arena_deg": 1, "samples": -5},
     ],
 )
 def test_non_positive_knobs_refused(cfg):
-    # `cfg.q or 3` would run the default while the report echoed the 0
+    # `cfg.q or 3` would run the default while the report echoed the 0,
+    # and a round trip on no conclusion samples would pass vacuously
     with pytest.raises(InvalidConfig):
         run_suite(SuiteConfig(**cfg))
 
@@ -289,6 +292,31 @@ def test_valuation_axioms_catalog_window(monkeypatch):
             run_suite(SuiteConfig(suite="valuation-axioms", q=q, seed=1, samples=1))
 
 
+def test_weil_inertia_generator_window(monkeypatch):
+    # the generator count is read from q and arena_deg before any
+    # irreducible is enumerated: q=9 at degree 3 (285 generators) and
+    # q=23 at degree 2 (276) pass it, q=11 at degree 3 (506) and q=25 at
+    # degree 2 (325) are refused
+    from flagval.poly import monic_irreducibles
+
+    for q, deg in [(2, 3), (3, 2), (4, 3), (5, 1)]:
+        assert suites._irreducible_count(q, deg) == len(monic_irreducibles(q, "t", deg))
+
+    class Built(Exception):
+        pass
+
+    def no_build(*args):
+        raise Built
+
+    monkeypatch.setattr(suites, "monic_irreducibles", no_build)
+    for q, deg in [(9, 3), (23, 2), (49, 1)]:
+        with pytest.raises(Built):
+            run_suite(SuiteConfig(suite="weil-inertia", q=q, arena_deg=deg))
+    for q, deg in [(11, 3), (25, 2), (49, 3)]:
+        with pytest.raises(SizeBound):
+            run_suite(SuiteConfig(suite="weil-inertia", q=q, arena_deg=deg))
+
+
 def test_cli_valuation_axioms_q49_exits_two_at_once(capsys):
     import time
 
@@ -298,6 +326,16 @@ def test_cli_valuation_axioms_q49_exits_two_at_once(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "flagval: SizeBound: the valuation subspace catalog supports q <= 13\n"
+
+    t0 = time.monotonic()
+    assert cli.main(["weil-inertia", "--q", "49"]) == 2
+    assert time.monotonic() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "flagval: SizeBound: the inertia arena holds at most 285 generators; "
+        "q=49 at degree 3 has 40425\n"
+    )
 
 
 # -- command line front end ----------------------------------------------
@@ -339,6 +377,8 @@ def test_cli_error_exits(capsys):
     capsys.readouterr()
     assert cli.main(["reconstruct", "--q", "5", "--source", "F3(x,y)"]) == 2
     capsys.readouterr()
+    assert cli.main(["reconstruct", "--place", "curve:x", "--psi", "from-valuation:curve:y"]) == 2
+    assert "conflicting place specs" in capsys.readouterr().err
 
 
 def test_cli_report_flag_wrong_suite(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Places, valuations, residues, splittings, serialization."""
+"""Places, valuations, residues, serialization."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue, UnsupportedValueGroup
+from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
 from flagval.poly import Poly, divide_exact, factor_univariate, is_irreducible, monic_irreducibles
@@ -19,7 +19,6 @@ from flagval.valuations import (
     InfinitePlace,
     QuotientRing,
     degree_sum,
-    make_splitting,
     parse_place,
     serialize_place,
     ultrametric_ok,
@@ -47,7 +46,6 @@ def test_finite_place_values():
     assert p.val(rt("t+1/t^2")) == -2
     assert p.val(rt("t+1")) == 0
     assert p.degree == 1
-    assert p.val(p.uniformizer()) == 1
     with pytest.raises(InvalidInput):
         p.val(RationalFn.constant(F3, T, 0))
 
@@ -55,9 +53,8 @@ def test_finite_place_values():
 def test_finite_place_residue():
     p = FinitePlace(Poly.parse(F3, "t", T))
     # a unit's residue is its value at the point
-    assert p.residue(rt("t+2/t+1")) == 2
-    with pytest.raises(NotAUnit):
-        p.residue(rt("t"))
+    assert p.unit_residue(rt("t+2/t+1")) == (0, 2)
+    assert p.unit_residue(rt("t")) == (1, 1)
 
 
 def _ring_cases():
@@ -100,9 +97,9 @@ def test_finite_place_deg2():
     assert p.val(rt("t^2+1/t")) == 1
     assert p.val(rt("t^4+2*t^2+1")) == 2
     # the residue of t generates the quadratic residue ring
-    r = p.residue(rt("t"))
-    assert p.ring is not None
-    assert p.ring.mul(r, r) == p.ring.constant(2)  # t^2 = -1 mod t^2+1
+    v, r = p.unit_residue(rt("t"))
+    assert v == 0 and p.ring is not None
+    assert p.ring.mul(r, r) == (2, 0)  # t^2 = -1 mod t^2+1
     with pytest.raises(InvalidInput):
         FinitePlace(Poly.parse(F3, "t^2+2", T))  # reducible
     with pytest.raises(InvalidInput):
@@ -116,8 +113,7 @@ def test_unit_residues():
     assert p.unit_residue(rt("t+1/t")) == (-1, 1)
     q2 = FinitePlace(Poly.parse(F3, "t^2+1", T))
     v, r = q2.unit_residue(rt("t^3+t/t+1"))  # t (t^2+1) / (t+1)
-    assert v == 1
-    assert r == q2.residue(rt("t/t+1"))
+    assert (v, r) == (1, q2.unit_residue(rt("t/t+1"))[1])
     inf = InfinitePlace(F3, "t")
     assert inf.unit_residue(rt("2*t^2+1/t+2")) == (-1, 2)
     with pytest.raises(InvalidInput):
@@ -218,8 +214,7 @@ def test_infinite_place():
     assert p.val(rt("t")) == -1
     assert p.val(rt("1/t^3")) == 3
     assert p.val(rt("t+1/t+2")) == 0
-    assert p.residue(rt("2*t+1/t+2")) == 2  # leading coefficient ratio
-    assert p.val(p.uniformizer()) == 1
+    assert p.unit_residue(rt("2*t+1/t+2")) == (0, 2)  # leading coefficient ratio
     assert p.degree == 1
 
 
@@ -255,17 +250,6 @@ def test_composite_place_lex():
     # lexicographic comparison puts any curve-positive below point-positive
     assert comp.val(rxy("y")) < comp.val(rxy("x"))
     assert comp.val(rxy("y+1")) == (0, 0)
-
-
-def test_make_splitting():
-    p = FinitePlace(Poly.parse(F3, "t^2+1", T))
-    s = make_splitting(p)
-    assert p.val(s.section(5)) == 5
-    assert s.section(2) * s.section(3) == s.section(5)
-    c = DivisorialCurve(Poly.parse(F3, "x", XY))
-    pt = FinitePlace(Poly.parse(F3, "y", ("y",)))
-    with pytest.raises(UnsupportedValueGroup):
-        make_splitting(CompositePlace(c, pt))
 
 
 def test_ultrametric_fixed():
