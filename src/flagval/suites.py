@@ -303,8 +303,8 @@ INERTIA_GENERATOR_CAP = 285
 
 
 def _irreducible_count(q: int, deg: int) -> int:
-    """Number of monic irreducibles of degree 1..deg <= 3 over F_q, by
-    Gauss's formula d N(d) = sum over e | d of mu(e) q^(d/e)."""
+    """Number of monic irreducibles of degree 1..deg over F_q, deg <= 3:
+    Gauss's formula gives q, (q^2 - q)/2 and (q^3 - q)/3 per degree."""
     return sum((q, (q * q - q) // 2, (q**3 - q) // 3)[:deg])
 
 
@@ -446,13 +446,14 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
 
         cases += 1
         t = RationalFn.parse(field, "t", ("t",))
-        places = support_places(t, t - 1)
-        residues = [tame_symbol(t, t - 1, pl) for pl in places]
+        t1 = t - 1
+        places = support_places(t, t1)
+        residues = [tame_symbol(t, t1, pl) for pl in places]
         product = 1
         for pl, r in zip(places, residues):
             product = field.mul(product, _res_norm(pl, r))
         worked = {
-            "entries": [str(t), str(t - 1)],
+            "entries": [str(t), str(t1)],
             "support": [serialize_place(pl) for pl in places],
             "residues": [r if isinstance(r, int) else str(r) for r in residues],
             "norm_product": product,
