@@ -8,7 +8,10 @@ prop-flag-map and collineation, the default sample counts of the
 sampled suites, ktheory over GF(4), GF(9) and GF(49), which pins
 the tame symbols of residue fields larger than the prime field, and the
 three degree-2 round trips of the benchmark's `roundtrip` workload,
-which pin the dependence classes that reconstruction builds.
+which pin the dependence classes that reconstruction builds.  The
+valuation axioms over GF(4) and GF(7) pin the values and residues of
+places over a field that is not prime and over a larger prime field,
+and weil-inertia over GF(7) pins the unit lattices of 140 generators.
 """
 
 import hashlib
@@ -34,8 +37,11 @@ GOLDEN = [
     ({'suite': 'valuation-axioms', 'q': 3, 'seed': 5, 'samples': 300}, "172647148ddf91517552daefb1bd79b2ac7d348df92790732a5cfacb3499e84a"),
     ({'suite': 'valuation-axioms', 'q': 5, 'seed': 5, 'samples': 300}, "6e8fd11e7079d5aca3dc357dde2cf4015df1b90ca170293e3e7051bcf4307d72"),
     ({'suite': 'valuation-axioms', 'q': 3, 'seed': 101, 'samples': 1000}, "358cbc65fd69e7aa55d4d13c12dc5db7590662289a022c4c5d12731914e38d4b"),
+    ({'suite': 'valuation-axioms', 'q': 4, 'seed': 5, 'samples': 300}, "38577a662594b34d0876b3402e493792dec27dfba754d40eb80607888221addd"),
+    ({'suite': 'valuation-axioms', 'q': 7, 'seed': 5, 'samples': 300}, "871cafd4cc2ebb9b75ff456527471b114b39c1eddeff8c0523ef8d5df25e3374"),
     ({'suite': 'weil-inertia'}, "698ea0f429e3fc78d05a2bced4252382e2fdd5c917983fc1988e35d9f60bbbb6"),
     ({'suite': 'weil-inertia', 'arena_deg': 2}, "d2630e22d068cc37dfdf6fd506ed3f612a12ba18628d99d96f222724c947d153"),
+    ({'suite': 'weil-inertia', 'q': 7}, "2984aea20b107914b06a3025db9139e66e0ec32ff115d40cf4a22a27e12a60f0"),
     ({'suite': 'c-pairs'}, "1cc3e6ed179df8ee377115e8d1c8373b9d5e101e7c9441df0910ceb998b8de0b"),
     ({'suite': 'ktheory', 'seed': 11, 'samples': 60}, "852017a49e3383d43bf48b267ffcb68f78279014833777a59ea108b9577b9dbc"),
     ({'suite': 'ktheory', 'seed': 11, 'check': 'worked'}, "94a71c85cdf86e4b5d58ffd0e676025e1c14cc725a6a06d3ac3ef3e528d93867"),
