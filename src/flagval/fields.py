@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import fqlin
 from .errors import InvalidInput
 from .ff import FiniteField
-from .poly import Poly, divmod_univariate, factor, gcd_univariate
+from .poly import Poly, _divrem, factor, gcd_univariate
 
 INF = "inf"
 _RESERVED_NAMES = (INF, "unit")
@@ -25,7 +25,10 @@ class RationalFn:
 
     Canonical form: common factors cancelled (always in one variable;
     in two variables only when both parts fit the factoring window) and
-    the denominator's leading coefficient moved into the numerator.
+    the denominator's leading coefficient moved into the numerator.  In
+    one variable gcd_univariate finds the common factor, the exact
+    divisions run on dense lists, and each part is built by one trusted
+    `_make` that also rescales it.
     """
 
     __slots__ = ("num", "den")
@@ -39,35 +42,31 @@ class RationalFn:
         if any(v in _RESERVED_NAMES for v in num.vars):
             raise InvalidInput(f"variable names {_RESERVED_NAMES} are reserved")
         F = num.field
-        if num:
-            if len(num.vars) == 1:
-                g = gcd_univariate(num, den)
-                if g.degree() > 0:
-                    num = divmod_univariate(num, g)[0]
-                    den = divmod_univariate(den, g)[0]
-            else:
-                if num.degree() <= 3 and den.degree() <= 3:
-                    nu, nparts = factor(num)
-                    du, dparts = factor(den)
-                    for p in list(nparts):
-                        if p in dparts:
-                            k = min(nparts[p], dparts[p])
-                            nparts[p] -= k
-                            dparts[p] -= k
-                    # nu and du are the nonzero units factor split off
-                    num = Poly._make(F, num.vars, {(0, 0): nu})
-                    for p, k in nparts.items():
-                        if k:
-                            num = num * p**k
-                    den = Poly._make(F, den.vars, {(0, 0): du})
-                    for p, k in dparts.items():
-                        if k:
-                            den = den * p**k
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = F.inv(lc)
-            num = num * inv
-            den = den * inv
+        if len(num.vars) == 1:
+            num, den = _lowest_terms(num, den)
+        else:
+            if num and num.degree() <= 3 and den.degree() <= 3:
+                nu, nparts = factor(num)
+                du, dparts = factor(den)
+                for p in list(nparts):
+                    if p in dparts:
+                        k = min(nparts[p], dparts[p])
+                        nparts[p] -= k
+                        dparts[p] -= k
+                # nu and du are the nonzero units factor split off
+                num = Poly._make(F, num.vars, {(0, 0): nu})
+                for p, k in nparts.items():
+                    if k:
+                        num = num * p**k
+                den = Poly._make(F, den.vars, {(0, 0): du})
+                for p, k in dparts.items():
+                    if k:
+                        den = den * p**k
+            lc = den.leading_coeff()
+            if lc != 1:
+                inv = F.inv(lc)
+                num = num * inv
+                den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -179,6 +178,31 @@ class RationalFn:
         return self.num == self.den * c
 
 
+def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den in one variable with the gcd cancelled and den monic."""
+    F = num.field
+    vars = num.vars
+    if num:
+        g = gcd_univariate(num, den)
+        if g.degree() > 0:
+            gd = g.to_dense()
+            nd = _divrem(F, num.to_dense(), gd)[0]
+            dd = _divrem(F, den.to_dense(), gd)[0]
+            s = F._mul[F._inv[dd[-1]]]
+            return (
+                Poly._make(F, vars, {(i,): s[c] for i, c in enumerate(nd) if c}),
+                Poly._make(F, vars, {(i,): s[c] for i, c in enumerate(dd) if c}),
+            )
+    lc = den.coeffs[max(den.coeffs)]
+    if lc == 1:
+        return num, den
+    s = F._mul[F._inv[lc]]
+    return (
+        Poly._make(F, vars, {e: s[c] for e, c in num.coeffs.items()}),
+        Poly._make(F, vars, {e: s[c] for e, c in den.coeffs.items()}),
+    )
+
+
 class DivisorRep:
     """Element of K* as integer exponents over canonical irreducible
     generators, plus a retained scalar unit.
@@ -186,6 +210,12 @@ class DivisorRep:
     The univariate formal symbol INF participates as an extra generator;
     for reps produced by to_divisor it always carries deg(den)-deg(num).
     Modulo-k* comparisons go through class_key(), which ignores the unit.
+
+    The constructor validates every generator and exponent and drops
+    zero exponents; `_make` is the trusted route of to_divisor, products
+    and inverses, whose exponents are already nonzero and whose
+    generators are canonical.  The identity key behind hash and == is
+    built on first use.
     """
 
     __slots__ = ("field", "vars", "exps", "unit", "_key")
@@ -210,11 +240,15 @@ class DivisorRep:
             else:
                 raise InvalidInput(f"bad generator {g!r}")
             clean[g] = e
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "exps", clean)
-        object.__setattr__(self, "unit", field.check(unit))
-        object.__setattr__(self, "_key", (field.q, self.vars, self._sorted_items(), unit))
+        _init_divisor(self, field, tuple(vars), clean, field.check(unit))
+
+    @classmethod
+    def _make(cls, field: FiniteField, vars: tuple[str, ...], exps: dict, unit: int) -> "DivisorRep":
+        """Trusted construction: exps maps canonical generators of this
+        domain (or INF in one variable) to nonzero ints; unit is nonzero."""
+        self = object.__new__(cls)
+        _init_divisor(self, field, vars, exps, unit)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("DivisorRep is immutable")
@@ -222,11 +256,18 @@ class DivisorRep:
     def _sorted_items(self) -> tuple:
         return tuple(sorted(self.exps.items(), key=lambda kv: _gen_order(kv[0])))
 
+    def _ident(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = (self.field.q, self.vars, self._sorted_items(), self.unit)
+            object.__setattr__(self, "_key", key)
+        return key
+
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._ident())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DivisorRep) and self._key == other._key
+        return isinstance(other, DivisorRep) and self._ident() == other._ident()
 
     def class_key(self) -> tuple:
         """Identity as an element of K*/k* (unit discarded)."""
@@ -249,13 +290,17 @@ class DivisorRep:
             raise InvalidInput("mixed divisor domains")
         exps = dict(self.exps)
         for g, e in other.exps.items():
-            exps[g] = exps.get(g, 0) + e
-        return DivisorRep(self.field, self.vars, exps, self.field.mul(self.unit, other.unit))
+            e += exps.get(g, 0)
+            if e:
+                exps[g] = e
+            else:
+                del exps[g]
+        F = self.field
+        return DivisorRep._make(F, self.vars, exps, F._mul[self.unit][other.unit])
 
     def inverse(self) -> "DivisorRep":
-        return DivisorRep(
-            self.field, self.vars, {g: -e for g, e in self.exps.items()}, self.field.inv(self.unit)
-        )
+        F = self.field
+        return DivisorRep._make(F, self.vars, {g: -e for g, e in self.exps.items()}, F._inv[self.unit])
 
     def __truediv__(self, other: "DivisorRep") -> "DivisorRep":
         return self * other.inverse()
@@ -276,6 +321,14 @@ class DivisorRep:
         return f"DivisorRep({self})"
 
 
+def _init_divisor(d: DivisorRep, field: FiniteField, vars: tuple[str, ...], exps: dict, unit: int) -> None:
+    object.__setattr__(d, "field", field)
+    object.__setattr__(d, "vars", vars)
+    object.__setattr__(d, "exps", exps)
+    object.__setattr__(d, "unit", unit)
+    object.__setattr__(d, "_key", None)
+
+
 def _gen_order(g) -> tuple:
     # (degree, lex) canonical order with the infinite generator last
     if g == INF:
@@ -289,12 +342,19 @@ def to_divisor(f: RationalFn) -> DivisorRep:
         raise InvalidInput("zero has no divisor")
     nu, nparts = factor(f.num)
     du, dparts = factor(f.den)
-    exps: dict = {g: k for g, k in nparts.items()}
+    exps = nparts  # factor hands each caller a fresh dict
     for g, k in dparts.items():
-        exps[g] = exps.get(g, 0) - k
+        e = exps.get(g, 0) - k
+        if e:
+            exps[g] = e
+        else:
+            del exps[g]
     if len(f.vars) == 1:
-        exps[INF] = f.den.degree() - f.num.degree()
-    return DivisorRep(f.field, f.vars, exps, f.field.div(nu, du))
+        e = f.den.degree() - f.num.degree()
+        if e:
+            exps[INF] = e
+    F = f.field
+    return DivisorRep._make(F, f.vars, exps, F._mul[nu][F._inv[du]])
 
 
 def from_divisor(d: DivisorRep) -> RationalFn:

@@ -34,7 +34,9 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[li
     """
     m = len(rows)
     H = [list(r) for r in rows]
-    T = [[int(i == j) for j in range(m)] for i in range(m)]
+    T = [[0] * m for _ in range(m)]
+    for i in range(m):
+        T[i][i] = 1
     if m == 0:
         return H, T
     n = len(H[0])
@@ -96,7 +98,9 @@ def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], lis
     The diagonal entries are nonnegative with d1 | d2 | ... as usual.
     """
     M = [list(r) for r in rows]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    V = [[0] * ncols for _ in range(ncols)]
+    for i in range(ncols):
+        V[i][i] = 1
     m = len(M)
 
     def col_op(j, k, s, t, u, v):

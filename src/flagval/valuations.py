@@ -5,8 +5,9 @@ function field in one variable, divisorial valuations of the plane
 cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
 lexicographically).  Residues are computed concretely: on F_q(t), from
-the unit part f / pi^v that repeated division leaves (evaluation at the
-root for degree-one places, F_q[t]/(pi) for higher degree), as a
+the unit part f / pi^v that repeated division leaves (for a degree-one
+place, synthetic division by t - root, whose last remainder is the
+unit part's value at the root; F_q[t]/(pi) for higher degree), as a
 leading-coefficient ratio at infinity, and by substitution along graph
 curves.
 """
@@ -21,8 +22,33 @@ from .errors import (
 from .ff import FiniteField
 from .fields import INF, DivisorRep, RationalFn, to_divisor
 from .flagkit import FlagVerdict, is_flag_map
-from .poly import Poly, _divrem, is_irreducible, multiplicity
+from .poly import Poly, _divrem, _multiplicity_dense, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
+
+
+def _root_multiplicity(F: FiniteField, a: list[int], root: int) -> tuple[int, int]:
+    """(k, c): (t - root)^k exactly divides the nonzero dense list a, and
+    c != 0 is the value at root of the cofactor a / (t - root)^k.
+
+    Synthetic division (Horner) from the leading coefficient down: the
+    running values are the quotient's coefficients and the last one is
+    the remainder a(root), so no inverse is taken.
+    """
+    add = F._add
+    at = F._mul[root]
+    hi = a[::-1]  # leading coefficient first
+    k = 0
+    while True:
+        acc = 0
+        quo = []
+        for c in hi:
+            acc = add[c][at[acc]]
+            quo.append(acc)
+        if acc:
+            return k, acc
+        quo.pop()
+        hi = quo
+        k += 1
 
 
 def _dense_mul(F: FiniteField, a, b) -> list[int]:
@@ -162,8 +188,9 @@ class FinitePlace:
 
     `FinitePlace(pi)` proves pi monic irreducible; `_of_factor` trusts a
     factor that factor_univariate returned.  Either way the residue ring
-    is built without a second proof, and a degree-one place keeps its
-    root.
+    is built without a second proof.  A degree-one place keeps its root
+    and divides by Horner; a higher-degree place keeps pi's dense list,
+    converted once here, and its residue ring.
     """
 
     def __init__(self, pi: Poly) -> None:
@@ -189,9 +216,11 @@ class FinitePlace:
         if self.degree == 1:
             self.root = self.field.neg(pi.coeffs.get((0,), 0))
             self.ring = None
+            self._dense = None
         else:
             self.root = None
             self.ring = QuotientRing._of_factor(pi)
+            self._dense = self.ring._mod_dense
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePlace) and self.pi == other.pi
@@ -202,15 +231,21 @@ class FinitePlace:
     def __repr__(self) -> str:
         return f"Place(finite:{self.pi})"
 
+    def _split(self, p: Poly) -> tuple:
+        """(k, u): pi^k exactly divides the nonzero p, and u is the cofactor
+        p / pi^k, as its value at the root for a degree-one place and as a
+        dense list otherwise.  p is converted to a dense list once."""
+        if self._dense is None:
+            return _root_multiplicity(self.field, p.to_dense(), self.root)
+        return _multiplicity_dense(self.field, p.to_dense(), self._dense)
+
     def val(self, f) -> int:
         if isinstance(f, DivisorRep):
             return f.exponent(self.pi)
         f = _as_rational(f)
         if not f:
             raise InvalidInput("the zero element has no value")
-        a, _ = multiplicity(f.num, self.pi)
-        b, _ = multiplicity(f.den, self.pi)
-        return a - b
+        return self._split(f.num)[0] - self._split(f.den)[0]
 
     def unit_residue(self, f) -> tuple:
         """(v, r): the value v of f and the residue r of its unit part
@@ -218,16 +253,12 @@ class FinitePlace:
         f = _as_rational(f)
         if not f:
             raise InvalidInput("the zero element has no value")
-        a, num = multiplicity(f.num, self.pi)
-        b, den = multiplicity(f.den, self.pi)
-        if self.degree == 1:
-            point = (self.root,)
-            d = den.evaluate(point)
-            if d == 0:
-                raise AssertionError("unit denominator vanished at the root")
-            return a - b, self.field.div(num.evaluate(point), d)
+        a, num = self._split(f.num)
+        b, den = self._split(f.den)
+        if self._dense is None:
+            return a - b, self.field.div(num, den)
         ring = self.ring
-        return a - b, ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
+        return a - b, ring.mul(ring._reduce(num), ring.inv(ring._reduce(den)))
 
 
 class InfinitePlace:

@@ -8,9 +8,10 @@ run; this test catches it on a cold import in a fresh interpreter.
 
 Each traced function must also still be called on its home workload.
 A cache or a shortcut that stops a layer's function from being called
-would make that layer read as zero time; the round-trip test below
-catches it in tier-1 for every function whose home is `roundtrip`, on
-one small round trip.
+would make that layer read as zero time; the tests below catch it in
+tier-1 for every function whose home is `roundtrip`, on one small round
+trip, and for every function whose home is `small-field` or
+`large-field`, on small configs of their suites.
 """
 
 import json
@@ -29,17 +30,18 @@ import tracer
 from workloads import DISTINCT, LAYERS
 
 t = tracer.install(LAYERS, DISTINCT)
-suites.run_suite(suites.SuiteConfig(**json.loads(sys.argv[1])))
+for cfg in json.loads(sys.argv[1]):
+    suites.run_suite(suites.SuiteConfig(**cfg))
 print(json.dumps({name: calls for name, (calls, _) in t.stats.items()}))
 """
 
 
-def _traced_calls(cfg: dict) -> dict:
-    """Calls per traced function for one suite run in a fresh interpreter."""
+def _traced_calls(*cfgs: dict) -> dict:
+    """Calls per traced function for suite runs in one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave bench/ as it is
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(cfg)],
+        [sys.executable, "-c", SCRIPT, json.dumps(cfgs)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -58,11 +60,31 @@ def test_tracer_installs_on_cold_import():
     assert calls["flagkit.sweep_decomposition_lemma"] == 1
 
 
-def test_roundtrip_reaches_its_home_functions():
+def _homes(*workloads: str) -> list[str]:
     layers = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["LAYERS"]
-    homes = [f"{mod}.{fn}" for mod, fns in layers.items() for fn, home in fns.items() if home == "roundtrip"]
+    return [f"{mod}.{fn}" for mod, fns in layers.items() for fn, home in fns.items() if home in workloads]
+
+
+def test_roundtrip_reaches_its_home_functions():
+    homes = _homes("roundtrip")
     assert homes
     calls = _traced_calls(
         {"suite": "reconstruct-roundtrip", "q": 2, "place": "curve:x", "arena_deg": 1, "samples": 10}
+    )
+    assert [name for name in homes if not calls[name]] == []
+
+
+def test_field_workloads_reach_their_home_functions():
+    # the suites of `small-field` at small sample counts, and the q=49
+    # ktheory of `large-field`
+    homes = _homes("small-field", "large-field")
+    assert "poly.gcd_univariate" in homes and "milnork.tame_symbol" in homes
+    calls = _traced_calls(
+        {"suite": "valuation-axioms", "q": 3, "samples": 10, "seed": 1},
+        {"suite": "valuation-axioms", "q": 5, "samples": 10, "seed": 1},
+        {"suite": "ktheory", "q": 3, "samples": 10, "seed": 1},
+        {"suite": "weil-inertia", "q": 3, "arena_deg": 3},
+        {"suite": "c-pairs", "q": 3},
+        {"suite": "ktheory", "q": 49, "samples": 10, "seed": 1},
     )
     assert [name for name in homes if not calls[name]] == []

@@ -21,7 +21,7 @@ from flagval.fields import (
     to_divisor,
 )
 from flagval.fqlin import rref
-from flagval.poly import Poly
+from flagval.poly import Poly, divmod_univariate, factor, gcd_univariate
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -187,6 +187,98 @@ def test_bivariate_divisor_window():
     with pytest.raises(FactoringWindowExceeded):
         to_divisor(RationalFn(Poly.parse(F3, "x^2+1", XY) * Poly.parse(F3, "y^2+1", XY),
                               Poly.parse(F3, "1", XY)))
+
+
+def _old_normal_form(num, den):
+    """The first univariate normalisation: gcd, exact divisions by
+    divmod_univariate, then both parts times the inverse of den's
+    leading coefficient."""
+    F = num.field
+    if num:
+        g = gcd_univariate(num, den)
+        if g.degree() > 0:
+            num = divmod_univariate(num, g)[0]
+            den = divmod_univariate(den, g)[0]
+    lc = den.leading_coeff()
+    if lc != 1:
+        inv = F.inv(lc)
+        num, den = num * inv, den * inv
+    return num, den
+
+
+def _dense_poly(F, rng, deg):
+    return Poly.from_dense(F, "t", [rng.randrange(F.q) for _ in range(deg + 1)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 49])
+def test_univariate_normalisation_matches_the_old_route(q):
+    """Seeded num/den pairs, many with a planted common factor, a zero
+    numerator and non-monic denominators."""
+    F = FiniteField(q)
+    rng = random.Random(100 + q)
+    cancelled = rescaled = 0
+    for _ in range(150):
+        common = _dense_poly(F, rng, rng.randint(0, 2))
+        num = _dense_poly(F, rng, rng.randint(0, 4)) * common
+        den = _dense_poly(F, rng, rng.randint(0, 3)) * common
+        if not den:
+            continue
+        f = RationalFn(num, den)
+        old_num, old_den = _old_normal_form(num, den)
+        assert f.num.coeffs == old_num.coeffs and f.den.coeffs == old_den.coeffs, (num, den)
+        cancelled += bool(num) and gcd_univariate(num, den).degree() > 0
+        rescaled += den.leading_coeff() != 1
+    assert cancelled > 20 and (q == 2 or rescaled > 20)
+
+
+def _old_to_divisor(f):
+    """The first to_divisor: every exponent, zeros included, through the
+    validating constructor."""
+    nu, nparts = factor(f.num)
+    du, dparts = factor(f.den)
+    exps = dict(nparts)
+    for g, k in dparts.items():
+        exps[g] = exps.get(g, 0) - k
+    if len(f.vars) == 1:
+        exps[INF] = f.den.degree() - f.num.degree()
+    return DivisorRep(f.field, f.vars, exps, f.field.div(nu, du))
+
+
+def _same_divisor(d, oracle):
+    assert d.exps == oracle.exps and d.unit == oracle.unit
+    assert d == oracle and hash(d) == hash(oracle)
+    assert d.class_key() == oracle.class_key() and str(d) == str(oracle)
+
+
+@pytest.mark.parametrize("q,vars", [(3, T), (4, T), (49, T), (3, XY)])
+def test_trusted_divisors_match_validated(q, vars):
+    """to_divisor, products and inverses, each against the validating
+    constructor on the same data; products include full and partial
+    cancellation and f with deg num == deg den."""
+    F = FiniteField(q)
+    rng = random.Random(q)
+    fns = []
+    while len(fns) < 12:
+        num = _random_poly(F, rng, vars, rng.randint(0, 2))
+        f = RationalFn(num, _random_poly(F, rng, vars, num.degree()))
+        if not f.is_constant():
+            fns.append(f)
+    assert any(f.num.degree() == f.den.degree() for f in fns)
+    divs = []
+    for f in fns:
+        d = to_divisor(f)
+        _same_divisor(d, _old_to_divisor(f))
+        divs.append(d)
+    for d in divs:
+        _same_divisor(d.inverse(), DivisorRep(F, vars, {g: -e for g, e in d.exps.items()}, F.inv(d.unit)))
+    pairs = list(itertools.combinations(divs, 2)) + [(d, d.inverse()) for d in divs]
+    pairs += [(d * e, e.inverse()) for d, e in itertools.combinations(divs, 2)]
+    for d, e in pairs:
+        exps = dict(d.exps)
+        for g, k in e.exps.items():
+            exps[g] = exps.get(g, 0) + k
+        _same_divisor(d * e, DivisorRep(F, vars, exps, F.mul(d.unit, e.unit)))
+    assert all((d * d.inverse()).is_trivial() for d in divs)
 
 
 def test_algebraic_dependence_positive():

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
-from flagval.poly import Poly, divide_exact, factor_univariate, is_irreducible, monic_irreducibles
+from flagval.poly import (
+    Poly,
+    divide_exact,
+    factor_univariate,
+    is_irreducible,
+    monic_irreducibles,
+    multiplicity,
+)
 from flagval.projspace import EmbeddedSubspace
 from flagval.valuations import (
     CompositePlace,
@@ -177,6 +184,68 @@ def test_trusted_place_equals_validated(q, max_deg):
             assert a.root is None and b.root is None
             assert a.ring.modulus == b.ring.modulus == pi
             assert (a.ring.d, a.ring.order) == (b.ring.d, b.ring.order) == (pi.degree(), q ** pi.degree())
+
+
+def _first_route(pi, f, residue_of):
+    """(v, r) of f at the place pi by the first route: multiplicity on
+    num and den, then residue_of the cofactors' quotient."""
+    a, num = multiplicity(f.num, pi)
+    b, den = multiplicity(f.den, pi)
+    return a - b, residue_of(num, den)
+
+
+def _first_route_residues(pi):
+    """The first route's residue map at pi: the cofactors evaluated at a
+    root found by search (degree one), or reduced in a validated ring."""
+    F = pi.field
+    if pi.degree() == 1:
+        (root,) = [(x,) for x in F.elements() if pi.evaluate((x,)) == 0]
+        return lambda num, den: F.div(num.evaluate(root), den.evaluate(root))
+    ring = QuotientRing(pi)
+    return lambda num, den: ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
+
+
+def _same_as_first_route(places, fns):
+    for place in places:
+        residue_of = _first_route_residues(place.pi)
+        for f in fns:
+            v, r = place.unit_residue(f)
+            assert (v, r) == _first_route(place.pi, f, residue_of), (str(f), str(place.pi))
+            assert place.val(f) == v
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_place_values_match_repeated_division_exhaustive(q):
+    """Horner at degree-one places and dense division at degree two,
+    against the first route, at every place of degree <= 2: every nonzero
+    p of degree <= 5 as a numerator (p / 1) and every monic one as a
+    denominator (1 / p; 1 / cp has the same denominator)."""
+    F = FiniteField(q)
+    places = [FinitePlace._of_factor(pi) for pi in monic_irreducibles(q, "t", 2)]
+    one = Poly.constant(F, T, 1)
+    fns = []
+    for dense in itertools.product(range(q), repeat=6):
+        p = Poly.from_dense(F, "t", list(dense))
+        if p:
+            fns.append(RationalFn(p, one))
+            if p.leading_coeff() == 1:
+                fns.append(RationalFn(one, p))
+    _same_as_first_route(places, fns)
+
+
+def test_place_values_match_repeated_division_sampled_f49():
+    F = FiniteField(49)
+    rng = random.Random(49)
+    for pi in rng.sample(monic_irreducibles(49, "t", 2), 12):
+        fns = []
+        for _ in range(15):
+            num, den = (
+                pi ** rng.randint(0, 2) * Poly.from_dense(F, "t", [rng.randrange(49) for _ in range(4)])
+                for _ in "nd"
+            )
+            if num and den:
+                fns.append(RationalFn(num, den))
+        _same_as_first_route([FinitePlace._of_factor(pi)], fns)
 
 
 def test_place_and_ring_refuse_bad_moduli():
