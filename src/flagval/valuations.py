@@ -189,8 +189,8 @@ class FinitePlace:
     `FinitePlace(pi)` proves pi monic irreducible; `_of_factor` trusts a
     factor that factor_univariate returned.  Either way the residue ring
     is built without a second proof.  A degree-one place keeps its root
-    and divides by Horner; a higher-degree place keeps pi's dense list,
-    converted once here, and its residue ring.
+    and divides by Horner; a higher-degree place keeps its residue ring,
+    whose dense modulus is pi's dense list, converted once.
     """
 
     def __init__(self, pi: Poly) -> None:
@@ -216,11 +216,9 @@ class FinitePlace:
         if self.degree == 1:
             self.root = self.field.neg(pi.coeffs.get((0,), 0))
             self.ring = None
-            self._dense = None
         else:
             self.root = None
             self.ring = QuotientRing._of_factor(pi)
-            self._dense = self.ring._mod_dense
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePlace) and self.pi == other.pi
@@ -235,9 +233,9 @@ class FinitePlace:
         """(k, u): pi^k exactly divides the nonzero p, and u is the cofactor
         p / pi^k, as its value at the root for a degree-one place and as a
         dense list otherwise.  p is converted to a dense list once."""
-        if self._dense is None:
+        if self.ring is None:
             return _root_multiplicity(self.field, p.to_dense(), self.root)
-        return _multiplicity_dense(self.field, p.to_dense(), self._dense)
+        return _multiplicity_dense(self.field, p.to_dense(), self.ring._mod_dense)
 
     def val(self, f) -> int:
         if isinstance(f, DivisorRep):
@@ -255,9 +253,9 @@ class FinitePlace:
             raise InvalidInput("the zero element has no value")
         a, num = self._split(f.num)
         b, den = self._split(f.den)
-        if self._dense is None:
-            return a - b, self.field.div(num, den)
         ring = self.ring
+        if ring is None:
+            return a - b, self.field.div(num, den)
         return a - b, ring.mul(ring._reduce(num), ring.inv(ring._reduce(den)))
 
 
