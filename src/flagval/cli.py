@@ -32,7 +32,10 @@ def _parse_source(text: str) -> tuple[int, tuple[str, ...]]:
     m = _SOURCE_RE.match(text.strip())
     if not m:
         raise InvalidConfig(f"source must look like F3(x,y), got {text!r}")
-    q = int(m.group(1))
+    try:
+        q = int(m.group(1))
+    except ValueError:  # past Python's limit on digits in an int() string
+        raise InvalidConfig(f"source field size too large ({len(m.group(1))} digits)") from None
     vars = tuple(v.strip() for v in m.group(2).split(","))
     return q, vars
 

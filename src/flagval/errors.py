@@ -25,10 +25,6 @@ class UnsupportedResidue(FlagvalError):
     """Residue computation not available for this place."""
 
 
-class NotAUnit(FlagvalError):
-    """Residue requested for an element of nonzero value."""
-
-
 class ProportionalPair(FlagvalError):
     """Two characters that were required to be independent are proportional."""
 

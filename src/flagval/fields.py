@@ -214,8 +214,8 @@ class DivisorRep:
     The constructor validates every generator and exponent and drops
     zero exponents; `_make` is the trusted route of to_divisor, products
     and inverses, whose exponents are already nonzero and whose
-    generators are canonical.  The identity key behind hash and == is
-    built on first use.
+    generators are canonical.  The class key is built on first use and
+    kept; hash and == read it together with the unit.
     """
 
     __slots__ = ("field", "vars", "exps", "unit", "_key")
@@ -256,22 +256,23 @@ class DivisorRep:
     def _sorted_items(self) -> tuple:
         return tuple(sorted(self.exps.items(), key=lambda kv: _gen_order(kv[0])))
 
-    def _ident(self) -> tuple:
+    def class_key(self) -> tuple:
+        """Identity as an element of K*/k* (unit discarded), sorted on
+        first use and kept."""
         key = self._key
         if key is None:
-            key = (self.field.q, self.vars, self._sorted_items(), self.unit)
+            key = (self.field.q, self.vars, self._sorted_items())
             object.__setattr__(self, "_key", key)
         return key
+
+    def _ident(self) -> tuple:
+        return (self.class_key(), self.unit)
 
     def __hash__(self) -> int:
         return hash(self._ident())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DivisorRep) and self._ident() == other._ident()
-
-    def class_key(self) -> tuple:
-        """Identity as an element of K*/k* (unit discarded)."""
-        return (self.field.q, self.vars, self._sorted_items())
 
     def is_trivial(self) -> bool:
         """Trivial as a class in K*/k* (a constant)."""

@@ -36,7 +36,8 @@ from .valuations import (
     ultrametric_ok,
     valuation_flag_structure,
 )
-from .weil import WeilElement, c_pair_test, find_supporting_valuation, is_inertia, solve_inertia, value_vector
+from .weil import WeilElement, c_pair_test, find_supporting_valuation, is_inertia, solve_inertia
+from .weil import unit_lattice_basis, value_matrix
 
 REPORT_VERSION = 1
 WITNESS_CAP = 5
@@ -326,11 +327,12 @@ def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     places = [FinitePlace(p) for p in irr] + [InfinitePlace(field, "t")]
     bad: list[str] = []
     for place in places:
-        rows = solve_inertia(place, gens)
-        vv = value_vector(place, gens)
+        values = value_matrix(place, gens)
+        units = unit_lattice_basis(values)
+        rows = solve_inertia(units, len(gens))
+        vv = [v for (v,) in values]
         exact = len(rows) == 1 and (rows[0] == vv or rows[0] == [-x for x in vv])
-        w = WeilElement(place)
-        if not (exact and is_inertia(w, place, gens)):
+        if not (exact and is_inertia(vv, units)):
             bad.append(serialize_place(place))
     return {
         "cases_total": len(places),
@@ -472,6 +474,24 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
     }
 
 
+# the round trip costs more than linearly in the arena's lines, and
+# more per line over a larger field: 8,100 lines (q = 9 at degree 1)
+# take 14-18 s, 17,424 (q = 11 at degree 1) 45 s
+ROUNDTRIP_LINE_CAP = 8_100
+
+
+def _arena_line_count(q: int, deg: int) -> int:
+    """Lines of the two-variable arena of degree deg <= 2 over F_q: l(1, g)
+    for each of the N generators and l(1, g/h) for each linear h other
+    than g, so N * (L + 1) - L.  The L = q^2 + q lines of the plane are
+    the linear generators; a degree-2 generator is a conic up to scalars,
+    (q^2 + q + 1) q^3 of them, less the L (L + 1) / 2 products of two
+    lines."""
+    lin = q * q + q
+    n = lin if deg == 1 else lin + (q * q + q + 1) * q**3 - lin * (lin + 1) // 2
+    return n * (lin + 1) - lin
+
+
 _ARENA_CACHE: dict = {}
 
 
@@ -491,6 +511,12 @@ def _suite_reconstruct(cfg: SuiteConfig) -> dict:
     deg = cfg.arena_deg or 2
     if deg not in (1, 2):
         raise InvalidConfig("the reconstruction arena supports generator degree 1 or 2")
+    n = _arena_line_count(q, deg)
+    if n > ROUNDTRIP_LINE_CAP:
+        raise SizeBound(
+            f"the round-trip arena holds at most {ROUNDTRIP_LINE_CAP} lines; "
+            f"q={q} at degree {deg} has {n}"
+        )
     place_text = cfg.place or "curve:x"
     vars2 = ("x", "y")
     place = parse_place(field, place_text, vars2)

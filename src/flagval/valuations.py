@@ -4,23 +4,19 @@ Four kinds of places: finite and infinite places of the rational
 function field in one variable, divisorial valuations of the plane
 cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
-lexicographically).  Residues are computed concretely: on F_q(t), from
-the unit part f / pi^v that repeated division leaves (for a degree-one
-place, synthetic division by t - root, whose last remainder is the
-unit part's value at the root; F_q[t]/(pi) for higher degree), as a
-leading-coefficient ratio at infinity, and by substitution along graph
-curves.
+lexicographically).  Every place of F_q(t) and every graph curve
+answers `unit_residue(f) -> (v, r)`: the value of f and the residue of
+its unit part, from the cofactors of one repeated-division pass (for a
+degree-one place, synthetic division by t - root, whose last remainder
+is the residue; F_q[t]/(pi) for higher degree), as a leading-coefficient
+ratio at infinity, and by substituting the graph along a curve.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    InvalidInput,
-    NotAUnit,
-    UnsupportedResidue,
-)
+from .errors import InvalidInput, UnsupportedResidue
 from .ff import FiniteField
-from .fields import INF, DivisorRep, RationalFn, to_divisor
+from .fields import INF, RationalFn, to_divisor
 from .flagkit import FlagVerdict, is_flag_map
 from .poly import Poly, _divrem, _multiplicity_dense, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
@@ -173,16 +169,6 @@ class QuotientRing:
 # -- places ------------------------------------------------------------
 
 
-def _as_rational(f) -> RationalFn:
-    if isinstance(f, RationalFn):
-        return f
-    if isinstance(f, DivisorRep):
-        from .fields import from_divisor
-
-        return from_divisor(f)
-    raise InvalidInput(f"expected RationalFn or DivisorRep, got {type(f).__name__}")
-
-
 class FinitePlace:
     """Place of F_q(t) cut out by a monic irreducible polynomial.
 
@@ -237,18 +223,14 @@ class FinitePlace:
             return _root_multiplicity(self.field, p.to_dense(), self.root)
         return _multiplicity_dense(self.field, p.to_dense(), self.ring._mod_dense)
 
-    def val(self, f) -> int:
-        if isinstance(f, DivisorRep):
-            return f.exponent(self.pi)
-        f = _as_rational(f)
+    def val(self, f: RationalFn) -> int:
         if not f:
             raise InvalidInput("the zero element has no value")
         return self._split(f.num)[0] - self._split(f.den)[0]
 
-    def unit_residue(self, f) -> tuple:
+    def unit_residue(self, f: RationalFn) -> tuple:
         """(v, r): the value v of f and the residue r of its unit part
         f / pi^v, read from the cofactors that repeated division leaves."""
-        f = _as_rational(f)
         if not f:
             raise InvalidInput("the zero element has no value")
         a, num = self._split(f.num)
@@ -282,18 +264,14 @@ class InfinitePlace:
     def __repr__(self) -> str:
         return "Place(infinite)"
 
-    def val(self, f) -> int:
-        if isinstance(f, DivisorRep):
-            return f.exponent(INF)
-        f = _as_rational(f)
+    def val(self, f: RationalFn) -> int:
         if not f:
             raise InvalidInput("the zero element has no value")
         return f.den.degree() - f.num.degree()
 
-    def unit_residue(self, f) -> tuple[int, int]:
+    def unit_residue(self, f: RationalFn) -> tuple[int, int]:
         """(v, r): the value of f and the residue lc(num)/lc(den) of its
         unit part f * t^v."""
-        f = _as_rational(f)
         return self.val(f), self.field.div(f.num.leading_coeff(), f.den.leading_coeff())
 
 
@@ -323,10 +301,7 @@ class DivisorialCurve:
     def __repr__(self) -> str:
         return f"Place(curve:{self.pi})"
 
-    def val(self, f) -> int:
-        if isinstance(f, DivisorRep):
-            return f.exponent(self.pi)
-        f = _as_rational(f)
+    def val(self, f: RationalFn) -> int:
         if not f:
             raise InvalidInput("the zero element has no value")
         a, _ = multiplicity(f.num, self.pi)
@@ -335,27 +310,14 @@ class DivisorialCurve:
 
     def _graph(self) -> tuple[int, Poly]:
         """Substitution killing the curve: returns (eliminated variable
-        index, its image in the other variable).  Only graph curves
-        c*v + h(w) support residues."""
+        index, its image as a polynomial in the other variable alone).
+        Only graph curves c*v + h(w) support residues."""
         for i in (0, 1):
-            if self.pi.deg_in(i) != 1:
-                continue
-            lin = {}
-            rest = {}
-            for exp, c in self.pi.coeffs.items():
-                if exp[i] == 1:
-                    lin[exp] = c
-                elif exp[i] == 0:
-                    rest[exp] = c
-                else:
-                    lin = None
-                    break
-            if lin is None or list(lin) != [tuple(1 if j == i else 0 for j in (0, 1))]:
-                continue
-            c = next(iter(lin.values()))
-            h = Poly(self.field, self.vars, rest)
-            image = h * self.field.neg(self.field.inv(c))
-            return i, image
+            v = (1, 0) if i == 0 else (0, 1)
+            if [exp for exp in self.pi.coeffs if exp[i]] == [v]:
+                rest = {exp: c for exp, c in self.pi.coeffs.items() if not exp[i]}
+                h = Poly(self.field, self.vars, rest).map_vars((self.vars[1 - i],), {1 - i: 0})
+                return i, h * self.field.neg(self.field.inv(self.pi.coeffs[v]))
         raise UnsupportedResidue(
             f"residues along {self.pi} need a graph curve (linear in one variable)"
         )
@@ -365,31 +327,22 @@ class DivisorialCurve:
         i, _ = self._graph()
         return self.vars[1 - i]
 
-    def residue(self, f) -> RationalFn:
-        """Restriction of a unit to the curve, as an element of F_q(w)
-        for the surviving coordinate w."""
-        f = _as_rational(f)
+    def unit_residue(self, f: RationalFn) -> tuple[int, RationalFn]:
+        """(v, r): the value v of f and the restriction r of its unit part
+        f / pi^v to the curve, an element of F_q(w) for the surviving
+        coordinate w.  One multiplicity pass on num and den leaves the
+        cofactors, and r is their quotient on the curve."""
         if not f:
             raise InvalidInput("the zero element has no value")
+        i, image = self._graph()
         a, num = multiplicity(f.num, self.pi)
         b, den = multiplicity(f.den, self.pi)
-        if a != b:
-            raise NotAUnit(f"{f} has nonzero value along {self.pi}")
-        i, image = self._graph()
-        keep = 1 - i
-        images = {
-            self.vars[i]: image,
-            self.vars[keep]: Poly.variable(self.field, self.vars, self.vars[keep]),
-        }
-        num2 = num.substitute(images)
-        den2 = den.substitute(images)
-        if not den2:
+        w = image.vars
+        images = {self.vars[i]: image, w[0]: Poly.variable(self.field, w, w[0])}
+        den = den.substitute(images)
+        if not den:
             raise AssertionError("curve divides the denominator after cancellation")
-        rvar = self.vars[keep]
-        proj = {keep: 0}
-        return RationalFn(
-            num2.map_vars((rvar,), proj), den2.map_vars((rvar,), proj)
-        )
+        return a - b, RationalFn(num.substitute(images), den)
 
 
 class CompositePlace:
@@ -422,13 +375,8 @@ class CompositePlace:
     def __repr__(self) -> str:
         return f"Place(composite:{self.curve.pi}|{_point_text(self.point)})"
 
-    def val(self, f) -> tuple[int, int]:
-        f = _as_rational(f)
-        if not f:
-            raise InvalidInput("the zero element has no value")
-        m = self.curve.val(f)
-        u = f * RationalFn.from_poly(self.curve.pi) ** (-m)
-        r = self.curve.residue(u)
+    def val(self, f: RationalFn) -> tuple[int, int]:
+        m, r = self.curve.unit_residue(f)
         return (m, self.point.val(r))
 
 

@@ -3,9 +3,10 @@ one-dimensional subfields, and the inertia / c-pair machinery.
 
 Everything is arena-relative: an arena is a finite list of multiplicative
 generators (canonical irreducible polynomials), and all linear algebra
-happens on integer value vectors over that list.  Solving for an inertia
-space means intersecting the vanishing conditions imposed by the unit
-lattice of a place, which is a kernel-of-kernel computation over Z.
+happens on integer value vectors over that list.  A place's unit
+lattice is the kernel of its value rows, and solving for an inertia
+space is a kernel-of-kernel computation over Z; both take what the
+caller holds, so a place's values are taken once.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def subfield_generators(h: RationalFn):
 # -- inertia -----------------------------------------------------------
 
 
-def _value_matrix(place, gens) -> list[list[int]]:
+def value_matrix(place, gens) -> list[list[int]]:
+    """The place's values on gens, one row per generator: a rank-one
+    place gives rows of length 1, a composite place rows of length 2."""
     rows = []
     for g in gens:
         v = place.val(g)
@@ -68,46 +71,26 @@ def _value_matrix(place, gens) -> list[list[int]]:
     return rows
 
 
-def unit_lattice_basis(place, gens) -> list[list[int]]:
-    """Basis of the exponent vectors over `gens` with value 0 at the place."""
-    return intlin.kernel_basis(_value_matrix(place, gens))
+def unit_lattice_basis(rows) -> list[list[int]]:
+    """Basis of the exponent vectors with value 0, from the value rows."""
+    return intlin.kernel_basis(rows)
 
 
-def is_inertia(w: WeilElement, place, gens) -> bool:
-    """Does w vanish on every unit of the place within the arena span?
-
-    Additivity reduces the (infinite) check to the kernel basis of the
-    place's value vector.
-    """
-    vals = w.values_on(gens)
-    for x in unit_lattice_basis(place, gens):
-        if sum(a * b for a, b in zip(x, vals)):
-            return False
-    return True
+def is_inertia(values, units) -> bool:
+    """Does a character with these generator values vanish on every unit
+    in the arena span?  By additivity, on the lattice basis `units`."""
+    return not any(sum(a * b for a, b in zip(x, values)) for x in units)
 
 
-def solve_inertia(place, gens) -> list[list[int]]:
-    """All integer generator-value rows that vanish on the place's unit
-    lattice: the kernel of the kernel.  For a finite place inside a big
-    enough arena this is exactly Z times the place's own value vector."""
-    units = unit_lattice_basis(place, gens)
+def solve_inertia(units, n: int) -> list[list[int]]:
+    """All integer rows over n generators that vanish on the unit lattice
+    basis `units`, the kernel of the kernel: for a finite place inside a
+    big enough arena, Z times the place's own value vector."""
     if not units:
         # no unit directions detected: every row qualifies
-        n = len(gens)
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    cols = len(units[0])
-    transposed = [[row[j] for row in units] for j in range(cols)]
+    transposed = [[row[j] for row in units] for j in range(n)]
     return intlin.kernel_basis(transposed)
-
-
-def value_vector(place, gens) -> list[int]:
-    out = []
-    for g in gens:
-        v = place.val(g)
-        if isinstance(v, tuple):
-            raise InvalidInput("value_vector needs a rank-one place")
-        out.append(v)
-    return out
 
 
 # -- c-pairs -----------------------------------------------------------
@@ -203,7 +186,7 @@ def find_supporting_valuation(
     gvals = gamma.values_on(gens)
     pvals = gamma_p.values_on(gens)
     for place in universe:
-        units = unit_lattice_basis(place, gens)
+        units = unit_lattice_basis(value_matrix(place, gens))
         a_row = [sum(x * v for x, v in zip(u, gvals)) for u in units]
         b_row = [sum(x * v for x, v in zip(u, pvals)) for u in units]
         combos = intlin.kernel_basis([a_row, b_row]) if units else [[1, 0]]

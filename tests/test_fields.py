@@ -281,6 +281,19 @@ def test_trusted_divisors_match_validated(q, vars):
     assert all((d * d.inverse()).is_trivial() for d in divs)
 
 
+def test_class_key_is_kept():
+    # the sorted class key is built on first use and kept; == and hash
+    # read it together with the unit
+    for text, vars in [("t^2+2*t/t+1", T), ("x*y+1/x^2", XY)]:
+        d = to_divisor(RationalFn.parse(F3, text, vars))
+        assert d.class_key() is d.class_key()
+        same = DivisorRep(F3, vars, dict(d.exps), d.unit)
+        assert same == d and hash(same) == hash(d)
+        scaled = DivisorRep(F3, vars, dict(d.exps), F3.mul(d.unit, 2))
+        assert scaled.class_key() == d.class_key() and scaled != d
+        assert (d * d.inverse()).class_key() == DivisorRep(F3, vars, {}).class_key()
+
+
 def test_algebraic_dependence_positive():
     t = rt("t")
     v = algebraically_dependent(t, t * t, 2)

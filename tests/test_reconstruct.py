@@ -18,6 +18,7 @@ from flagval.projspace import EmbeddedSubspace
 from flagval.reconstruct import (
     Arena,
     PsiMap,
+    ReconstructionResult,
     build_psi_from_valuation,
     build_u,
     decompose_subspace,
@@ -229,6 +230,18 @@ def test_theorem_conclusions(res_x, psi_x, arena3):
     assert conc["conclusion2"]["method"].startswith("distinct residue")
     assert conc["conclusion1"]["samples"] > 0
     assert conc["conclusion2"]["samples"] == 40
+
+
+def test_conclusions_record_a_non_unit(psi_x, small_arena3):
+    # a value map that calls every catalog element a unit: x has value 1
+    # along the curve, so conclusion 2 fails and names it
+    every_unit = ReconstructionResult("valuation", "main", {}, nu=lambda f: ((), (0,)))
+    conc = verify_theorem_conclusions(every_unit, psi_x, small_arena3, samples=10)
+    assert conc["all_passed"] is False
+    assert conc["conclusion1"]["samples"] == 0
+    c2 = conc["conclusion2"]
+    assert c2["samples"] == 10 and c2["passes"] == 0
+    assert "x is not a unit along x" in c2["failures"]
 
 
 def test_result_json_shape(res_x):

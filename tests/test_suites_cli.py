@@ -317,6 +317,57 @@ def test_weil_inertia_generator_window(monkeypatch):
             run_suite(SuiteConfig(suite="weil-inertia", q=q, arena_deg=deg))
 
 
+def test_roundtrip_arena_window(monkeypatch):
+    # the line count is read from q and arena_deg before any generator is
+    # enumerated: q=9 at degree 1 (8,100 lines) and q=3 at degree 2
+    # (3,693) pass it; q=4 at degree 2 (24,214), q=11 at degree 1
+    # (17,424) and the configs that ran past a minute are refused
+    from flagval.ff import FiniteField
+    from flagval.reconstruct import Arena
+
+    for q, deg in [(2, 1), (3, 1), (2, 2), (4, 1), (5, 1)]:
+        assert suites._arena_line_count(q, deg) == len(Arena(FiniteField(q), ("x", "y"), deg).lines)
+    assert suites._arena_line_count(3, 2) == 3693  # the criterion 09 arena, pinned in test_reconstruct
+    assert suites._arena_line_count(9, 1) == suites.ROUNDTRIP_LINE_CAP
+
+    class Built(Exception):
+        pass
+
+    def no_build(*args):
+        raise Built
+
+    monkeypatch.setattr(suites, "_arena", no_build)
+    for q, deg in [(9, 1), (3, 2), (2, 2)]:
+        with pytest.raises(Built):
+            run_suite(SuiteConfig(suite="reconstruct-roundtrip", q=q, arena_deg=deg))
+    for q, deg in [(4, 2), (11, 1), (5, 2), (13, 1), (49, 1)]:
+        with pytest.raises(SizeBound):
+            run_suite(SuiteConfig(suite="reconstruct-roundtrip", q=q, arena_deg=deg))
+
+
+def test_cli_roundtrip_refusals_exit_two_at_once(capsys):
+    import time
+
+    for argv in (
+        ["reconstruct", "--q", "4", "--arena-deg", "2"],
+        ["reconstruct", "--q", "5", "--arena-deg", "2"],
+        ["reconstruct", "--q", "13", "--arena-deg", "1"],
+        ["reconstruct", "--q", "49", "--arena-deg", "1"],
+        ["reconstruct", "--source", "F" + "9" * 5000 + "(x,y)"],
+    ):
+        t0 = time.monotonic()
+        assert cli.main(argv) == 2
+        assert time.monotonic() - t0 < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+    assert cli.main(["reconstruct", "--q", "49", "--arena-deg", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "flagval: SizeBound: the round-trip arena holds at most 8100 lines; "
+        "q=49 at degree 1 has 6002500\n"
+    )
+
+
 def test_cli_valuation_axioms_q49_exits_two_at_once(capsys):
     import time
 
@@ -379,6 +430,9 @@ def test_cli_error_exits(capsys):
     capsys.readouterr()
     assert cli.main(["reconstruct", "--place", "curve:x", "--psi", "from-valuation:curve:y"]) == 2
     assert "conflicting place specs" in capsys.readouterr().err
+    # int() refuses a string of more than 4,300 digits with a ValueError
+    assert cli.main(["reconstruct", "--source", "F" + "9" * 5000 + "(x,y)"]) == 2
+    assert capsys.readouterr().err == "flagval: InvalidConfig: source field size too large (5000 digits)\n"
 
 
 def test_cli_report_flag_wrong_suite(tmp_path, capsys, monkeypatch):
@@ -458,6 +512,60 @@ def test_cli_fuzz_ends_in_a_verdict_or_a_refusal(suite, q, samples, seed, check)
         rep = json.loads(out.getvalue())
         assert rep["config"]["q"] == q
         assert (rep["violations"] == 0) == (code == 0)
+
+
+def _verdict_or_refusal(argv):
+    """The contract of the fuzz above on one argument list; returns the
+    report, or None for a refusal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("flagval: "), (argv, lines)
+        return None
+    rep = json.loads(out.getvalue())
+    assert (rep["violations"] == 0) == (code == 0)
+    return rep
+
+
+# graph, non-graph, reducible, constant, empty and non-curve place specs
+_FUZZ_PLACES = [
+    "curve:x",
+    "curve:x^2+y",
+    "curve:y^2+x+1",
+    "curve:x^2+x*y+y^2+1",
+    "curve:x*y",
+    "curve:x^2+y^2",
+    "curve:1",
+    "curve:",
+    "finite:x",
+    "finite:t",
+    "composite:x|y",
+    "infinite",
+]
+_FUZZ_SOURCES = ["0", "1", "2", "6", "49", "64", "9" * 5000]
+
+
+def _roundtrip_argv(n, place):
+    return ["reconstruct", f"--source=F{n}(x,y)", f"--place={place}", "--arena-deg", "1", "--samples", "2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(_FUZZ_SOURCES), place=st.sampled_from(_FUZZ_PLACES))
+def test_cli_fuzz_roundtrip_arguments(n, place):
+    # the same contract on the round trip's --source and --place texts
+    rep = _verdict_or_refusal(_roundtrip_argv(n, place))
+    if rep is not None:
+        assert rep["config"]["q"] == int(n) and rep["config"]["place"] == place
+
+
+def test_cli_roundtrip_every_place_spec_over_f2():
+    # the field where every spec reaches the suite: all of them, not a draw
+    verdicts = [_verdict_or_refusal(_roundtrip_argv(2, place)) for place in _FUZZ_PLACES]
+    assert [place for place, rep in zip(_FUZZ_PLACES, verdicts) if rep] == _FUZZ_PLACES[:3]
 
 
 def test_non_flag_suites_do_not_import_numpy():

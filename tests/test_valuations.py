@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagval.errors import FlagvalError, InvalidInput, NotAUnit, UnsupportedResidue
+from flagval.errors import FlagvalError, InvalidInput, UnsupportedResidue
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
 from flagval.poly import (
@@ -293,20 +293,21 @@ def test_divisorial_curve_graph():
     assert c.val(rxy("x^2*y+x^2")) == 2
     assert c.val(rxy("y+1")) == 0
     assert c.val(rxy("1/x")) == -1
-    r = c.residue(rxy("y+1"))
-    assert r == RationalFn.parse(F3, "y+1", ("y",))
+    assert c.unit_residue(rxy("y+1")) == (0, RationalFn.parse(F3, "y+1", ("y",)))
     c2 = DivisorialCurve(Poly.parse(F3, "x^2+2*y", XY))
     assert c2.residue_var == "x"  # solves for y = x^2 (graph over x)
     assert c2.val(rxy("x^2+2*y")) == 1
     # substitute y -> x^2: y + 1 restricts to x^2 + 1
-    assert c2.residue(rxy("y+1")) == RationalFn.parse(F3, "x^2+1", ("x",))
-    with pytest.raises(NotAUnit):
-        c.residue(rxy("x"))
+    assert c2.unit_residue(rxy("y+1")) == (0, RationalFn.parse(F3, "x^2+1", ("x",)))
+    # a non-unit answers its value and the residue of its unit part
+    assert c.unit_residue(rxy("x^2*y/y+1")) == (2, RationalFn.parse(F3, "y/y+1", ("y",)))
+    with pytest.raises(InvalidInput):
+        c.unit_residue(RationalFn.constant(F3, XY, 0))
 
 
 def test_divisorial_curve_rejects_nongraph():
     with pytest.raises(UnsupportedResidue):
-        DivisorialCurve(Poly.parse(F3, "x^2+y^2+1", XY)).residue(rxy("y"))
+        DivisorialCurve(Poly.parse(F3, "x^2+y^2+1", XY)).unit_residue(rxy("y"))
 
 
 def test_composite_place_lex():
@@ -462,3 +463,107 @@ def test_parse_place_errors():
         parse_place(F3, "infinite", XY)  # univariate-only
     with pytest.raises(InvalidInput):
         parse_place(F3, "composite:x", XY)  # missing point part
+
+
+# -- curve residues against the uniformizer route -------------------------
+
+# graph curve -> (eliminated variable, its image in the kept variable)
+GRAPHS = {
+    "x": ("x", "0", "y"),
+    "x^2+y": ("y", "-x^2", "x"),
+    "y^2+x": ("x", "-y^2", "y"),
+    "x^2+x+y": ("y", "-x^2-x", "x"),
+    "x^2+2*y": ("y", "x^2", "x"),  # over GF(3) only: 2y = -x^2
+}
+
+
+def _uniformizer_route(curve, text, f):
+    """The first route to a curve residue: split the value off with the
+    curve's equation as uniformizer, u = f * pi^-v, cancel pi from both
+    parts of u (a product beyond the bivariate factoring window is not
+    reduced), and restrict them to the curve by substituting the graph,
+    written out by hand."""
+    F = curve.field
+    v = curve.val(f)
+    u = f * RationalFn.from_poly(curve.pi) ** (-v)
+    a, num = multiplicity(u.num, curve.pi)
+    b, den = multiplicity(u.den, curve.pi)
+    assert a == b
+    gone, image, kept = GRAPHS[text]
+    w = (kept,)
+    images = {gone: Poly.parse(F, image, w), kept: Poly.variable(F, w, kept)}
+    return v, RationalFn(num.substitute(images), den.substitute(images))
+
+
+def _check_curve_residues(F, texts, fns):
+    for text in texts:
+        curve = DivisorialCurve(Poly.parse(F, text, XY))
+        w = curve.residue_var
+        points = [FinitePlace(Poly.parse(F, p, (w,))) for p in (w, f"{w}+1")] + [InfinitePlace(F, w)]
+        composites = [CompositePlace(curve, p) for p in points]
+        for k, f in enumerate(fns):
+            v, r = _uniformizer_route(curve, text, f)
+            assert curve.unit_residue(f) == (v, r), (text, str(f))
+            # the composite's old route: the point's value on that residue
+            comp = composites[k % 3]
+            assert comp.val(f) == (v, comp.point.val(r)), (text, str(f), repr(comp))
+
+
+def _bivariate_fractions(F, polys):
+    seen = {}
+    for a in polys:
+        for b in polys:
+            f = RationalFn(a, b)
+            seen.setdefault((f.num, f.den), f)
+    return list(seen.values())
+
+
+def test_curve_residues_match_uniformizer_route_f2():
+    # every a/b with a, b nonzero of total degree <= 2 over GF(2)
+    F2 = FiniteField(2)
+    monos = ["1", "x", "y", "x^2", "x*y", "y^2"]
+    polys = [
+        Poly.parse(F2, "+".join(m for m, bit in zip(monos, bits) if bit), XY)
+        for bits in itertools.product((0, 1), repeat=6)
+        if any(bits)
+    ]
+    fns = _bivariate_fractions(F2, polys)
+    assert len(polys) == 63 and len(fns) > 1000
+    _check_curve_residues(F2, ["x", "x^2+y", "y^2+x", "x^2+x+y"], fns)
+
+
+def test_curve_residues_match_uniformizer_route_f3_sampled():
+    # seeded a/b of total degree <= 2 over GF(3), times pi^k with k in -2..2
+    rng = random.Random(3)
+    monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def draw():
+        while True:
+            p = Poly(F3, XY, {m: rng.randrange(3) for m in monos})
+            if p:
+                return p
+
+    for text in GRAPHS:
+        pi = RationalFn.from_poly(Poly.parse(F3, text, XY))
+        fns = [RationalFn(draw(), draw()) * pi ** rng.randint(-2, 2) for _ in range(60)]
+        _check_curve_residues(F3, [text], fns)
+
+
+@pytest.mark.parametrize("text", ["x^2+y", "y^2+x", "x^2+x+y"])
+def test_psi_formula_matches_uniformizer_route(text):
+    # the round-trip psi's residue formula against the first route, on
+    # every catalog generator (polynomials and ratios) of the q=2
+    # degree-2 arena
+    from flagval.reconstruct import build_psi_from_valuation
+    from flagval.suites import _arena
+
+    F2 = FiniteField(2)
+    curve = DivisorialCurve(Poly.parse(F2, text, XY))
+    w = curve.residue_var
+    psi = build_psi_from_valuation(curve, {w: w}, F2, (w, "z"))
+    arena = _arena(F2, XY, 2)
+    assert len(arena.gens) == 41 and len(arena.line_gens) == 281
+    for f in arena.line_gens:
+        want = psi._embed_residue(_uniformizer_route(curve, text, f)[1])
+        got = psi.formula(f)
+        assert got == want and str(got) == str(want), str(f)

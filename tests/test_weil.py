@@ -4,7 +4,7 @@ import pytest
 
 from flagval.errors import InvalidInput, ProportionalPair
 from flagval.ff import FiniteField
-from flagval.fields import RationalFn, to_divisor
+from flagval.fields import RationalFn
 from flagval.poly import Poly, monic_irreducibles
 from flagval.valuations import (
     CompositePlace,
@@ -21,7 +21,7 @@ from flagval.weil import (
     solve_inertia,
     subfield_generators,
     unit_lattice_basis,
-    value_vector,
+    value_matrix,
 )
 
 F3 = FiniteField(3)
@@ -46,7 +46,7 @@ def test_weil_element_from_valuation():
     assert w.evaluate(rt("t^2")) == 2
     assert w.evaluate(rt("t+1")) == 0
     assert w.evaluate(rt("1/t")) == -1
-    assert w.evaluate(to_divisor(rt("t^2+t"))) == 1
+    assert w.evaluate(rt("t^2+t")) == 1
     assert w.values_on([rt("t"), rt("t+1")]) == (1, 0)
     for f, g in [(rt("t"), rt("t+1")), (rt("t^2"), rt("1/t"))]:
         assert w.evaluate(f * g) == w.evaluate(f) + w.evaluate(g)
@@ -87,17 +87,17 @@ def test_subfield_generator_values():
 def test_unit_lattice_and_value_vector():
     p = FinitePlace(Poly.parse(F3, "t", T))
     gens = gens_deg(2)
-    vv = value_vector(p, gens)
-    assert vv == [1, 0, 0, 0, 0, 0]
-    basis = unit_lattice_basis(p, gens)
+    rows = value_matrix(p, gens)
+    assert rows == [[1], [0], [0], [0], [0], [0]]
+    basis = unit_lattice_basis(rows)
     assert len(basis) == len(gens) - 1
     for x in basis:
-        assert sum(a * b for a, b in zip(x, vv)) == 0
+        assert sum(a * b for a, (b,) in zip(x, rows)) == 0
+    # a composite place gives one row of two values per generator
     comp = CompositePlace(
         DivisorialCurve(Poly.parse(F3, "x", XY)), FinitePlace(Poly.parse(F3, "y", ("y",)))
     )
-    with pytest.raises(InvalidInput):
-        value_vector(comp, [rxy("x")])
+    assert value_matrix(comp, [rxy("x"), rxy("y"), rxy("x*y^2")]) == [[1, 0], [0, 1], [1, 2]]
 
 
 def test_solve_inertia_every_small_place():
@@ -105,19 +105,23 @@ def test_solve_inertia_every_small_place():
     places = [FinitePlace(p) for p in monic_irreducibles(3, "t", 2)]
     places.append(InfinitePlace(F3, "t"))
     for place in places:
-        rows = solve_inertia(place, gens)
-        vv = value_vector(place, gens)
-        assert len(rows) == 1, serialize_place(place)
-        assert rows[0] == vv or rows[0] == [-x for x in vv], serialize_place(place)
+        rows = value_matrix(place, gens)
+        solved = solve_inertia(unit_lattice_basis(rows), len(gens))
+        vv = [v for (v,) in rows]
+        assert len(solved) == 1, serialize_place(place)
+        assert solved[0] == vv or solved[0] == [-x for x in vv], serialize_place(place)
+    # no unit directions: every row qualifies
+    assert solve_inertia([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_is_inertia():
     gens = gens_deg(2)
     pt = FinitePlace(Poly.parse(F3, "t", T))
     pt1 = FinitePlace(Poly.parse(F3, "t+1", T))
-    assert is_inertia(WeilElement(pt), pt, gens)
+    units = unit_lattice_basis(value_matrix(pt, gens))
+    assert is_inertia(WeilElement(pt).values_on(gens), units)
     # the neighbour valuation does not vanish on t+1, a unit at t
-    assert not is_inertia(WeilElement(pt1), pt, gens)
+    assert not is_inertia(WeilElement(pt1).values_on(gens), units)
 
 
 def test_c_pair_refutation_frozen():
