@@ -28,7 +28,8 @@ class RationalFn:
     the denominator's leading coefficient moved into the numerator.  In
     one variable gcd_univariate finds the common factor, the exact
     divisions run on dense lists, and each part is built by one trusted
-    `_make` that also rescales it.
+    `Poly._make` that also rescales it.  `RationalFn._make` is the
+    trusted route for a quotient its caller knows to be canonical.
     """
 
     __slots__ = ("num", "den")
@@ -69,6 +70,14 @@ class RationalFn:
                 den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, num: Poly, den: Poly) -> "RationalFn":
+        """Trusted construction: num/den is already in canonical form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalFn is immutable")

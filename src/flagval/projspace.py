@@ -186,6 +186,10 @@ def geometry(n: int, q: int) -> ProjGeometry:
 class EmbeddedSubspace:
     """P^n(1, f_0, ..., f_n) inside P_k(K): an abstract P^n(F_q) whose
     points carry the rational function they stand for.
+
+    The constructor checks the generators for independence and sums and
+    normalises every point function; `line(g)` builds a line l(1, g)
+    without either, since its point functions are known in lowest terms.
     """
 
     def __init__(self, gens: list[RationalFn]) -> None:
@@ -206,6 +210,28 @@ class EmbeddedSubspace:
             if not f:
                 raise InvalidInput("generators produced a vanishing combination")
             self.functions.append(f)
+
+    @classmethod
+    def line(cls, g: RationalFn) -> "EmbeddedSubspace":
+        """l(1, g), trusted.  With g = n/d canonical (d monic, and n, d
+        coprime wherever RationalFn cancels), the point (c0:c1) with
+        c1 != 0 is (c0 d + c1 n)/d, as canonical as g: a common factor
+        of d and c0 d + c1 n divides c1 n.  The point (1:0) is the
+        constant 1, and g not constant is independence from 1.
+        """
+        if g.is_constant():
+            raise InvalidInput("a line l(1, g) needs a non-constant g")
+        F = g.field
+        self = object.__new__(cls)
+        self.field = F
+        self.vars = g.vars
+        self.geometry = geometry(1, F.q)
+        n, d = g.num, g.den
+        self.functions = [
+            RationalFn._make(d * c0 + n * c1, d) if c1 else RationalFn.constant(F, g.vars, c0)
+            for c0, c1 in (pt.coords for pt in self.geometry.points)
+        ]
+        return self
 
     @staticmethod
     def _check_independent(gens: list[RationalFn]) -> None:

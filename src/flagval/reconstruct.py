@@ -205,7 +205,9 @@ class Arena:
     """Finite window onto the projective space of K: canonical
     irreducible generators up to a degree, catalog lines l(1,g) for
     every generator plus the ratio lines l(1,g/h) over linear h, and a
-    few planes.  Divisor computations are cached per function.
+    few planes.  Divisor computations are cached per function.  Lines
+    take the trusted `EmbeddedSubspace.line` route; the planes take the
+    normalising constructor.
 
     Valuation extraction needs two variables; the one-variable catalog
     serves the flag checks of the valuation axioms."""
@@ -240,7 +242,7 @@ class Arena:
                 if g is not h:
                     push(RationalFn.from_poly(g) / RationalFn.from_poly(h))
         self.line_gens = tuple(line_gens)
-        self.lines = tuple(EmbeddedSubspace([self.one, x]) for x in self.line_gens)
+        self.lines = tuple(EmbeddedSubspace.line(x) for x in self.line_gens)
 
         if len(self.vars) == 2:
             x = RationalFn.parse(field, self.vars[0], self.vars)

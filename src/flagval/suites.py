@@ -256,8 +256,8 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     for _ in range(cfg.samples):
         f = _random_rational(rng, field, "t")
         g = _random_rational(rng, field, "t")
-        for place in places:
-            if ultrametric_ok(place, f, g) is False:
+        for place, ok in zip(places, ultrametric_ok(places, f, g)):
+            if ok is False:
                 ultra_bad += 1
                 if len(ultra_fail) < WITNESS_CAP:
                     ultra_fail.append(f"{serialize_place(place)}: {f} , {g}")
@@ -280,7 +280,9 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
             if not v.is_flag:
                 flag_bad += 1
                 if first_non_flag is None:
-                    first_non_flag = f"{serialize_place(place)} on {S.functions[1]}"
+                    # functions[0] is the point (0:..:0:1), the last
+                    # generator: g for a line l(1, g), t^2 for the plane
+                    first_non_flag = f"{serialize_place(place)} on {S.functions[0]}"
     return {
         "cases_total": cfg.samples + flag_checks,
         "violations": ultra_bad + deg_bad + flag_bad,

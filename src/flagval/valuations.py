@@ -392,17 +392,17 @@ def valuation_flag_structure(place, S: EmbeddedSubspace) -> FlagVerdict:
     return is_flag_map(S.geometry, values)
 
 
-def ultrametric_ok(place, f: RationalFn, g: RationalFn) -> bool | None:
-    """Triangle inequality for one pair; None when f+g = 0 (no value)."""
+def ultrametric_ok(places, f: RationalFn, g: RationalFn) -> list[bool | None]:
+    """Triangle inequality for one pair at each place, f+g built once;
+    None at every place when f+g = 0 (no value)."""
     s = f + g
     if not s:
-        return None
-    vf, vg, vs = place.val(f), place.val(g), place.val(s)
-    if vs < min(vf, vg):
-        return False
-    if vf != vg and vs != min(vf, vg):
-        return False
-    return True
+        return [None] * len(places)
+    out = []
+    for place in places:
+        vf, vg, vs = place.val(f), place.val(g), place.val(s)
+        out.append(vs >= min(vf, vg) and (vf == vg or vs == min(vf, vg)))
+    return out
 
 
 def degree_sum(f: RationalFn) -> int:

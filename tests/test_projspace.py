@@ -7,6 +7,7 @@ from flagval.ff import FiniteField
 from flagval.fields import RationalFn
 from flagval.poly import Poly
 from flagval.projspace import EmbeddedSubspace, geometry, normalize_coords
+from flagval.reconstruct import Arena
 
 F3 = FiniteField(3)
 XY = ("x", "y")
@@ -112,3 +113,31 @@ def test_embedded_subspace_validation():
         EmbeddedSubspace([one, _fn("x"), _fn("x")])  # dependent generators
     with pytest.raises(InvalidInput):
         EmbeddedSubspace([one, _fn("x"), _fn("2*x")])
+
+
+def test_trusted_line_basic():
+    L = EmbeddedSubspace.line(_fn("x"))
+    assert L.geometry is geometry(1, 3)
+    assert [str(f) for f in L.functions] == ["x", "1", "x+1", "2*x+1"]
+
+
+def test_trusted_line_refuses_a_constant():
+    for g in ("0", "1", "2", "x+1/x+1", "2*x/x"):
+        with pytest.raises(InvalidInput):
+            EmbeddedSubspace.line(_fn(g))
+
+
+@pytest.mark.parametrize(
+    "q, vars, deg",
+    [(2, XY, 2), (3, XY, 2), (4, XY, 1), (3, ("t",), 2), (5, ("t",), 2), (3, ("t",), 3)],
+)
+def test_trusted_lines_match_the_normalising_route(q, vars, deg):
+    # every arena line, built trusted and by summing and normalising:
+    # each point function must be the same (num, den) pair of Polys
+    arena = Arena(FiniteField(q), vars, deg)
+    one = RationalFn.constant(arena.field, vars, 1)
+    for g in arena.line_gens:
+        trusted = EmbeddedSubspace.line(g)
+        summed = EmbeddedSubspace([one, g])
+        assert trusted.geometry is summed.geometry
+        assert [(f.num, f.den) for f in trusted.functions] == [(f.num, f.den) for f in summed.functions]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,24 @@ def test_valuation_axioms_small():
     assert rep5["violations"] == 0
     assert rep5["witnesses"]["flag_catalog"]["subspaces"] == 86
     assert rep5["witnesses"]["flag_catalog"]["checks"] == 344
+
+
+def test_valuation_axioms_names_a_non_flag_line_by_its_generator(monkeypatch):
+    from flagval.ff import FiniteField
+
+    arena = suites._arena(FiniteField(3), ("t",), 2)
+    bad = arena.lines[7]
+    real = suites.valuation_flag_structure
+
+    def one_line_fails(place, S):
+        return SimpleNamespace(is_flag=False) if S is bad else real(place, S)
+
+    monkeypatch.setattr(suites, "valuation_flag_structure", one_line_fails)
+    rep = run_suite(SuiteConfig(suite="valuation-axioms", q=3, seed=5, samples=20))
+    cat = rep["witnesses"]["flag_catalog"]
+    assert rep["violations"] == cat["non_flag"] == 4  # the line at each of 4 places
+    assert str(arena.line_gens[7]) not in ("1", "t")
+    assert cat["first_non_flag"] == f"finite:t on {arena.line_gens[7]}"
 
 
 def test_weil_inertia_default():

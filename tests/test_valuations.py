@@ -324,9 +324,62 @@ def test_composite_place_lex():
 
 def test_ultrametric_fixed():
     p = FinitePlace(Poly.parse(F3, "t", T))
-    assert ultrametric_ok(p, rt("t"), rt("t^2")) is True
-    assert ultrametric_ok(p, rt("t"), rt("2*t")) is None  # sum is zero
-    assert ultrametric_ok(p, rt("t+1"), rt("t+2")) is True
+    assert ultrametric_ok([p], rt("t"), rt("t^2")) == [True]
+    assert ultrametric_ok([p], rt("t"), rt("2*t")) == [None]  # sum is zero
+    assert ultrametric_ok([p], rt("t+1"), rt("t+2")) == [True]
+
+
+def _ultrametric_one_place(place, f, g):
+    """The per-place check kept as the oracle: f+g built at each place."""
+    s = f + g
+    if not s:
+        return None
+    vf, vg, vs = place.val(f), place.val(g), place.val(s)
+    if vs < min(vf, vg):
+        return False
+    if vf != vg and vs != min(vf, vg):
+        return False
+    return True
+
+
+class _NumeratorDegree:
+    """Not a valuation (deg num of 1/t + t is 2), so the check can fail."""
+
+    def val(self, f):
+        return f.num.degree()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_ultrametric_matches_the_per_place_oracle(q):
+    F = FiniteField(q)
+    deg2 = next(p for p in monic_irreducibles(q, "t", 2) if p.degree() == 2)
+    places = [
+        FinitePlace(Poly.parse(F, "t", T)),
+        FinitePlace(Poly.parse(F, "t+1", T)),
+        FinitePlace(deg2),
+        InfinitePlace(F, "t"),
+        _NumeratorDegree(),
+    ]
+    rng = random.Random(1400 + q)
+
+    def fn():
+        parts = []
+        while len(parts) < 2:
+            p = Poly.from_dense(F, "t", [rng.randrange(q) for _ in range(rng.randint(1, 4))])
+            if p:
+                parts.append(p)
+        return RationalFn(*parts)
+
+    seen = set()
+    for _ in range(150):
+        f, g = fn(), fn()
+        for a, b in ((f, g), (f, f), (f, -f), (f, f * g)):
+            got = ultrametric_ok(places, a, b)
+            assert got == [_ultrametric_one_place(p, a, b) for p in places]
+            seen.update(got)
+        assert ultrametric_ok(places, f, -f) == [None] * len(places)
+    assert seen == {True, False, None}
+    assert ultrametric_ok(places[-1:], rt("1/t"), rt("t")) == [False]
 
 
 @settings(max_examples=60)
@@ -349,8 +402,8 @@ def test_ultrametric_random(data):
     f, g = fn(), fn()
     if f is None or g is None:
         return
-    for p in places:
-        assert ultrametric_ok(p, f, g) is not False
+    for p, ok in zip(places, ultrametric_ok(places, f, g)):
+        assert ok is not False
         # strict version: equality whenever the two values differ
         s = f + g
         if s and p.val(f) != p.val(g):
