@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from flagval import cli, suites
 from flagval.errors import InvalidConfig, SizeBound, UnknownSuite
+from flagval.ff import FiniteField
 from flagval.suites import SuiteConfig, render_report, run_suite
 
 REPORT_KEYS = [
@@ -161,8 +162,6 @@ def test_valuation_axioms_small():
 
 
 def test_valuation_axioms_names_a_non_flag_line_by_its_generator(monkeypatch):
-    from flagval.ff import FiniteField
-
     arena = suites._arena(FiniteField(3), ("t",), 2)
     bad = arena.lines[7]
     real = suites.valuation_flag_structure
