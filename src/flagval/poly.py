@@ -23,10 +23,14 @@ division; their factorization is deliberately windowed to total degree
 <= 3, where reducibility is equivalent to having a linear factor; larger
 elements must arrive pre-factored.
 
-This module owns the one factorization cache: `factor_bivariate`
-memoises its answer per input, at most `FACTOR_CACHE_SIZE` of them, and
-hands each caller a fresh dict.  Univariate factoring is not cached;
-its inputs are mostly fresh.
+This module owns the factorization caches.  `factor_bivariate` and
+`factor_univariate` each memoise their answer per input, as immutable
+(factor, multiplicity) pairs, and hand each caller a fresh dict.  The
+bivariate cache holds at most `FACTOR_CACHE_SIZE` (4,096) answers; the
+univariate one at most `UNIVARIATE_CACHE_SIZE` (256), which already
+catches most repeats of the small-field suites at a fraction of the
+memory.  Refusals (SizeBound) are raised before the cache and never
+stored.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ def _grlex(e: tuple[int, ...]) -> tuple:
 
 
 FACTOR_CACHE_SIZE = 4096  # bound of the bivariate factorization cache
+UNIVARIATE_CACHE_SIZE = 256  # bound of the univariate factorization cache
 
 
 class Poly:
@@ -556,22 +561,37 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
 
     Raises SizeBound when q^(deg f // 2) exceeds FACTOR_CANDIDATE_CAP
     (10,000), for example degree 6 and up over GF(49), instead of
-    enumerating that many candidate divisors.
+    enumerating that many candidate divisors.  Answers come from a
+    per-input cache of at most UNIVARIATE_CACHE_SIZE (256) entries, not
+    the bivariate FACTOR_CACHE_SIZE (4,096): the valuation checks repeat
+    a few hundred small inputs, and 256 entries catch nearly as many
+    repeats as 4,096 while holding a sixteenth of the memory.  Each call
+    gets its own dict, which the caller may change.
     """
     if not f:
         raise InvalidInput("cannot factor the zero polynomial")
-    unit, f = f.make_canonical()
-    F = f.field
-    var = f.vars[0]
+    q = f.field.q
     d = max(f.coeffs)[0]  # read before a dense list of length d + 1 exists
     # q >= 2, so q^k > FACTOR_CANDIDATE_CAP once k reaches its bit length;
     # clamping k keeps the power small for huge degrees
-    if F.q ** min(d // 2, FACTOR_CANDIDATE_CAP.bit_length()) > FACTOR_CANDIDATE_CAP:
+    if q ** min(d // 2, FACTOR_CANDIDATE_CAP.bit_length()) > FACTOR_CANDIDATE_CAP:
         raise SizeBound(
-            f"factoring degree {d} over GF({F.q}) would try {F.q}^{d // 2} candidate divisors; "
+            f"factoring degree {d} over GF({q}) would try {q}^{d // 2} candidate divisors; "
             f"the cap is {FACTOR_CANDIDATE_CAP}"
         )
+    unit, parts = _factor_univariate_cached(f)
+    return unit, dict(parts)
+
+
+@lru_cache(maxsize=UNIVARIATE_CACHE_SIZE)
+def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...]]:
+    # trial division of the dense list by the monic irreducibles up to
+    # half its degree; the answer as immutable pairs, in factor order
+    unit, f = f.make_canonical()
+    F = f.field
+    var = f.vars[0]
     a = f.to_dense()
+    d = len(a) - 1
     out: dict[Poly, int] = {}
     for g, b in _dense_irreducibles(F.q, var, max(d // 2, 1) if d else 0):
         if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
@@ -582,7 +602,7 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     if len(a) > 1:
         rest = f if len(a) == d + 1 else _from_dense(F, var, a)
         out[rest] = out.get(rest, 0) + 1
-    return unit, out
+    return unit, tuple(out.items())
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,10 @@ answers `unit_residue(f) -> (v, r)`: the value of f and the residue of
 its unit part, from the cofactors of one repeated-division pass (for a
 degree-one place, synthetic division by t - root, whose last remainder
 is the residue; F_q[t]/(pi) for higher degree), as a leading-coefficient
-ratio at infinity, and by substituting the graph along a curve.
+ratio at infinity, and by substituting the graph along a curve.  A place
+of F_q(t) has one value route, `val_dense(num, den)` on the dense lists
+of f's parts: `val(f)` converts f and calls it, and the checks that ask
+several places about one f convert it once.
 """
 
 from __future__ import annotations
@@ -215,26 +218,30 @@ class FinitePlace:
     def __repr__(self) -> str:
         return f"Place(finite:{self.pi})"
 
-    def _split(self, p: Poly) -> tuple:
-        """(k, u): pi^k exactly divides the nonzero p, and u is the cofactor
-        p / pi^k, as its value at the root for a degree-one place and as a
-        dense list otherwise.  p is converted to a dense list once."""
+    def _split(self, a: list[int]) -> tuple:
+        """(k, u): pi^k exactly divides the nonzero dense list a, and u is
+        the cofactor a / pi^k, as its value at the root for a degree-one
+        place and as a dense list otherwise."""
         if self.ring is None:
-            return _root_multiplicity(self.field, p.to_dense(), self.root)
-        return _multiplicity_dense(self.field, p.to_dense(), self.ring._mod_dense)
+            return _root_multiplicity(self.field, a, self.root)
+        return _multiplicity_dense(self.field, a, self.ring._mod_dense)
+
+    def val_dense(self, num: list[int], den: list[int]) -> int:
+        """The value of num/den from the nonzero dense lists of its parts."""
+        return self._split(num)[0] - self._split(den)[0]
 
     def val(self, f: RationalFn) -> int:
         if not f:
             raise InvalidInput("the zero element has no value")
-        return self._split(f.num)[0] - self._split(f.den)[0]
+        return self.val_dense(f.num.to_dense(), f.den.to_dense())
 
     def unit_residue(self, f: RationalFn) -> tuple:
         """(v, r): the value v of f and the residue r of its unit part
         f / pi^v, read from the cofactors that repeated division leaves."""
         if not f:
             raise InvalidInput("the zero element has no value")
-        a, num = self._split(f.num)
-        b, den = self._split(f.den)
+        a, num = self._split(f.num.to_dense())
+        b, den = self._split(f.den.to_dense())
         ring = self.ring
         if ring is None:
             return a - b, self.field.div(num, den)
@@ -264,10 +271,14 @@ class InfinitePlace:
     def __repr__(self) -> str:
         return "Place(infinite)"
 
+    def val_dense(self, num: list[int], den: list[int]) -> int:
+        """The value of num/den from the nonzero dense lists of its parts."""
+        return len(den) - len(num)
+
     def val(self, f: RationalFn) -> int:
         if not f:
             raise InvalidInput("the zero element has no value")
-        return f.den.degree() - f.num.degree()
+        return self.val_dense(f.num.to_dense(), f.den.to_dense())
 
     def unit_residue(self, f: RationalFn) -> tuple[int, int]:
         """(v, r): the value of f and the residue lc(num)/lc(den) of its
@@ -393,14 +404,18 @@ def valuation_flag_structure(place, S: EmbeddedSubspace) -> FlagVerdict:
 
 
 def ultrametric_ok(places, f: RationalFn, g: RationalFn) -> list[bool | None]:
-    """Triangle inequality for one pair at each place, f+g built once;
-    None at every place when f+g = 0 (no value)."""
+    """Triangle inequality for one pair at each place of F_q(t), f+g built
+    once; None at every place when f+g = 0 (no value).  f, g and f+g go to
+    dense lists once, and every place reads them through `val_dense`."""
     s = f + g
     if not s:
         return [None] * len(places)
+    if not (f and g):
+        raise InvalidInput("the zero element has no value")
+    dense = [(h.num.to_dense(), h.den.to_dense()) for h in (f, g, s)]
     out = []
     for place in places:
-        vf, vg, vs = place.val(f), place.val(g), place.val(s)
+        vf, vg, vs = (place.val_dense(num, den) for num, den in dense)
         out.append(vs >= min(vf, vg) and (vf == vg or vs == min(vf, vg)))
     return out
 
@@ -409,19 +424,22 @@ def degree_sum(f: RationalFn) -> int:
     """Sum of deg(place) * val(place, f) over all places of F_q(t).
 
     Recomputed place by place with repeated exact division, so it
-    cross-checks the factorization route; 0 for every nonzero f.
+    cross-checks the factorization route; 0 for every nonzero f.  f goes
+    to dense lists once, and the sum walks the divisor's generators in
+    any order.
     """
     if len(f.vars) != 1:
         raise InvalidInput("the degree formula is univariate-only")
     if not f:
         raise InvalidInput("the zero element has no divisor")
+    num, den = f.num.to_dense(), f.den.to_dense()
     total = 0
-    for g in to_divisor(f).support():
+    for g in to_divisor(f).exps:
         if g == INF:
             place = InfinitePlace(f.field, f.vars[0])
         else:
             place = FinitePlace._of_factor(g)
-        total += place.degree * place.val(f)
+        total += place.degree * place.val_dense(num, den)
     return total
 
 

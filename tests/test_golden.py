@@ -65,3 +65,24 @@ GOLDEN = [
 def test_report_digest(cfg, digest):
     text = render_report(run_suite(SuiteConfig(**cfg)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_reports_do_not_depend_on_factor_cache_state():
+    """Report bytes are the same from a cold factor cache and from one that
+    a GF(49) run has filled and churned: no cache content reaches a report."""
+    from flagval import poly
+
+    cached = poly._factor_univariate_cached
+    cfgs = [
+        SuiteConfig(suite="valuation-axioms", q=5, seed=15, samples=1000),
+        SuiteConfig(suite="ktheory", q=3, seed=15, samples=500),
+    ]
+    cold = []
+    for cfg in cfgs:
+        cached.cache_clear()
+        cold.append(render_report(run_suite(cfg)))
+    cached.cache_clear()
+    run_suite(SuiteConfig(suite="ktheory", q=49, seed=16, samples=400))
+    info = cached.cache_info()
+    assert info.currsize == info.maxsize and info.misses > 2 * info.maxsize  # filled and churned
+    assert [render_report(run_suite(cfg)) for cfg in cfgs] == cold

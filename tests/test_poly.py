@@ -1,5 +1,6 @@
 """Polynomial layer: parsing, grlex order, division, factoring."""
 
+import itertools
 import random
 
 import pytest
@@ -225,14 +226,18 @@ def test_factor_univariate_candidate_cap():
     F49 = FiniteField(49)
     # degree 8 would enumerate 49^4 candidate divisors: refused at once
     f8 = Poly.from_dense(F49, "t", [3, 1, 0, 5, 0, 0, 0, 0, 1])
+    refused = [
+        f8,
+        Poly.from_dense(F49, "t", [1] * 7),  # degree 6: 49^3
+        t_("t^99999999+1"),  # refused before a dense list is built
+    ]
+    before = poly_module._factor_univariate_cached.cache_info()
     start = time.perf_counter()
-    with pytest.raises(SizeBound):
-        factor_univariate(f8)
-    with pytest.raises(SizeBound):
-        factor_univariate(Poly.from_dense(F49, "t", [1] * 7))  # degree 6: 49^3
-    with pytest.raises(SizeBound):
-        factor_univariate(t_("t^99999999+1"))  # refused before a dense list is built
+    for f in refused + refused:  # a refusal is not cached: the repeat is refused again
+        with pytest.raises(SizeBound):
+            factor_univariate(f)
     assert time.perf_counter() - start < 1.0
+    assert poly_module._factor_univariate_cached.cache_info() == before
     # degree 5 (49^2 candidates) still factors completely
     f5 = Poly.from_dense(F49, "t", [7, 0, 1]) * Poly.from_dense(F49, "t", [2, 30, 0, 1])
     unit, parts = factor_univariate(f5)
@@ -483,7 +488,7 @@ def test_public_constructors_still_validate():
         Poly(F3, ("x", "y", "z"), {})
 
 
-# -- the bivariate factorization cache ------------------------------------
+# -- the factorization caches --------------------------------------------
 
 
 def _uncached_factor(f):
@@ -492,7 +497,13 @@ def _uncached_factor(f):
 
 
 def test_factor_cache_hands_out_fresh_dicts():
-    for fn, f in ((factor_bivariate, xy("x*y^2+x*y")), (factor, xy("x*y^2+x*y")), (factor, t_("t^3+t"))):
+    cases = (
+        (factor_bivariate, xy("x*y^2+x*y")),
+        (factor, xy("x*y^2+x*y")),
+        (factor_univariate, t_("t^3+t")),
+        (factor, t_("t^3+t")),
+    )
+    for fn, f in cases:
         unit, parts = fn(f)
         expected = dict(parts)
         parts.clear()
@@ -528,3 +539,47 @@ def test_factor_cache_matches_uncached_and_multiplies_back():
             assert g.leading_coeff() == 1 and g.degree() >= 1
             back = back * g**e
         assert back == f
+
+
+def _univariate_upto(F, max_deg):
+    """Every nonzero univariate polynomial over F of degree <= max_deg."""
+    for dense in itertools.product(range(F.q), repeat=max_deg + 1):
+        if any(dense):
+            yield Poly.from_dense(F, "t", list(dense))
+
+
+def _univariate_cases():
+    for q, max_deg in ((2, 5), (3, 4), (4, 3), (9, 3)):
+        yield from _univariate_upto(FiniteField(q), max_deg)
+    F49 = FiniteField(49)
+    rng = random.Random(49)
+    for _ in range(200):
+        f = Poly.from_dense(F49, "t", [rng.randrange(49) for _ in range(rng.randint(1, 6))])
+        if f:
+            yield f
+
+
+def test_univariate_cache_matches_uncached_and_multiplies_back():
+    kernel = poly_module._factor_univariate_cached.__wrapped__
+    for f in _univariate_cases():
+        first = factor_univariate(f)
+        cached = factor_univariate(f)
+        unit, parts = kernel(f)
+        assert cached == first == (unit, dict(parts))
+        assert list(cached[1].items()) == list(parts)  # same factors, same order
+        unit, parts = cached
+        back = Poly.constant(f.field, T, unit)
+        for g, e in parts.items():
+            assert g.leading_coeff() == 1 and g.degree() >= 1
+            back = back * g**e
+        assert back == f
+
+
+def test_univariate_cache_is_bounded():
+    cached = poly_module._factor_univariate_cached
+    cached.cache_clear()
+    for f in itertools.islice(_univariate_upto(F3, 5), 300):
+        factor_univariate(f)
+    info = cached.cache_info()
+    assert info.misses == 300
+    assert info.currsize == info.maxsize == poly_module.UNIVARIATE_CACHE_SIZE == 256

@@ -214,23 +214,44 @@ def _same_as_first_route(places, fns):
             assert place.val(f) == v
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_place_values_match_repeated_division_exhaustive(q):
-    """Horner at degree-one places and dense division at degree two,
-    against the first route, at every place of degree <= 2: every nonzero
-    p of degree <= 5 as a numerator (p / 1) and every monic one as a
-    denominator (1 / p; 1 / cp has the same denominator)."""
-    F = FiniteField(q)
-    places = [FinitePlace._of_factor(pi) for pi in monic_irreducibles(q, "t", 2)]
+def _exhaustive_fns(F):
+    """Every nonzero p of degree <= 5 as a numerator (p / 1) and every
+    monic one as a denominator (1 / p; 1 / cp has the same denominator)."""
     one = Poly.constant(F, T, 1)
     fns = []
-    for dense in itertools.product(range(q), repeat=6):
+    for dense in itertools.product(range(F.q), repeat=6):
         p = Poly.from_dense(F, "t", list(dense))
         if p:
             fns.append(RationalFn(p, one))
             if p.leading_coeff() == 1:
                 fns.append(RationalFn(one, p))
-    _same_as_first_route(places, fns)
+    return fns
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_place_values_match_repeated_division_exhaustive(q):
+    """Horner at degree-one places and dense division at degree two,
+    against the first route, at every place of degree <= 2."""
+    places = [FinitePlace._of_factor(pi) for pi in monic_irreducibles(q, "t", 2)]
+    _same_as_first_route(places, _exhaustive_fns(FiniteField(q)))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_dense_value_route_matches_repeated_division(q):
+    """val and val_dense against the value by repeated division on the
+    Polys (multiplicity on num and den; deg den - deg num at infinity), at
+    every finite place of degree <= 2 and at the infinite place."""
+    F = FiniteField(q)
+    fns = _exhaustive_fns(F)
+    for pi in monic_irreducibles(q, "t", 2):
+        place = FinitePlace._of_factor(pi)
+        for f in fns:
+            v = multiplicity(f.num, pi)[0] - multiplicity(f.den, pi)[0]
+            assert place.val(f) == place.val_dense(f.num.to_dense(), f.den.to_dense()) == v
+    place = InfinitePlace(F, "t")
+    for f in fns:
+        v = f.den.degree() - f.num.degree()
+        assert place.val(f) == place.val_dense(f.num.to_dense(), f.den.to_dense()) == v
 
 
 def test_place_values_match_repeated_division_sampled_f49():
@@ -327,6 +348,8 @@ def test_ultrametric_fixed():
     assert ultrametric_ok([p], rt("t"), rt("t^2")) == [True]
     assert ultrametric_ok([p], rt("t"), rt("2*t")) == [None]  # sum is zero
     assert ultrametric_ok([p], rt("t+1"), rt("t+2")) == [True]
+    with pytest.raises(InvalidInput):  # f+g = g is nonzero, but f has no value
+        ultrametric_ok([p], rt("0"), rt("t"))
 
 
 def _ultrametric_one_place(place, f, g):
@@ -347,6 +370,9 @@ class _NumeratorDegree:
 
     def val(self, f):
         return f.num.degree()
+
+    def val_dense(self, num, den):
+        return len(num) - 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
