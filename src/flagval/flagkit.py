@@ -17,12 +17,14 @@ P^2(F_2) the two verdicts diverge exactly on the two-valued maps whose
 level set is not a flag subset (168 of the 3^7 maps); on all 3^13 maps
 of P^2(F_3) they agree.
 
-The sweeps over F_2 subsets (the census, the decomposition lemma, the
-coordinate maps of the collineation sweep) read one subset table per
-geometry: the bad strata and the flag bit of every subset, indexed by
-its ones mask and built once in bulk (subset_table).  numpy is
-imported only inside the bulk kernels: the subset table build, the map
-sweeps of prop_equivalence_* and sampled collineation_analyze.
+A subset of the points is its ones mask (bit i is point i of
+geom.points) throughout.  The sweeps over F_2 subsets (the census, the
+decomposition lemma, the coordinate maps of the collineation sweep) read
+one subset table per geometry: the bad strata and the flag bit of every
+subset, indexed by its ones mask and built once in bulk (subset_table).
+
+numpy is imported only inside the bulk kernels: the subset table build,
+the map sweeps of prop_equivalence_* and sampled collineation_analyze.
 Importing this module does not load it.
 """
 
@@ -172,11 +174,15 @@ class SubsetTable:
 
 @lru_cache(maxsize=None)
 def subset_table(n: int, q: int) -> SubsetTable:
-    """The subset table of P^n(F_q), built on first use and kept."""
-    geom = geometry(n, q)
-    npts = len(geom.points)
+    """The subset table of P^n(F_q), built on first use and kept.
+
+    The point count 1 + q + ... + q^n is checked first, so a refused
+    geometry is never built.
+    """
+    npts = sum(q**i for i in range(n + 1))
     if npts > SUBSET_WINDOW:
         raise SizeBound(f"2^{npts} subsets is beyond the census window")
+    geom = geometry(n, q)
     import numpy as np
 
     ones = np.arange(1 << npts, dtype="<u2").view(np.uint8).reshape(-1, 2)
@@ -190,8 +196,8 @@ def subset_table(n: int, q: int) -> SubsetTable:
     return SubsetTable(flag.tobytes(), packed.tobytes(), packed.shape[1])
 
 
-def is_flag_subset(geom: ProjGeometry, subset: frozenset[int]) -> bool:
-    return subset_table(geom.n, geom.q).flag[sum(1 << i for i in subset)] == 1
+def is_flag_subset(geom: ProjGeometry, ones: int) -> bool:
+    return subset_table(geom.n, geom.q).flag[ones] == 1
 
 
 # -- Example census ---------------------------------------------------
@@ -206,24 +212,17 @@ FAMILIES = (
 )
 
 
-def subset_family(geom: ProjGeometry, s: frozenset[int]) -> str | None:
-    """Which of the six structural families a subset of P^2 belongs to."""
-    npts = len(geom.points)
-    q = geom.q
-    lines = [L.points for L in geom.subspaces[1]]
-    comp = frozenset(range(npts)) - s
-    if len(s) == 1:
-        return "point"
-    if s in lines:
-        return "line"
-    if len(s) == q and any(s < L for L in lines):
-        return "punctured-line"
-    if len(comp) == 1:
-        return "plane-minus-point"
-    if comp in lines:
-        return "plane-minus-line"
-    if len(comp) == q and any(comp < L for L in lines):
-        return "plane-minus-punctured-line"
+def subset_family(geom: ProjGeometry, ones: int) -> str | None:
+    """Which of the six structural families a subset of P^2 belongs to:
+    a point, a line or a line minus one point, or the complement of one."""
+    comp = ((1 << len(geom.points)) - 1) ^ ones
+    for mask, prefix in ((ones, ""), (comp, "plane-minus-")):
+        if mask.bit_count() == 1:
+            return prefix + "point"
+        if mask in geom.line_masks:
+            return prefix + "line"
+        if mask.bit_count() == geom.q and any(mask & line == mask for line in geom.line_masks):
+            return prefix + "punctured-line"
     return None
 
 
@@ -240,32 +239,21 @@ def classify_flag_subsets(q: int) -> FlagCensus:
 
     Every subset is judged twice: by chain search on its characteristic
     function (read from the subset table) and by structural shape; the
-    two must agree.  Past SUBSET_WINDOW points the census is refused.
+    two must agree.  Past SUBSET_WINDOW points the census is refused
+    before the geometry is built.
     """
+    rows = len(subset_table(2, q).flag)  # one per subset
     geom = geometry(2, q)
-    npts = len(geom.points)
     counts = {f: 0 for f in FAMILIES}
     mismatches = []
-    for code in range(1, (1 << npts) - 1):
-        s = frozenset(i for i in range(npts) if code >> i & 1)
-        fam = subset_family(geom, s)
-        flag = is_flag_subset(geom, s)
+    for ones in range(1, rows - 1):
+        fam = subset_family(geom, ones)
+        flag = is_flag_subset(geom, ones)
         if flag != (fam is not None):
-            mismatches.append((sorted(s), fam, flag))
+            mismatches.append((_ids(ones), fam, flag))
         if fam is not None:
             counts[fam] += 1
     return FlagCensus(q, counts, sum(counts.values()), mismatches)
-
-
-def flag_subset_table(q: int) -> set[frozenset[int]]:
-    """All nonempty proper flag subsets, as a lookup set."""
-    npts = len(geometry(2, q).points)
-    flag = subset_table(2, q).flag
-    return {
-        frozenset(i for i in range(npts) if code >> i & 1)
-        for code in range(1, (1 << npts) - 1)
-        if flag[code]
-    }
 
 
 # -- decomposition lemma ----------------------------------------------
@@ -279,12 +267,9 @@ class LemmaVerdict:
     witness_line: tuple[int, ...] | None = None
 
 
-def check_decomposition_lemma(
-    geom: ProjGeometry,
-    parts: list[frozenset[int]],
-    flag_table: set[frozenset[int]] | None = None,
-) -> LemmaVerdict:
-    """Check one partition (distinguished part first) of P^2(F_q).
+def check_decomposition_lemma(geom: ProjGeometry, parts: list[int]) -> LemmaVerdict:
+    """Check one partition (distinguished part first, each part a ones
+    mask) of P^2(F_q).
 
     Hypothesis: every line lies in parts[0] with a single other part,
     or avoids parts[0] entirely.  When it holds, every part is tested
@@ -294,26 +279,16 @@ def check_decomposition_lemma(
     npts = len(geom.points)
     if any(not p for p in parts) or len(parts) < 3:
         raise InvalidInput("need >= 3 nonempty parts")
-    union = set()
-    total = 0
+    union = 0
     for p in parts:
         union |= p
-        total += len(p)
-    if union != set(range(npts)) or total != npts:
+    if union != (1 << npts) - 1 or sum(p.bit_count() for p in parts) != npts:
         raise InvalidInput("parts must partition the point set")
-    for line in geom.lines:
-        lset = set(line)
-        if not (lset & parts[0]):
-            continue
-        if not any(lset <= (parts[0] | parts[j]) for j in range(1, len(parts))):
+    first = parts[0]
+    for line, mask in zip(geom.lines, geom.line_masks):
+        if mask & first and not any(mask & (first | p) == mask for p in parts[1:]):
             return LemmaVerdict("hypothesis-fails", witness_line=line)
-
-    def flag(p: frozenset[int]) -> bool:
-        if flag_table is not None:
-            return p in flag_table
-        return is_flag_subset(geom, p)
-
-    flag_parts = tuple(k for k, p in enumerate(parts) if flag(p))
+    flag_parts = tuple(k for k, p in enumerate(parts) if is_flag_subset(geom, p))
     rest = tuple(k for k in flag_parts if k != 0)
     if flag_parts:
         return LemmaVerdict("holds", flag_parts=flag_parts, flag_parts_rest=rest)
@@ -321,15 +296,16 @@ def check_decomposition_lemma(
 
 
 def set_partitions(n: int):
-    """All set partitions of range(n) via restricted growth strings."""
+    """All set partitions of range(n), blocks as ones masks, via
+    restricted growth strings."""
     rgs = [0] * n
 
     def rec(i: int, top: int):
         if i == n:
-            blocks: list[list[int]] = [[] for _ in range(top + 1)]
+            blocks = [0] * (top + 1)
             for j, b in enumerate(rgs):
-                blocks[b].append(j)
-            yield [frozenset(b) for b in blocks]
+                blocks[b] |= 1 << j
+            yield blocks
             return
         for b in range(top + 2):
             rgs[i] = b
@@ -350,7 +326,6 @@ def sweep_decomposition_lemma(q: int = 2) -> dict:
     npts = len(geom.points)
     if npts != 7:
         raise SizeBound("the exhaustive lemma sweep is sized for q = 2")
-    table = flag_subset_table(q)
     cases = 0
     hypothesis_held = 0
     holds = 0
@@ -362,7 +337,7 @@ def sweep_decomposition_lemma(q: int = 2) -> dict:
         for s1 in range(len(blocks)):
             parts = [blocks[s1]] + [b for k, b in enumerate(blocks) if k != s1]
             cases += 1
-            v = check_decomposition_lemma(geom, parts, table)
+            v = check_decomposition_lemma(geom, parts)
             if v.kind == "hypothesis-fails":
                 continue
             hypothesis_held += 1
@@ -371,7 +346,7 @@ def sweep_decomposition_lemma(q: int = 2) -> dict:
                 if not v.flag_parts_rest:
                     strict_gap += 1
             else:
-                candidates.append([sorted(p) for p in parts])
+                candidates.append([_ids(p) for p in parts])
     return {
         "cases_total": cases,
         "hypothesis_held": hypothesis_held,

@@ -1,9 +1,10 @@
 """Finite projective spaces P^n(F_q) and embedded subspaces of P_k(K).
 
 Geometry objects are cached per (n, q) and carry points in a canonical
-lexicographic order, all proper subspaces, the full chains used by the
-flag machinery, and the table of strata those chains and the lines
-test.  Point counts are the usual (q^(n+1)-1)/(q-1).
+lexicographic order, all proper subspaces, the lines as point tuples and
+as ones masks (bit i is point i), the full chains used by the flag
+machinery, and the table of strata those chains and the lines test.
+Point counts are the usual (q^(n+1)-1)/(q-1).
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ def normalize_coords(field: FiniteField, vec: tuple[int, ...]) -> tuple[int, ...
 class ProjPoint:
     q: int
     coords: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,7 @@ class ProjGeometry:
             self.lines = [tuple(range(count))]  # P^1 is its own only line
         else:
             self.lines = [tuple(sorted(s.points)) for s in self.subspaces[1]]
+        self.line_masks = tuple(sum(1 << i for i in line) for line in self.lines)
         self.chains = self._enumerate_chains()
         self.strata = StratumTable.build(self.chains, self.lines)
 

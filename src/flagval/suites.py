@@ -142,11 +142,9 @@ def _random_rational(rng, field: FiniteField, var: str, max_deg: int = 2) -> Rat
 @_suite("flag-classify", ("exhaustive",))
 def _suite_flag_classify(cfg: SuiteConfig) -> dict:
     q = cfg.q or 2
-    if q > 3:
-        raise SizeBound("the exhaustive subset census supports q in {2, 3}")
     census = flagkit.classify_flag_subsets(q)
-    npts = {2: 7, 3: 13}[q]
-    cases = (1 << npts) - 2
+    # one subset table row per subset: all but the empty and the full one
+    cases = len(flagkit.subset_table(2, q).flag) - 2
     violations = len(census.mismatches)
     return {
         "cases_total": cases,
@@ -244,7 +242,7 @@ def _axiom_places(field: FiniteField):
 def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     if q > 13:
-        # the degree-2 subspace catalog costs about q^5: 20 s at q=13
+        # the degree-2 subspace catalog grows as about q^5
         raise SizeBound("the valuation subspace catalog supports q <= 13")
     field = FiniteField(q)
     places = _axiom_places(field)
@@ -300,8 +298,8 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     }
 
 
-# the inertia solves cost about the cube of the generator count: 285
-# generators (q = 9 at degree 3) take 20 s
+# the inertia solves cost about the cube of the generator count; 285
+# generators is q = 9 at degree 3
 INERTIA_GENERATOR_CAP = 285
 
 
@@ -477,8 +475,7 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
 
 
 # the round trip costs more than linearly in the arena's lines, and
-# more per line over a larger field: 8,100 lines (q = 9 at degree 1)
-# take 14-18 s, 17,424 (q = 11 at degree 1) 45 s
+# more per line over a larger field; 8,100 lines is q = 9 at degree 1
 ROUNDTRIP_LINE_CAP = 8_100
 
 

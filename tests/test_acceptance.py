@@ -70,7 +70,7 @@ def test_criterion_02_chain_vs_line_equivalence():
         # also passes exactly the two-valued maps with a non-flag level set
         fano = geometry(2, 2)
         npts = len(fano.points)
-        table = flagkit.flag_subset_table(2)
+        flag = flagkit.subset_table(2, 2).flag
         census = flagkit.classify_flag_subsets(2)
         line_total = chain_total = gap_total = 0
         for vals in itertools.product(range(3), repeat=npts):
@@ -78,8 +78,8 @@ def test_criterion_02_chain_vs_line_equivalence():
             chain = flagkit.is_flag_map(fano, vals).is_flag
             assert line or not chain, vals
             # flag subsets are closed under complement: either level set will do
-            level = frozenset(i for i, v in enumerate(vals) if v == vals[0])
-            gap = len(set(vals)) == 2 and level not in table
+            level = sum(1 << i for i, v in enumerate(vals) if v == vals[0])
+            gap = len(set(vals)) == 2 and not flag[level]
             assert (line and not chain) == gap, vals
             line_total += line
             chain_total += chain

@@ -10,7 +10,7 @@ Each traced function must also still be called on its home workload.
 A cache or a shortcut that stops a layer's function from being called
 would make that layer read as zero time; the tests below catch it in
 tier-1 for every function whose home is `roundtrip`, on one small round
-trip, and for every function whose home is `small-field` or
+trip, and for every function whose home is `flags`, `small-field` or
 `large-field`, on small configs of their suites.
 """
 
@@ -70,6 +70,19 @@ def test_roundtrip_reaches_its_home_functions():
     assert homes
     calls = _traced_calls(
         {"suite": "reconstruct-roundtrip", "q": 2, "place": "curve:x", "arena_deg": 1, "samples": 10}
+    )
+    assert [name for name in homes if not calls[name]] == []
+
+
+def test_flags_reaches_its_home_functions():
+    homes = _homes("flags")
+    assert "flagkit.is_flag_subset" in homes and "projspace.geometry" in homes
+    calls = _traced_calls(
+        {"suite": "flag-classify", "q": 2},
+        {"suite": "prop-flag-map", "q": 2, "mode": "exhaustive"},
+        {"suite": "prop-flag-map", "q": 3, "mode": "sampled", "samples": 50, "seed": 1},
+        {"suite": "lemma-p2"},
+        {"suite": "collineation", "p": 2},
     )
     assert [name for name in homes if not calls[name]] == []
 

@@ -10,6 +10,7 @@ from flagval.errors import InvalidInput, SizeBound
 from flagval.flagkit import (
     CollineationReport,
     FlagVerdict,
+    LemmaVerdict,
     StarMap,
     _bad_strata,
     _flag_chain,
@@ -20,7 +21,6 @@ from flagval.flagkit import (
     check_decomposition_lemma,
     classify_flag_subsets,
     collineation_analyze,
-    flag_subset_table,
     is_flag_map,
     is_flag_subset,
     line_criterion,
@@ -33,9 +33,18 @@ from flagval.flagkit import (
     subset_table,
     sweep_decomposition_lemma,
 )
+from flagval import projspace
 from flagval.projspace import geometry
 
 FANO = geometry(2, 2)
+
+
+def _mask(points) -> int:
+    return sum(1 << i for i in points)
+
+
+def _points(ones: int) -> frozenset[int]:
+    return frozenset(i for i in range(ones.bit_length()) if ones >> i & 1)
 
 
 def test_census_q2():
@@ -71,10 +80,83 @@ def test_census_size_bound():
         classify_flag_subsets(4)  # 21 points is past the census window
 
 
-def test_flag_subset_table_matches_census():
-    table = flag_subset_table(2)
-    assert len(table) == 70
-    assert all(subset_family(FANO, s) is not None for s in table)
+def test_subset_table_flag_bits_match_census():
+    flag = subset_table(2, 2).flag
+    flagged = [ones for ones in range(1, 127) if flag[ones]]
+    assert len(flagged) == 70
+    assert all(subset_family(FANO, ones) is not None for ones in flagged)
+
+
+# -- reference set routes ------------------------------------------------
+#
+# The census and the decomposition lemma as they read on frozensets of
+# point indices, with flaghood from the chain search on the subset's
+# indicator map.  The mask routes of flagkit must agree with them.
+
+
+def _subset_family_sets(geom, s: frozenset[int]) -> str | None:
+    q = geom.q
+    lines = [L.points for L in geom.subspaces[1]]
+    comp = frozenset(range(len(geom.points))) - s
+    if len(s) == 1:
+        return "point"
+    if s in lines:
+        return "line"
+    if len(s) == q and any(s < L for L in lines):
+        return "punctured-line"
+    if len(comp) == 1:
+        return "plane-minus-point"
+    if comp in lines:
+        return "plane-minus-line"
+    if len(comp) == q and any(comp < L for L in lines):
+        return "plane-minus-punctured-line"
+    return None
+
+
+def _is_flag_subset_sets(geom, s: frozenset[int]) -> bool:
+    return is_flag_map(geom, [int(i in s) for i in range(len(geom.points))]).is_flag
+
+
+def _check_decomposition_lemma_sets(geom, parts: list[frozenset[int]]) -> LemmaVerdict:
+    for line in geom.lines:
+        lset = set(line)
+        if not (lset & parts[0]):
+            continue
+        if not any(lset <= (parts[0] | parts[j]) for j in range(1, len(parts))):
+            return LemmaVerdict("hypothesis-fails", witness_line=line)
+    flag_parts = tuple(k for k, p in enumerate(parts) if _is_flag_subset_sets(geom, p))
+    rest = tuple(k for k in flag_parts if k != 0)
+    if flag_parts:
+        return LemmaVerdict("holds", flag_parts=flag_parts, flag_parts_rest=rest)
+    return LemmaVerdict("counterexample-candidate")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subset_masks_match_the_set_route(q):
+    # every subset of P^2(F_q), the empty and the full one included
+    geom = geometry(2, q)
+    npts = len(geom.points)
+    assert geom.line_masks == tuple(_mask(L) for L in geom.lines)
+    for ones in range(1 << npts):
+        s = _points(ones)
+        assert _mask(s) == ones
+        assert subset_family(geom, ones) == _subset_family_sets(geom, s), sorted(s)
+        assert is_flag_subset(geom, ones) == _is_flag_subset_sets(geom, s), sorted(s)
+
+
+def test_lemma_masks_match_the_set_route():
+    # all 3,136 cases of the q = 2 sweep: verdict kind, flag parts and
+    # witness line
+    cases = 0
+    for blocks in set_partitions(7):
+        if len(blocks) < 3:
+            continue
+        for s1 in range(len(blocks)):
+            parts = [blocks[s1]] + [b for k, b in enumerate(blocks) if k != s1]
+            expected = _check_decomposition_lemma_sets(FANO, [_points(p) for p in parts])
+            assert check_decomposition_lemma(FANO, parts) == expected, parts
+            cases += 1
+    assert cases == 3136
 
 
 def test_is_flag_map_verdicts():
@@ -168,8 +250,7 @@ def test_kernel_ones_mask_entry_matches_values(q):
         # uses past SUBSET_WINDOW points
         assert bad[ones] == _bad_strata(table, _ones_levels(npts, ones)), ones
         assert subsets.flag[ones] == is_flag_map(geom, indicator).is_flag, ones
-        subset = frozenset(i for i in range(npts) if ones >> i & 1)
-        assert is_flag_subset(geom, subset) == bool(subsets.flag[ones])
+        assert is_flag_subset(geom, ones) == bool(subsets.flag[ones])
 
 
 def test_subset_table_window():
@@ -177,7 +258,16 @@ def test_subset_table_window():
     with pytest.raises(SizeBound):
         subset_table(2, 4)  # 21 points
     with pytest.raises(SizeBound):
-        is_flag_subset(geometry(2, 4), frozenset([0]))
+        is_flag_subset(geometry(2, 4), 1)
+
+
+def test_subset_table_refuses_before_building_the_geometry():
+    built = projspace.geometry.cache_info().currsize
+    with pytest.raises(SizeBound):
+        subset_table(2, 9)  # 91 points
+    with pytest.raises(SizeBound):
+        classify_flag_subsets(9)
+    assert projspace.geometry.cache_info().currsize == built
 
 
 def test_kernel_pair_verdict_is_the_four_valued_map():
@@ -201,18 +291,18 @@ def test_is_flag_map_on_projective_line():
 
 
 def test_is_flag_subset_families():
-    line = frozenset(FANO.lines[0])
+    line = _mask(FANO.lines[0])
     assert is_flag_subset(FANO, line)
-    assert is_flag_subset(FANO, frozenset([3]))
-    assert is_flag_subset(FANO, frozenset(range(7)) - line)
-    punctured = line - {min(line)}
+    assert is_flag_subset(FANO, 1 << 3)
+    assert is_flag_subset(FANO, 0b1111111 ^ line)
+    punctured = line & line - 1  # the line without its lowest point
     assert is_flag_subset(FANO, punctured)
     assert subset_family(FANO, punctured) == "punctured-line"
     # a triangle (three points not on a line) is not a flag subset
     tri = None
     for combo in itertools.combinations(range(7), 3):
         if not any(set(combo) <= set(L) for L in FANO.lines):
-            tri = frozenset(combo)
+            tri = _mask(combo)
             break
     assert tri is not None
     assert not is_flag_subset(FANO, tri)
@@ -264,27 +354,27 @@ def test_set_partitions_bell_numbers():
     assert sum(1 for _ in set_partitions(5)) == 52
     # each partition covers range(n) disjointly
     for blocks in set_partitions(4):
-        seen = set()
+        seen = 0
         for b in blocks:
-            assert not (seen & b)
+            assert b and not (seen & b)
             seen |= b
-        assert seen == {0, 1, 2, 3}
+        assert seen == 0b1111
 
 
 def test_check_decomposition_lemma_explicit():
-    line = frozenset(FANO.lines[0])
-    rest = sorted(set(range(7)) - line)
+    line = _mask(FANO.lines[0])
+    rest = sorted(set(range(7)) - set(FANO.lines[0]))
     # distinguished part = line, remaining four points split into singles
-    parts = [line] + [frozenset([i]) for i in rest]
+    parts = [line] + [1 << i for i in rest]
     v = check_decomposition_lemma(FANO, parts)
     assert v.kind in ("holds", "hypothesis-fails")
     with pytest.raises(InvalidInput):
-        check_decomposition_lemma(FANO, [line, frozenset(rest)])  # 2 parts
+        check_decomposition_lemma(FANO, [line, _mask(rest)])  # 2 parts
     with pytest.raises(InvalidInput):
-        check_decomposition_lemma(FANO, [line, frozenset(), frozenset(rest)])
+        check_decomposition_lemma(FANO, [line, 0, _mask(rest)])
     with pytest.raises(InvalidInput):
         check_decomposition_lemma(
-            FANO, [line, frozenset(rest[:2]), frozenset(rest[:2] + rest[2:])]
+            FANO, [line, _mask(rest[:2]), _mask(rest[:2] + rest[2:])]
         )  # overlap
 
 

@@ -429,6 +429,15 @@ def test_cli_violations_exit_one(capsys):
     assert rep["violations"] == 168
 
 
+@pytest.mark.parametrize("q", ["4", "9"])
+def test_flag_classify_refuses_past_the_census_window(capsys, q):
+    # 21 and 91 points: refused from the point count, exit status 2
+    assert cli.main(["flag-classify", "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SizeBound" in captured.err and "beyond the census window" in captured.err
+
+
 def test_cli_error_exits(capsys):
     assert cli.main(["no-such-suite"]) == 2
     assert "UnknownSuite" in capsys.readouterr().err
