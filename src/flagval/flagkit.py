@@ -23,15 +23,19 @@ decomposition lemma, the coordinate maps of the collineation sweep) read
 one subset table per geometry: the bad strata and the flag bit of every
 subset, indexed by its ones mask and built once in bulk (subset_table).
 
-numpy is imported only inside the bulk kernels: the subset table build,
-the map sweeps of prop_equivalence_* and sampled collineation_analyze.
-Importing this module does not load it.
+The bulk kernel keeps one Python int per stratum, bit r set when row r
+of a value matrix is constant on it; ANDs, ORs and bit counts of these
+ints give the subset table and the map sweeps of prop_equivalence_*.
+numpy only draws the sampled maps (PCG64), builds the indicator and
+exhaustive matrices and packs each column into bits; it is imported
+inside those routes and sampled collineation_analyze, never on import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import TYPE_CHECKING
 
 from . import fqlin
@@ -68,8 +72,10 @@ class FlagVerdict:
 # StratumTable, giving the set of bad strata.  A chain is flag when none
 # of its strata is bad; a line passes when one of its strata "line minus
 # a point" is not bad.  The scalar entry point takes per-point level
-# bitmasks (from a value list or from an F_2 ones mask); the bulk entry
-# point gives one boolean column per stratum for a value matrix.
+# bitmasks (from a value list or from an F_2 ones mask).  The bulk entry
+# point is transposed: one row bitset per stratum over a whole value
+# matrix, so a line passes on the OR of its strata's bitsets and a chain
+# is flag on the AND of its own.
 
 
 def _bad_strata(table: StratumTable, level) -> int:
@@ -138,14 +144,30 @@ def _ids(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _constant_bulk(table: StratumTable, vals: np.ndarray) -> np.ndarray:
-    """(rows, strata) matrix: whether each row is constant on each stratum."""
+def _constant_rows(table: StratumTable, vals: np.ndarray) -> list[int]:
+    """Per stratum, the bitset (bit r is row r) of the rows of a (rows,
+    points) value matrix that are constant on it.
+
+    A stratum's rows are the OR over values of the AND of its points'
+    planes, one packed bitset per point and value.  Values, from the
+    matrix's minimum to its maximum, are compared only for equality.  The
+    planes are dropped on return, so the footprint peaks near
+    (points x values + strata) / 8 bytes per row.
+    """
     import numpy as np
 
-    const = np.empty((len(vals), len(table.strata)), dtype=bool)
-    for k, stratum in enumerate(table.strata):
-        np.all(vals[:, stratum[1:]] == vals[:, stratum[:1]], axis=1, out=const[:, k])
-    return const
+    if not len(vals):
+        return [0] * len(table.strata)
+    planes = [
+        [int.from_bytes(np.packbits(col == v, bitorder="little").tobytes(), "little") for col in vals.T]
+        for v in range(int(vals.min()), int(vals.max()) + 1)
+    ]
+    return [reduce(or_, [reduce(and_, [plane[i] for i in stratum]) for plane in planes]) for stratum in table.strata]
+
+
+def _chain_rows(table: StratumTable, const: list[int], full: int) -> int:
+    """The rows constant on every stratum of some chain; full has every row."""
+    return reduce(or_, (reduce(and_, [const[k] for k in _ids(ids)], full) for ids in table.chains), 0)
 
 
 # -- the subset table -------------------------------------------------
@@ -187,12 +209,15 @@ def subset_table(n: int, q: int) -> SubsetTable:
 
     ones = np.arange(1 << npts, dtype="<u2").view(np.uint8).reshape(-1, 2)
     indicator = np.unpackbits(ones, axis=1, count=npts, bitorder="little")
-    const = _constant_bulk(geom.strata, indicator)
-    flag = np.zeros(len(const), dtype=bool)
-    for chain in geom.strata.chains:
-        flag |= const[:, _ids(chain)].all(axis=1)
-    np.logical_not(const, out=const)
-    packed = np.packbits(const, axis=1, bitorder="little")
+    const = _constant_rows(geom.strata, indicator)
+    full = (1 << len(indicator)) - 1
+
+    def unpack(rows: int) -> np.ndarray:
+        return np.unpackbits(np.frombuffer(rows.to_bytes(len(indicator) // 8, "little"), np.uint8), bitorder="little")
+
+    flag = unpack(_chain_rows(geom.strata, const, full))
+    bad = np.stack([unpack(full ^ rows) for rows in const], axis=1)
+    packed = np.packbits(bad, axis=1, bitorder="little")
     return SubsetTable(flag.tobytes(), packed.tobytes(), packed.shape[1])
 
 
@@ -577,42 +602,32 @@ def collineation_analyze(
 # -- bulk equivalence sweeps ------------------------------------------
 
 
-_BULK_ROWS = 8192  # rows per block: bounds the (rows, strata) matrix near 2 MB
-
-
-def _verdicts_bulk(geom: ProjGeometry, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (line criterion, chain flag) verdicts over a (rows, points) value matrix."""
-    import numpy as np
-
+def _verdicts_bulk(geom: ProjGeometry, vals: np.ndarray) -> tuple[int, int]:
+    """Row bitsets (line criterion, chain flag) over a (rows, points) value matrix."""
     table = geom.strata
-    chains = [_ids(c) for c in table.chains]
-    lines = [_ids(l) for l in table.lines]
-    line_ok = np.ones(len(vals), dtype=bool)
-    chain_ok = np.zeros(len(vals), dtype=bool)
-    for lo in range(0, len(vals), _BULK_ROWS):
-        rows = slice(lo, lo + _BULK_ROWS)
-        const = _constant_bulk(table, vals[rows])
-        for ids in lines:
-            line_ok[rows] &= const[:, ids].any(axis=1)
-        for ids in chains:
-            chain_ok[rows] |= const[:, ids].all(axis=1)
-    return line_ok, chain_ok
+    const = _constant_rows(table, vals)
+    full = (1 << len(vals)) - 1
+    line_ok = reduce(and_, (reduce(or_, [const[k] for k in _ids(ids)], 0) for ids in table.lines), full)
+    return line_ok, _chain_rows(table, const, full)
 
 
 def _compare_verdicts(geom: ProjGeometry, vals: np.ndarray) -> dict:
     """Line criterion vs chain search on every row of a value matrix."""
-    import numpy as np
-
     line_ok, chain_ok = _verdicts_bulk(geom, vals)
-    mism = np.nonzero(line_ok != chain_ok)[0]
-    witnesses = [[int(x) for x in vals[i]] for i in mism[:5]]
+    mism = line_ok ^ chain_ok
+    witnesses = []
+    low = mism
+    while low and len(witnesses) < 5:  # the first rows in row order
+        row = (low & -low).bit_length() - 1
+        witnesses.append([int(x) for x in vals[row]])
+        low &= low - 1
     return {
         "cases_total": len(vals),
-        "line_ok": int(line_ok.sum()),
-        "chain_flag": int(chain_ok.sum()),
-        "mismatches": int(len(mism)),
-        "mismatch_direction_line_only": int((line_ok & ~chain_ok).sum()),
-        "mismatch_direction_chain_only": int((chain_ok & ~line_ok).sum()),
+        "line_ok": line_ok.bit_count(),
+        "chain_flag": chain_ok.bit_count(),
+        "mismatches": mism.bit_count(),
+        "mismatch_direction_line_only": (mism & line_ok).bit_count(),
+        "mismatch_direction_chain_only": (mism & chain_ok).bit_count(),
         "witnesses": witnesses,
     }
 

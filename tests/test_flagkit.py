@@ -14,9 +14,11 @@ from flagval.flagkit import (
     StarMap,
     _bad_strata,
     _flag_chain,
+    _ids,
     _greedy_point_order,
     _ones_levels,
     _value_levels,
+    _compare_verdicts,
     _verdicts_bulk,
     check_decomposition_lemma,
     classify_flag_subsets,
@@ -214,8 +216,8 @@ def test_is_flag_map_first_chain_and_witness(n, q, values, chain, witness_line):
 def _assert_scalar_matches_bulk(geom, maps):
     line_ok, chain_ok = _verdicts_bulk(geom, np.array(maps, dtype=np.int8))
     for row, vals in enumerate(maps):
-        assert line_criterion(geom, vals) == line_ok[row], vals
-        assert is_flag_map(geom, vals).is_flag == chain_ok[row], vals
+        assert line_criterion(geom, vals) == line_ok >> row & 1, vals
+        assert is_flag_map(geom, vals).is_flag == chain_ok >> row & 1, vals
 
 
 @pytest.mark.parametrize("n,q,k", [(2, 2, 3), (2, 2, 4), (1, 3, 3), (1, 3, 4)])
@@ -231,6 +233,144 @@ def test_kernel_scalar_and_bulk_agree_sampled(n, q):
     rng = np.random.Generator(np.random.PCG64(11))
     maps = rng.integers(0, 3, size=(10_000, len(geom.points)), dtype=np.int8).tolist()
     _assert_scalar_matches_bulk(geom, maps)
+
+
+# -- reference bulk routes ----------------------------------------------
+#
+# The bulk kernel as a (rows, strata) bool matrix built with numpy fancy
+# indexing, block by block.  The row bitsets of flagkit must give the
+# same sweep reports and the same subset tables.
+
+_REF_BLOCK_ROWS = 8192
+
+
+def _constant_bulk_ref(table, vals: np.ndarray) -> np.ndarray:
+    const = np.empty((len(vals), len(table.strata)), dtype=bool)
+    for k, stratum in enumerate(table.strata):
+        np.all(vals[:, stratum[1:]] == vals[:, stratum[:1]], axis=1, out=const[:, k])
+    return const
+
+
+def _verdicts_bulk_ref(geom, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    table = geom.strata
+    chains = [_ids(c) for c in table.chains]
+    lines = [_ids(l) for l in table.lines]
+    line_ok = np.ones(len(vals), dtype=bool)
+    chain_ok = np.zeros(len(vals), dtype=bool)
+    for lo in range(0, len(vals), _REF_BLOCK_ROWS):
+        rows = slice(lo, lo + _REF_BLOCK_ROWS)
+        const = _constant_bulk_ref(table, vals[rows])
+        for ids in lines:
+            line_ok[rows] &= const[:, ids].any(axis=1)
+        for ids in chains:
+            chain_ok[rows] |= const[:, ids].all(axis=1)
+    return line_ok, chain_ok
+
+
+def _compare_verdicts_ref(geom, vals: np.ndarray) -> dict:
+    line_ok, chain_ok = _verdicts_bulk_ref(geom, vals)
+    mism = np.nonzero(line_ok != chain_ok)[0]
+    return {
+        "cases_total": len(vals),
+        "line_ok": int(line_ok.sum()),
+        "chain_flag": int(chain_ok.sum()),
+        "mismatches": int(len(mism)),
+        "mismatch_direction_line_only": int((line_ok & ~chain_ok).sum()),
+        "mismatch_direction_chain_only": int((chain_ok & ~line_ok).sum()),
+        "witnesses": [[int(x) for x in vals[i]] for i in mism[:5]],
+    }
+
+
+def _subset_table_ref(n: int, q: int) -> flagkit.SubsetTable:
+    geom = geometry(n, q)
+    npts = len(geom.points)
+    ones = np.arange(1 << npts, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    indicator = np.unpackbits(ones, axis=1, count=npts, bitorder="little")
+    const = _constant_bulk_ref(geom.strata, indicator)
+    flag = np.zeros(len(const), dtype=bool)
+    for chain in geom.strata.chains:
+        flag |= const[:, _ids(chain)].all(axis=1)
+    np.logical_not(const, out=const)
+    packed = np.packbits(const, axis=1, bitorder="little")
+    return flagkit.SubsetTable(flag.tobytes(), packed.tobytes(), packed.shape[1])
+
+
+@pytest.mark.parametrize("n,q,k", [(2, 2, 3), (2, 2, 4), (1, 3, 3), (1, 3, 4)])
+def test_bulk_report_matches_the_reference_exhaustive(n, q, k):
+    geom = geometry(n, q)
+    vals = np.array(list(itertools.product(range(k), repeat=len(geom.points))), dtype=np.int8)
+    assert _compare_verdicts(geom, vals) == _compare_verdicts_ref(geom, vals)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_bulk_report_matches_the_reference_sampled(n, q):
+    geom = geometry(n, q)
+    rng = np.random.Generator(np.random.PCG64(11))
+    vals = rng.integers(0, 3, size=(10_000, len(geom.points)), dtype=np.int8)
+    report = _compare_verdicts(geom, vals)
+    assert report == _compare_verdicts_ref(geom, vals)
+    if q == 2:
+        assert report["mismatches"] > 5  # the witness cut is exercised
+
+
+def test_bulk_report_matches_the_reference_p2f3_exhaustive():
+    # 3^13 rows: past one reference block, so the block seams are covered
+    geom = geometry(2, 3)
+    codes = np.arange(3**13)
+    vals = np.empty((3**13, 13), dtype=np.int8)
+    for i in range(13):
+        vals[:, i] = codes % 3
+        codes = codes // 3
+    report = prop_equivalence_exhaustive(2, 3)
+    assert report == _compare_verdicts_ref(geom, vals)
+    assert report["line_ok"] == report["chain_flag"] == 783
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_subset_table_matches_the_reference(n, q):
+    assert subset_table(n, q) == _subset_table_ref(n, q)
+
+
+def test_bulk_report_with_no_rows():
+    assert prop_equivalence_random(2, 3, 0, 1) == {
+        "cases_total": 0,
+        "line_ok": 0,
+        "chain_flag": 0,
+        "mismatches": 0,
+        "mismatch_direction_line_only": 0,
+        "mismatch_direction_chain_only": 0,
+        "witnesses": [],
+    }
+
+
+def test_bulk_verdicts_compare_values_only_for_equality():
+    # a negative value is one more value: the same verdicts as the map
+    # shifted into 0..2
+    maps = [[-1, -1, 0, -1, 0, 0, 0], [-1, 0, 1, -1, 0, 1, -1], [5, 5, 5, 5, 5, 5, 5], [-3, 4, -3, -3, 4, 4, 4]]
+    for vals in maps:
+        shifted = [sorted(set(vals)).index(v) for v in vals]
+        assert _verdicts_bulk(FANO, np.array([vals], dtype=np.int8)) == _verdicts_bulk(
+            FANO, np.array([shifted], dtype=np.int8)
+        ), vals
+    report = _compare_verdicts(FANO, np.array(maps, dtype=np.int8))
+    assert report == _compare_verdicts_ref(FANO, np.array(maps, dtype=np.int8))
+    assert report["witnesses"][0] == maps[0]  # two-valued, level set not a flag subset
+
+
+@pytest.mark.parametrize("rows", [1, 9])
+def test_bulk_counts_read_no_pad_bits(rows):
+    # packbits pads each plane to whole bytes; no pad bit may reach a
+    # bitset or a count, whether every row passes or none does
+    line = FANO.lines[0]
+    three_valued = [0] * 7
+    three_valued[line[1]], three_valued[line[2]] = 1, 2
+    for row, ok in (([1] * 7, True), (three_valued, False)):
+        vals = np.array([row] * rows, dtype=np.int8)
+        expected = (1 << rows) - 1 if ok else 0
+        assert _verdicts_bulk(FANO, vals) == (expected, expected)
+        report = _compare_verdicts(FANO, vals)
+        assert report == _compare_verdicts_ref(FANO, vals)
+        assert report["line_ok"] == report["chain_flag"] == (rows if ok else 0)
 
 
 @pytest.mark.parametrize("q", [2, 3])
