@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 from . import fqlin
 from .errors import InvalidInput, SizeBound
 from .ff import FiniteField
-from .projspace import ProjGeometry, StratumTable, geometry
+from .projspace import ProjGeometry, StratumTable, _ids, geometry
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,10 +138,6 @@ def is_flag_map(geom: ProjGeometry, values) -> FlagVerdict:
 def line_criterion(geom: ProjGeometry, values) -> bool:
     """Whether the map is constant off at most one point on every line."""
     return _bad_line(geom.strata, _bad_strata(geom.strata, _value_levels(values))) is None
-
-
-def _ids(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _constant_rows(table: StratumTable, vals: np.ndarray) -> list[int]:
@@ -644,12 +640,10 @@ def prop_equivalence_exhaustive(n: int, q: int) -> dict:
     npts = len(geom.points)
     if npts > 13:
         raise SizeBound(f"3^{npts} maps is beyond the exhaustive window (3^13)")
-    total = 3**npts
-    codes = np.arange(total)
-    vals = np.empty((total, npts), dtype=np.int8)
+    # row r is the map whose value at point i is digit i of r in base 3
+    vals = np.empty((3**npts, npts), dtype=np.int8)
     for i in range(npts):
-        vals[:, i] = codes % 3
-        codes = codes // 3
+        vals[:, i] = np.tile(np.repeat(np.arange(3, dtype=np.int8), 3**i), 3 ** (npts - 1 - i))
     return _compare_verdicts(geom, vals)
 
 

@@ -9,42 +9,13 @@ one at a time into an echelon basis keyed by pivot column, reduces each
 row only from its pivot onward, and stops once the rank equals the
 number of columns.  The pivot columns of a row space do not depend on
 the basis that spans it, so back-substitution on the echelon gives the
-same canonical kernel basis as `rref`: one vector per free column, 1
-there and 0 at every other free column.  `rref` itself serves callers
-that need the reduced rows (`projspace`).
+same canonical kernel basis as full reduction would: one vector per
+free column, 1 there and 0 at every other free column.
 """
 
 from __future__ import annotations
 
 from .ff import FiniteField
-
-
-def rref(field: FiniteField, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    mul, sub, inv = field._mul, field._sub, field._inv
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        scale = mul[inv[m[r][c]]]
-        pivot_row = m[r] = [scale[x] for x in m[r]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                mf = mul[f]
-                m[i] = [sub[x][mf[y]] for x, y in zip(row, pivot_row)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
 
 
 def _echelon(field: FiniteField, rows: list[list[int]], ncols: int) -> dict[int, list[int]]:

@@ -1,10 +1,10 @@
 """Finite projective spaces P^n(F_q) and embedded subspaces of P_k(K).
 
 Geometry objects are cached per (n, q) and carry points in a canonical
-lexicographic order, all proper subspaces, the lines as point tuples and
-as ones masks (bit i is point i), the full chains used by the flag
-machinery, and the table of strata those chains and the lines test.
-Point counts are the usual (q^(n+1)-1)/(q-1).
+lexicographic order, all proper subspaces as ones masks (bit i is point
+i), the lines as point tuples and as masks, the full chains used by the
+flag machinery, and the table of strata those chains and the lines
+test.  Point counts are the usual (q^(n+1)-1)/(q-1).
 """
 
 from __future__ import annotations
@@ -32,23 +32,9 @@ def normalize_coords(field: FiniteField, vec: tuple[int, ...]) -> tuple[int, ...
     return tuple(field.mul(inv, x) for x in vec)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    q: int
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ProjSubspace:
-    """Canonical subspace: reduced-echelon basis plus its point set."""
-
-    q: int
-    basis: tuple[tuple[int, ...], ...]
-    points: frozenset[int]  # indices into the owning geometry
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
+def _ids(mask: int) -> tuple[int, ...]:
+    """The point indices of a ones mask, ascending."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 @dataclass(frozen=True)
@@ -88,7 +74,14 @@ class StratumTable:
 
 
 class ProjGeometry:
-    """All incidence data of P^n(F_q) needed by the flag machinery."""
+    """All incidence data of P^n(F_q) needed by the flag machinery.
+
+    Each line is found once, from its first pair of points i < j on no
+    line yet: it is j and i + c*j for every c.  A subspace of dimension
+    d >= 2 is the join of one of dimension d - 1 and a point p outside
+    it, the OR of the lines from p to its points.  subspaces[d] lists
+    the masks of dimension d, 1 <= d < n, in point-tuple order.
+    """
 
     def __init__(self, n: int, q: int) -> None:
         if n < 1:
@@ -100,81 +93,77 @@ class ProjGeometry:
         self.n = n
         self.q = q
         self.field = field
-        self.points: list[ProjPoint] = []
-        seen = set()
-        for vec in itertools.product(field.elements(), repeat=n + 1):
-            norm = normalize_coords(field, vec)
-            if norm is not None and norm not in seen:
-                seen.add(norm)
-                self.points.append(ProjPoint(q, norm))
-        self.points.sort(key=lambda p: p.coords)
+        norms = (normalize_coords(field, vec) for vec in itertools.product(field.elements(), repeat=n + 1))
+        self.points: list[tuple[int, ...]] = sorted({p for p in norms if p is not None})
         assert len(self.points) == count
-        self.index = {p.coords: i for i, p in enumerate(self.points)}
-        self.subspaces: dict[int, list[ProjSubspace]] = {}
-        for d in range(1, n):
-            self.subspaces[d] = self._enumerate_subspaces(d)
-        if n == 1:
-            self.lines = [tuple(range(count))]  # P^1 is its own only line
-        else:
-            self.lines = [tuple(sorted(s.points)) for s in self.subspaces[1]]
-        self.line_masks = tuple(sum(1 << i for i in line) for line in self.lines)
-        self.chains = self._enumerate_chains()
+        index = {p: i for i, p in enumerate(self.points)}
+        add, mul = field._add, field._mul
+        through = [[0] * count for _ in range(count)]  # through[a][b]: mask of the line on points a, b
+        self.lines: list[tuple[int, ...]] = []
+        masks: list[int] = []
+        for i, a in enumerate(self.points):
+            for j in range(i + 1, count):
+                if through[i][j]:
+                    continue
+                b = self.points[j]
+                line = sorted(
+                    [i, j]
+                    + [index[normalize_coords(field, tuple(add[x][mul[c][y]] for x, y in zip(a, b)))] for c in range(1, q)]
+                )
+                mask = sum(1 << k for k in line)
+                for k in line:
+                    row = through[k]
+                    for m in line:
+                        row[m] = mask
+                self.lines.append(tuple(line))
+                masks.append(mask)
+        self.line_masks = tuple(masks)
+        levels = [[1 << i for i in range(count)], masks]
+        while len(levels) < n:
+            levels.append(_joins(levels[-1], through))
+        del levels[n:]  # P^1 is its own only line
+        self.subspaces = {d: levels[d] for d in range(1, n)}
+        self.chains = _chains(levels, (1 << count) - 1)
         self.strata = StratumTable.build(self.chains, self.lines)
 
-    def span(self, indices: list[int]) -> ProjSubspace:
-        rows = [list(self.points[i].coords) for i in indices]
-        basis, _ = fqlin.rref(self.field, rows)
-        pts = set()
-        k = len(basis)
-        for coef in itertools.product(self.field.elements(), repeat=k):
-            vec = [0] * (self.n + 1)
-            for c, row in zip(coef, basis):
-                if c:
-                    for j, x in enumerate(row):
-                        vec[j] = self.field.add(vec[j], self.field.mul(c, x))
-            norm = normalize_coords(self.field, tuple(vec))
-            if norm is not None:
-                pts.add(self.index[norm])
-        return ProjSubspace(self.q, tuple(tuple(r) for r in basis), frozenset(pts))
 
-    def _enumerate_subspaces(self, d: int) -> list[ProjSubspace]:
-        out: dict[frozenset[int], ProjSubspace] = {}
-        for combo in itertools.combinations(range(len(self.points)), d + 1):
-            s = self.span(list(combo))
-            if s.dim == d and s.points not in out:
-                out[s.points] = s
-        return sorted(out.values(), key=lambda s: tuple(sorted(s.points)))
+def _joins(level: list[int], through: list[list[int]]) -> list[int]:
+    """The subspaces one dimension up from those of level, sorted: each
+    s joined with the points p outside every join of s found so far."""
+    found = set()
+    for s in level:
+        covered = s
+        for p, row in enumerate(through):
+            if not covered >> p & 1:
+                t = s
+                for k in _ids(s):
+                    t |= row[k]
+                covered |= t
+                found.add(t)
+    return sorted(found, key=_ids)
 
-    def _enumerate_chains(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Full chains as stratum tuples (dims 0 .. n-1, then the rest).
 
-        A chain point < line < ... yields strata: the point, line minus
-        point, ..., space minus the top proper subspace.
-        """
-        levels: list[list[frozenset[int]]] = [
-            [frozenset([i]) for i in range(len(self.points))]
-        ]
-        for d in range(1, self.n):
-            levels.append([s.points for s in self.subspaces[d]])
-        chains: list[tuple[tuple[int, ...], ...]] = []
+def _chains(levels: list[list[int]], full: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Full chains as stratum tuples (dims 0 .. n-1, then the rest).
 
-        def grow(prefix: list[frozenset[int]], depth: int) -> None:
-            if depth == len(levels):
-                strata = []
-                prev: frozenset[int] = frozenset()
-                for s in prefix:
-                    strata.append(tuple(sorted(s - prev)))
-                    prev = s
-                strata.append(tuple(sorted(set(range(len(self.points))) - prev)))
-                chains.append(tuple(strata))
-                return
-            for s in levels[depth]:
-                if prefix[-1] < s:
-                    grow(prefix + [s], depth + 1)
+    A chain point < line < ... yields strata: the point, line minus
+    point, ..., space minus the top proper subspace.
+    """
+    chains: list[tuple[tuple[int, ...], ...]] = []
 
-        for p in levels[0]:
-            grow([p], 1)
-        return chains
+    def grow(prefix: list[int]) -> None:
+        if len(prefix) == len(levels):
+            steps = prefix + [full]
+            chains.append(tuple(_ids(s ^ prev) for s, prev in zip(steps, [0] + prefix)))
+            return
+        top = prefix[-1]
+        for s in levels[len(prefix)]:
+            if s & top == top:
+                grow(prefix + [s])
+
+    for p in levels[0]:
+        grow([p])
+    return chains
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +192,7 @@ class EmbeddedSubspace:
         self.functions: list[RationalFn] = []
         for pt in self.geometry.points:
             f = RationalFn.constant(F, vars, 0)
-            for c, g in zip(pt.coords, gens):
+            for c, g in zip(pt, gens):
                 if c:
                     f = f + g * c
             if not f:
@@ -228,7 +217,7 @@ class EmbeddedSubspace:
         n, d = g.num, g.den
         self.functions = [
             RationalFn._make(d * c0 + n * c1, d) if c1 else RationalFn.constant(F, g.vars, c0)
-            for c0, c1 in (pt.coords for pt in self.geometry.points)
+            for c0, c1 in self.geometry.points
         ]
         return self
 

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 from . import flagkit
 from .errors import InvalidConfig, SizeBound, UnknownSuite
@@ -491,16 +492,11 @@ def _arena_line_count(q: int, deg: int) -> int:
     return n * (lin + 1) - lin
 
 
-_ARENA_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _arena(field: FiniteField, vars: tuple[str, ...], deg: int) -> Arena:
-    key = (field.q, vars, deg)
-    a = _ARENA_CACHE.get(key)
-    if a is None:
-        a = Arena(field, vars, gen_degree=deg)
-        _ARENA_CACHE[key] = a
-    return a
+    """One arena per (field, vars, deg), built on first use and kept:
+    criterion 09's three round trips share one build."""
+    return Arena(field, vars, gen_degree=deg)
 
 
 @_suite("reconstruct-roundtrip", ("exhaustive",), samples=50)  # conclusion sample budget

@@ -20,8 +20,8 @@ from flagval.fields import (
     from_divisor,
     to_divisor,
 )
-from flagval.fqlin import rref
 from flagval.poly import Poly, divmod_univariate, factor, gcd_univariate
+from test_fqlin import rref
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)

@@ -98,7 +98,7 @@ def test_subset_table_flag_bits_match_census():
 
 def _subset_family_sets(geom, s: frozenset[int]) -> str | None:
     q = geom.q
-    lines = [L.points for L in geom.subspaces[1]]
+    lines = [frozenset(L) for L in geom.lines]
     comp = frozenset(range(len(geom.points))) - s
     if len(s) == 1:
         return "point"
@@ -533,7 +533,7 @@ def test_star_condition_explicit():
     # an image inside one affine line of the target always satisfies (*)
     pairs = []
     for pt in geometry(2, 2).points:
-        a, b, c = pt.coords
+        a, b, c = pt
         pairs.append(((a + b) % 2, 1))
     m = StarMap(2, 2, tuple(pairs))
     assert star_condition(m)

@@ -1,9 +1,10 @@
-"""Linear algebra over GF(q): rref, rank and nullspace against enumeration.
+"""Linear algebra over GF(q): rank and nullspace against enumeration.
 
-nullspace and rank eliminate in one pass of row insertion; rref is the
-reference they are held to, column by column, on small matrices and on
-tall ones of the shapes the dependence search builds (up to 80 rows by
-25 or 81 columns).
+nullspace and rank eliminate in one pass of row insertion; rref, full
+Gauss-Jordan reduction kept here, is the reference they are held to,
+column by column, on small matrices and on tall ones of the shapes the
+dependence search builds (up to 80 rows by 25 or 81 columns).  The
+oracles of test_fields and test_projspace import it from here.
 
 The kernel of each small matrix is also found by brute force: every
 vector of GF(q)^ncols is multiplied by the matrix through numpy copies
@@ -18,9 +19,37 @@ import numpy as np
 import pytest
 
 from flagval.ff import FiniteField
-from flagval.fqlin import nullspace, rank, rref
+from flagval.fqlin import nullspace, rank
 
 FIELDS = [2, 3, 4, 9]
+
+
+def rref(field: FiniteField, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form and the pivot column list."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    mul, sub, inv = field._mul, field._sub, field._inv
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        scale = mul[inv[m[r][c]]]
+        pivot_row = m[r] = [scale[x] for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                mf = mul[f]
+                m[i] = [sub[x][mf[y]] for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
 
 def _apply(F, rows, v):

@@ -1,4 +1,13 @@
-"""Projective incidence data and function-indexed subspaces."""
+"""Projective incidence data and function-indexed subspaces.
+
+The geometry built from point masks is held to the construction it
+replaced: rref of every (d+1)-tuple of points, the span over every
+coefficient vector, and deduplicated frozensets of point indices.
+"""
+
+import itertools
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -6,8 +15,9 @@ from flagval.errors import InvalidInput, SizeBound
 from flagval.ff import FiniteField
 from flagval.fields import RationalFn
 from flagval.poly import Poly
-from flagval.projspace import EmbeddedSubspace, geometry, normalize_coords
+from flagval.projspace import EmbeddedSubspace, ProjGeometry, StratumTable, geometry, normalize_coords
 from flagval.reconstruct import Arena
+from test_fqlin import rref
 
 F3 = FiniteField(3)
 XY = ("x", "y")
@@ -52,7 +62,7 @@ def test_p3_f2_incidence():
     assert len(g.lines) == 35
     planes = g.subspaces[2]
     assert len(planes) == 15
-    assert all(len(p.points) == 7 for p in planes)
+    assert all(p.bit_count() == 7 for p in planes)
 
 
 def test_chain_counts():
@@ -80,6 +90,96 @@ def test_geometry_bounds():
         geometry(0, 2)
     with pytest.raises(SizeBound):
         geometry(5, 7)
+
+
+def _reference_geometry(n, q):
+    """P^n(F_q) by spans: every (d+1)-tuple of points reduced by rref,
+    its span listed over every coefficient vector, the point sets
+    deduplicated, and chains grown over the frozensets."""
+    F = FiniteField(q)
+    norms = (normalize_coords(F, v) for v in itertools.product(F.elements(), repeat=n + 1))
+    points = sorted({p for p in norms if p is not None})
+    index = {p: i for i, p in enumerate(points)}
+
+    def span(combo):
+        basis, _ = rref(F, [list(points[i]) for i in combo])
+        pts = set()
+        for coef in itertools.product(F.elements(), repeat=len(basis)):
+            vec = [0] * (n + 1)
+            for c, row in zip(coef, basis):
+                vec = [F.add(v, F.mul(c, x)) for v, x in zip(vec, row)]
+            norm = normalize_coords(F, tuple(vec))
+            if norm is not None:
+                pts.add(index[norm])
+        return len(basis) - 1, frozenset(pts)
+
+    subspaces = {}
+    for d in range(1, n):
+        spans = map(span, itertools.combinations(range(len(points)), d + 1))
+        subspaces[d] = sorted({pts for dim, pts in spans if dim == d}, key=sorted)
+    lines = [tuple(range(len(points)))] if n == 1 else [tuple(sorted(s)) for s in subspaces[1]]
+    levels = [[frozenset([i]) for i in range(len(points))]] + [subspaces[d] for d in range(1, n)]
+    everything = frozenset(range(len(points)))
+    chains = []
+
+    def grow(prefix):
+        if len(prefix) == len(levels):
+            steps = [frozenset()] + prefix + [everything]
+            chains.append(tuple(tuple(sorted(b - a)) for a, b in zip(steps, steps[1:])))
+            return
+        for s in levels[len(prefix)]:
+            if prefix[-1] < s:
+                grow(prefix + [s])
+
+    for p in levels[0]:
+        grow([p])
+    masks = {d: [sum(1 << i for i in s) for s in subspaces[d]] for d in subspaces}
+    return points, lines, masks, chains
+
+
+@pytest.mark.parametrize(
+    "n, q",
+    [(1, 2), (1, 7), (1, 49)] + [(2, q) for q in (2, 3, 4, 5, 7, 8)] + [(3, 2), (3, 3)],
+)
+def test_geometry_matches_the_span_construction(n, q):
+    points, lines, subspaces, chains = _reference_geometry(n, q)
+    g = ProjGeometry(n, q)
+    assert g.points == points
+    assert g.lines == lines
+    assert g.line_masks == tuple(sum(1 << i for i in line) for line in lines)
+    assert g.subspaces == subspaces
+    assert g.chains == chains
+    assert g.strata == StratumTable.build(chains, lines)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_large_plane_incidence(q):
+    # q^2 + q + 1 lines of q + 1 points; through each point a the lines
+    # minus a are disjoint and cover every other point, so each pair of
+    # points lies on exactly one line
+    g = geometry(2, q)
+    npts = q * q + q + 1
+    full = (1 << npts) - 1
+    assert len(g.points) == len(g.lines) == len(g.line_masks) == npts
+    assert all(m.bit_count() == q + 1 for m in g.line_masks)
+    for a in range(npts):
+        through = [m for m in g.line_masks if m >> a & 1]
+        assert len(through) == q + 1
+        assert sum(m.bit_count() - 1 for m in through) == npts - 1
+        assert reduce(or_, through) == full
+
+
+def test_refusals_come_before_the_build(monkeypatch):
+    from flagval import projspace
+
+    def no_build(*args):
+        raise AssertionError("a refused geometry must not be built")
+
+    monkeypatch.setattr(projspace, "normalize_coords", no_build)
+    with pytest.raises(InvalidInput):
+        ProjGeometry(0, 3)
+    with pytest.raises(SizeBound):
+        ProjGeometry(8, 2)  # 511 points
 
 
 def _fn(text):

@@ -363,6 +363,13 @@ def test_roundtrip_arena_window(monkeypatch):
             run_suite(SuiteConfig(suite="reconstruct-roundtrip", q=q, arena_deg=deg))
 
 
+def test_arena_is_built_once_per_key():
+    # criterion 09's three round trips share one arena build
+    a = suites._arena(FiniteField(2), ("x", "y"), 1)
+    assert suites._arena(FiniteField(2), ("x", "y"), 1) is a
+    assert suites._arena(FiniteField(2), ("y", "x"), 1) is not a
+
+
 def test_cli_roundtrip_refusals_exit_two_at_once(capsys):
     import time
 
