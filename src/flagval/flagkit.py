@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import permutations
+from math import perm
 from operator import and_, or_
 from typing import TYPE_CHECKING
 
@@ -472,6 +474,12 @@ def _greedy_point_order(geom: ProjGeometry) -> tuple[list[int], list[list[int]]]
     return order, completed_at
 
 
+def _relabellings(maps: list[list[int]], order: list[int]) -> list[list[int]]:
+    """Every relabelling of the values of maps, in sweep order along order."""
+    out = {tuple(pi[v] for v in vals) for vals in maps for pi in permutations(range(4))}
+    return sorted(map(list, out), key=lambda vals: [vals[i] for i in order])
+
+
 def collineation_analyze(
     p: int, mode: str = "exhaustive", samples: int = 0, seed: int | None = None
 ) -> CollineationReport:
@@ -483,6 +491,20 @@ def collineation_analyze(
     coordinate maps are recorded.  The coordinate maps and their sum
     are F_2 subsets, judged by the subset table; sampled mode past
     SUBSET_WINDOW points judges them with the scalar kernel instead.
+
+    The exhaustive sweep visits one map per relabelling of the four
+    values: the one whose values first appear in the order 0, 1, 2, 3
+    along the sweep's point order.  This is exact because every reported
+    quantity is the same for all 24 relabellings: (*), the image size,
+    the strata where the map is not constant, and whether some
+    F_2-combination of the coordinates is flag (S_4 = AGL(2, F_2)
+    permutes the three nonzero functionals up to complement, and a
+    subset is flag exactly when its complement is).  Each visited map
+    counts 4!/(4-img)! times.  The first map in sweep (lexicographic)
+    order with such a property is the first of its class, so the first_*
+    witnesses are those of the full sweep; the violation lists hold every
+    relabelling of the visited maps, sorted once into sweep order.
+    Sampled mode counts each drawn map once.
     """
     geom = geometry(2, p)
     npts = len(geom.points)
@@ -511,17 +533,17 @@ def collineation_analyze(
 
     pair_flag: dict[int, bool] = {}  # pair verdict by the union of the coordinates' bad strata
 
-    def analyse(vals: list[int], m1: int, m2: int, used: int) -> None:
+    def analyse(vals: list[int], m1: int, m2: int, used: int, weight: int) -> None:
         # one (*) map with coordinate ones masks m1, m2 and value set used,
-        # recorded as the sweep accepts it
+        # counted as the weight maps it stands for
         nonlocal star_count, no_combo, first_no_combo, non_flag_star, first_non_flag
-        star_count += 1
+        star_count += weight
         img = used.bit_count()
-        image_size_counts[img] = image_size_counts.get(img, 0) + 1
+        image_size_counts[img] = image_size_counts.get(img, 0) + weight
         if img > 3:
             image_viol.append(list(vals))
         if not (flag_of(m1) or flag_of(m2) or flag_of(m1 ^ m2)):
-            no_combo += 1
+            no_combo += weight
             if first_no_combo is None:
                 first_no_combo = list(vals)
             if p != 2:
@@ -532,7 +554,7 @@ def collineation_analyze(
         if flag is None:
             flag = pair_flag[pair] = _flag_chain(table, pair) is not None
         if not flag:
-            non_flag_star += 1
+            non_flag_star += weight
             if first_non_flag is None:
                 first_non_flag = list(vals)
 
@@ -546,9 +568,9 @@ def collineation_analyze(
 
         def dfs(pos: int, m1: int, m2: int, used: int) -> None:
             if pos == npts:
-                analyse(vals, m1, m2, used)
+                analyse(vals, m1, m2, used, perm(4, used.bit_count()))
                 return
-            allowed = 15
+            allowed = used << 1 | 1  # the values used so far and the next new one
             for line in others[pos]:
                 seen = 0
                 for i in line:
@@ -562,6 +584,7 @@ def collineation_analyze(
                     dfs(pos + 1, m1 | bit if v & 1 else m1, m2 | bit if v & 2 else m2, used | 1 << v)
 
         dfs(0, 0, 0, 0)
+        image_viol, combo_viol = _relabellings(image_viol, order), _relabellings(combo_viol, order)
         maps_examined = 4**npts
     elif mode == "sampled":
         if seed is None:
@@ -575,7 +598,7 @@ def collineation_analyze(
             if all(_two_values_at_most(vals, L) for L in lines):
                 m1 = sum(1 << i for i, v in enumerate(vals) if v & 1)
                 m2 = sum(1 << i for i, v in enumerate(vals) if v & 2)
-                analyse(vals, m1, m2, sum({1 << v for v in vals}))
+                analyse(vals, m1, m2, sum({1 << v for v in vals}), 1)
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 

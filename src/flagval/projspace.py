@@ -34,7 +34,12 @@ def normalize_coords(field: FiniteField, vec: tuple[int, ...]) -> tuple[int, ...
 
 def _ids(mask: int) -> tuple[int, ...]:
     """The point indices of a ones mask, ascending."""
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Flag maps, the subset census, the decomposition lemma, collineations."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagval import flagkit
 from flagval.errors import InvalidInput, SizeBound
@@ -12,11 +15,13 @@ from flagval.flagkit import (
     FlagVerdict,
     LemmaVerdict,
     StarMap,
+    SubsetTable,
     _bad_strata,
     _flag_chain,
     _ids,
     _greedy_point_order,
     _ones_levels,
+    _two_values_at_most,
     _value_levels,
     _compare_verdicts,
     _verdicts_bulk,
@@ -564,6 +569,116 @@ def test_collineation_p2_frozen():
     assert rep.non_flag_star_maps == 336
     assert rep.first_non_flag_star == [0, 0, 0, 0, 1, 1, 1]
     assert rep.flag_combo_violations == []
+
+
+def test_collineation_p3_frozen():
+    rep = collineation_analyze(3)
+    assert rep.star_maps == 52264
+    assert rep.image_size_counts == {1: 4, 2: 49140, 3: 3120}
+    assert rep.non_flag_star_maps == 50076
+    assert rep.no_flag_combo_maps == 0
+    assert rep.first_non_flag_star == [0] * 11 + [1, 1]
+
+
+def _unreduced_collineation_report(p: int) -> CollineationReport:
+    """collineation_analyze(p) by the sweep that visits every (*) map.
+
+    The same line-pruned depth-first search over _greedy_point_order,
+    but all four values are tried at every point, each map counts once
+    and the violation lists come out in sweep order as they are found.
+    """
+    geom = geometry(2, p)
+    npts = len(geom.points)
+    table = geom.strata
+    subsets = flagkit.subset_table(2, p)
+    bad_of, flag_of = subsets.bad_masks().__getitem__, subsets.flag.__getitem__
+    order, completed_at = _greedy_point_order(geom)
+    others = [[[i for i in geom.lines[li] if i != pt] for li in completed_at[pos]] for pos, pt in enumerate(order)]
+    counts: dict[int, int] = {}
+    star, no_combo, non_flag = [], [], []
+    vals = [0] * npts
+
+    def dfs(pos: int, m1: int, m2: int, used: int) -> None:
+        if pos == npts:
+            star.append(list(vals))
+            img = used.bit_count()
+            counts[img] = counts.get(img, 0) + 1
+            if not (flag_of(m1) or flag_of(m2) or flag_of(m1 ^ m2)):
+                no_combo.append(list(vals))
+            if _flag_chain(table, bad_of(m1) | bad_of(m2)) is None:
+                non_flag.append(list(vals))
+            return
+        allowed = 15
+        for line in others[pos]:
+            allowed &= flagkit._ALLOWED[sum({1 << vals[i] for i in line})]
+        pt = order[pos]
+        bit = 1 << pt
+        for v in range(4):
+            if allowed >> v & 1:
+                vals[pt] = v
+                dfs(pos + 1, m1 | bit if v & 1 else m1, m2 | bit if v & 2 else m2, used | 1 << v)
+
+    dfs(0, 0, 0, 0)
+    return CollineationReport(
+        p=p,
+        mode="exhaustive",
+        maps_examined=4**npts,
+        star_maps=len(star),
+        max_image_size=max(counts),
+        image_size_counts=counts,
+        image_size_violations=[v for v in star if len(set(v)) > 3],
+        no_flag_combo_maps=len(no_combo),
+        first_no_flag_combo=no_combo[0] if no_combo else None,
+        flag_combo_violations=no_combo if p != 2 else [],
+        non_flag_star_maps=len(non_flag),
+        first_non_flag_star=non_flag[0] if non_flag else None,
+    )
+
+
+def _assert_same_report(rep: CollineationReport, expected: CollineationReport) -> None:
+    for field in dataclasses.fields(CollineationReport):
+        assert getattr(rep, field.name) == getattr(expected, field.name), field.name
+    # the report serialises the counts in insertion order
+    assert list(rep.image_size_counts.items()) == list(expected.image_size_counts.items())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_collineation_matches_the_unreduced_sweep(p):
+    _assert_same_report(collineation_analyze(p), _unreduced_collineation_report(p))
+
+
+def test_collineation_violation_lists_match_the_unreduced_sweep(monkeypatch):
+    # with every subset read as non-flag, no (*) map has a flag
+    # combination, so flag_combo_violations lists every (*) map of
+    # P^2(F_3): each relabelling of each visited map, in sweep order
+    real = subset_table(2, 3)
+    monkeypatch.setattr(flagkit, "subset_table", lambda n, q: SubsetTable(bytes(len(real.flag)), real.packed_bad, real.width))
+    expected = _unreduced_collineation_report(3)
+    assert len(expected.flag_combo_violations) == 52264
+    _assert_same_report(collineation_analyze(3), expected)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 3), min_size=13, max_size=13))
+def test_collineation_verdicts_are_invariant_under_relabelling(vals):
+    # why visiting one map per relabelling class is exact: every quantity
+    # the sweep reports is the same for all 24 relabellings of a map
+    subsets = subset_table(2, 3)
+    bad, flag = subsets.bad_masks(), subsets.flag
+
+    def verdicts(vals):
+        m1, m2 = _mask(i for i, v in enumerate(vals) if v & 1), _mask(i for i, v in enumerate(vals) if v & 2)
+        return (
+            star_condition(StarMap(3, 2, tuple((v & 1, v >> 1) for v in vals))),
+            len(set(vals)),
+            bad[m1] | bad[m2],
+            bool(flag[m1] or flag[m2] or flag[m1 ^ m2]),
+        )
+
+    expected = verdicts(vals)
+    assert expected[0] == all(_two_values_at_most(vals, L) for L in geometry(2, 3).lines)
+    for pi in itertools.permutations(range(4)):
+        assert verdicts([pi[v] for v in vals]) == expected
 
 
 def _scalar_collineation_report(p: int, order: list[int]) -> CollineationReport:

@@ -10,12 +10,14 @@ from functools import reduce
 from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagval.errors import InvalidInput, SizeBound
 from flagval.ff import FiniteField
 from flagval.fields import RationalFn
 from flagval.poly import Poly
-from flagval.projspace import EmbeddedSubspace, ProjGeometry, StratumTable, geometry, normalize_coords
+from flagval.projspace import EmbeddedSubspace, ProjGeometry, StratumTable, _ids, geometry, normalize_coords
 from flagval.reconstruct import Arena
 from test_fqlin import rref
 
@@ -29,6 +31,12 @@ def test_normalize_coords():
     assert normalize_coords(F, (0, 2, 1)) == normalize_coords(F, (0, 1, 2))
     a = normalize_coords(F, (2, 1, 0))
     assert a is not None and a[0] == 1  # first nonzero coordinate scaled to 1
+
+
+@settings(max_examples=300)
+@given(st.integers(0, (1 << 200) - 1))
+def test_ids_match_the_bitwise_definition(mask):
+    assert _ids(mask) == tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def test_fano_incidence():
