@@ -8,10 +8,12 @@ prop-flag-map and collineation, the default sample counts of the
 sampled suites, ktheory over GF(4), GF(9) and GF(49), which pins
 the tame symbols of residue fields larger than the prime field, and the
 three degree-2 round trips of the benchmark's `roundtrip` workload,
-which pin the dependence classes that reconstruction builds.  The
-valuation axioms over GF(4) and GF(7) pin the values and residues of
-places over a field that is not prime and over a larger prime field,
-and weil-inertia over GF(7) pins the unit lattices of 140 generators.
+which pin the dependence classes that reconstruction builds.  The three
+q=3, degree-2 round trips of criterion 09 pin the same over GF(3); they
+share one arena build.  The valuation axioms over GF(4) and GF(7) pin
+the values and residues of places over a field that is not prime and
+over a larger prime field, and weil-inertia over GF(7) pins the unit
+lattices of 140 generators.
 """
 
 import hashlib
@@ -54,6 +56,9 @@ GOLDEN = [
     ({'suite': 'reconstruct-roundtrip', 'q': 2, 'arena_deg': 2, 'place': 'curve:x^2+y', 'samples': 50}, "ac65d56d2fb5e756ac3eeb8538600207208b8ca998a05b044306aa0cb23c7157"),
     ({'suite': 'reconstruct-roundtrip', 'q': 2, 'arena_deg': 2, 'place': 'curve:y^2+x', 'samples': 50}, "e2439a5a00c0b4b007a18d8353d771cd70a4fbf778984b74295b47c177a6df8c"),
     ({'suite': 'reconstruct-roundtrip', 'q': 2, 'arena_deg': 2, 'place': 'curve:x^2+x+y', 'samples': 50}, "82d4ed6ef9ead5771be4eddcc9331a31af7fcf39e6f468fabc8cbab610b0f752"),
+    ({'suite': 'reconstruct-roundtrip', 'place': 'curve:x'}, "157e7f99b17711911cddad54ad62983e843ad69679a20490bc470da5499c80e5"),
+    ({'suite': 'reconstruct-roundtrip', 'place': 'curve:y'}, "9077e3085566c384db4bc13ba2618b5d943f78a28938ec8ea61222dc9751e90d"),
+    ({'suite': 'reconstruct-roundtrip', 'place': 'curve:x^2+2*y'}, "dc03035ed711a62fd31043b533c32f0e833dd4206ea97b7254f4760aab8c5b19"),
 ]
 
 
