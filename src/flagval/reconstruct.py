@@ -48,24 +48,48 @@ from .valuations import DivisorialCurve
 # bidegree bound of the annihilator search behind the image relation
 DEP_BOUND = 4
 
-_REL_CACHE: dict = {}
+
+def _one_variable_degree(d: DivisorRep) -> tuple[int, int] | None:
+    """(slot, degree) of a class whose generators all lie in one variable
+    of its domain, with degree max(deg num, deg den) read off the
+    exponents.  None when the generators use more than one variable, or,
+    in a one-variable domain, when the INF exponent contradicts the
+    degrees (the bookkeeping `from_divisor` checks)."""
+    slots: set = set()
+    pos = neg = 0
+    for g, e in d.exps.items():
+        if g == INF:
+            continue
+        slots.update(i for m in g.coeffs for i, k in enumerate(m) if k)
+        if e > 0:
+            pos += e * g.degree()
+        else:
+            neg -= e * g.degree()
+    if len(d.vars) == 1 and d.exponent(INF) != neg - pos:
+        return None
+    return (slots.pop(), max(pos, neg)) if len(slots) == 1 else None
 
 
 def _related(a: DivisorRep, b: DivisorRep, bound: int) -> bool:
-    """Image relation: a trivial class relates to everything (constants
-    are algebraically dependent with any element); nontrivial pairs go
-    through the bounded dependence search, memoized per class pair."""
+    """Image relation: do a and b have an annihilator of bidegree
+    <= (bound, bound)?
+
+    A trivial class relates to everything (constants are algebraically
+    dependent with any element), and so does a class to itself.  Two
+    classes in one and the same variable, of degrees m and n with
+    max(m, n) <= bound, are related with no search: the resultant
+    Res_x(fd(x) U - fn(x), gd(x) V - gn(x)) is a nonzero annihilator of
+    bidegree <= (n, m), so the search would find one.  That rule only
+    ever answers "dependent"; every other pair, and so every
+    "independent" answer, comes from the bounded dependence search."""
     if a.is_trivial() or b.is_trivial():
         return True
-    ka, kb = a.class_key(), b.class_key()
-    if ka == kb:
+    if a.class_key() == b.class_key():
         return True
-    key = (frozenset((ka, kb)), bound)
-    hit = _REL_CACHE.get(key)
-    if hit is None:
-        hit = bool(algebraically_dependent(from_divisor(a), from_divisor(b), bound))
-        _REL_CACHE[key] = hit
-    return hit
+    da, db = _one_variable_degree(a), _one_variable_degree(b)
+    if da and db and da[0] == db[0] and max(da[1], db[1]) <= bound:
+        return True
+    return bool(algebraically_dependent(from_divisor(a), from_divisor(b), bound))
 
 
 # -- psi maps ----------------------------------------------------------

@@ -9,9 +9,12 @@ run; this test catches it on a cold import in a fresh interpreter.
 Each traced function must also still be called on its home workload.
 A cache or a shortcut that stops a layer's function from being called
 would make that layer read as zero time; the tests below catch it in
-tier-1 for every function whose home is `roundtrip`, on one small round
-trip, and for every function whose home is `flags`, `small-field` or
-`large-field`, on small configs of their suites.
+tier-1 for every function whose home is `roundtrip`, on the first round
+trip of that workload, and for every function whose home is `flags`,
+`small-field` or `large-field`, on small configs of their suites.  The
+round trip must still run the dependence search: on the q=2, degree-1
+arena the degree rule of `reconstruct._related` decides every pair, so
+`algebraically_dependent` and `fqlin.nullspace` would read zero there.
 """
 
 import json
@@ -69,7 +72,7 @@ def test_roundtrip_reaches_its_home_functions():
     homes = _homes("roundtrip")
     assert homes
     calls = _traced_calls(
-        {"suite": "reconstruct-roundtrip", "q": 2, "place": "curve:x", "arena_deg": 1, "samples": 10}
+        {"suite": "reconstruct-roundtrip", "q": 2, "arena_deg": 2, "place": "curve:x^2+y", "samples": 50}
     )
     assert [name for name in homes if not calls[name]] == []
 

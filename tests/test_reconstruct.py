@@ -11,8 +11,9 @@ from flagval.errors import (
     PreconditionFailed,
     UnsupportedResidue,
 )
+from flagval import reconstruct
 from flagval.ff import FiniteField
-from flagval.fields import RationalFn, to_divisor
+from flagval.fields import INF, DivisorRep, RationalFn, algebraically_dependent, from_divisor, to_divisor
 from flagval.poly import Poly
 from flagval.projspace import EmbeddedSubspace
 from flagval.reconstruct import (
@@ -25,7 +26,7 @@ from flagval.reconstruct import (
     extract_valuation,
     verify_theorem_conclusions,
 )
-from flagval.suites import _arena
+from flagval.suites import SuiteConfig, _arena, run_suite
 from flagval.valuations import CompositePlace, DivisorialCurve, FinitePlace, InfinitePlace, parse_place
 
 F3 = FiniteField(3)
@@ -349,3 +350,76 @@ def test_non_multiplicative_psi_rejected(small_arena3):
     bad = _Perturbed(psi, to_divisor(a0 * b0).class_key())
     with pytest.raises(PreconditionFailed):
         extract_valuation(bad, small_arena3)
+
+
+# -- the image relation --------------------------------------------------
+
+# the round trips pinned in tests/test_golden.py
+GOLDEN_TRIPS = [
+    {"place": "curve:x", "arena_deg": 1, "samples": 10},
+    {"q": 2, "arena_deg": 2, "place": "curve:x^2+y", "samples": 50},
+    {"q": 2, "arena_deg": 2, "place": "curve:y^2+x", "samples": 50},
+    {"q": 2, "arena_deg": 2, "place": "curve:x^2+x+y", "samples": 50},
+]
+
+
+def test_degree_rule_agrees_with_the_search(monkeypatch, arena3):
+    # every pair the degree rule certifies, on the golden round trips and
+    # the one-variable target of the case-B psi, is dependent by the search
+    search, related = reconstruct.algebraically_dependent, reconstruct._related
+    searches = []
+    certified: dict = {}
+
+    def counted_search(f, g, bound):
+        searches.append(bound)
+        return search(f, g, bound)
+
+    def spy(a, b, bound):
+        before = len(searches)
+        out = related(a, b, bound)
+        nontrivial = not (a.is_trivial() or b.is_trivial())
+        if out and nontrivial and a.class_key() != b.class_key() and len(searches) == before:
+            certified.setdefault((frozenset((a.class_key(), b.class_key())), bound), (a, b, bound))
+        return out
+
+    monkeypatch.setattr(reconstruct, "algebraically_dependent", counted_search)
+    monkeypatch.setattr(reconstruct, "_related", spy)
+    per_source = []
+    for cfg in GOLDEN_TRIPS:
+        run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))
+        per_source.append(len(certified))
+    extract_valuation(PsiMap({CURVE_X.pi: _uc("w", W)}, F3, W), arena3)
+    per_source.append(len(certified))
+    monkeypatch.undo()
+    # each source adds pairs of its own
+    assert all(a < b for a, b in zip([0] + per_source, per_source)), per_source
+    assert any(len(a.vars) == 1 for a, _, _ in certified.values())
+    for a, b, bound in certified.values():
+        assert algebraically_dependent(from_divisor(a), from_divisor(b), bound), (str(a), str(b), bound)
+
+
+@pytest.mark.parametrize("vars", [UV, W], ids=["two-variable", "one-variable"])
+def test_degree_rule_stops_at_the_bound(vars):
+    # [k(x):k(x^5)] = 5, so x and x^5 have no annihilator below degree 5 in U
+    a = _uc(vars[0], vars)
+    b = a * a * a * a * a  # x^5 is beyond the bivariate factoring window
+    assert reconstruct._related(a, b, 4) is False
+    assert reconstruct._related(a, b, 5) is True
+    assert not algebraically_dependent(from_divisor(a), from_divisor(b), 4)
+    assert algebraically_dependent(from_divisor(a), from_divisor(b), 5)
+
+
+def test_degree_rule_needs_one_shared_variable():
+    u, v = _uc("u", UV), _uc("v", UV)
+    assert reconstruct._related(u, v, 4) is False
+    # each generator in one variable, but not the same one
+    assert reconstruct._related(_uc("u*v", UV), u, 4) is False
+    # a generator in both variables
+    assert reconstruct._related(_uc("u+v", UV), u, 4) is False
+
+
+def test_inconsistent_infinite_exponent_still_raises():
+    w = Poly.parse(F3, "w", W)
+    for exps in ({w: 1, INF: 2}, {INF: 1}):
+        with pytest.raises(InvalidInput):
+            reconstruct._related(DivisorRep(F3, W, exps), _uc("w", W), 4)
