@@ -5,13 +5,13 @@ import json
 
 import pytest
 
+from flagval import reconstruct
 from flagval.errors import (
     FactoringWindowExceeded,
     InvalidInput,
     PreconditionFailed,
     UnsupportedResidue,
 )
-from flagval import reconstruct
 from flagval.ff import FiniteField
 from flagval.fields import INF, DivisorRep, RationalFn, algebraically_dependent, from_divisor, to_divisor
 from flagval.poly import Poly
@@ -391,9 +391,8 @@ def test_degree_rule_agrees_with_the_search(monkeypatch, arena3):
     extract_valuation(PsiMap({CURVE_X.pi: _uc("w", W)}, F3, W), arena3)
     per_source.append(len(certified))
     monkeypatch.undo()
-    # each source adds pairs of its own
+    # each source adds pairs of its own; only the case-B target has one variable
     assert all(a < b for a, b in zip([0] + per_source, per_source)), per_source
-    assert any(len(a.vars) == 1 for a, _, _ in certified.values())
     for a, b, bound in certified.values():
         assert algebraically_dependent(from_divisor(a), from_divisor(b), bound), (str(a), str(b), bound)
 
