@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import fqlin
 from .errors import InvalidInput
 from .ff import FiniteField
-from .poly import Poly, _divrem, factor, gcd_univariate
+from .poly import Poly, divmod_univariate, factor, gcd_univariate
 
 INF = "inf"
 _RESERVED_NAMES = (INF, "unit")
@@ -26,10 +26,11 @@ class RationalFn:
     Canonical form: common factors cancelled (always in one variable;
     in two variables only when both parts fit the factoring window) and
     the denominator's leading coefficient moved into the numerator.  In
-    one variable gcd_univariate finds the common factor, the exact
-    divisions run on dense lists, and each part is built by one trusted
-    `Poly._make` that also rescales it.  `RationalFn._make` is the
-    trusted route for a quotient its caller knows to be canonical.
+    one variable gcd_univariate finds the common factor,
+    divmod_univariate divides it out of both parts, and a denominator
+    that is not monic is rescaled by one trusted `Poly._make` per part.
+    `RationalFn._make` is the trusted route for a quotient its caller
+    knows to be canonical.
     """
 
     __slots__ = ("num", "den")
@@ -194,14 +195,8 @@ def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num:
         g = gcd_univariate(num, den)
         if g.degree() > 0:
-            gd = g.to_dense()
-            nd = _divrem(F, num.to_dense(), gd)[0]
-            dd = _divrem(F, den.to_dense(), gd)[0]
-            s = F._mul[F._inv[dd[-1]]]
-            return (
-                Poly._make(F, vars, {(i,): s[c] for i, c in enumerate(nd) if c}),
-                Poly._make(F, vars, {(i,): s[c] for i, c in enumerate(dd) if c}),
-            )
+            num = divmod_univariate(num, g)[0]
+            den = divmod_univariate(den, g)[0]
     lc = den.coeffs[max(den.coeffs)]
     if lc == 1:
         return num, den

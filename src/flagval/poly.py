@@ -492,6 +492,32 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
     return Poly._make(F, f.vars, out)
 
 
+def _root_multiplicity(F: FiniteField, a: list[int], root: int) -> tuple[int, list[int], int]:
+    """(k, b, c): (t - root)^k exactly divides the nonzero dense list a,
+    b is the cofactor a / (t - root)^k as a dense list (a itself when
+    k = 0), and c = b(root) != 0.
+
+    Synthetic division (Horner) from the leading coefficient down: the
+    running values are the quotient's coefficients and the last one is
+    the remainder a(root), so no inverse is taken.
+    """
+    add = F._add
+    at = F._mul[root]
+    k = 0
+    while True:
+        acc = 0
+        quo = []
+        for c in reversed(a):
+            acc = add[c][at[acc]]
+            quo.append(acc)
+        if acc:
+            return k, a, acc
+        quo.pop()
+        quo.reverse()
+        a = quo
+        k += 1
+
+
 def _multiplicity_dense(F: FiniteField, a: list[int], b: Sequence[int]) -> tuple[int, list[int]]:
     """Largest k with b**k dividing a, plus the quotient, on dense lists."""
     k = 0
@@ -526,7 +552,12 @@ def multiplicity(f: Poly, g: Poly) -> tuple[int, Poly]:
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree 1..max_deg, in (degree, lex) order."""
+    """All monic irreducibles of degree 1..max_deg, in (degree, lex) order.
+
+    Below degree 4 a candidate is irreducible exactly when it has no
+    root, found by Horner at every field element; from degree 4 on it is
+    trial-divided by the irreducibles up to half its degree.
+    """
     F = FiniteField(q)
     found: list[Poly] = []
     for d in range(1, max_deg + 1):
@@ -539,7 +570,13 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
                 n //= q
             dense.append(1)
             f = _from_dense(F, var, dense)
-            if all(divmod_univariate(f, g)[1] for g in lower):
+            if d == 1:
+                irreducible = True
+            elif d < 4:
+                irreducible = not any(_root_multiplicity(F, dense, r)[0] for r in range(q))
+            else:
+                irreducible = all(divmod_univariate(f, g)[1] for g in lower)
+            if irreducible:
                 found.append(f)
     return tuple(found)
 
@@ -550,9 +587,10 @@ def _dense_irreducibles(q: int, var: str, max_deg: int) -> tuple[tuple[Poly, tup
     return tuple((g, tuple(g.to_dense())) for g in monic_irreducibles(q, var, max_deg))
 
 
-# trial division enumerates about q^(d//2) candidate divisors of a
-# degree-d input; the suites need at most 49 of them, while degree 8
-# over GF(49) would enumerate 5.8M quartics and run for minutes
+# a root-free cofactor of degree d >= 4 is trial-divided by about
+# q^(d//2) enumerated candidates; the cap bounds that count at the
+# input's degree, so degree 8 over GF(49), which could need 5.8M
+# quartics, is refused before any work
 FACTOR_CANDIDATE_CAP = 10_000
 
 
@@ -585,23 +623,36 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
 
 @lru_cache(maxsize=UNIVARIATE_CACHE_SIZE)
 def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...]]:
-    # trial division of the dense list by the monic irreducibles up to
-    # half its degree; the answer as immutable pairs, in factor order
+    # roots first: t + c divides f exactly when -c is a root, so Horner
+    # at -c for every code c strips the linear factors in code order.  A
+    # root-free cofactor of degree <= 3 is irreducible (or constant); only
+    # a larger one is trial-divided, by the irreducibles of degree 2 up to
+    # half its degree.  The answer as immutable pairs, in the order of
+    # monic_irreducibles with the leftover factor last
     unit, f = f.make_canonical()
     F = f.field
+    q = F.q
     var = f.vars[0]
     a = f.to_dense()
     d = len(a) - 1
+    table = _dense_irreducibles(q, var, max(d // 2, 1))
     out: dict[Poly, int] = {}
-    for g, b in _dense_irreducibles(F.q, var, max(d // 2, 1) if d else 0):
-        if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
+    neg = F._neg
+    for c in range(q):
+        if len(a) < 3:  # a linear or constant cofactor holds no further root
             break
-        k, a = _multiplicity_dense(F, a, b)
+        k, a, _ = _root_multiplicity(F, a, neg[c])
         if k:
-            out[g] = k
+            out[table[c][0]] = k
+    if len(a) > 4:
+        for g, b in table[q:]:
+            if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
+                break
+            k, a = _multiplicity_dense(F, a, b)
+            if k:
+                out[g] = k
     if len(a) > 1:
-        rest = f if len(a) == d + 1 else _from_dense(F, var, a)
-        out[rest] = out.get(rest, 0) + 1
+        out[f if len(a) == d + 1 else _from_dense(F, var, a)] = 1
     return unit, tuple(out.items())
 
 

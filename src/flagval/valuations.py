@@ -21,33 +21,8 @@ from .errors import InvalidInput, UnsupportedResidue
 from .ff import FiniteField
 from .fields import INF, RationalFn, to_divisor
 from .flagkit import FlagVerdict, is_flag_map
-from .poly import Poly, _divrem, _multiplicity_dense, is_irreducible, multiplicity
+from .poly import Poly, _divrem, _multiplicity_dense, _root_multiplicity, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
-
-
-def _root_multiplicity(F: FiniteField, a: list[int], root: int) -> tuple[int, int]:
-    """(k, c): (t - root)^k exactly divides the nonzero dense list a, and
-    c != 0 is the value at root of the cofactor a / (t - root)^k.
-
-    Synthetic division (Horner) from the leading coefficient down: the
-    running values are the quotient's coefficients and the last one is
-    the remainder a(root), so no inverse is taken.
-    """
-    add = F._add
-    at = F._mul[root]
-    hi = a[::-1]  # leading coefficient first
-    k = 0
-    while True:
-        acc = 0
-        quo = []
-        for c in hi:
-            acc = add[c][at[acc]]
-            quo.append(acc)
-        if acc:
-            return k, acc
-        quo.pop()
-        hi = quo
-        k += 1
 
 
 def _dense_mul(F: FiniteField, a, b) -> list[int]:
@@ -223,7 +198,8 @@ class FinitePlace:
         the cofactor a / pi^k, as its value at the root for a degree-one
         place and as a dense list otherwise."""
         if self.ring is None:
-            return _root_multiplicity(self.field, a, self.root)
+            k, _, value = _root_multiplicity(self.field, a, self.root)
+            return k, value
         return _multiplicity_dense(self.field, a, self.ring._mod_dense)
 
     def val_dense(self, num: list[int], den: list[int]) -> int:
