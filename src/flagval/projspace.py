@@ -152,14 +152,23 @@ def _chains(levels: list[list[int]], full: int) -> list[tuple[tuple[int, ...], .
     """Full chains as stratum tuples (dims 0 .. n-1, then the rest).
 
     A chain point < line < ... yields strata: the point, line minus
-    point, ..., space minus the top proper subspace.
+    point, ..., space minus the top proper subspace.  Each distinct
+    stratum mask is converted to its point tuple once, and chains
+    through it share that tuple.
     """
     chains: list[tuple[tuple[int, ...], ...]] = []
+    strata: dict[int, tuple[int, ...]] = {}
+
+    def stratum(mask: int) -> tuple[int, ...]:
+        ids = strata.get(mask)
+        if ids is None:
+            ids = strata[mask] = _ids(mask)
+        return ids
 
     def grow(prefix: list[int]) -> None:
         if len(prefix) == len(levels):
             steps = prefix + [full]
-            chains.append(tuple(_ids(s ^ prev) for s, prev in zip(steps, [0] + prefix)))
+            chains.append(tuple(stratum(s ^ prev) for s, prev in zip(steps, [0] + prefix)))
             return
         top = prefix[-1]
         for s in levels[len(prefix)]:

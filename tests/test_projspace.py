@@ -93,6 +93,36 @@ def test_chain_strata_partition():
         assert seen == set(range(13))
 
 
+def _chains_per_chain_ids(levels, full):
+    """The chain route that converts every stratum mask of every chain."""
+    chains = []
+
+    def grow(prefix):
+        if len(prefix) == len(levels):
+            steps = prefix + [full]
+            chains.append(tuple(_ids(s ^ prev) for s, prev in zip(steps, [0] + prefix)))
+            return
+        top = prefix[-1]
+        for s in levels[len(prefix)]:
+            if s & top == top:
+                grow(prefix + [s])
+
+    for p in levels[0]:
+        grow([p])
+    return chains
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_chains_convert_each_stratum_once(n, q):
+    g = ProjGeometry(n, q)
+    npts = len(g.points)
+    levels = [[1 << i for i in range(npts)]] + [g.subspaces[d] for d in range(1, n)]
+    assert g.chains == _chains_per_chain_ids(levels, (1 << npts) - 1)
+    # chains through one stratum share its tuple: one conversion per mask
+    distinct = {s for chain in g.chains for s in chain}
+    assert len({id(s) for chain in g.chains for s in chain}) == len(distinct)
+
+
 def test_geometry_bounds():
     with pytest.raises(InvalidInput):
         geometry(0, 2)
