@@ -1,5 +1,6 @@
 """Polynomial layer: parsing, grlex order, division, factoring."""
 
+import functools
 import itertools
 import random
 
@@ -583,3 +584,132 @@ def test_univariate_cache_is_bounded():
     info = cached.cache_info()
     assert info.misses == 300
     assert info.currsize == info.maxsize == poly_module.UNIVARIATE_CACHE_SIZE == 256
+
+
+# -- roots-then-trial factoring against trial division --------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles_by_division(q, max_deg):
+    """Monic irreducibles of degree 1..max_deg by trial division against
+    every lower irreducible, in (degree, code) order, with dense tuples."""
+    F = FiniteField(q)
+    found = []
+    for d in range(1, max_deg + 1):
+        lower = [(g, b) for g, b in found if len(b) - 1 <= d // 2]
+        for code in range(q**d):
+            dense = [code // q**i % q for i in range(d)] + [1]
+            if all(poly_module._divrem(F, dense, b)[1] for _, b in lower):
+                found.append((Poly.from_dense(F, "t", dense), tuple(dense)))
+    return tuple(found)
+
+
+def _trial_factor(f):
+    """The trial-division kernel: the monic irreducibles up to half the
+    degree in enumeration order, each divided out with its multiplicity,
+    then the leftover factor.  Answers (unit, ((factor, mult), ...))."""
+    unit, f = f.make_canonical()
+    F = f.field
+    a = f.to_dense()
+    d = len(a) - 1
+    out = {}
+    for g, b in _irreducibles_by_division(F.q, max(d // 2, 1) if d else 0):
+        if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
+            break
+        k, a = poly_module._multiplicity_dense(F, a, b)
+        if k:
+            out[g] = k
+    if len(a) > 1:
+        rest = Poly.from_dense(F, "t", a)
+        out[rest] = out.get(rest, 0) + 1
+    return unit, tuple(out.items())
+
+
+def _kernel_mismatches(kernel, polys):
+    """Inputs whose (unit, pairs) differ from trial division, order included."""
+    return [f for f in polys if kernel(f) != _trial_factor(f)]
+
+
+def _every_univariate(q, max_deg):
+    """Every nonzero polynomial over GF(q) of degree <= max_deg."""
+    F = FiniteField(q)
+    return [
+        Poly.from_dense(F, "t", list(dense))
+        for dense in itertools.product(range(q), repeat=max_deg + 1)
+        if any(dense)
+    ]
+
+
+def _gf49_factor_sample(n=500):
+    """Seeded GF(49) inputs of degree <= 5: random ones and products of
+    linears and quadratics with repeats, scaled by a random unit."""
+    F = FiniteField(49)
+    rng = random.Random(4949)
+    irr = monic_irreducibles(49, "t", 2)
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            dense = [rng.randrange(49) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, 49)]
+            out.append(Poly.from_dense(F, "t", dense))
+            continue
+        f = Poly.constant(F, T, rng.randrange(1, 49))
+        while True:
+            g = rng.choice(irr)
+            if f.degree() + g.degree() > 5:
+                break
+            f = f * g
+        out.append(f)
+    return out
+
+
+_KERNEL = poly_module._factor_univariate_cached.__wrapped__
+
+
+def test_monic_irreducibles_match_trial_division():
+    for q, max_deg in ((49, 2), (25, 2), (9, 3), (7, 3), (8, 3), (2, 6), (3, 4), (5, 4)):
+        assert monic_irreducibles(q, "t", max_deg) == tuple(g for g, _ in _irreducibles_by_division(q, max_deg))
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 5), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3)])
+def test_factor_matches_trial_division_exhaustive(q, max_deg):
+    # every polynomial, any leading coefficient; over GF(2) this holds
+    # every input of degree 7 and 8, the largest the round trips factor
+    assert _kernel_mismatches(_KERNEL, _every_univariate(q, max_deg)) == []
+
+
+def test_factor_matches_trial_division_gf49_sampled():
+    sample = _gf49_factor_sample()
+    assert max(f.degree() for f in sample) == 5
+    assert _kernel_mismatches(_KERNEL, sample) == []
+
+
+def _reversed_roots(f):
+    unit, pairs = _KERNEL(f)
+    linear = [p for p in pairs if p[0].degree() == 1]
+    return unit, tuple(linear[::-1]) + pairs[len(linear) :]
+
+
+def _one_more(f):
+    unit, pairs = _KERNEL(f)
+    return unit, tuple((g, k + 1 if i == 0 else k) for i, (g, k) in enumerate(pairs))
+
+
+def test_trial_division_oracle_catches_order_and_multiplicity(monkeypatch):
+    polys = _every_univariate(3, 4)
+    # roots in the wrong order leave the factor dict as it is: only the
+    # ordered pairs tell the two answers apart
+    caught = _kernel_mismatches(_reversed_roots, polys)
+    assert caught and all(dict(_reversed_roots(f)[1]) == dict(_KERNEL(f)[1]) for f in caught)
+    assert _kernel_mismatches(_one_more, polys)
+    # faults inside the kernel, through its Horner helper: an off-by-one
+    # multiplicity, and roots taken with the wrong sign
+    real = poly_module._root_multiplicity
+
+    def off_by_one(F, a, root):
+        k, b, c = real(F, a, root)
+        return (k + 1 if k else 0), b, c
+
+    monkeypatch.setattr(poly_module, "_root_multiplicity", off_by_one)
+    assert _kernel_mismatches(_KERNEL, polys)
+    monkeypatch.setattr(poly_module, "_root_multiplicity", lambda F, a, root: real(F, a, F.neg(root)))
+    assert _kernel_mismatches(_KERNEL, polys)
