@@ -15,13 +15,17 @@ lazily, on the first `hash()`, and `sort_key` is memoised per object.
 
 Univariate arithmetic (division, gcd, multiplicity, factoring) runs on
 dense coefficient lists through the field's op tables, in one division
-kernel, and builds Poly objects only for its results.  Univariate
-factorization is complete: trial division of the dense list against the
-enumerated monic irreducibles, refused with SizeBound beyond
-`FACTOR_CANDIDATE_CAP` candidates.  Bivariate inputs keep the sparse grlex
-division; their factorization is deliberately windowed to total degree
-<= 3, where reducibility is equivalent to having a linear factor; larger
-elements must arrive pre-factored.
+kernel and one synthetic-division (Horner) helper, and builds Poly
+objects only for its results.  Univariate factorization is complete and
+goes by roots first: Horner at every field element strips the linear
+factors, a root-free cofactor of degree <= 3 is irreducible, and only a
+larger one is trial-divided by the enumerated monic irreducibles of
+degree 2 up to half its degree.  An input of degree d is refused with
+SizeBound when q^(d//2) exceeds `FACTOR_CANDIDATE_CAP`, whether or not
+it has roots.  Bivariate inputs keep the sparse grlex division; their
+factorization is deliberately windowed to total degree <= 3, where
+reducibility is equivalent to having a linear factor; larger elements
+must arrive pre-factored.
 
 This module owns the factorization caches.  `factor_bivariate` and
 `factor_univariate` each memoise their answer per input, as immutable
@@ -597,14 +601,20 @@ FACTOR_CANDIDATE_CAP = 10_000
 def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     """Complete factorization (unit, {monic irreducible: multiplicity}).
 
-    Raises SizeBound when q^(deg f // 2) exceeds FACTOR_CANDIDATE_CAP
-    (10,000), for example degree 6 and up over GF(49), instead of
-    enumerating that many candidate divisors.  Answers come from a
-    per-input cache of at most UNIVARIATE_CACHE_SIZE (256) entries, not
-    the bivariate FACTOR_CACHE_SIZE (4,096): the valuation checks repeat
-    a few hundred small inputs, and 256 entries catch nearly as many
-    repeats as 4,096 while holding a sixteenth of the memory.  Each call
-    gets its own dict, which the caller may change.
+    Linear factors come from the roots, found by Horner at each field
+    element; a root-free cofactor of degree <= 3 is irreducible, and a
+    larger one is trial-divided by the monic irreducibles of degree 2 up
+    to half its degree.  The factors are listed in the order of
+    monic_irreducibles (degree, then code), with a leftover irreducible
+    last.  Raises SizeBound when q^(deg f // 2) exceeds
+    FACTOR_CANDIDATE_CAP (10,000), for example degree 6 and up over
+    GF(49): the number of candidate divisors trial division could need
+    at that degree.  Answers come from a per-input cache of at most
+    UNIVARIATE_CACHE_SIZE (256) entries, not the bivariate
+    FACTOR_CACHE_SIZE (4,096): the valuation checks repeat a few hundred
+    small inputs, and 256 entries catch nearly as many repeats as 4,096
+    while holding a sixteenth of the memory.  Each call gets its own
+    dict, which the caller may change.
     """
     if not f:
         raise InvalidInput("cannot factor the zero polynomial")
@@ -614,7 +624,7 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     # clamping k keeps the power small for huge degrees
     if q ** min(d // 2, FACTOR_CANDIDATE_CAP.bit_length()) > FACTOR_CANDIDATE_CAP:
         raise SizeBound(
-            f"factoring degree {d} over GF({q}) would try {q}^{d // 2} candidate divisors; "
+            f"factoring degree {d} over GF({q}) could need {q}^{d // 2} candidate divisors; "
             f"the cap is {FACTOR_CANDIDATE_CAP}"
         )
     unit, parts = _factor_univariate_cached(f)
