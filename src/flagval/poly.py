@@ -649,12 +649,12 @@ def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...
     out: dict[Poly, int] = {}
     neg = F._neg
     for c in range(q):
-        if len(a) < 3:  # a linear or constant cofactor holds no further root
+        if len(a) < 3:  # a linear cofactor is the leftover factor, a constant one is done
             break
         k, a, _ = _root_multiplicity(F, a, neg[c])
         if k:
             out[table[c][0]] = k
-    if len(a) > 4:
+    if len(a) > 4:  # root-free and of degree >= 4
         for g, b in table[q:]:
             if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
                 break
