@@ -13,6 +13,13 @@ its order certified by flag behavior on every catalog line.  psi is
 evaluated as the product of its generator images over the divisor
 form, so it is a homomorphism on K*/k* by construction.
 
+psi is evaluated once per catalog class and once per plane point.
+`_collect_point_classes` holds the image of every class, and the unit
+universe and the extraction routes read that table.  A plane's
+decomposition reads the images of its line points from its own point
+images: up to a constant, which psi ignores, fi + c*fj and f + c are
+points of the same plane.
+
 All verdicts are arena-relative; the window parameters are recorded in
 every report, and anything that falls outside the window is counted in
 the report flags rather than silently dropped.
@@ -20,6 +27,7 @@ the report flags rather than silently dropped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -42,7 +50,7 @@ from .fields import (
 from .flagkit import line_criterion
 from .intlin import RowLattice
 from .poly import irreducible_canonicals_bivariate, monic_irreducibles
-from .projspace import EmbeddedSubspace
+from .projspace import EmbeddedSubspace, normalize_coords
 from .valuations import DivisorialCurve
 
 # bidegree bound of the annihilator search behind the image relation
@@ -320,8 +328,29 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
     dependent images, then check the containment properties the
     decomposition must satisfy: each part closed under products, unit
     lines confined to their part, and mixed lines either confined or
-    avoiding the kernel."""
+    avoiding the kernel.
+
+    psi is evaluated once per point of S.  Up to a constant, which psi
+    ignores on K*/k*, fi + c*fj is the point a_i + c*a_j of S and f + c
+    the point a_i + c*e_0, so the line checks read their images from
+    that table.  The point e_0 = (1:0:...:0) must therefore be a
+    constant; any other S is refused with InvalidInput."""
+    F = S.field
+    points = S.geometry.points
+    index = {p: i for i, p in enumerate(points)}
+    e0 = S.functions[index[(1,) + (0,) * (len(points[0]) - 1)]]
+    if not e0.is_constant():
+        raise InvalidInput(f"point (1:0:...:0) of the subspace is {e0}, not a constant")
+    add, mul = F._add, F._mul
+    # f + c is the point a_i + (c / e0) e_0
+    shift = mul[F.inv(F.div(e0.num.leading_coeff(), e0.den.leading_coeff()))]
+
     images = [psi.evaluate(f) for f in S.functions]
+
+    def at(vec) -> DivisorRep:
+        """The image of the point spanned by the coordinate vector vec."""
+        return images[index[normalize_coords(F, vec)]]
+
     s1 = [i for i, d in enumerate(images) if d.is_trivial()]
     rest = [i for i, d in enumerate(images) if not d.is_trivial()]
 
@@ -347,7 +376,6 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
                         f"class of point {r} is not transitive at bound {DEP_BOUND}"
                     )
 
-    F = S.field
     k_units = list(range(1, F.q))
     violations: dict[str, list[str]] = {"closure": [], "unit_lines": [], "pair_lines": []}
 
@@ -370,8 +398,9 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
     for r in reps:
         for i in members[r]:
             f = S.functions[i]
+            a0, *tail = points[i]
             for c in k_units:
-                if not in_part(psi.evaluate(f + c), r):
+                if not in_part(at((add[a0][shift[c]], *tail)), r):
                     violations["unit_lines"].append(f"l(1,{f}) at {f}+{c}")
     for ai in range(len(rest)):
         for bi in range(ai + 1, len(rest)):
@@ -379,16 +408,15 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
             if images[i].class_key() == images[j].class_key():
                 continue
             fi, fj = S.functions[i], S.functions[j]
-            if _related(images[i], images[j], DEP_BOUND):
-                for c in k_units:
-                    if not in_part(psi.evaluate(fi + fj * c), i):
-                        violations["pair_lines"].append(f"l({fi},{fj}) at +{c}({fj})")
-            else:
-                for c in k_units:
-                    if psi.evaluate(fi + fj * c).is_trivial():
-                        violations["pair_lines"].append(
-                            f"l({fi},{fj}) meets the kernel at +{c}({fj})"
-                        )
+            related = _related(images[i], images[j], DEP_BOUND)
+            for c in k_units:
+                img = at(tuple(add[x][mul[c][y]] for x, y in zip(points[i], points[j])))
+                if related and not in_part(img, i):
+                    violations["pair_lines"].append(f"l({fi},{fj}) at +{c}({fj})")
+                elif not related and img.is_trivial():
+                    violations["pair_lines"].append(
+                        f"l({fi},{fj}) meets the kernel at +{c}({fj})"
+                    )
 
     ok = not any(violations.values())
     return Decomposition(
@@ -406,32 +434,29 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
 
 @dataclass
 class UniverseReport:
-    injective_gens: tuple[str, ...]
     u_classes: dict  # class_key -> (fn, source divisor, image)
     line_status: tuple[tuple[str, str], ...]  # (gen, injective|flag|neither)
     all_lines_flag: bool
     hypothesis_held: bool
-    witness: tuple[str, str] | None
-    notes: tuple[str, ...] = ()
 
 
-def build_u(psi: PsiMap, arena: Arena) -> UniverseReport:
+def build_u(arena: Arena, classes: dict) -> UniverseReport:
     """Union of catalog lines l(1,x) on which psi is injective, plus
     the independence check on its images: two units with independent
-    images make the unit universe multiplicatively productive.  The
-    check is sampled over the first 25 distinct nontrivial images."""
+    images make the unit universe multiplicatively productive.  Each
+    point's image is read from the class table of
+    `_collect_point_classes`.  The check is sampled over the first 25
+    distinct nontrivial images."""
     u: dict = {}
     status: list[tuple[str, str]] = []
-    inj_gens: list[str] = []
     all_flag = True
     for gen, line in zip(arena.line_gens, arena.lines):
         divs = [arena.divisor_of(f) for f in line.functions]
-        imgs = [psi.evaluate(d) for d in divs]
+        imgs = [classes[d.class_key()][2] for d in divs]
         keys = [img.class_key() for img in imgs]
         gen_name = str(gen)
         if len(set(keys)) == len(keys):
             status.append((gen_name, "injective"))
-            inj_gens.append(gen_name)
             all_flag = False
             for f, d, img in zip(line.functions, divs, imgs):
                 u.setdefault(d.class_key(), (f, d, img))
@@ -441,33 +466,17 @@ def build_u(psi: PsiMap, arena: Arena) -> UniverseReport:
             status.append((gen_name, "neither"))
             all_flag = False
 
-    held = False
-    witness = None
-    nontrivial = []
-    seen_keys: set = set()
+    nontrivial: dict = {}
     for fn, _, img in u.values():
         if img.is_trivial() or fn.is_constant():
             continue
-        k = img.class_key()
-        if k not in seen_keys:
-            seen_keys.add(k)
-            nontrivial.append((fn, img))
+        nontrivial.setdefault(img.class_key(), img)
         if len(nontrivial) >= 25:
             break
-    for i in range(len(nontrivial)):
-        for j in range(i + 1, len(nontrivial)):
-            if not _related(nontrivial[i][1], nontrivial[j][1], DEP_BOUND):
-                held = True
-                witness = (str(nontrivial[i][0]), str(nontrivial[j][0]))
-                break
-        if held:
-            break
-    notes = ()
-    if u and not held:
-        notes = ("all sampled injective-line images are mutually dependent",)
-    return UniverseReport(
-        tuple(inj_gens), u, tuple(status), all_flag, held, witness, notes
+    held = any(
+        not _related(a, b, DEP_BOUND) for a, b in itertools.combinations(nontrivial.values(), 2)
     )
+    return UniverseReport(u, tuple(status), all_flag, held)
 
 
 # -- integer lattice plumbing -------------------------------------------
@@ -578,7 +587,9 @@ class ReconstructionResult:
 
 
 def _collect_point_classes(psi: PsiMap, arena: Arena) -> dict:
-    """One sweep over the catalog: class_key -> (fn, divisor, image)."""
+    """One sweep over the catalog: class_key -> (fn, divisor, image).
+    This is the one place psi meets the catalog lines: it is evaluated
+    once per class, and every later stage reads its image here."""
     classes: dict = {}
     for line in arena.lines:
         for f in line.functions:
@@ -708,7 +719,7 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
             notes=tuple(notes + ["no kernel detectable on the arena"]),
         )
 
-    ur = build_u(psi, arena)
+    ur = build_u(arena, classes)
 
     if ur.u_classes:
         case = "main"
@@ -774,7 +785,7 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
             if st != "neither":
                 continue
             for f in line.functions:
-                img = psi.evaluate(arena.divisor_of(f))
+                img = classes[arena.divisor_of(f).class_key()][2]
                 if not img.is_trivial() and img.class_key() not in seen_img:
                     seen_img.add(img.class_key())
                     bad_imgs.append(img)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -104,7 +105,7 @@ def test_arena_describe(arena3):
 
 
 def test_build_u(psi_x, arena3):
-    ur = build_u(psi_x, arena3)
+    ur = build_u(arena3, reconstruct._collect_point_classes(psi_x, arena3))
     status = dict(ur.line_status)
     assert status["y"] == "injective"
     assert status["x"] == "flag"
@@ -422,3 +423,175 @@ def test_inconsistent_infinite_exponent_still_raises():
     for exps in ({w: 1, INF: 2}, {INF: 1}):
         with pytest.raises(InvalidInput):
             reconstruct._related(DivisorRep(F3, W, exps), _uc("w", W), 4)
+
+
+# -- one evaluation per point ---------------------------------------------
+
+# every round trip pinned in tests/test_golden.py: GOLDEN_TRIPS and the
+# three q=3, degree-2 trips of criterion 09
+ALL_GOLDEN_TRIPS = GOLDEN_TRIPS + [{"place": p} for p in ("curve:x", "curve:y", "curve:x^2+2*y")]
+
+
+def _trip_psi_and_arena(cfg):
+    F = FiniteField(cfg.get("q", 3))
+    return _roundtrip_psi(F, cfg["place"]), _arena(F, XY, cfg.get("arena_deg", 2))
+
+
+def _decompose_by_evaluation(psi, S):
+    """The first decomposition route, kept as the oracle: psi evaluated
+    again on every f + c and fi + c*fj of the line checks."""
+    dep = reconstruct.DEP_BOUND
+    related = reconstruct._related
+    images = [psi.evaluate(f) for f in S.functions]
+    s1 = [i for i, d in enumerate(images) if d.is_trivial()]
+    rest = [i for i, d in enumerate(images) if not d.is_trivial()]
+    reps, members = [], {}
+    for i in rest:
+        hits = [r for r in reps if related(images[i], images[r], dep)]
+        assert len(hits) <= 1
+        if hits:
+            members[hits[0]].append(i)
+        else:
+            reps.append(i)
+            members[i] = [i]
+    k_units = range(1, S.field.q)
+    violations = {"closure": [], "unit_lines": [], "pair_lines": []}
+
+    def in_part(d, rep):
+        return related(d, images[rep], dep) or related(d, images[rep], 2 * dep)
+
+    for r in reps:
+        part = s1 + members[r]
+        for ai in range(len(part)):
+            for bi in range(ai, len(part)):
+                if not in_part(images[part[ai]] * images[part[bi]], r):
+                    violations["closure"].append(
+                        f"({S.functions[part[ai]]})*({S.functions[part[bi]]}) leaves its part"
+                    )
+    for r in reps:
+        for i in members[r]:
+            f = S.functions[i]
+            for c in k_units:
+                if not in_part(psi.evaluate(f + c), r):
+                    violations["unit_lines"].append(f"l(1,{f}) at {f}+{c}")
+    for ai in range(len(rest)):
+        for bi in range(ai + 1, len(rest)):
+            i, j = rest[ai], rest[bi]
+            if images[i].class_key() == images[j].class_key():
+                continue
+            fi, fj = S.functions[i], S.functions[j]
+            if related(images[i], images[j], dep):
+                for c in k_units:
+                    if not in_part(psi.evaluate(fi + fj * c), i):
+                        violations["pair_lines"].append(f"l({fi},{fj}) at +{c}({fj})")
+            else:
+                for c in k_units:
+                    if psi.evaluate(fi + fj * c).is_trivial():
+                        violations["pair_lines"].append(f"l({fi},{fj}) meets the kernel at +{c}({fj})")
+    classes = tuple((r, tuple(members[r])) for r in reps)
+    return tuple(s1), classes, not any(violations.values()), violations
+
+
+def _decomposition_agrees(psi, S):
+    dec = decompose_subspace(psi, S)
+    got = (dec.s1, dec.classes, dec.l43_ok, dec.l43_report)
+    assert got == _decompose_by_evaluation(psi, S), [str(f) for f in S.functions[:3]]
+    return dec
+
+
+@pytest.mark.parametrize("cfg", ALL_GOLDEN_TRIPS, ids=lambda c: f"q{c.get('q', 3)}-{c['place']}")
+def test_decompose_matches_the_evaluating_route(cfg):
+    psi, arena = _trip_psi_and_arena(cfg)
+    for plane in arena.planes:
+        _decomposition_agrees(psi, plane)
+
+
+def test_decompose_matches_for_psi_x_and_a_scaled_constant(psi_x, arena3):
+    for plane in arena3.planes:
+        _decomposition_agrees(psi_x, plane)
+    # with 2 at (1:0:0), f + c is the point a_i + (c/2) e_0; the table
+    # psi sends x and x+1 to independent classes, so the unit line of x
+    # fails, and its report names the c that reaches x+1
+    two = RationalFn.constant(F3, XY, 2)
+    gx, gx1 = Poly.parse(F3, "x", XY), Poly.parse(F3, "x+1", XY)
+    table = PsiMap({gx: _uc("u", UV), gx1: _uc("v", UV)}, F3, UV)
+    for S in (EmbeddedSubspace([two, rxy("x"), rxy("y")]), EmbeddedSubspace([two, rxy("x"), rxy("x*y")])):
+        _decomposition_agrees(psi_x, S)
+        dec = _decomposition_agrees(table, S)
+        assert "l(1,x) at x+1" in dec.l43_report["unit_lines"]
+
+
+def test_decompose_refuses_a_plane_without_a_constant_first_point(psi_x):
+    one = RationalFn.constant(F3, XY, 1)
+    plane = EmbeddedSubspace([rxy("x"), one, rxy("y")])
+    with pytest.raises(InvalidInput, match="not a constant"):
+        decompose_subspace(psi_x, plane)
+
+
+def _build_u_by_evaluation(psi, arena):
+    """The first universe route, kept as the oracle: psi evaluated on
+    every point of every catalog line.  (line status, u keys, held)"""
+    u, status = {}, []
+    for gen, line in zip(arena.line_gens, arena.lines):
+        divs = [arena.divisor_of(f) for f in line.functions]
+        imgs = [psi.evaluate(d) for d in divs]
+        keys = [img.class_key() for img in imgs]
+        if len(set(keys)) == len(keys):
+            status.append((str(gen), "injective"))
+            for f, d, img in zip(line.functions, divs, imgs):
+                u.setdefault(d.class_key(), (f, img))
+        elif reconstruct.line_criterion(line.geometry, keys):
+            status.append((str(gen), "flag"))
+        else:
+            status.append((str(gen), "neither"))
+    nontrivial = []
+    for fn, img in u.values():
+        if img.is_trivial() or fn.is_constant():
+            continue
+        if img.class_key() not in {i.class_key() for i in nontrivial}:
+            nontrivial.append(img)
+        if len(nontrivial) >= 25:
+            break
+    held = any(
+        not reconstruct._related(a, b, reconstruct.DEP_BOUND)
+        for i, a in enumerate(nontrivial)
+        for b in nontrivial[i + 1 :]
+    )
+    return tuple(status), list(u), held
+
+
+@pytest.mark.parametrize("cfg", GOLDEN_TRIPS, ids=lambda c: f"q{c.get('q', 3)}-{c['place']}")
+def test_build_u_matches_the_evaluating_route(cfg):
+    psi, arena = _trip_psi_and_arena(cfg)
+    ur = build_u(arena, reconstruct._collect_point_classes(psi, arena))
+    assert (ur.line_status, list(ur.u_classes), ur.hypothesis_held) == _build_u_by_evaluation(psi, arena)
+
+
+def test_build_u_matches_the_evaluating_route_on_arena3(psi_x, arena3):
+    ur = build_u(arena3, reconstruct._collect_point_classes(psi_x, arena3))
+    assert (ur.line_status, list(ur.u_classes), ur.hypothesis_held) == _build_u_by_evaluation(psi_x, arena3)
+
+
+def test_roundtrip_evaluates_psi_once_per_point(monkeypatch):
+    # the three round trips of the benchmark's roundtrip workload: psi
+    # meets the catalog once per class and each plane once per point
+    evaluate = reconstruct.ValuationPsi.evaluate
+    callers: dict = {}
+
+    def spy(self, f):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers[frame.f_code.co_name] = callers.get(frame.f_code.co_name, 0) + 1
+        return evaluate(self, f)
+
+    monkeypatch.setattr(reconstruct.ValuationPsi, "evaluate", spy)
+    for cfg in GOLDEN_TRIPS[1:]:
+        run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))
+    assert callers == {
+        "check_multiplicative": 180,
+        "_collect_point_classes": 1143,
+        "decompose_subspace": 42,
+        "verify_theorem_conclusions": 450,
+    }
+    assert sum(callers.values()) == 1815
