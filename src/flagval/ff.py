@@ -195,6 +195,8 @@ class FiniteField:
             return n
         return n % self.p
 
+    one = 1
+
     def elements(self) -> range:
         return range(self.q)
 
@@ -233,6 +235,11 @@ class FiniteField:
             base = self.mul(base, base)
             n >>= 1
         return out
+
+    def norm(self, a: int) -> int:
+        """The norm from F_q to itself: the identity.  With `one`, it lets
+        the field serve as the residue field of a degree-one place."""
+        return a
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

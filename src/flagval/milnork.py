@@ -1,5 +1,9 @@
 """Symbols over F_q(t): tame residues at every place, the Steinberg
 relation, and Weil reciprocity through explicit residue-field norms.
+
+Residues are computed in each place's residue field `place.ring`: the
+FiniteField itself at degree-one and infinite places, a QuotientRing
+above them.  Both answer one, mul, pow, neg and norm.
 """
 
 from __future__ import annotations
@@ -28,39 +32,6 @@ def support_places(f: RationalFn, g: RationalFn) -> list:
     return places
 
 
-# -- residue-field arithmetic, dispatched on the place kind -----------
-
-
-def _res_one(place):
-    return 1 if place.ring is None else place.ring.one
-
-
-def _res_mul(place, a, b):
-    if place.ring is None:
-        return place.field.mul(a, b)
-    return place.ring.mul(a, b)
-
-
-def _res_pow(place, a, n: int):
-    if place.ring is None:
-        return place.field.pow(a, n)
-    return place.ring.pow(a, n)
-
-
-def _res_neg(place, a):
-    if place.ring is None:
-        return place.field.neg(a)
-    neg = place.field._neg
-    return tuple(neg[c] for c in a)
-
-
-def _res_norm(place, a) -> int:
-    """Norm from the residue field down to F_q."""
-    if place.ring is None:
-        return a
-    return place.ring.norm_to_base(a)
-
-
 def tame_symbol(f: RationalFn, g: RationalFn, place):
     """Residue of the symbol {f, g} at one place:
     (-1)^(mn) f^n / g^m with m = val(f), n = val(g).
@@ -70,9 +41,10 @@ def tame_symbol(f: RationalFn, g: RationalFn, place):
     """
     m, rf = place.unit_residue(f)
     n, rg = place.unit_residue(g)
-    r = _res_mul(place, _res_pow(place, rf, n), _res_pow(place, rg, -m))
+    ring = place.ring
+    r = ring.mul(ring.pow(rf, n), ring.pow(rg, -m))
     if (m * n) % 2:
-        r = _res_neg(place, r)
+        r = ring.neg(r)
     return r
 
 
@@ -82,7 +54,7 @@ def steinberg_check(f: RationalFn) -> bool:
         raise InvalidInput("Steinberg check needs f outside {0, 1}")
     g = 1 - f
     for place in support_places(f, g):
-        if tame_symbol(f, g, place) != _res_one(place):
+        if tame_symbol(f, g, place) != place.ring.one:
             return False
     return True
 
@@ -93,5 +65,5 @@ def weil_reciprocity_check(f: RationalFn, g: RationalFn) -> bool:
     field = f.field
     total = 1
     for place in support_places(f, g):
-        total = field.mul(total, _res_norm(place, tame_symbol(f, g, place)))
+        total = field.mul(total, place.ring.norm(tame_symbol(f, g, place)))
     return total == 1

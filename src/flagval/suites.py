@@ -445,8 +445,6 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
 
     worked = None
     if check in ("all", "worked"):
-        from .milnork import _res_norm
-
         cases += 1
         t = RationalFn.parse(field, "t", ("t",))
         t1 = t - 1
@@ -454,7 +452,7 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
         residues = [tame_symbol(t, t1, pl) for pl in places]
         product = 1
         for pl, r in zip(places, residues):
-            product = field.mul(product, _res_norm(pl, r))
+            product = field.mul(product, pl.ring.norm(r))
         worked = {
             "entries": [str(t), str(t1)],
             "support": [serialize_place(pl) for pl in places],

@@ -127,10 +127,14 @@ class QuotientRing:
         scale = F._mul[F._inv[r1[0]]]
         return self._reduce([scale[x] for x in s1])
 
+    def neg(self, a) -> tuple[int, ...]:
+        neg = self.field._neg
+        return tuple(neg[c] for c in a)
+
     def frobenius(self, a) -> tuple[int, ...]:
         return self.pow(a, self.field.q)
 
-    def norm_to_base(self, a) -> int:
+    def norm(self, a) -> int:
         """Product of the Frobenius conjugates; lands in F_q."""
         if a == self.zero:
             return 0
@@ -152,8 +156,9 @@ class FinitePlace:
 
     `FinitePlace(pi)` proves pi monic irreducible; `_of_factor` trusts a
     factor that factor_univariate returned.  Either way the residue ring
-    is built without a second proof.  A degree-one place keeps its root
-    and divides by Horner; a higher-degree place keeps its residue ring,
+    is built without a second proof.  `ring` is the residue field: at a
+    degree-one place the FiniteField itself, and the place keeps its
+    root and divides by Horner; at a higher-degree place a QuotientRing,
     whose dense modulus is pi's dense list, converted once.
     """
 
@@ -179,7 +184,7 @@ class FinitePlace:
         self.degree = pi.degree()
         if self.degree == 1:
             self.root = self.field.neg(pi.coeffs.get((0,), 0))
-            self.ring = None
+            self.ring = self.field
         else:
             self.root = None
             self.ring = QuotientRing._of_factor(pi)
@@ -197,7 +202,7 @@ class FinitePlace:
         """(k, u): pi^k exactly divides the nonzero dense list a, and u is
         the cofactor a / pi^k, as its value at the root for a degree-one
         place and as a dense list otherwise."""
-        if self.ring is None:
+        if self.degree == 1:
             k, _, value = _root_multiplicity(self.field, a, self.root)
             return k, value
         return _multiplicity_dense(self.field, a, self.ring._mod_dense)
@@ -218,21 +223,22 @@ class FinitePlace:
             raise InvalidInput("the zero element has no value")
         a, num = self._split(f.num.to_dense())
         b, den = self._split(f.den.to_dense())
-        ring = self.ring
-        if ring is None:
+        if self.degree == 1:
             return a - b, self.field.div(num, den)
+        ring = self.ring
         return a - b, ring.mul(ring._reduce(num), ring.inv(ring._reduce(den)))
 
 
 class InfinitePlace:
-    """The degree place of F_q(t): val = deg(den) - deg(num)."""
+    """The degree place of F_q(t): val = deg(den) - deg(num).  Its
+    residue field `ring` is the FiniteField itself."""
 
     degree = 1
 
     def __init__(self, field: FiniteField, var: str) -> None:
         self.field = field
         self.vars = (var,)
-        self.ring = None
+        self.ring = field
 
     def __eq__(self, other) -> bool:
         return (

@@ -105,7 +105,7 @@ def test_finite_place_deg2():
     assert p.val(rt("t^4+2*t^2+1")) == 2
     # the residue of t generates the quadratic residue ring
     v, r = p.unit_residue(rt("t"))
-    assert v == 0 and p.ring is not None
+    assert v == 0 and isinstance(p.ring, QuotientRing)
     assert p.ring.mul(r, r) == (2, 0)  # t^2 = -1 mod t^2+1
     with pytest.raises(InvalidInput):
         FinitePlace(Poly.parse(F3, "t^2+2", T))  # reducible
@@ -139,6 +139,23 @@ def test_quotient_ring_pow_of_zero():
     t = ring.from_poly(Poly.parse(F3, "t", T))
     assert ring.pow(t, 8) == ring.one
     assert ring.mul(ring.pow(t, -1), t) == ring.one
+
+
+def test_residue_fields_share_one_interface():
+    # every place of F_q(t) carries its residue field as `ring`, with one,
+    # mul, pow, neg and norm: F_q itself at degree-one and infinite places
+    F9 = FiniteField(9)
+    assert InfinitePlace(F9, "t").ring is F9
+    assert FinitePlace(Poly.parse(F9, "t+3", T)).ring is F9
+    assert F9.one == 1 and [F9.norm(a) for a in F9.elements()] == list(F9.elements())
+    ring = QuotientRing(Poly.parse(F3, "t^2+1", T))
+    elements = list(itertools.product(range(3), repeat=2))
+    for a in elements:
+        assert tuple(F3.add(x, y) for x, y in zip(a, ring.neg(a))) == ring.zero
+        for b in elements:
+            assert ring.norm(ring.mul(a, b)) == F3.mul(ring.norm(a), ring.norm(b))
+    assert [ring.norm((c, 0)) for c in range(3)] == [0, 1, 1]  # c^2
+    assert ring.norm((0, 1)) == 1  # t * t^3 = t^4 = 1 mod t^2+1
 
 
 def _inv_agrees(ring, a):
@@ -178,7 +195,7 @@ def test_trusted_place_equals_validated(q, max_deg):
         assert a == b
         assert (a.pi, a.degree, a.root) == (b.pi, b.degree, b.root)
         if a.degree == 1:
-            assert a.ring is None and b.ring is None
+            assert a.ring is b.ring is FiniteField(q)
             assert pi.evaluate((a.root,)) == 0
         else:
             assert a.root is None and b.root is None
@@ -295,7 +312,7 @@ def test_validated_place_factors_once(monkeypatch):
 
     monkeypatch.setattr(poly, "factor_univariate", counting)
     p = FinitePlace(Poly.parse(F3, "t^2+1", T))
-    assert p.ring is not None
+    assert isinstance(p.ring, QuotientRing)
     assert len(calls) == 1
 
 
