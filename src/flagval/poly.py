@@ -585,12 +585,6 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _dense_irreducibles(q: int, var: str, max_deg: int) -> tuple[tuple[Poly, tuple[int, ...]], ...]:
-    """monic_irreducibles paired with their dense coefficient tuples."""
-    return tuple((g, tuple(g.to_dense())) for g in monic_irreducibles(q, var, max_deg))
-
-
 # a root-free cofactor of degree d >= 4 is trial-divided by about
 # q^(d//2) enumerated candidates; the cap bounds that count at the
 # input's degree, so degree 8 over GF(49), which could need 5.8M
@@ -637,15 +631,15 @@ def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...
     # at -c for every code c strips the linear factors in code order.  A
     # root-free cofactor of degree <= 3 is irreducible (or constant); only
     # a larger one is trial-divided, by the irreducibles of degree 2 up to
-    # half its degree.  The answer as immutable pairs, in the order of
-    # monic_irreducibles with the leftover factor last
+    # half its degree, enumerated only then.  The answer as immutable
+    # pairs, in the order of monic_irreducibles with the leftover last
     unit, f = f.make_canonical()
     F = f.field
     q = F.q
     var = f.vars[0]
     a = f.to_dense()
     d = len(a) - 1
-    table = _dense_irreducibles(q, var, max(d // 2, 1))
+    linear = monic_irreducibles(q, var, 1)
     out: dict[Poly, int] = {}
     neg = F._neg
     for c in range(q):
@@ -653,9 +647,10 @@ def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...
             break
         k, a, _ = _root_multiplicity(F, a, neg[c])
         if k:
-            out[table[c][0]] = k
+            out[linear[c]] = k
     if len(a) > 4:  # root-free and of degree >= 4
-        for g, b in table[q:]:
+        for g in monic_irreducibles(q, var, (len(a) - 1) // 2)[q:]:
+            b = g.to_dense()
             if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
                 break
             k, a = _multiplicity_dense(F, a, b)

@@ -713,3 +713,31 @@ def test_trial_division_oracle_catches_order_and_multiplicity(monkeypatch):
     assert _kernel_mismatches(_KERNEL, polys)
     monkeypatch.setattr(poly_module, "_root_multiplicity", lambda F, a, root: real(F, a, F.neg(root)))
     assert _kernel_mismatches(_KERNEL, polys)
+
+
+def test_candidates_are_enumerated_only_for_a_root_free_cofactor(monkeypatch):
+    # a split input asks only for the linear table; degrees >= 2 are
+    # enumerated only when a root-free cofactor of degree >= 4 is left,
+    # and then up to half that cofactor's degree, not the input's
+    asked = []
+    real = poly_module.monic_irreducibles
+
+    def spy(q, var, max_deg):
+        asked.append(max_deg)
+        return real(q, var, max_deg)
+
+    monkeypatch.setattr(poly_module, "monic_irreducibles", spy)
+    F49 = FiniteField(49)
+    linears = [Poly.from_dense(F49, "t", [c, 1]) for c in (3, 3, 17, 40, 48)]
+    split = functools.reduce(lambda a, b: a * b, linears)  # degree 5 over GF(49)
+    square = t_("t") * t_("t^2+1") ** 2  # root-free cofactor of degree 4 over GF(3)
+    gf2 = t_("t^3", FiniteField(2)) * t_("t^4+t+1", FiniteField(2))  # degree 7, cofactor of degree 4
+    for f, want, factors in ((split, [1], 4), (square, [1, 2], 2), (gf2, [1, 2], 2)):
+        asked.clear()
+        unit, pairs = _KERNEL(f)
+        assert asked == want, str(f)
+        assert len(pairs) == factors
+        out = Poly.constant(f.field, T, unit)
+        for g, e in pairs:
+            out = out * g**e
+        assert out == f
