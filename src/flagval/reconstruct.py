@@ -343,7 +343,7 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
         raise InvalidInput(f"point (1:0:...:0) of the subspace is {e0}, not a constant")
     add, mul = F._add, F._mul
     # f + c is the point a_i + (c / e0) e_0
-    shift = mul[F.inv(F.div(e0.num.leading_coeff(), e0.den.leading_coeff()))]
+    shift = mul[F.div(e0.den.leading_coeff(), e0.num.leading_coeff())]
 
     images = [psi.evaluate(f) for f in S.functions]
 
