@@ -31,6 +31,12 @@ class RationalFn:
     that is not monic is rescaled by one trusted `Poly._make` per part.
     `RationalFn._make` is the trusted route for a quotient its caller
     knows to be canonical.
+
+    In one variable three routes take `_make` and skip the gcd: p/1
+    (`from_poly`, `constant`), the negation -n/d, and the sum of n/d
+    and a polynomial p, which is (n + p d)/d.  Each keeps d monic, and
+    for n != 0, gcd(n + p d, d) = gcd(n, d) = 1.  A zero n may carry
+    any monic d (the zero of f - f), so that sum takes the full route.
     """
 
     __slots__ = ("num", "den")
@@ -93,7 +99,9 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFn":
-        return cls(p, p._one())
+        if len(p.vars) == 1 and p.vars[0] not in _RESERVED_NAMES:
+            return cls._make(p, p._one())
+        return cls(p, p._one())  # two variables, or a reserved name to refuse
 
     @classmethod
     def constant(cls, field: FiniteField, vars: tuple[str, ...], c: int) -> "RationalFn":
@@ -138,11 +146,19 @@ class RationalFn:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if len(self.vars) == 1:
+            # n/d + p = (n + p d)/d is in lowest terms (class docstring)
+            if o.den.degree() == 0 and self.num:
+                return RationalFn._make(self.num + o.num * self.den, self.den)
+            if self.den.degree() == 0 and o.num:
+                return RationalFn._make(o.num + self.num * o.den, o.den)
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFn":
+        if len(self.vars) == 1:
+            return RationalFn._make(-self.num, self.den)
         return RationalFn(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFn":

@@ -217,11 +217,12 @@ def check_multiplicative(psi: PsiMap, fns: list[RationalFn]) -> list[str]:
     sample = list(fns)
     for i, a in enumerate(sample):
         b = sample[(i * 7 + 3) % len(sample)]
+        pa = psi.evaluate(a)
         lhs = psi.evaluate(a * b).class_key()
-        rhs = (psi.evaluate(a) * psi.evaluate(b)).class_key()
+        rhs = (pa * psi.evaluate(b)).class_key()
         if lhs != rhs:
             defects.append(f"psi(({a})*({b})) differs from psi({a})psi({b})")
-        if psi.evaluate(a.inverse()).class_key() != psi.evaluate(a).inverse().class_key():
+        if psi.evaluate(a.inverse()).class_key() != pa.inverse().class_key():
             defects.append(f"psi(1/({a})) differs from psi({a})^-1")
     return defects
 

@@ -89,10 +89,12 @@ class QuotientRing:
         return self._reduce(_dense_mul(self.field, a, b))
 
     def pow(self, a, n: int) -> tuple[int, ...]:
-        """a^n for any integer n; a negative n needs a unit."""
+        """a^n for any integer n; a negative n needs a unit, and inverts
+        it first (`inv`, extended Euclid), then raises 1/a to -n."""
+        if n < 0:
+            a = self.inv(a)  # raises ZeroDivisionError on zero
+            n = -n
         if a == self.zero:
-            if n < 0:
-                raise ZeroDivisionError("zero has no inverse")
             return self.zero if n else self.one
         # units form a group of order q^d - 1
         n %= self.order - 1

@@ -55,6 +55,17 @@ def test_construction_errors():
         RationalFn.parse(F3, "inf+1", ("inf",))
 
 
+@pytest.mark.parametrize("name", ["inf", "unit"])
+def test_trusted_routes_refuse_reserved_names(name):
+    # from_poly and constant skip the gcd in one variable, not the check
+    with pytest.raises(InvalidInput):
+        RationalFn.from_poly(Poly.variable(F3, (name,), name))
+    with pytest.raises(InvalidInput):
+        RationalFn.constant(F3, (name,), 1)
+    with pytest.raises(InvalidInput):
+        RationalFn.constant(F3, (name, "y"), 1)
+
+
 def test_field_ops_fixed():
     f = rt("t+1/t+2")
     g = rt("t/t+2")
@@ -229,6 +240,61 @@ def test_univariate_normalisation_matches_the_old_route(q):
         cancelled += bool(num) and gcd_univariate(num, den).degree() > 0
         rescaled += den.leading_coeff() != 1
     assert cancelled > 20 and (q == 2 or rescaled > 20)
+
+
+def _full_route(num, den):
+    """The parts the validating constructor gives num/den: _lowest_terms,
+    gcd and all."""
+    f = RationalFn(num, den)
+    return f.num.coeffs, f.den.coeffs
+
+
+def _parts(f):
+    # compared part by part: == cross-multiplies and accepts any pair
+    return f.num.coeffs, f.den.coeffs
+
+
+# every (f, p) and (f, c) pair over GF(2) and GF(3); over GF(4) and
+# GF(5), where that is 67k and 394k pairs, a seeded draw per f
+SHORTCUT_DRAWS = {2: None, 3: None, 4: (6, 3), 5: (3, 2)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_univariate_shortcuts_match_the_full_route(q):
+    """p/1, -f, f + p, p + f, f - c and c - f skip the gcd in one
+    variable; each must give the parts the full route gives.  f ranges
+    over every canonical n/d with deg n, deg d <= 2, the zeros (0, d)
+    included, p over the polynomials of degree <= 2, c over 0..q."""
+    F = FiniteField(q)
+    polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(q), repeat=3)]
+    dens = [d for d in polys if d and d.leading_coeff() == 1]
+    fs = []
+    for n in polys:
+        for d in dens:
+            f = RationalFn(n, d)
+            if _parts(f) == (n.coeffs, d.coeffs):
+                fs.append(f)
+    assert sum(not f for f in fs) == len(dens)
+    for p in polys:
+        assert _parts(RationalFn.from_poly(p)) == _full_route(p, p._one())
+    for c in range(q):
+        one = Poly.constant(F, T, 1)
+        assert _parts(RationalFn.constant(F, T, c)) == _full_route(Poly.constant(F, T, c), one)
+    rng = random.Random(500 + q)
+    draws = SHORTCUT_DRAWS[q]
+    ints = range(q + 1)
+    for f in fs:
+        n, d = f.num, f.den
+        assert _parts(-f) == _full_route(-n, d)
+        for c in ints if draws is None else rng.sample(ints, draws[1]):
+            assert _parts(f - c) == _full_route(n - d * c, d)
+            assert _parts(c - f) == _full_route(d * c - n, d)
+        for p in polys if draws is None else rng.sample(polys, draws[0]):
+            want = _full_route(n + p * d, d)
+            assert _parts(f + p) == want and _parts(p + f) == want
+            assert _parts(RationalFn.from_poly(p) + f) == want
+        g = rng.choice(fs)  # a general sum keeps the full route
+        assert _parts(f + g) == _full_route(n * g.den + g.num * d, d * g.den)
 
 
 def _old_to_divisor(f):

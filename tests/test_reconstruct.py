@@ -589,9 +589,9 @@ def test_roundtrip_evaluates_psi_once_per_point(monkeypatch):
     for cfg in GOLDEN_TRIPS[1:]:
         run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))
     assert callers == {
-        "check_multiplicative": 180,
+        "check_multiplicative": 144,
         "_collect_point_classes": 1143,
         "decompose_subspace": 42,
         "verify_theorem_conclusions": 450,
     }
-    assert sum(callers.values()) == 1815
+    assert sum(callers.values()) == 1779

@@ -186,6 +186,34 @@ def test_quotient_ring_inv_gf49_quadratics():
         _inv_agrees(ring, a)
 
 
+def _negative_powers_agree(ring, a):
+    # inverse first, against the Fermat route a^(order - 1 - n), the
+    # exponent k = 1 of (order - 1) k - n: every ring here has order > 5
+    for n in range(1, 5):
+        assert ring.pow(a, -n) == ring.pow(a, ring.order - 1 - n)
+
+
+@pytest.mark.parametrize("q,modulus", [(3, "t^2+1"), (2, "t^3+t+1"), (7, "t^2+1")])
+def test_quotient_ring_negative_powers_every_unit(q, modulus):
+    ring = QuotientRing(Poly.parse(FiniteField(q), modulus, T))
+    for a in itertools.product(range(q), repeat=ring.d):
+        if a != ring.zero:
+            _negative_powers_agree(ring, a)
+    for n in range(1, 5):
+        with pytest.raises(ZeroDivisionError):
+            ring.pow(ring.zero, -n)
+
+
+def test_quotient_ring_negative_powers_gf49_quadratics():
+    rng = random.Random(4949)
+    moduli = [pi for pi in monic_irreducibles(49, "t", 2) if pi.degree() == 2]
+    for _ in range(200):
+        ring = QuotientRing._of_factor(rng.choice(moduli))
+        _negative_powers_agree(ring, (rng.randrange(49), rng.randrange(1, 49)))
+    with pytest.raises(ZeroDivisionError):
+        ring.pow(ring.zero, -1)
+
+
 @pytest.mark.parametrize("q,max_deg", [(2, 3), (3, 3), (4, 3), (49, 2)])
 def test_trusted_place_equals_validated(q, max_deg):
     for pi in monic_irreducibles(q, "t", max_deg):
