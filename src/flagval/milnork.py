@@ -3,7 +3,9 @@ relation, and Weil reciprocity through explicit residue-field norms.
 
 Residues are computed in each place's residue field `place.ring`: the
 FiniteField itself at degree-one and infinite places, a QuotientRing
-above them.  Both answer one, mul, pow, neg and norm.
+above them.  Both answer one, mul, pow, neg and norm; a QuotientRing
+F_q[t]/(pi) takes the norm of a as the resultant Res(pi, a), by Euclid
+on dense lists.
 """
 
 from __future__ import annotations

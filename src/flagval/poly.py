@@ -18,9 +18,12 @@ dense coefficient lists through the field's op tables, in one division
 kernel and one synthetic-division (Horner) helper, and builds Poly
 objects only for its results.  Univariate factorization is complete and
 goes by roots first: Horner at every field element strips the linear
-factors, a root-free cofactor of degree <= 3 is irreducible, and only a
-larger one is trial-divided by the enumerated monic irreducibles of
-degree 2 up to half its degree.  An input of degree d is refused with
+factors until the cofactor is quadratic, and a monic quadratic is split
+by one lookup in a per-field table of (c1*c2, c1 + c2) -> (c1, c2),
+built once for q and irreducible exactly when absent.  A root-free cubic
+is irreducible, and only a root-free cofactor of degree >= 4 is
+trial-divided by the enumerated monic irreducibles of degree 2 up to
+half its degree.  An input of degree d is refused with
 SizeBound when q^(d//2) exceeds `FACTOR_CANDIDATE_CAP`, whether or not
 it has roots.  Bivariate inputs keep the sparse grlex division; their
 factorization is deliberately windowed to total degree <= 3, where
@@ -522,13 +525,14 @@ def _root_multiplicity(F: FiniteField, a: list[int], root: int) -> tuple[int, li
         k += 1
 
 
-def _multiplicity_dense(F: FiniteField, a: list[int], b: Sequence[int]) -> tuple[int, list[int]]:
-    """Largest k with b**k dividing a, plus the quotient, on dense lists."""
+def _multiplicity_dense(F: FiniteField, a: list[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(k, c, r) on dense lists: b**k exactly divides a, c = a / b**k, and
+    r = c mod b is the last, nonzero remainder of the division pass."""
     k = 0
     while True:
         q, r = _divrem(F, a, b)
         if r:
-            return k, a
+            return k, a, r
         a = q
         k += 1
 
@@ -540,7 +544,7 @@ def multiplicity(f: Poly, g: Poly) -> tuple[int, Poly]:
     if g.degree() < 1:
         raise InvalidInput("multiplicity needs a nonconstant divisor")
     if len(f.vars) == 1:
-        k, a = _multiplicity_dense(f.field, f.to_dense(), g.to_dense())
+        k, a, _ = _multiplicity_dense(f.field, f.to_dense(), g.to_dense())
         return k, (_from_dense(f.field, f.vars[0], a) if k else f)
     k = 0
     while True:
@@ -555,14 +559,30 @@ def multiplicity(f: Poly, g: Poly) -> tuple[int, Poly]:
 
 
 @lru_cache(maxsize=None)
+def _split_quadratics(q: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """(c1*c2, c1 + c2) -> (c1, c2) for every pair of codes c1 <= c2.
+
+    (t + c1)(t + c2) has the dense list [c1*c2, c1 + c2, 1], so a monic
+    quadratic [a0, a1, 1] splits exactly when (a0, a1) is a key, and the
+    value names its linear factors in code order.  q(q+1)/2 entries, in
+    every characteristic, with no discriminant or square root.
+    """
+    F = FiniteField(q)
+    add, mul = F._add, F._mul
+    return {(mul[c1][c2], add[c1][c2]): (c1, c2) for c1 in range(q) for c2 in range(c1, q)}
+
+
+@lru_cache(maxsize=None)
 def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree 1..max_deg, in (degree, lex) order.
 
-    Below degree 4 a candidate is irreducible exactly when it has no
-    root, found by Horner at every field element; from degree 4 on it is
-    trial-divided by the irreducibles up to half its degree.
+    A quadratic is irreducible exactly when `_split_quadratics` lacks
+    it; a cubic when Horner finds no root at any field element; from
+    degree 4 on a candidate is trial-divided by the irreducibles up to
+    half its degree.
     """
     F = FiniteField(q)
+    split = _split_quadratics(q)
     found: list[Poly] = []
     for d in range(1, max_deg + 1):
         lower = [g for g in found if g.degree() <= d // 2]
@@ -576,7 +596,9 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
             f = _from_dense(F, var, dense)
             if d == 1:
                 irreducible = True
-            elif d < 4:
+            elif d == 2:
+                irreducible = (dense[0], dense[1]) not in split
+            elif d == 3:
                 irreducible = not any(_root_multiplicity(F, dense, r)[0] for r in range(q))
             else:
                 irreducible = all(divmod_univariate(f, g)[1] for g in lower)
@@ -596,11 +618,12 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     """Complete factorization (unit, {monic irreducible: multiplicity}).
 
     Linear factors come from the roots, found by Horner at each field
-    element; a root-free cofactor of degree <= 3 is irreducible, and a
-    larger one is trial-divided by the monic irreducibles of degree 2 up
-    to half its degree.  The factors are listed in the order of
-    monic_irreducibles (degree, then code), with a leftover irreducible
-    last.  Raises SizeBound when q^(deg f // 2) exceeds
+    element down to a quadratic cofactor, which one table lookup splits
+    or proves irreducible; a root-free cubic is irreducible, and a
+    root-free cofactor of degree >= 4 is trial-divided by the monic
+    irreducibles of degree 2 up to half its degree.  The factors are
+    listed in the order of monic_irreducibles (degree, then code), with
+    a leftover irreducible last.  Raises SizeBound when q^(deg f // 2) exceeds
     FACTOR_CANDIDATE_CAP (10,000), for example degree 6 and up over
     GF(49): the number of candidate divisors trial division could need
     at that degree.  Answers come from a per-input cache of at most
@@ -628,11 +651,15 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
 @lru_cache(maxsize=UNIVARIATE_CACHE_SIZE)
 def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...]]:
     # roots first: t + c divides f exactly when -c is a root, so Horner
-    # at -c for every code c strips the linear factors in code order.  A
-    # root-free cofactor of degree <= 3 is irreducible (or constant); only
-    # a larger one is trial-divided, by the irreducibles of degree 2 up to
-    # half its degree, enumerated only then.  The answer as immutable
-    # pairs, in the order of monic_irreducibles with the leftover last
+    # at -c for every code c strips the linear factors in code order,
+    # until the cofactor has degree <= 2.  A monic quadratic cofactor is
+    # split by one lookup in _split_quadratics: Horner found no root at
+    # the codes it tried, so the roots of the lookup come after them in
+    # code order, and a miss is irreducible.  A root-free cofactor of
+    # degree 3 is irreducible; only a larger one is trial-divided, by the
+    # irreducibles of degree 2 up to half its degree, enumerated only
+    # then.  The answer as immutable pairs, in the order of
+    # monic_irreducibles with the leftover last
     unit, f = f.make_canonical()
     F = f.field
     q = F.q
@@ -643,17 +670,23 @@ def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...
     out: dict[Poly, int] = {}
     neg = F._neg
     for c in range(q):
-        if len(a) < 3:  # a linear cofactor is the leftover factor, a constant one is done
+        if len(a) < 4:  # degree <= 2: the lookup below, or the leftover, or done
             break
         k, a, _ = _root_multiplicity(F, a, neg[c])
         if k:
             out[linear[c]] = k
-    if len(a) > 4:  # root-free and of degree >= 4
+    if len(a) == 3:
+        roots = _split_quadratics(q).get((a[0], a[1]))
+        if roots is not None:
+            for c in roots:  # c1 <= c2; one factor of multiplicity 2 when equal
+                out[linear[c]] = out.get(linear[c], 0) + 1
+            a = [1]
+    elif len(a) > 4:  # root-free and of degree >= 4
         for g in monic_irreducibles(q, var, (len(a) - 1) // 2)[q:]:
             b = g.to_dense()
             if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
                 break
-            k, a = _multiplicity_dense(F, a, b)
+            k, a, _ = _multiplicity_dense(F, a, b)
             if k:
                 out[g] = k
     if len(a) > 1:

@@ -25,7 +25,7 @@ from .errors import InvalidConfig, SizeBound, UnknownSuite
 from .ff import FiniteField
 from .fields import RationalFn
 from .milnork import steinberg_check, support_places, tame_symbol, weil_reciprocity_check
-from .poly import Poly, monic_irreducibles
+from .poly import Poly, _from_dense, monic_irreducibles
 from .reconstruct import Arena, build_psi_from_valuation, extract_valuation, verify_theorem_conclusions
 from .valuations import (
     DivisorialCurve,
@@ -126,9 +126,10 @@ def _rng_ints(seed: int):
 
 
 def _random_poly(rng, field: FiniteField, var: str, max_deg: int) -> Poly:
+    # randrange(q) draws are field codes, so the trusted builder applies
     while True:
         dense = [rng.randrange(field.q) for _ in range(max_deg + 1)]
-        p = Poly.from_dense(field, var, dense)
+        p = _from_dense(field, var, dense)
         if p:
             return p
 

@@ -6,9 +6,9 @@ cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
 lexicographically).  Every place of F_q(t) and every graph curve
 answers `unit_residue(f) -> (v, r)`: the value of f and the residue of
-its unit part, from the cofactors of one repeated-division pass (for a
-degree-one place, synthetic division by t - root, whose last remainder
-is the residue; F_q[t]/(pi) for higher degree), as a leading-coefficient
+its unit part, from one repeated-division pass, whose last remainder
+is the residue (synthetic division by t - root at a degree-one place,
+division by pi into F_q[t]/(pi) at higher degree), as a leading-coefficient
 ratio at infinity, and by substituting the graph along a curve.  A place
 of F_q(t) has one value route, `val_dense(num, den)` on the dense lists
 of f's parts: `val(f)` converts f and calls it, and the checks that ask
@@ -75,15 +75,15 @@ class QuotientRing:
     def one(self) -> tuple[int, ...]:
         return tuple([1] + [0] * (self.d - 1))
 
-    def _reduce(self, dense: list[int]) -> tuple[int, ...]:
-        r = _divrem(self.field, dense, self._mod_dense)[1]
+    def _pad(self, r: list[int]) -> tuple[int, ...]:
+        """The element of a trimmed dense list of degree < deg(pi)."""
         return tuple(r) + (0,) * (self.d - len(r))
+
+    def _reduce(self, dense: list[int]) -> tuple[int, ...]:
+        return self._pad(_divrem(self.field, dense, self._mod_dense)[1])
 
     def from_poly(self, p: Poly) -> tuple[int, ...]:
         return self._reduce(p.to_dense())
-
-    def is_constant(self, a: tuple[int, ...]) -> bool:
-        return all(c == 0 for c in a[1:])
 
     def mul(self, a, b) -> tuple[int, ...]:
         return self._reduce(_dense_mul(self.field, a, b))
@@ -133,21 +133,34 @@ class QuotientRing:
         neg = self.field._neg
         return tuple(neg[c] for c in a)
 
-    def frobenius(self, a) -> tuple[int, ...]:
-        return self.pow(a, self.field.q)
-
     def norm(self, a) -> int:
-        """Product of the Frobenius conjugates; lands in F_q."""
-        if a == self.zero:
+        """The norm to F_q, as the resultant Res(pi, a) by Euclid.
+
+        pi is monic, so Res(pi, a) is the product of a over the roots of
+        pi, which is the product of the Frobenius conjugates of a.
+        Euclid starts at (f, g) = (pi, a).  With m = deg f, n = deg g and
+        r = f mod g of degree k, each step uses Res(f, g) =
+        (-1)^(mn) lc(g)^(m-k) Res(g, r), and Res(f, c) = c^m ends it at a
+        constant c.  pi is irreducible, so no remainder of a nonzero a
+        vanishes.
+        """
+        F = self.field
+        g = list(a)
+        while g and not g[-1]:
+            g.pop()
+        if not g:
             return 0
-        out = a
-        b = a
-        for _ in range(self.d - 1):
-            b = self.frobenius(b)
-            out = self.mul(out, b)
-        if not self.is_constant(out):
-            raise AssertionError("norm left the base field")
-        return out[0]
+        mul, fpow = F._mul, F.pow
+        f = self._mod_dense
+        out = 1
+        while len(g) > 1:
+            r = _divrem(F, f, g)[1]
+            m, n = len(f) - 1, len(g) - 1
+            out = mul[out][fpow(g[-1], m - len(r) + 1)]
+            if m * n % 2:
+                out = F._neg[out]
+            f, g = g, r
+        return mul[out][fpow(g[0], len(f) - 1)]
 
 
 # -- places ------------------------------------------------------------
@@ -202,12 +215,14 @@ class FinitePlace:
 
     def _split(self, a: list[int]) -> tuple:
         """(k, u): pi^k exactly divides the nonzero dense list a, and u is
-        the cofactor a / pi^k, as its value at the root for a degree-one
-        place and as a dense list otherwise."""
+        the residue of the cofactor a / pi^k: its value at the root for a
+        degree-one place, and otherwise its class in the residue ring,
+        the last remainder of the division pass."""
         if self.degree == 1:
             k, _, value = _root_multiplicity(self.field, a, self.root)
             return k, value
-        return _multiplicity_dense(self.field, a, self.ring._mod_dense)
+        k, _, r = _multiplicity_dense(self.field, a, self.ring._mod_dense)
+        return k, self.ring._pad(r)
 
     def val_dense(self, num: list[int], den: list[int]) -> int:
         """The value of num/den from the nonzero dense lists of its parts."""
@@ -220,7 +235,8 @@ class FinitePlace:
 
     def unit_residue(self, f: RationalFn) -> tuple:
         """(v, r): the value v of f and the residue r of its unit part
-        f / pi^v, read from the cofactors that repeated division leaves."""
+        f / pi^v, the quotient of the residues that repeated division
+        leaves of num and den."""
         if not f:
             raise InvalidInput("the zero element has no value")
         a, num = self._split(f.num.to_dense())
@@ -228,7 +244,7 @@ class FinitePlace:
         if self.degree == 1:
             return a - b, self.field.div(num, den)
         ring = self.ring
-        return a - b, ring.mul(ring._reduce(num), ring.inv(ring._reduce(den)))
+        return a - b, ring.mul(num, ring.inv(den))
 
 
 class InfinitePlace:

@@ -616,7 +616,7 @@ def _trial_factor(f):
     for g, b in _irreducibles_by_division(F.q, max(d // 2, 1) if d else 0):
         if len(a) < 2 * len(b) - 1:  # deg a < 2 deg g
             break
-        k, a = poly_module._multiplicity_dense(F, a, b)
+        k, a, _ = poly_module._multiplicity_dense(F, a, b)
         if k:
             out[g] = k
     if len(a) > 1:
@@ -681,6 +681,35 @@ def test_factor_matches_trial_division_gf49_sampled():
     sample = _gf49_factor_sample()
     assert max(f.degree() for f in sample) == 5
     assert _kernel_mismatches(_KERNEL, sample) == []
+
+
+QUADRATIC_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49]
+
+
+def _irreducible_quadratics_by_roots(q):
+    """The monic quadratics with no root, found by Horner at every field
+    element, after the linears: the route the lookup table replaced."""
+    F = FiniteField(q)
+    out = list(monic_irreducibles(q, "t", 1))
+    for a1, a0 in itertools.product(range(q), repeat=2):  # code a0 + a1*q
+        dense = [a0, a1, 1]
+        if not any(poly_module._root_multiplicity(F, dense, r)[0] for r in range(q)):
+            out.append(Poly.from_dense(F, "t", dense))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", QUADRATIC_FIELDS)
+def test_every_monic_quadratic_splits_by_lookup(q, monkeypatch):
+    # a monic quadratic is settled by one lookup in the split table, with
+    # no Horner pass, and factors as trial division does, pairs in order
+    F = FiniteField(q)
+    quadratics = [Poly.from_dense(F, "t", [a0, a1, 1]) for a1 in range(q) for a0 in range(q)]
+    expected = [_trial_factor(f) for f in quadratics]
+    monkeypatch.setattr(poly_module, "_root_multiplicity", None)
+    assert [_KERNEL(f) for f in quadratics] == expected
+    monkeypatch.undo()
+    assert monic_irreducibles(q, "t", 2) == _irreducible_quadratics_by_roots(q)
+    assert len(poly_module._split_quadratics(q)) == q * (q + 1) // 2
 
 
 def _reversed_roots(f):

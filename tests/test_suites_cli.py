@@ -616,3 +616,22 @@ def test_non_flag_suites_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_no_flagval_module_imports_sympy():
+    # sympy is a test-only oracle: importing every module of the package
+    # in a fresh interpreter must leave it out of sys.modules
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import flagval\n"
+        "names = [m.name for m in pkgutil.iter_modules(flagval.__path__, 'flagval.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(names), 'sympy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = [p for p in (src / "flagval").glob("*.py") if p.name != "__init__.py"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{len(modules)} False"

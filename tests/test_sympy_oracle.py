@@ -18,8 +18,9 @@ from sympy.polys.matrices import DomainMatrix
 from flagval import fqlin, reconstruct
 from flagval.ff import FiniteField
 from flagval.fields import from_divisor
-from flagval.poly import Poly, factor_univariate
+from flagval.poly import Poly, factor_univariate, monic_irreducibles
 from flagval.suites import SuiteConfig, run_suite
+from flagval.valuations import QuotientRing
 
 
 @pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 6), (5, 4), (7, 4), (11, 3)])
@@ -35,6 +36,26 @@ def test_factor_univariate_agrees_with_gf_factor(p, max_deg):
             ours = sorted((tuple(g.to_dense()[::-1]), k) for g, k in parts.items())
             lc, theirs = gf_factor(dense[::-1], p, ZZ)  # leading coefficient first
             assert (unit, ours) == (int(lc), sorted((tuple(map(int, g)), k) for g, k in theirs))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_residue_norm_is_the_resultant(p):
+    # for every monic irreducible pi of degree 2 and 3, the norm of a in
+    # F_p[t]/(pi) is Res(pi, a); every element of a ring of order <= 27,
+    # and a seeded sample of eight in each larger one
+    t = sympy.Symbol("t")
+    rng = random.Random(p)
+    for pi in monic_irreducibles(p, "t", 3):
+        if pi.degree() < 2:
+            continue
+        ring = QuotientRing._of_factor(pi)
+        elements = list(itertools.product(range(p), repeat=ring.d))
+        if len(elements) > 27:
+            elements = rng.sample(elements, 8)
+        modulus = sympy.Poly(pi.to_dense()[::-1], t, modulus=p)  # leading coefficient first
+        for a in elements:
+            theirs = modulus.resultant(sympy.Poly(list(a)[::-1], t, modulus=p))
+            assert ring.norm(a) == int(theirs) % p, (str(pi), a)
 
 
 # the round trips over GF(2) and GF(3) pinned in tests/test_golden.py

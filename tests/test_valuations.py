@@ -158,6 +158,57 @@ def test_residue_fields_share_one_interface():
     assert ring.norm((0, 1)) == 1  # t * t^3 = t^4 = 1 mod t^2+1
 
 
+def _frobenius_norm(ring, a):
+    """The norm as the product of the d Frobenius conjugates a^(q^i),
+    each a q-th power by repeated squaring: the route that
+    `QuotientRing.norm` replaced."""
+    if a == ring.zero:
+        return 0
+    out = b = a
+    for _ in range(ring.d - 1):
+        b = ring.pow(b, ring.field.q)
+        out = ring.mul(out, b)
+    assert not any(out[1:]), "norm left the base field"
+    return out[0]
+
+
+def _norm_and_residue_agree(place, a):
+    """Res(pi, a) against the Frobenius product, and the residue that
+    `_split` reads off its last remainder against the cofactor reduced
+    by one more division."""
+    ring = place.ring
+    F = ring.field
+    norm = ring.norm(a)
+    assert norm == _frobenius_norm(ring, a) and norm in range(F.q), (str(place.pi), a)
+    if a == ring.zero:
+        return
+    # a cofactor of class a that is not reduced yet, times pi^k
+    cofactor = Poly.from_dense(F, "t", list(a)) + place.pi * Poly.from_dense(F, "t", [a[0], 1])
+    k = sum(a) % 3
+    k_split, residue = place._split((cofactor * place.pi**k).to_dense())
+    assert (k_split, residue) == (k, ring._reduce(cofactor.to_dense()))
+    assert residue == a
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_norm_is_the_frobenius_product_every_element(q):
+    # every element of every residue ring of degree 2 and 3
+    for pi in monic_irreducibles(q, "t", 3):
+        if pi.degree() >= 2:
+            place = FinitePlace._of_factor(pi)
+            for a in itertools.product(range(q), repeat=pi.degree()):
+                _norm_and_residue_agree(place, a)
+
+
+def test_norm_is_the_frobenius_product_gf49_quadratics():
+    rng = random.Random(4900)
+    moduli = [pi for pi in monic_irreducibles(49, "t", 2) if pi.degree() == 2]
+    for pi in rng.sample(moduli, 20):
+        place = FinitePlace._of_factor(pi)
+        for _ in range(20):
+            _norm_and_residue_agree(place, (rng.randrange(49), rng.randrange(49)))
+
+
 def _inv_agrees(ring, a):
     inv = ring.inv(a)
     assert len(inv) == ring.d
