@@ -37,9 +37,13 @@ class RationalFn:
     and a polynomial p, which is (n + p d)/d.  Each keeps d monic, and
     for n != 0, gcd(n + p d, d) = gcd(n, d) = 1.  A zero n may carry
     any monic d (the zero of f - f), so that sum takes the full route.
+
+    In one variable `dense_parts()` gives the dense coefficient tuples
+    of num and den, converted on first use and kept, so every place of
+    F_q(t) asked about one f reads the same pair.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_dense")
     __hash__ = None  # equality is cross-multiplication; no canonical hash
 
     def __init__(self, num: Poly, den: Poly) -> None:
@@ -75,15 +79,13 @@ class RationalFn:
                 inv = F.inv(lc)
                 num = num * inv
                 den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _init_fn(self, num, den)
 
     @classmethod
     def _make(cls, num: Poly, den: Poly) -> "RationalFn":
         """Trusted construction: num/den is already in canonical form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _init_fn(self, num, den)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -96,6 +98,15 @@ class RationalFn:
     @property
     def vars(self) -> tuple[str, ...]:
         return self.num.vars
+
+    def dense_parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(num, den) as dense coefficient tuples, constant term first;
+        univariate only, built on first use and kept."""
+        parts = self._dense
+        if parts is None:
+            parts = (tuple(self.num.to_dense()), tuple(self.den.to_dense()))
+            object.__setattr__(self, "_dense", parts)
+        return parts
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFn":
@@ -202,6 +213,12 @@ class RationalFn:
         F = self.field
         c = F.div(self.num.leading_coeff(), self.den.leading_coeff())
         return self.num == self.den * c
+
+
+def _init_fn(f: RationalFn, num: Poly, den: Poly) -> None:
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    object.__setattr__(f, "_dense", None)
 
 
 def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:

@@ -1,14 +1,25 @@
 """Symbols over F_q(t): tame residues at every place, the Steinberg
 relation, and Weil reciprocity through explicit residue-field norms.
 
+A tame residue splits each of the four dense parts of f and g once at
+the place, `place._split(a) -> (k, r)`: a finite place by one
+repeated-division pass, the infinite place by degree and leading
+coefficient, so the symbol never asks which kind of place it is at.
+Residues enter only where the partner's exponent is nonzero, and the
+symbol inverts at most once.  The parts are the dense tuples a
+function converts once and keeps, so a check converts f and g once for
+all its places.
+
 Residues are computed in each place's residue field `place.ring`: the
 FiniteField itself at degree-one and infinite places, a QuotientRing
-above them.  Both answer one, mul, pow, neg and norm; a QuotientRing
-F_q[t]/(pi) takes the norm of a as the resultant Res(pi, a), by Euclid
-on dense lists.
+above them.  Both answer one, mul, pow, inv, neg and norm; a
+QuotientRing F_q[t]/(pi) inverts by extended Euclid and takes the norm
+of a as the resultant Res(pi, a), by Euclid on dense lists.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .errors import InvalidInput
 from .fields import INF, RationalFn, to_divisor
@@ -22,7 +33,7 @@ def support_places(f: RationalFn, g: RationalFn) -> list:
     finite: dict = {}
     has_inf = False
     for h in (f, g):
-        for gen in to_divisor(h).support():
+        for gen in to_divisor(h).exps:
             if gen == INF:
                 has_inf = True
             else:
@@ -38,13 +49,33 @@ def tame_symbol(f: RationalFn, g: RationalFn, place):
     """Residue of the symbol {f, g} at one place:
     (-1)^(mn) f^n / g^m with m = val(f), n = val(g).
 
-    With f = pi^m u and g = pi^n w, f^n / g^m = u^n / w^m, so the symbol
-    is (-1)^(mn) r_f^n r_g^(-m) for the unit residues r_f, r_g of f, g.
+    Each dense part of f = fn/fd and g = gn/gd is split once at the
+    place into its multiplicity k and the residue r of its cofactor, so
+    m = k_fn - k_fd, n = k_gn - k_gd, and the symbol is
+    (-1)^(mn) r_fn^n r_fd^(-n) r_gn^(-m) r_gd^m.  Parts raised to 0 are
+    skipped, those with a positive and those with a negative exponent
+    are multiplied apart, and the second product is inverted once.
     """
-    m, rf = place.unit_residue(f)
-    n, rg = place.unit_residue(g)
+    if not (f and g):
+        raise InvalidInput("the zero element has no value")
+    split = place._split
+    fn, fd = f.dense_parts()
+    gn, gd = g.dense_parts()
+    kfn, rfn = split(fn)
+    kfd, rfd = split(fd)
+    kgn, rgn = split(gn)
+    kgd, rgd = split(gd)
+    m, n = kfn - kfd, kgn - kgd
     ring = place.ring
-    r = ring.mul(ring.pow(rf, n), ring.pow(rg, -m))
+    if not (m or n):
+        return ring.one
+    up, down = [], []
+    for r, e in ((rfn, n), (rfd, -n), (rgn, -m), (rgd, m)):
+        if e:
+            a = abs(e)
+            (up if e > 0 else down).append(r if a == 1 else ring.pow(r, a))
+    # m or n is nonzero and enters once with each sign: neither list is empty
+    r = ring.mul(reduce(ring.mul, up), ring.inv(reduce(ring.mul, down)))
     if (m * n) % 2:
         r = ring.neg(r)
     return r

@@ -6,13 +6,16 @@ cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
 lexicographically).  Every place of F_q(t) and every graph curve
 answers `unit_residue(f) -> (v, r)`: the value of f and the residue of
-its unit part, from one repeated-division pass, whose last remainder
-is the residue (synthetic division by t - root at a degree-one place,
-division by pi into F_q[t]/(pi) at higher degree), as a leading-coefficient
-ratio at infinity, and by substituting the graph along a curve.  A place
-of F_q(t) has one value route, `val_dense(num, den)` on the dense lists
-of f's parts: `val(f)` converts f and calls it, and the checks that ask
-several places about one f convert it once.
+its unit part.  A graph curve substitutes the graph.  A place of F_q(t)
+splits each dense part a of f once, `_split(a) -> (k, u)`: the value
+of a and the residue of its unit part.  At a finite place that is one
+repeated-division pass, whose last remainder is the residue (synthetic
+division by t - root at a degree-one place, division by pi into
+F_q[t]/(pi) at higher degree); at infinity it is (-deg a, lc(a)).
+`val_dense(num, den)` and `unit_residue` are two splits each.  Every
+check reads the dense parts that `RationalFn.dense_parts()` converts
+once per function and keeps, so asking many places about one f
+converts it once.
 """
 
 from __future__ import annotations
@@ -129,6 +132,9 @@ class QuotientRing:
         scale = F._mul[F._inv[r1[0]]]
         return self._reduce([scale[x] for x in s1])
 
+    def div(self, a, b) -> tuple[int, ...]:
+        return self.mul(a, self.inv(b))
+
     def neg(self, a) -> tuple[int, ...]:
         neg = self.field._neg
         return tuple(neg[c] for c in a)
@@ -166,7 +172,32 @@ class QuotientRing:
 # -- places ------------------------------------------------------------
 
 
-class FinitePlace:
+class _PlaceOfLine:
+    """What every place of F_q(t) answers from `_split(a) -> (k, u)`,
+    the value of a nonzero dense list a and the residue of its unit
+    part, in the residue field `ring`."""
+
+    def val_dense(self, num, den) -> int:
+        """The value of num/den from the nonzero dense lists of its parts."""
+        return self._split(num)[0] - self._split(den)[0]
+
+    def val(self, f: RationalFn) -> int:
+        if not f:
+            raise InvalidInput("the zero element has no value")
+        return self.val_dense(*f.dense_parts())
+
+    def unit_residue(self, f: RationalFn) -> tuple:
+        """(v, r): the value v of f and the residue r of its unit part,
+        the quotient of the residues that num and den split off."""
+        if not f:
+            raise InvalidInput("the zero element has no value")
+        num, den = f.dense_parts()
+        a, rn = self._split(num)
+        b, rd = self._split(den)
+        return a - b, self.ring.div(rn, rd)
+
+
+class FinitePlace(_PlaceOfLine):
     """Place of F_q(t) cut out by a monic irreducible polynomial.
 
     `FinitePlace(pi)` proves pi monic irreducible; `_of_factor` trusts a
@@ -213,7 +244,7 @@ class FinitePlace:
     def __repr__(self) -> str:
         return f"Place(finite:{self.pi})"
 
-    def _split(self, a: list[int]) -> tuple:
+    def _split(self, a) -> tuple:
         """(k, u): pi^k exactly divides the nonzero dense list a, and u is
         the residue of the cofactor a / pi^k: its value at the root for a
         degree-one place, and otherwise its class in the residue ring,
@@ -224,32 +255,11 @@ class FinitePlace:
         k, _, r = _multiplicity_dense(self.field, a, self.ring._mod_dense)
         return k, self.ring._pad(r)
 
-    def val_dense(self, num: list[int], den: list[int]) -> int:
-        """The value of num/den from the nonzero dense lists of its parts."""
-        return self._split(num)[0] - self._split(den)[0]
 
-    def val(self, f: RationalFn) -> int:
-        if not f:
-            raise InvalidInput("the zero element has no value")
-        return self.val_dense(f.num.to_dense(), f.den.to_dense())
-
-    def unit_residue(self, f: RationalFn) -> tuple:
-        """(v, r): the value v of f and the residue r of its unit part
-        f / pi^v, the quotient of the residues that repeated division
-        leaves of num and den."""
-        if not f:
-            raise InvalidInput("the zero element has no value")
-        a, num = self._split(f.num.to_dense())
-        b, den = self._split(f.den.to_dense())
-        if self.degree == 1:
-            return a - b, self.field.div(num, den)
-        ring = self.ring
-        return a - b, ring.mul(num, ring.inv(den))
-
-
-class InfinitePlace:
-    """The degree place of F_q(t): val = deg(den) - deg(num).  Its
-    residue field `ring` is the FiniteField itself."""
+class InfinitePlace(_PlaceOfLine):
+    """The degree place of F_q(t): val = deg(den) - deg(num), and the
+    residue of the unit part is lc(num)/lc(den).  Its residue field
+    `ring` is the FiniteField itself."""
 
     degree = 1
 
@@ -271,19 +281,10 @@ class InfinitePlace:
     def __repr__(self) -> str:
         return "Place(infinite)"
 
-    def val_dense(self, num: list[int], den: list[int]) -> int:
-        """The value of num/den from the nonzero dense lists of its parts."""
-        return len(den) - len(num)
-
-    def val(self, f: RationalFn) -> int:
-        if not f:
-            raise InvalidInput("the zero element has no value")
-        return self.val_dense(f.num.to_dense(), f.den.to_dense())
-
-    def unit_residue(self, f: RationalFn) -> tuple[int, int]:
-        """(v, r): the value of f and the residue lc(num)/lc(den) of its
-        unit part f * t^v."""
-        return self.val(f), self.field.div(f.num.leading_coeff(), f.den.leading_coeff())
+    def _split(self, a) -> tuple[int, int]:
+        """(k, u): the value -deg(a) of the nonzero dense list a and its
+        leading coefficient, the residue of the unit part a * t^deg(a)."""
+        return 1 - len(a), a[-1]
 
 
 class DivisorialCurve:
@@ -405,14 +406,14 @@ def valuation_flag_structure(place, S: EmbeddedSubspace) -> FlagVerdict:
 
 def ultrametric_ok(places, f: RationalFn, g: RationalFn) -> list[bool | None]:
     """Triangle inequality for one pair at each place of F_q(t), f+g built
-    once; None at every place when f+g = 0 (no value).  f, g and f+g go to
-    dense lists once, and every place reads them through `val_dense`."""
+    once; None at every place when f+g = 0 (no value).  Every place reads
+    the kept dense parts of f, g and f+g through `val_dense`."""
     s = f + g
     if not s:
         return [None] * len(places)
     if not (f and g):
         raise InvalidInput("the zero element has no value")
-    dense = [(h.num.to_dense(), h.den.to_dense()) for h in (f, g, s)]
+    dense = [h.dense_parts() for h in (f, g, s)]
     out = []
     for place in places:
         vf, vg, vs = (place.val_dense(num, den) for num, den in dense)
@@ -424,15 +425,15 @@ def degree_sum(f: RationalFn) -> int:
     """Sum of deg(place) * val(place, f) over all places of F_q(t).
 
     Recomputed place by place with repeated exact division, so it
-    cross-checks the factorization route; 0 for every nonzero f.  f goes
-    to dense lists once, and the sum walks the divisor's generators in
-    any order.
+    cross-checks the factorization route; 0 for every nonzero f.  Every
+    place reads f's kept dense parts, and the sum walks the divisor's
+    generators in any order.
     """
     if len(f.vars) != 1:
         raise InvalidInput("the degree formula is univariate-only")
     if not f:
         raise InvalidInput("the zero element has no divisor")
-    num, den = f.num.to_dense(), f.den.to_dense()
+    num, den = f.dense_parts()
     total = 0
     for g in to_divisor(f).exps:
         if g == INF:

@@ -1,14 +1,18 @@
 """Tame symbols, Steinberg relation and reciprocity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from flagval import milnork, suites
 from flagval.errors import InvalidInput
 from flagval.ff import FiniteField
 from flagval.fields import RationalFn
 from flagval.milnork import steinberg_check, support_places, tame_symbol, weil_reciprocity_check
-from flagval.poly import Poly
-from flagval.valuations import FinitePlace, serialize_place
+from flagval.poly import Poly, monic_irreducibles
+from flagval.suites import SuiteConfig, run_suite
+from flagval.valuations import FinitePlace, InfinitePlace, QuotientRing, serialize_place
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -48,6 +52,9 @@ def test_symbol_pair_rejects_zero():
         support_places(t3, zero)
     with pytest.raises(InvalidInput):
         tame_symbol(zero, t3, PT)
+    for place in (PT, InfinitePlace(F3, "t")):  # never an IndexError from an empty part
+        with pytest.raises(InvalidInput):
+            tame_symbol(t3, zero, place)
 
 
 def test_support_places_refuses_bivariate_entries():
@@ -117,13 +124,15 @@ def test_support_is_canonically_ordered():
     assert names == sorted(finite) + [n for n in names if n == "infinite"]
 
 
-def _tame_oracle(f, g, place):
+def _tame_oracle(f, g, place, power=pow, val=None):
     """The defining formula: the residue of (-1)^(mn) f^n / g^m, formed
-    as a rational function first."""
-    m, n = place.val(f), place.val(g)
-    h = f**n / g**m
+    as a rational function first; `power(h, k)` gives h^k and `val(h)`
+    the value of h at the place."""
+    val = val or place.val
+    m, n = val(f), val(g)
+    h = power(f, n) * power(g, -m)
     if (m * n) % 2:
-        h = h * place.field.neg(1)
+        h = -h
     v, r = place.unit_residue(h)
     assert v == 0
     return r
@@ -160,3 +169,123 @@ def test_tame_symbol_matches_formula(q, draws, dmax):
                 checked += 1
                 odd += place.val(a) * place.val(b) % 2
     assert checked > 300 and odd > 100, (checked, odd)
+
+
+def _unit_residue_route(ring, m, rf, n, rg):
+    """The route the symbol took before it split parts:
+    (-1)^(mn) r_f^n r_g^(-m) from the unit residues (m, r_f) of f and
+    (n, r_g) of g."""
+    r = ring.mul(ring.pow(rf, n), ring.pow(rg, -m))
+    if (m * n) % 2:
+        r = ring.neg(r)
+    return r
+
+
+def _canonical_fns(q, max_deg):
+    """Every nonzero canonical n/d with deg n, deg d <= max_deg."""
+    F = FiniteField(q)
+    polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(q), repeat=max_deg + 1)]
+    dens = [d for d in polys if d and d.leading_coeff() == 1]
+    out = []
+    for n in polys:
+        for d in dens:
+            if n:
+                f = RationalFn(n, d)
+                if (f.num, f.den) == (n, d):
+                    out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_tame_symbol_matches_both_oracles_exhaustive(q, max_deg):
+    # every pair of canonical functions, at every support place, the
+    # infinite place included; each function's support, unit residues
+    # and powers are formed once
+    fns = _canonical_fns(q, max_deg)
+    support = [support_places(f, f) for f in fns]
+    units: dict = {}
+    powers: dict = {}
+
+    def unit(i, place):
+        if (i, place) not in units:
+            units[i, place] = place.unit_residue(fns[i])
+        return units[i, place]
+
+    def power(h, k):
+        if (id(h), k) not in powers:
+            powers[id(h), k] = h**k
+        return powers[id(h), k]
+
+    checked = inf = odd = 0
+    for i, f in enumerate(fns):
+        for j, g in enumerate(fns):
+            for place in dict.fromkeys(support[i] + support[j]):
+                (m, rf), (n, rg) = unit(i, place), unit(j, place)
+                values = {id(f): m, id(g): n}
+                r = tame_symbol(f, g, place)
+                assert r == _unit_residue_route(place.ring, m, rf, n, rg), (str(f), str(g), place)
+                assert r == _tame_oracle(f, g, place, power, lambda h: values[id(h)]), (str(f), str(g), place)
+                checked += 1
+                inf += isinstance(place, InfinitePlace)
+                odd += m * n % 2
+    assert checked > len(fns) ** 2 and inf and odd, (checked, inf, odd)
+
+
+def test_tame_symbol_high_exponents_on_both_sides():
+    # exponents >= 2 on both sides, at degree-one, degree-two and
+    # infinite places, so every power and the both-nonzero case run
+    f, g = t3**3 / (t3 + 1) ** 2, (t3**2 + 1) ** 2 / t3
+    f2, g2 = (t3**2 + 1) ** 2 / t3**3, t3**2 / (t3**2 + 1) ** 3
+    values = {}
+    for a in (f, g, f2, g2):
+        for b in (f, g, f2, g2):
+            for place in support_places(a, b):
+                m, rf = place.unit_residue(a)
+                n, rg = place.unit_residue(b)
+                r = tame_symbol(a, b, place)
+                assert r == _unit_residue_route(place.ring, m, rf, n, rg) == _tame_oracle(a, b, place)
+                values[serialize_place(place), str(a), str(b)] = (m, n)
+    assert values["finite:t", str(f), str(g)] == (3, -1)
+    assert values["finite:t^2+1", str(f), str(g)] == (0, 2)
+    assert values["infinite", str(f), str(g)] == (-1, -3)
+    assert values["finite:t", str(f2), str(g2)] == (-3, 2)
+    assert values["finite:t^2+1", str(f2), str(g2)] == (2, -3)
+    assert values["finite:t^2+1", str(g), str(g2)] == (2, -3)
+
+
+def test_ktheory_inverts_at_most_once_per_symbol(monkeypatch):
+    # a seeded q=49 run of the large-field workload's suite: every symbol
+    # goes through the kernel, and a residue ring F_49[t]/(pi) inverts at
+    # most once per symbol, never when both values are 0
+    inv = QuotientRing.inv
+    inverses = [0]
+
+    def counted_inv(self, a):
+        inverses[0] += 1
+        return inv(self, a)
+
+    symbol = milnork.tame_symbol
+    symbols = []
+
+    def counted_symbol(f, g, place):
+        before = inverses[0]
+        r = symbol(f, g, place)
+        symbols.append((place.degree, place.val(f), place.val(g), inverses[0] - before))
+        return r
+
+    monkeypatch.setattr(QuotientRing, "inv", counted_inv)
+    monkeypatch.setattr(milnork, "tame_symbol", counted_symbol)
+    monkeypatch.setattr(suites, "tame_symbol", counted_symbol)
+    assert run_suite(SuiteConfig(suite="ktheory", q=49, seed=7, samples=400))["violations"] == 0
+    assert len(symbols) == 2991
+    assert all(k <= 1 for _, _, _, k in symbols)
+    above = [k for d, _, _, k in symbols if d >= 2]
+    assert len(above) == sum(above) == 919
+    # off the support both values are 0, and nothing is inverted
+    F49 = FiniteField(49)
+    t49 = RationalFn.parse(F49, "t", ("t",))
+    pi = next(p for p in monic_irreducibles(49, "t", 2) if p.degree() == 2)
+    place = FinitePlace(pi)
+    before = inverses[0]
+    assert counted_symbol(t49 + 1, t49**2 / (t49 + 3), place) == place.ring.one
+    assert symbols[-1] == (2, 0, 0, 0) and inverses[0] == before

@@ -11,11 +11,12 @@ import random
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_factor, gf_mul, gf_mul_ground, gf_pow
 from sympy.polys.matrices import DomainMatrix
 
-from flagval import fqlin, reconstruct
+from flagval import fqlin, intlin, reconstruct
 from flagval.ff import FiniteField
 from flagval.fields import from_divisor
 from flagval.poly import Poly, factor_univariate, monic_irreducibles
@@ -168,3 +169,28 @@ def test_rank_and_nullspace_agree_with_domain_matrix(p):
                 last = next(v for v in reversed(vec) if v)
                 theirs.append([F.div(v, last) for v in vec])
             assert fqlin.nullspace(F, M) == theirs, M
+
+
+def _contains(basis, vectors):
+    """Whether the lattice that sympy's column-style HNF `basis` spans
+    holds every column of `vectors`: adding them leaves the form as it is."""
+    return sympy_hnf(basis.row_join(vectors)) == basis
+
+
+def test_hermite_normal_form_spans_the_lattice_sympy_finds():
+    # flagval's HNF is row-style and sympy's column-style, so the forms
+    # differ; the lattices they span must be equal, by containment both
+    # ways, on seeded integer matrices of up to 5x5, many of low rank
+    rng = random.Random(5)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:  # a product through k columns: rank <= k
+            k = rng.randint(0, min(rows, cols))
+            A = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+            B = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+            M = [[sum(a * b for a, b in zip(r, c)) for c in zip(*B)] for r in A]
+        else:
+            M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        H, _ = intlin.hermite_normal_form(M)
+        ours, given = sympy.Matrix(H).T, sympy.Matrix(M).T  # lattice vectors as columns
+        assert _contains(sympy_hnf(given), ours) and _contains(sympy_hnf(ours), given), M
