@@ -200,17 +200,11 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.q)
 
-    def units(self) -> range:
-        return range(1, self.q)
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

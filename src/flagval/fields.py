@@ -35,8 +35,7 @@ class RationalFn:
     In one variable three routes take `_make` and skip the gcd: p/1
     (`from_poly`, `constant`), the negation -n/d, and the sum of n/d
     and a polynomial p, which is (n + p d)/d.  Each keeps d monic, and
-    for n != 0, gcd(n + p d, d) = gcd(n, d) = 1.  A zero n may carry
-    any monic d (the zero of f - f), so that sum takes the full route.
+    gcd(n + p d, d) = gcd(n, d) = 1.  The zero has the one form 0/1.
 
     In one variable `dense_parts()` gives the dense coefficient tuples
     of num and den, converted on first use and kept, so every place of
@@ -159,9 +158,9 @@ class RationalFn:
             return NotImplemented
         if len(self.vars) == 1:
             # n/d + p = (n + p d)/d is in lowest terms (class docstring)
-            if o.den.degree() == 0 and self.num:
+            if o.den.degree() == 0:
                 return RationalFn._make(self.num + o.num * self.den, self.den)
-            if self.den.degree() == 0 and o.num:
+            if self.den.degree() == 0:
                 return RationalFn._make(o.num + self.num * o.den, o.den)
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -222,14 +221,16 @@ def _init_fn(f: RationalFn, num: Poly, den: Poly) -> None:
 
 
 def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num/den in one variable with the gcd cancelled and den monic."""
+    """num/den in one variable with the gcd cancelled and den monic;
+    the zero is 0/1."""
     F = num.field
     vars = num.vars
-    if num:
-        g = gcd_univariate(num, den)
-        if g.degree() > 0:
-            num = divmod_univariate(num, g)[0]
-            den = divmod_univariate(den, g)[0]
+    if not num:
+        return num, den._one()
+    g = gcd_univariate(num, den)
+    if g.degree() > 0:
+        num = divmod_univariate(num, g)[0]
+        den = divmod_univariate(den, g)[0]
     lc = den.coeffs[max(den.coeffs)]
     if lc == 1:
         return num, den
@@ -317,9 +318,6 @@ class DivisorRep:
 
     def exponent(self, g) -> int:
         return self.exps.get(g, 0)
-
-    def support(self) -> list:
-        return [g for g, _ in self._sorted_items()]
 
     def __mul__(self, other: "DivisorRep") -> "DivisorRep":
         if not isinstance(other, DivisorRep):

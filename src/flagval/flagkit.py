@@ -40,9 +40,7 @@ from math import perm
 from operator import and_, or_
 from typing import TYPE_CHECKING
 
-from . import fqlin
 from .errors import InvalidInput, SizeBound
-from .ff import FiniteField
 from .projspace import ProjGeometry, StratumTable, _ids, geometry
 
 if TYPE_CHECKING:
@@ -379,36 +377,6 @@ def sweep_decomposition_lemma(q: int = 2) -> dict:
     }
 
 
-# -- two-character model ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class StarMap:
-    """Map P^2(F_p) -> R x R given pointwise, R = Z/modulus."""
-
-    p: int
-    modulus: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def star_condition(m: StarMap, with_witness: bool = False):
-    """True when every line's image lies on an affine line over R.
-
-    Equivalent to every (value, value, 1) row matrix having rank <= 2
-    over F_modulus; any nonzero kernel vector then has a nonzero linear
-    part automatically, so no separate nontriviality check is needed.
-    """
-    geom = geometry(2, m.p)
-    R = FiniteField(m.modulus)
-    if len(m.pairs) != len(geom.points):
-        raise InvalidInput("pair list does not match the point count")
-    for line in geom.lines:
-        rows = [[m.pairs[i][0] % m.modulus, m.pairs[i][1] % m.modulus, 1] for i in line]
-        if fqlin.rank(R, rows) > 2:
-            return (False, line) if with_witness else False
-    return (True, None) if with_witness else True
-
-
 @dataclass
 class CollineationReport:
     p: int
@@ -428,8 +396,9 @@ class CollineationReport:
 def _two_values_at_most(vals: list[int], line) -> bool:
     """The (*) test on one line: vals (in 0..3) take at most two values.
 
-    Three distinct points of A^2(F_2) are never collinear, so this is
-    star_condition's rank test for the coordinate maps P^2(F_p) -> A^2(F_2).
+    (*) asks that the image of every line lie on an affine line.  Three
+    distinct points of A^2(F_2) are never collinear, so for the
+    coordinate maps P^2(F_p) -> A^2(F_2) it is this test on every line.
     """
     seen = 0
     for i in line:

@@ -289,11 +289,6 @@ class Poly:
             return -1
         return max(map(sum, self.coeffs))
 
-    def deg_in(self, i: int) -> int:
-        if not self.coeffs:
-            return -1
-        return max(e[i] for e in self.coeffs)
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.coeffs)
 
@@ -320,19 +315,6 @@ class Poly:
         F = self.field
         scale = F._mul[F._inv[u]]
         return u, Poly._make(F, self.vars, {e: scale[c] for e, c in self.coeffs.items()})
-
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        F = self.field
-        if len(point) != len(self.vars):
-            raise InvalidInput("wrong number of coordinates")
-        total = 0
-        for exp, c in self.coeffs.items():
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v = F.mul(v, F.pow(x, e))
-            total = F.add(total, v)
-        return total
 
     def substitute(self, images: dict[str, "Poly"]) -> "Poly":
         """Replace each variable by a polynomial (all images share one domain)."""

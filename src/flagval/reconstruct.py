@@ -13,12 +13,13 @@ its order certified by flag behavior on every catalog line.  psi is
 evaluated as the product of its generator images over the divisor
 form, so it is a homomorphism on K*/k* by construction.
 
-psi is evaluated once per catalog class and once per plane point.
-`_collect_point_classes` holds the image of every class, and the unit
-universe and the extraction routes read that table.  A plane's
-decomposition reads the images of its line points from its own point
-images: up to a constant, which psi ignores, fi + c*fj and f + c are
-points of the same plane.
+Extraction evaluates psi once per catalog class and once per plane
+point; the checks of the theorem's conclusions evaluate it again on
+the elements they sample.  `_collect_point_classes` holds the image of
+every class, and the unit universe and the extraction routes read that
+table.  A plane's decomposition reads the images of its line points
+from its own point images: up to a constant, which psi ignores,
+fi + c*fj and f + c are points of the same plane.
 
 All verdicts are arena-relative; the window parameters are recorded in
 every report, and anything that falls outside the window is counted in
@@ -519,8 +520,10 @@ class _Gamma:
         self.cols = _Columns()
         self.vecs = {key: self.cols.vec(d) for key, (_, d, _) in classes.items()}
         lat = RowLattice()
-        for key in unit_keys:
-            lat.add(self.vecs[key])
+        # catalog order: set order, and so the lattice work, moves with the hash seed
+        for key in classes:
+            if key in unit_keys:
+                lat.add(self.vecs[key])
         P = lat.quotient(self.cols.ncols)
         self._coords_of = P.coords
         self.free_rank = P.free_rank

@@ -4,18 +4,18 @@ Four kinds of places: finite and infinite places of the rational
 function field in one variable, divisorial valuations of the plane
 cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
-lexicographically).  Every place of F_q(t) and every graph curve
-answers `unit_residue(f) -> (v, r)`: the value of f and the residue of
-its unit part.  A graph curve substitutes the graph.  A place of F_q(t)
-splits each dense part a of f once, `_split(a) -> (k, u)`: the value
-of a and the residue of its unit part.  At a finite place that is one
-repeated-division pass, whose last remainder is the residue (synthetic
-division by t - root at a degree-one place, division by pi into
-F_q[t]/(pi) at higher degree); at infinity it is (-deg a, lc(a)).
-`val_dense(num, den)` and `unit_residue` are two splits each.  Every
-check reads the dense parts that `RationalFn.dense_parts()` converts
-once per function and keeps, so asking many places about one f
-converts it once.
+lexicographically).  A place of F_q(t) splits each dense part a of f
+once, `_split(a) -> (k, u)`: the value of a and the residue of its unit
+part, in the place's residue field `ring`.  At a finite place that is
+one repeated-division pass, whose last remainder is the residue
+(synthetic division by t - root at a degree-one place, division by pi
+into F_q[t]/(pi) at higher degree); at infinity it is (-deg a, lc(a)).
+`val_dense(num, den)` is two splits.  A graph curve answers
+`unit_residue(f) -> (v, r)`: the value of f and the restriction of its
+unit part to the curve, by substituting the graph.  Every check at a
+place of F_q(t) reads the dense parts that `RationalFn.dense_parts()`
+converts once per function and keeps, so asking many places about one
+f converts it once.
 """
 
 from __future__ import annotations
@@ -42,25 +42,14 @@ def _dense_mul(F: FiniteField, a, b) -> list[int]:
 
 
 class QuotientRing:
-    """F_q[t]/(pi) for a monic irreducible pi; elements are coefficient
-    tuples of length deg(pi)."""
+    """F_q[t]/(pi); elements are coefficient tuples of length deg(pi).
+
+    The modulus is trusted to be monic irreducible: every ring is built
+    by `FinitePlace`, whose pi is proved irreducible or is a factor that
+    factor_univariate returned.
+    """
 
     def __init__(self, modulus: Poly) -> None:
-        if len(modulus.vars) != 1:
-            raise InvalidInput("quotient modulus must be univariate")
-        if modulus.leading_coeff() != 1 or not is_irreducible(modulus):
-            raise InvalidInput("quotient modulus must be monic irreducible")
-        self._set(modulus)
-
-    @classmethod
-    def _of_factor(cls, modulus: Poly) -> "QuotientRing":
-        """Trusted construction: modulus is a monic irreducible that the
-        caller has proved or took from factor_univariate."""
-        self = object.__new__(cls)
-        self._set(modulus)
-        return self
-
-    def _set(self, modulus: Poly) -> None:
         self.field = modulus.field
         self.modulus = modulus
         self.d = modulus.degree()
@@ -84,9 +73,6 @@ class QuotientRing:
 
     def _reduce(self, dense: list[int]) -> tuple[int, ...]:
         return self._pad(_divrem(self.field, dense, self._mod_dense)[1])
-
-    def from_poly(self, p: Poly) -> tuple[int, ...]:
-        return self._reduce(p.to_dense())
 
     def mul(self, a, b) -> tuple[int, ...]:
         return self._reduce(_dense_mul(self.field, a, b))
@@ -132,9 +118,6 @@ class QuotientRing:
         scale = F._mul[F._inv[r1[0]]]
         return self._reduce([scale[x] for x in s1])
 
-    def div(self, a, b) -> tuple[int, ...]:
-        return self.mul(a, self.inv(b))
-
     def neg(self, a) -> tuple[int, ...]:
         neg = self.field._neg
         return tuple(neg[c] for c in a)
@@ -173,7 +156,7 @@ class QuotientRing:
 
 
 class _PlaceOfLine:
-    """What every place of F_q(t) answers from `_split(a) -> (k, u)`,
+    """The value of f at a place of F_q(t), from `_split(a) -> (k, u)`:
     the value of a nonzero dense list a and the residue of its unit
     part, in the residue field `ring`."""
 
@@ -185,16 +168,6 @@ class _PlaceOfLine:
         if not f:
             raise InvalidInput("the zero element has no value")
         return self.val_dense(*f.dense_parts())
-
-    def unit_residue(self, f: RationalFn) -> tuple:
-        """(v, r): the value v of f and the residue r of its unit part,
-        the quotient of the residues that num and den split off."""
-        if not f:
-            raise InvalidInput("the zero element has no value")
-        num, den = f.dense_parts()
-        a, rn = self._split(num)
-        b, rd = self._split(den)
-        return a - b, self.ring.div(rn, rd)
 
 
 class FinitePlace(_PlaceOfLine):
@@ -233,7 +206,7 @@ class FinitePlace(_PlaceOfLine):
             self.ring = self.field
         else:
             self.root = None
-            self.ring = QuotientRing._of_factor(pi)
+            self.ring = QuotientRing(pi)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePlace) and self.pi == other.pi

@@ -1,9 +1,12 @@
-"""Shared fixtures.
+"""Shared fixtures and test-only oracles.
 
 The degree-2 bivariate arena over F_3 is the most expensive fixture
 (about two seconds to build on a 2-core box), so it is constructed
 once per session through the same cache the check suites use; every
 extraction test and the acceptance round trips then share one instance.
+
+The oracles below are routes no suite takes, kept here for the tests
+that compare against them; test modules import them from `conftest`.
 """
 
 import pytest
@@ -38,3 +41,31 @@ def small_arena3():
     from flagval.reconstruct import Arena
 
     return Arena(FiniteField(3), ("x", "y"), gen_degree=1)
+
+
+def evaluate(p, point):
+    """The value of the Poly p at a point of F_q^n, term by term."""
+    F = p.field
+    total = 0
+    for exp, c in p.coeffs.items():
+        for x, e in zip(point, exp):
+            if e:
+                c = F.mul(c, F.pow(x, e))
+        total = F.add(total, c)
+    return total
+
+
+def reduce_poly(ring, p):
+    """The class of the univariate Poly p in the QuotientRing ring."""
+    return ring._reduce(p.to_dense())
+
+
+def unit_residue(place, f):
+    """(v, r) at a place of F_q(t): the value v of the nonzero f and the
+    residue r of its unit part, the quotient of the residues that
+    `_split` takes off f's numerator and denominator."""
+    num, den = f.dense_parts()
+    a, rn = place._split(num)
+    b, rd = place._split(den)
+    ring = place.ring
+    return a - b, ring.mul(rn, ring.inv(rd))

@@ -44,6 +44,9 @@ def test_construction_normalizes():
     g = RationalFn(Poly.parse(F3, "t", T), Poly.parse(F3, "2*t+2", T))
     assert str(g.den) == "t+1"  # unit pulled into the numerator
     assert g * rt("t+1") == rt("2*t")
+    # the zero has one form, whatever denominator it came from
+    h = rt("t/t+1")
+    assert str(h - h) == "0" and str(g * 0) == "0"
 
 
 def test_construction_errors():
@@ -203,13 +206,14 @@ def test_bivariate_divisor_window():
 def _old_normal_form(num, den):
     """The first univariate normalisation: gcd, exact divisions by
     divmod_univariate, then both parts times the inverse of den's
-    leading coefficient."""
+    leading coefficient; the zero is 0/1."""
     F = num.field
-    if num:
-        g = gcd_univariate(num, den)
-        if g.degree() > 0:
-            num = divmod_univariate(num, g)[0]
-            den = divmod_univariate(den, g)[0]
+    if not num:
+        return num, den._one()
+    g = gcd_univariate(num, den)
+    if g.degree() > 0:
+        num = divmod_univariate(num, g)[0]
+        den = divmod_univariate(den, g)[0]
     lc = den.leading_coeff()
     if lc != 1:
         inv = F.inv(lc)
@@ -263,7 +267,7 @@ SHORTCUT_DRAWS = {2: None, 3: None, 4: (6, 3), 5: (3, 2)}
 def test_univariate_shortcuts_match_the_full_route(q):
     """p/1, -f, f + p, p + f, f - c and c - f skip the gcd in one
     variable; each must give the parts the full route gives.  f ranges
-    over every canonical n/d with deg n, deg d <= 2, the zeros (0, d)
+    over every canonical n/d with deg n, deg d <= 2, the zero 0/1
     included, p over the polynomials of degree <= 2, c over 0..q."""
     F = FiniteField(q)
     polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(q), repeat=3)]
@@ -274,7 +278,7 @@ def test_univariate_shortcuts_match_the_full_route(q):
             f = RationalFn(n, d)
             if _parts(f) == (n.coeffs, d.coeffs):
                 fs.append(f)
-    assert sum(not f for f in fs) == len(dens)
+    assert sum(not f for f in fs) == 1
     for p in polys:
         assert _parts(RationalFn.from_poly(p)) == _full_route(p, p._one())
     for c in range(q):

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagval import flagkit
+from flagval import flagkit, fqlin
 from flagval.errors import InvalidInput, SizeBound
 from flagval.flagkit import (
     CollineationReport,
     FlagVerdict,
     LemmaVerdict,
-    StarMap,
     SubsetTable,
     _bad_strata,
     _flag_chain,
@@ -35,12 +34,12 @@ from flagval.flagkit import (
     prop_equivalence_exhaustive_q2,
     prop_equivalence_random,
     set_partitions,
-    star_condition,
     subset_family,
     subset_table,
     sweep_decomposition_lemma,
 )
 from flagval import projspace
+from flagval.ff import FiniteField
 from flagval.projspace import geometry
 
 FANO = geometry(2, 2)
@@ -532,6 +531,34 @@ def test_lemma_sweep_q2_frozen():
     assert r["counterexample_candidates"] == []
     with pytest.raises(SizeBound):
         sweep_decomposition_lemma(3)
+
+
+@dataclasses.dataclass(frozen=True)
+class StarMap:
+    """Map P^2(F_p) -> R x R given pointwise, R = Z/modulus."""
+
+    p: int
+    modulus: int
+    pairs: tuple[tuple[int, int], ...]
+
+
+def star_condition(m: StarMap, with_witness: bool = False):
+    """(*) by rank, the oracle of the collineation sweep: True when every
+    line's image lies on an affine line over R.
+
+    Equivalent to every (value, value, 1) row matrix having rank <= 2
+    over F_modulus; any nonzero kernel vector then has a nonzero linear
+    part automatically, so no separate nontriviality check is needed.
+    """
+    geom = geometry(2, m.p)
+    R = FiniteField(m.modulus)
+    if len(m.pairs) != len(geom.points):
+        raise InvalidInput("pair list does not match the point count")
+    for line in geom.lines:
+        rows = [[m.pairs[i][0] % m.modulus, m.pairs[i][1] % m.modulus, 1] for i in line]
+        if fqlin.rank(R, rows) > 2:
+            return (False, line) if with_witness else False
+    return (True, None) if with_witness else True
 
 
 def test_star_condition_explicit():

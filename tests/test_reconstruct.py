@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -595,3 +598,37 @@ def test_roundtrip_evaluates_psi_once_per_point(monkeypatch):
         "verify_theorem_conclusions": 450,
     }
     assert sum(callers.values()) == 1779
+
+
+_COMBINE_COUNT = """
+from flagval import intlin
+from flagval.suites import SuiteConfig, run_suite
+
+calls = [0]
+combine = intlin.RowLattice._combine
+
+
+def counted(v, p, k):
+    calls[0] += 1
+    return combine(v, p, k)
+
+
+intlin.RowLattice._combine = staticmethod(counted)
+run_suite(SuiteConfig(suite="reconstruct-roundtrip", q=2, arena_deg=2, place="curve:x^2+y", samples=50))
+print(calls[0])
+"""
+
+
+def test_unit_lattice_work_does_not_depend_on_the_hash_seed():
+    # the unit classes enter the value-group lattice in catalog order, so
+    # the reduction work is the same under every string-hash seed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    counts = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _COMBINE_COUNT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        counts.add(int(done.stdout.splitlines()[-1]))
+    assert len(counts) == 1, counts

@@ -12,6 +12,7 @@ import random
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_add, gf_factor, gf_mul, gf_mul_ground, gf_pow
 from sympy.polys.matrices import DomainMatrix
@@ -49,7 +50,7 @@ def test_residue_norm_is_the_resultant(p):
     for pi in monic_irreducibles(p, "t", 3):
         if pi.degree() < 2:
             continue
-        ring = QuotientRing._of_factor(pi)
+        ring = QuotientRing(pi)
         elements = list(itertools.product(range(p), repeat=ring.d))
         if len(elements) > 27:
             elements = rng.sample(elements, 8)
@@ -194,3 +195,22 @@ def test_hermite_normal_form_spans_the_lattice_sympy_finds():
         H, _ = intlin.hermite_normal_form(M)
         ours, given = sympy.Matrix(H).T, sympy.Matrix(M).T  # lattice vectors as columns
         assert _contains(sympy_hnf(given), ours) and _contains(sympy_hnf(ours), given), M
+
+
+def test_smith_normal_form_diagonal_is_the_invariant_factors():
+    # the diagonal against sympy's invariant factors, which it pads with
+    # zeros to min(rows, cols), on seeded integer matrices of up to 5x5,
+    # many of low rank, so the row and column operations run
+    rng = random.Random(7)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:  # a product through k columns: rank <= k
+            k = rng.randint(0, min(rows, cols))
+            A = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+            B = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+            M = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+        else:
+            M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        diag, _ = intlin.smith_normal_form(M, cols)
+        theirs = invariant_factors(sympy.Matrix(M), domain=ZZ)
+        assert diag + [0] * (min(rows, cols) - len(diag)) == [int(d) for d in theirs], M

@@ -32,6 +32,8 @@ from flagval.valuations import (
     valuation_flag_structure,
 )
 
+from conftest import evaluate, reduce_poly, unit_residue
+
 F3 = FiniteField(3)
 F5 = FiniteField(5)
 T = ("t",)
@@ -60,8 +62,8 @@ def test_finite_place_values():
 def test_finite_place_residue():
     p = FinitePlace(Poly.parse(F3, "t", T))
     # a unit's residue is its value at the point
-    assert p.unit_residue(rt("t+2/t+1")) == (0, 2)
-    assert p.unit_residue(rt("t")) == (1, 1)
+    assert unit_residue(p, rt("t+2/t+1")) == (0, 2)
+    assert unit_residue(p, rt("t")) == (1, 1)
 
 
 def _ring_cases():
@@ -92,7 +94,7 @@ def test_quotient_ring_matches_polynomial_arithmetic():
             assert len(c) == d
             assert divide_exact(lift(a) * lift(b) - lift(c), pi) is not None, (a, b, c)
             big = lift(a) * lift(b) * lift(b)
-            r = ring.from_poly(big)
+            r = reduce_poly(ring, big)
             assert len(r) == d
             assert divide_exact(big - lift(r), pi) is not None, (a, b, r)
 
@@ -104,7 +106,7 @@ def test_finite_place_deg2():
     assert p.val(rt("t^2+1/t")) == 1
     assert p.val(rt("t^4+2*t^2+1")) == 2
     # the residue of t generates the quadratic residue ring
-    v, r = p.unit_residue(rt("t"))
+    v, r = unit_residue(p, rt("t"))
     assert v == 0 and isinstance(p.ring, QuotientRing)
     assert p.ring.mul(r, r) == (2, 0)  # t^2 = -1 mod t^2+1
     with pytest.raises(InvalidInput):
@@ -116,15 +118,15 @@ def test_finite_place_deg2():
 def test_unit_residues():
     p = FinitePlace(Poly.parse(F3, "t", T))
     # t^2 (t+2) / (t+1): value 2, unit part (t+2)/(t+1) = 2 at t = 0
-    assert p.unit_residue(rt("t^3+2*t^2/t+1")) == (2, 2)
-    assert p.unit_residue(rt("t+1/t")) == (-1, 1)
+    assert unit_residue(p, rt("t^3+2*t^2/t+1")) == (2, 2)
+    assert unit_residue(p, rt("t+1/t")) == (-1, 1)
     q2 = FinitePlace(Poly.parse(F3, "t^2+1", T))
-    v, r = q2.unit_residue(rt("t^3+t/t+1"))  # t (t^2+1) / (t+1)
-    assert (v, r) == (1, q2.unit_residue(rt("t/t+1"))[1])
+    v, r = unit_residue(q2, rt("t^3+t/t+1"))  # t (t^2+1) / (t+1)
+    assert (v, r) == (1, unit_residue(q2, rt("t/t+1"))[1])
     inf = InfinitePlace(F3, "t")
-    assert inf.unit_residue(rt("2*t^2+1/t+2")) == (-1, 2)
+    assert unit_residue(inf, rt("2*t^2+1/t+2")) == (-1, 2)
     with pytest.raises(InvalidInput):
-        inf.unit_residue(RationalFn.constant(F3, T, 0))
+        inf.val(RationalFn.constant(F3, T, 0))
 
 
 def test_quotient_ring_pow_of_zero():
@@ -136,7 +138,7 @@ def test_quotient_ring_pow_of_zero():
     assert ring.pow(zero, 0) == ring.one
     with pytest.raises(ZeroDivisionError):
         ring.pow(zero, -1)
-    t = ring.from_poly(Poly.parse(F3, "t", T))
+    t = reduce_poly(ring, Poly.parse(F3, "t", T))
     assert ring.pow(t, 8) == ring.one
     assert ring.mul(ring.pow(t, -1), t) == ring.one
 
@@ -232,7 +234,7 @@ def test_quotient_ring_inv_gf49_quadratics():
     rng = random.Random(49)
     moduli = [pi for pi in monic_irreducibles(49, "t", 2) if pi.degree() == 2]
     for _ in range(300):
-        ring = QuotientRing._of_factor(rng.choice(moduli))
+        ring = QuotientRing(rng.choice(moduli))
         a = (rng.randrange(49), rng.randrange(1, 49))  # nonzero: a unit
         _inv_agrees(ring, a)
 
@@ -259,7 +261,7 @@ def test_quotient_ring_negative_powers_gf49_quadratics():
     rng = random.Random(4949)
     moduli = [pi for pi in monic_irreducibles(49, "t", 2) if pi.degree() == 2]
     for _ in range(200):
-        ring = QuotientRing._of_factor(rng.choice(moduli))
+        ring = QuotientRing(rng.choice(moduli))
         _negative_powers_agree(ring, (rng.randrange(49), rng.randrange(1, 49)))
     with pytest.raises(ZeroDivisionError):
         ring.pow(ring.zero, -1)
@@ -275,7 +277,7 @@ def test_trusted_place_equals_validated(q, max_deg):
         assert (a.pi, a.degree, a.root) == (b.pi, b.degree, b.root)
         if a.degree == 1:
             assert a.ring is b.ring is FiniteField(q)
-            assert pi.evaluate((a.root,)) == 0
+            assert evaluate(pi, (a.root,)) == 0
         else:
             assert a.root is None and b.root is None
             assert a.ring.modulus == b.ring.modulus == pi
@@ -295,17 +297,17 @@ def _first_route_residues(pi):
     root found by search (degree one), or reduced in a validated ring."""
     F = pi.field
     if pi.degree() == 1:
-        (root,) = [(x,) for x in F.elements() if pi.evaluate((x,)) == 0]
-        return lambda num, den: F.div(num.evaluate(root), den.evaluate(root))
+        (root,) = [(x,) for x in F.elements() if evaluate(pi, (x,)) == 0]
+        return lambda num, den: F.div(evaluate(num, root), evaluate(den, root))
     ring = QuotientRing(pi)
-    return lambda num, den: ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
+    return lambda num, den: ring.mul(reduce_poly(ring, num), ring.inv(reduce_poly(ring, den)))
 
 
 def _same_as_first_route(places, fns):
     for place in places:
         residue_of = _first_route_residues(place.pi)
         for f in fns:
-            v, r = place.unit_residue(f)
+            v, r = unit_residue(place, f)
             assert (v, r) == _first_route(place.pi, f, residue_of), (str(f), str(place.pi))
             assert place.val(f) == v
 
@@ -367,16 +369,10 @@ def test_place_values_match_repeated_division_sampled_f49():
 
 def test_place_and_ring_refuse_bad_moduli():
     for text in ["t^2+2", "2*t+1", "2*t^2+2", "1"]:  # reducible, non-monic, constant
-        m = Poly.parse(F3, text, T)
         with pytest.raises(InvalidInput):
-            FinitePlace(m)
-        with pytest.raises(InvalidInput):
-            QuotientRing(m)
-    m = Poly.parse(F3, "x+y", XY)
+            FinitePlace(Poly.parse(F3, text, T))
     with pytest.raises(InvalidInput):
-        FinitePlace(m)
-    with pytest.raises(InvalidInput):
-        QuotientRing(m)
+        FinitePlace(Poly.parse(F3, "x+y", XY))
 
 
 def test_validated_place_factors_once(monkeypatch):
@@ -400,7 +396,7 @@ def test_infinite_place():
     assert p.val(rt("t")) == -1
     assert p.val(rt("1/t^3")) == 3
     assert p.val(rt("t+1/t+2")) == 0
-    assert p.unit_residue(rt("2*t+1/t+2")) == (0, 2)  # leading coefficient ratio
+    assert unit_residue(p, rt("2*t+1/t+2")) == (0, 2)  # leading coefficient ratio
     assert p.degree == 1
 
 
@@ -544,7 +540,7 @@ def test_degree_sum_zero():
 
 def _check_places_against_divisor(f):
     d = to_divisor(f)
-    for g in d.support():
+    for g in d.exps:
         place = InfinitePlace(f.field, f.vars[0]) if g == INF else FinitePlace(g)
         assert place.val(f) == d.exponent(g), (str(f), str(g))
     assert degree_sum(f) == d.deg_sum() + d.exponent(INF) == 0, str(f)
