@@ -114,6 +114,22 @@ def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     raise InvalidInput(f"no irreducible of degree {e} over F_{p}")
 
 
+def power(ring, a, n: int):
+    """a^n by square and multiply in a field or residue ring with `one`,
+    `mul` and `inv`.  A negative n inverts a first, so it needs a unit:
+    `inv` raises ZeroDivisionError on zero.  0^0 = 1 and 0^n = 0."""
+    if n < 0:
+        a = ring.inv(a)
+        n = -n
+    out = ring.one
+    while n:
+        if n & 1:
+            out = ring.mul(out, a)
+        a = ring.mul(a, a)
+        n >>= 1
+    return out
+
+
 class FiniteField:
     """The field with q elements, q a prime power at most 49.
 
@@ -217,18 +233,7 @@ class FiniteField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a = self.inv(a)
-            n = -n
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+    pow = power
 
     def norm(self, a: int) -> int:
         """The norm from F_q to itself: the identity.  With `one`, it lets

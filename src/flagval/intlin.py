@@ -175,30 +175,27 @@ def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], lis
 
 @dataclass
 class AbelianQuotient:
-    """Z^ncols / rowspan, as torsion invariants plus a free part.
+    """Z^ncols modulo a row lattice, as torsion invariants plus a free part.
 
-    coords(x) returns (torsion tuple, free tuple); x is in the lattice
-    iff both parts are all zero.
+    coords(x) takes a sparse {column: value} vector and returns
+    (torsion tuple, free tuple); x is in the lattice iff both parts are
+    all zero.  Columns outside `_kept` are zero in the quotient, so they
+    drop out; `_v` is the Smith column transform of the kept block.
     """
 
-    ncols: int
     torsion: tuple[int, ...]
     free_rank: int
+    _kept: list[int]
     _v: list[list[int]]
     _diag: list[int]
 
-    def coords(self, x: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        y = [sum(x[i] * self._v[i][j] for i in range(self.ncols)) for j in range(self.ncols)]
+    def coords(self, x: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        dense = [x.get(c, 0) for c in self._kept]
+        n = len(dense)
+        y = [sum(dense[i] * self._v[i][j] for i in range(n)) for j in range(n)]
         r = len(self._diag)
         tors = tuple(y[i] % self._diag[i] for i in range(r) if self._diag[i] > 1)
-        free = tuple(y[r:])
-        return tors, free
-
-
-def quotient(ncols: int, rows: list[list[int]]) -> AbelianQuotient:
-    diag, V = smith_normal_form(rows, ncols)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianQuotient(ncols, torsion, ncols - len(diag), V, diag)
+        return tors, tuple(y[r:])
 
 
 class RowLattice:
@@ -213,8 +210,6 @@ class RowLattice:
 
     @staticmethod
     def _combine(v: dict[int, int], p: dict[int, int], k: int) -> dict[int, int]:
-        if k == 0:
-            return v
         out = dict(v)
         for c, x in p.items():
             val = out.get(c, 0) + k * x
@@ -253,17 +248,16 @@ class RowLattice:
                     grew = True
         return grew
 
-    def rows(self) -> list[dict[int, int]]:
-        return [self.pivots[c] for c in sorted(self.pivots)]
-
     def quotient(self, ncols: int) -> AbelianQuotient:
         """Z^ncols modulo this lattice.
 
-        Columns pinned by a +-1 unit pivot are eliminated first (they
-        contribute nothing), so the Smith reduction only sees the small
-        residual block.
+        Columns pinned by a +-1 unit pivot are eliminated first (they are
+        zero in the quotient), so the Smith reduction only sees the
+        residual block.  On every golden round trip that block has no
+        rows, and `smith_normal_form` runs on zero rows; its reduction
+        loop, and the xgcd branch of `add`, are reached only by the tests.
         """
-        rows = self.rows()
+        rows = [self.pivots[c] for c in sorted(self.pivots)]
         unit_cols: set[int] = set()
         changed = True
         while changed:
@@ -285,22 +279,6 @@ class RowLattice:
                 for c, x in live.items():
                     dense[c] = x
                 reduced_rows.append(dense)
-        q = quotient(len(kept), reduced_rows)
-        return _ProjectedQuotient(ncols, q, kept)
-
-
-class _ProjectedQuotient:
-    """Quotient of Z^ncols by a RowLattice, via column elimination."""
-
-    def __init__(self, ncols: int, inner: AbelianQuotient, kept: list[int]):
-        self.ncols = ncols
-        self.torsion = inner.torsion
-        self.free_rank = inner.free_rank
-        self._inner = inner
-        self._kept = kept
-
-    def coords(self, sparse: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # eliminated columns satisfy e_c = 0 in the quotient, so they
-        # simply drop out of the coordinates
-        dense = [sparse.get(c, 0) for c in self._kept]
-        return self._inner.coords(dense)
+        diag, V = smith_normal_form(reduced_rows, len(kept))
+        torsion = tuple(d for d in diag if d > 1)
+        return AbelianQuotient(torsion, len(kept) - len(diag), kept, V, diag)

@@ -39,7 +39,7 @@ def support_places(f: RationalFn, g: RationalFn) -> list:
             else:
                 finite[gen] = None
     # every gen is a monic irreducible factor_univariate returned
-    places = [FinitePlace._of_factor(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
+    places = [FinitePlace(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
     if has_inf:
         places.append(InfinitePlace(f.field, f.vars[0]))
     return places

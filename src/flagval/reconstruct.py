@@ -29,7 +29,7 @@ the report flags rather than silently dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from .errors import (
     ClosureFailure,
@@ -484,47 +484,27 @@ def build_u(arena: Arena, classes: dict) -> UniverseReport:
 # -- integer lattice plumbing -------------------------------------------
 
 
-class _Columns:
-    def __init__(self) -> None:
-        self.index: dict = {}
-
-    def vec(self, d: DivisorRep, grow: bool = True) -> dict[int, int] | None:
-        out: dict[int, int] = {}
-        for g, e in d.exps.items():
-            if not e:
-                continue
-            col = self.index.get(g)
-            if col is None:
-                if not grow:
-                    return None
-                col = len(self.index)
-                self.index[g] = col
-            out[col] = e
-        return out
-
-    @property
-    def ncols(self) -> int:
-        return len(self.index)
-
-
 class _Gamma:
     """Value group of the extracted map: the catalog class group modulo
     the unit subgroup, with an exact coordinate evaluator.
 
     Over two variables every generator is itself a catalog point, so
-    the ambient group is free on the columns and the sparse projected
-    quotient applies.
+    the ambient group is free on the columns, one per generator, and
+    `RowLattice.quotient` applies.
     """
 
     def __init__(self, classes: dict, unit_keys: set) -> None:
-        self.cols = _Columns()
-        self.vecs = {key: self.cols.vec(d) for key, (_, d, _) in classes.items()}
+        self.index: dict = {}
+        self.vecs = {
+            key: {self.index.setdefault(g, len(self.index)): e for g, e in d.exps.items()}
+            for key, (_, d, _) in classes.items()
+        }
         lat = RowLattice()
         # catalog order: set order, and so the lattice work, moves with the hash seed
         for key in classes:
             if key in unit_keys:
                 lat.add(self.vecs[key])
-        P = lat.quotient(self.cols.ncols)
+        P = lat.quotient(len(self.index))
         self._coords_of = P.coords
         self.free_rank = P.free_rank
         self.torsion = tuple(P.torsion)
@@ -542,10 +522,9 @@ class _Gamma:
         key = d.class_key()
         if key in self.vecs:
             return self.nu_key(key)
-        v = self.cols.vec(d, grow=False)
-        if v is None:
+        if not self.index.keys() >= d.exps.keys():
             return None
-        return self._coords_of(v)
+        return self._coords_of({self.index[g]: e for g, e in d.exps.items()})
 
 
 def _is_zero(coords) -> bool:
@@ -573,21 +552,9 @@ class ReconstructionResult:
     nu: object = None  # callable on functions/divisors; not serialized
 
     def to_json_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "case": self.case,
-            "arena": self.arena,
-            "o_units_sample": list(self.o_units_sample),
-            "o_units_size": self.o_units_size,
-            "gamma_rank": self.gamma_rank,
-            "gamma_torsion": list(self.gamma_torsion),
-            "generator": self.generator,
-            "orientation": self.orientation,
-            "hypothesis_held": self.hypothesis_held,
-            "lemma_checks": self.lemma_checks,
-            "flags": self.flags,
-            "notes": list(self.notes),
-        }
+        """Every field but `nu`, in field order, tuples as lists."""
+        obj = {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "nu"}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in obj.items()}
 
 
 def _collect_point_classes(psi: PsiMap, arena: Arena) -> dict:

@@ -24,6 +24,7 @@ from . import flagkit
 from .errors import InvalidConfig, SizeBound, UnknownSuite
 from .ff import FiniteField
 from .fields import RationalFn
+from .intlin import kernel_basis
 from .milnork import steinberg_check, support_places, tame_symbol, weil_reciprocity_check
 from .poly import Poly, _from_dense, monic_irreducibles
 from .reconstruct import Arena, build_psi_from_valuation, extract_valuation, verify_theorem_conclusions
@@ -38,7 +39,7 @@ from .valuations import (
     valuation_flag_structure,
 )
 from .weil import WeilElement, c_pair_test, find_supporting_valuation, is_inertia, solve_inertia
-from .weil import unit_lattice_basis, value_matrix
+from .weil import value_matrix
 
 REPORT_VERSION = 1
 WITNESS_CAP = 5
@@ -97,6 +98,10 @@ def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     mode = cfg.mode or fn.modes[0]
     if mode not in fn.modes:
         raise InvalidConfig(f"suite {suite!r} supports modes {fn.modes}, got {mode!r}")
+    # collineation sweeps P^2(F_p) and reads only p; every other suite reads only q
+    takes, other = ("p", "q") if suite == "collineation" else ("q", "p")
+    if getattr(cfg, other) is not None:
+        raise InvalidConfig(f"suite {suite!r} takes --{takes}, not --{other}")
     # a zero would read as unset in the suites' `cfg.q or 3` defaults,
     # and no mode runs on fewer than one sample
     for knob in ("q", "p", "arena_deg", "samples"):
@@ -330,7 +335,7 @@ def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     bad: list[str] = []
     for place in places:
         values = value_matrix(place, gens)
-        units = unit_lattice_basis(values)
+        units = kernel_basis(values)
         rows = solve_inertia(units, len(gens))
         vv = [v for (v,) in values]
         exact = len(rows) == 1 and (rows[0] == vv or rows[0] == [-x for x in vv])

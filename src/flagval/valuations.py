@@ -21,7 +21,7 @@ f converts it once.
 from __future__ import annotations
 
 from .errors import InvalidInput, UnsupportedResidue
-from .ff import FiniteField
+from .ff import FiniteField, power
 from .fields import INF, RationalFn, to_divisor
 from .flagkit import FlagVerdict, is_flag_map
 from .poly import Poly, _divrem, _multiplicity_dense, _root_multiplicity, is_irreducible, multiplicity
@@ -45,8 +45,7 @@ class QuotientRing:
     """F_q[t]/(pi); elements are coefficient tuples of length deg(pi).
 
     The modulus is trusted to be monic irreducible: every ring is built
-    by `FinitePlace`, whose pi is proved irreducible or is a factor that
-    factor_univariate returned.
+    by `FinitePlace`, which trusts its pi too.
     """
 
     def __init__(self, modulus: Poly) -> None:
@@ -77,24 +76,7 @@ class QuotientRing:
     def mul(self, a, b) -> tuple[int, ...]:
         return self._reduce(_dense_mul(self.field, a, b))
 
-    def pow(self, a, n: int) -> tuple[int, ...]:
-        """a^n for any integer n; a negative n needs a unit, and inverts
-        it first (`inv`, extended Euclid), then raises 1/a to -n."""
-        if n < 0:
-            a = self.inv(a)  # raises ZeroDivisionError on zero
-            n = -n
-        if a == self.zero:
-            return self.zero if n else self.one
-        # units form a group of order q^d - 1
-        n %= self.order - 1
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+    pow = power
 
     def inv(self, a) -> tuple[int, ...]:
         """Inverse by the extended Euclidean algorithm on dense lists.
@@ -173,30 +155,16 @@ class _PlaceOfLine:
 class FinitePlace(_PlaceOfLine):
     """Place of F_q(t) cut out by a monic irreducible polynomial.
 
-    `FinitePlace(pi)` proves pi monic irreducible; `_of_factor` trusts a
-    factor that factor_univariate returned.  Either way the residue ring
-    is built without a second proof.  `ring` is the residue field: at a
+    `FinitePlace(pi)` trusts pi: the suites' fixed places,
+    `monic_irreducibles` and the factors that factor_univariate returned
+    are proved already, and `parse_place` proves a modulus from outside
+    input before it builds the place.  `ring` is the residue field: at a
     degree-one place the FiniteField itself, and the place keeps its
     root and divides by Horner; at a higher-degree place a QuotientRing,
     whose dense modulus is pi's dense list, converted once.
     """
 
     def __init__(self, pi: Poly) -> None:
-        if len(pi.vars) != 1:
-            raise InvalidInput("finite places are univariate")
-        if pi.leading_coeff() != 1 or not is_irreducible(pi):
-            raise InvalidInput(f"{pi} is not monic irreducible")
-        self._set(pi)
-
-    @classmethod
-    def _of_factor(cls, pi: Poly) -> "FinitePlace":
-        """Trusted construction: pi is a monic irreducible factor that
-        factor_univariate returned."""
-        self = object.__new__(cls)
-        self._set(pi)
-        return self
-
-    def _set(self, pi: Poly) -> None:
         self.field = pi.field
         self.vars = pi.vars
         self.pi = pi
@@ -365,9 +333,6 @@ class CompositePlace:
         return (m, self.point.val(r))
 
 
-Place = FinitePlace | InfinitePlace | DivisorialCurve | CompositePlace
-
-
 # -- shared operations -------------------------------------------------
 
 
@@ -412,7 +377,7 @@ def degree_sum(f: RationalFn) -> int:
         if g == INF:
             place = InfinitePlace(f.field, f.vars[0])
         else:
-            place = FinitePlace._of_factor(g)
+            place = FinitePlace(g)
         total += place.degree * place.val_dense(num, den)
     return total
 
@@ -437,7 +402,12 @@ def serialize_place(place) -> str:
 
 
 def parse_place(field: FiniteField, text: str, vars: tuple[str, ...]):
-    """Inverse of serialize_place, e.g. `finite:t^2+1` or `composite:x|y`."""
+    """Inverse of serialize_place, e.g. `finite:t^2+1` or `composite:x|y`.
+
+    The one route from outside input to a finite place: the modulus of a
+    `finite:` spec, and of the point of a `composite:` spec, is proved
+    univariate, monic and irreducible here.
+    """
     text = text.strip()
     if text == "infinite":
         if len(vars) != 1:
@@ -446,19 +416,25 @@ def parse_place(field: FiniteField, text: str, vars: tuple[str, ...]):
     if ":" not in text:
         raise InvalidInput(f"bad place spec {text!r}")
     kind, _, body = text.partition(":")
+    curve = None
     if kind == "finite":
-        return FinitePlace(Poly.parse(field, body, vars))
-    if kind == "curve":
+        pi = Poly.parse(field, body, vars)
+    elif kind == "curve":
         return DivisorialCurve(Poly.parse(field, body, vars))
-    if kind == "composite":
+    elif kind == "composite":
         if "|" not in body:
             raise InvalidInput("composite places are written curve|point")
         curve_text, _, point_text = body.partition("|")
         curve = DivisorialCurve(Poly.parse(field, curve_text, vars))
         rvar = curve.residue_var
         if point_text.strip() == "infinite":
-            point = InfinitePlace(field, rvar)
-        else:
-            point = FinitePlace(Poly.parse(field, point_text, (rvar,)))
-        return CompositePlace(curve, point)
-    raise InvalidInput(f"unknown place kind {kind!r}")
+            return CompositePlace(curve, InfinitePlace(field, rvar))
+        pi = Poly.parse(field, point_text, (rvar,))
+    else:
+        raise InvalidInput(f"unknown place kind {kind!r}")
+    if len(pi.vars) != 1:
+        raise InvalidInput("finite places are univariate")
+    if pi.leading_coeff() != 1 or not is_irreducible(pi):
+        raise InvalidInput(f"{pi} is not monic irreducible")
+    point = FinitePlace(pi)
+    return point if curve is None else CompositePlace(curve, point)

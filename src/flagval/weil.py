@@ -71,11 +71,6 @@ def value_matrix(place, gens) -> list[list[int]]:
     return rows
 
 
-def unit_lattice_basis(rows) -> list[list[int]]:
-    """Basis of the exponent vectors with value 0, from the value rows."""
-    return intlin.kernel_basis(rows)
-
-
 def is_inertia(values, units) -> bool:
     """Does a character with these generator values vanish on every unit
     in the arena span?  By additivity, on the lattice basis `units`."""
@@ -186,7 +181,7 @@ def find_supporting_valuation(
     gvals = gamma.values_on(gens)
     pvals = gamma_p.values_on(gens)
     for place in universe:
-        units = unit_lattice_basis(value_matrix(place, gens))
+        units = intlin.kernel_basis(value_matrix(place, gens))
         a_row = [sum(x * v for x, v in zip(u, gvals)) for u in units]
         b_row = [sum(x * v for x, v in zip(u, pvals)) for u in units]
         combos = intlin.kernel_basis([a_row, b_row]) if units else [[1, 0]]

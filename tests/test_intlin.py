@@ -9,7 +9,6 @@ from flagval.intlin import (
     RowLattice,
     hermite_normal_form,
     kernel_basis,
-    quotient,
     smith_normal_form,
     xgcd,
 )
@@ -100,6 +99,28 @@ def test_smith_divisibility(rows):
     assert det in (1, -1)
 
 
+class _DenseQuotient:
+    """Z^ncols / rowspan from the Smith form of the whole dense matrix,
+    with no column elimination: the oracle for `RowLattice.quotient`."""
+
+    def __init__(self, ncols, rows):
+        self._diag, self._v = smith_normal_form(rows, ncols)
+        self.torsion = tuple(d for d in self._diag if d > 1)
+        self.free_rank = ncols - len(self._diag)
+
+    def coords(self, x):
+        y = [sum(x[i] * row_v[j] for i, row_v in enumerate(self._v)) for j in range(len(x))]
+        r = len(self._diag)
+        return tuple(y[i] % d for i, d in enumerate(self._diag) if d > 1), tuple(y[r:])
+
+
+def _lattice_quotient(ncols, rows):
+    lat = RowLattice()
+    for r in rows:
+        lat.add(dict(enumerate(r)))
+    return lat.quotient(ncols)
+
+
 def _is_member(q, x):
     """x lies in the lattice iff both coordinate parts vanish."""
     tors, free = q.coords(x)
@@ -107,31 +128,31 @@ def _is_member(q, x):
 
 
 def test_quotient_fixed():
-    q = quotient(3, [[1, 0, 0], [0, 2, 0]])
+    q = _lattice_quotient(3, [[1, 0, 0], [0, 2, 0]])
     assert isinstance(q, AbelianQuotient)
     assert q.torsion == (2,)
     assert q.free_rank == 1
-    assert _is_member(q, [1, 0, 0])
-    assert _is_member(q, [3, 2, 0])
-    assert not _is_member(q, [0, 1, 0])
-    assert not _is_member(q, [0, 0, 1])
+    assert _is_member(q, {0: 1})
+    assert _is_member(q, {0: 3, 1: 2})
+    assert not _is_member(q, {1: 1})
+    assert not _is_member(q, {2: 1})
 
     # the quotient is by the exact row span, not its saturation
-    halved = quotient(2, [[2, 4]])
+    halved = _lattice_quotient(2, [[2, 4]])
     assert halved.torsion == (2,) and halved.free_rank == 1
 
-    trivial = quotient(2, [[1, 0], [0, 1]])
+    trivial = _lattice_quotient(2, [[1, 0], [0, 1]])
     assert trivial.torsion == () and trivial.free_rank == 0
 
 
 def test_quotient_coords_additive():
-    q = quotient(3, [[2, 0, 0], [0, 3, 0]])
+    q = _lattice_quotient(3, [[2, 0, 0], [0, 3, 0]])
     assert q.torsion == (6,) and q.free_rank == 1  # Z/2 x Z/3 = Z/6
     a = [1, 1, 1]
     b = [0, 2, 5]
-    ta, fa = q.coords(a)
-    tb, fb = q.coords(b)
-    ts, fs = q.coords([x + y for x, y in zip(a, b)])
+    ta, fa = q.coords(dict(enumerate(a)))
+    tb, fb = q.coords(dict(enumerate(b)))
+    ts, fs = q.coords({i: x + y for i, (x, y) in enumerate(zip(a, b))})
     assert fs == tuple(x + y for x, y in zip(fa, fb))
     # torsion coordinates add modulo their invariant
     for s, x, y, d in zip(ts, ta, tb, q.torsion):
@@ -146,7 +167,7 @@ def test_row_lattice_matches_quotient():
     assert _is_member(sparse, {0: 1, 1: 1})
     assert _is_member(sparse, {0: 2, 1: 4, 2: 2})
     assert not _is_member(sparse, {0: 1})
-    dense = quotient(3, [[1, 1, 0], [0, 2, 2]])
+    dense = _DenseQuotient(3, [[1, 1, 0], [0, 2, 2]])
     # membership agrees with the dense quotient on a grid of vectors
     for a in range(-2, 3):
         for b in range(-2, 3):
@@ -203,6 +224,12 @@ def test_smith_agrees_with_hermite(rows):
         for d in diag:
             snf_index *= d
         assert snf_index == abs(index)
-    Q = quotient(n, rows)
+    Q = _DenseQuotient(n, rows)
     assert Q.torsion == tuple(d for d in diag if d > 1)
     assert Q.free_rank == n - len(basis)
+    # the row lattice, with its unit columns eliminated, has the same
+    # invariants, and the same members on the unit vectors and the rows
+    L = _lattice_quotient(n, rows)
+    assert (L.torsion, L.free_rank) == (Q.torsion, Q.free_rank)
+    for x in [[int(i == j) for j in range(n)] for i in range(n)] + rows:
+        assert _is_member(L, dict(enumerate(x))) == _is_member(Q, x)

@@ -464,6 +464,9 @@ def test_cli_error_exits(capsys):
     capsys.readouterr()
     assert cli.main(["reconstruct", "--place", "curve:x", "--psi", "from-valuation:curve:y"]) == 2
     assert "conflicting place specs" in capsys.readouterr().err
+    # parse_place proves the point of a composite spec: y^2+2 = (y+1)(y+2) over F_3
+    assert cli.main(["reconstruct", "--place", "composite:x|y^2+2"]) == 2
+    assert "is not monic irreducible" in capsys.readouterr().err
     # int() refuses a string of more than 4,300 digits with a ValueError
     assert cli.main(["reconstruct", "--source", "F" + "9" * 5000 + "(x,y)"]) == 2
     assert capsys.readouterr().err == "flagval: InvalidConfig: source field size too large (5000 digits)\n"
@@ -516,6 +519,15 @@ def test_cli_internal_error_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "flagval: error: KeyError: 'boom'"
+
+
+def test_cli_refuses_the_field_knob_a_suite_does_not_read(capsys):
+    # collineation sweeps P^2(F_p) and reads only --p; every other suite
+    # reads only --q, so the other knob would be echoed and ignored
+    assert cli.main(["collineation", "--q", "7"]) == 2
+    assert capsys.readouterr() == ("", "flagval: InvalidConfig: suite 'collineation' takes --p, not --q\n")
+    assert cli.main(["valuation-axioms", "--p", "5", "--seed", "1", "--samples", "5"]) == 2
+    assert capsys.readouterr() == ("", "flagval: InvalidConfig: suite 'valuation-axioms' takes --q, not --p\n")
 
 
 _FUZZ_CHECKS = ["all", "steinberg", "reciprocity", "worked", "nonsense", ""]

@@ -189,7 +189,7 @@ def test_hermite_normal_form_spans_the_lattice_sympy_finds():
             k = rng.randint(0, min(rows, cols))
             A = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
             B = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
-            M = [[sum(a * b for a, b in zip(r, c)) for c in zip(*B)] for r in A]
+            M = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
         else:
             M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         H, _ = intlin.hermite_normal_form(M)

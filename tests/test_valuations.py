@@ -109,10 +109,10 @@ def test_finite_place_deg2():
     v, r = unit_residue(p, rt("t"))
     assert v == 0 and isinstance(p.ring, QuotientRing)
     assert p.ring.mul(r, r) == (2, 0)  # t^2 = -1 mod t^2+1
-    with pytest.raises(InvalidInput):
-        FinitePlace(Poly.parse(F3, "t^2+2", T))  # reducible
-    with pytest.raises(InvalidInput):
-        FinitePlace(Poly.parse(F3, "2*t+1", T))  # not monic
+    with pytest.raises(InvalidInput, match="is not monic irreducible"):
+        parse_place(F3, "finite:t^2+2", T)  # reducible
+    with pytest.raises(InvalidInput, match="is not monic irreducible"):
+        parse_place(F3, "finite:2*t+1", T)  # not monic
 
 
 def test_unit_residues():
@@ -197,7 +197,7 @@ def test_norm_is_the_frobenius_product_every_element(q):
     # every element of every residue ring of degree 2 and 3
     for pi in monic_irreducibles(q, "t", 3):
         if pi.degree() >= 2:
-            place = FinitePlace._of_factor(pi)
+            place = FinitePlace(pi)
             for a in itertools.product(range(q), repeat=pi.degree()):
                 _norm_and_residue_agree(place, a)
 
@@ -206,7 +206,7 @@ def test_norm_is_the_frobenius_product_gf49_quadratics():
     rng = random.Random(4900)
     moduli = [pi for pi in monic_irreducibles(49, "t", 2) if pi.degree() == 2]
     for pi in rng.sample(moduli, 20):
-        place = FinitePlace._of_factor(pi)
+        place = FinitePlace(pi)
         for _ in range(20):
             _norm_and_residue_agree(place, (rng.randrange(49), rng.randrange(49)))
 
@@ -269,10 +269,11 @@ def test_quotient_ring_negative_powers_gf49_quadratics():
 
 @pytest.mark.parametrize("q,max_deg", [(2, 3), (3, 3), (4, 3), (49, 2)])
 def test_trusted_place_equals_validated(q, max_deg):
+    # the trusted place of a factor against the place parse_place proves
     for pi in monic_irreducibles(q, "t", max_deg):
         _, parts = factor_univariate(pi)
         (g,) = parts
-        a, b = FinitePlace(pi), FinitePlace._of_factor(g)
+        a, b = parse_place(FiniteField(q), f"finite:{pi}", T), FinitePlace(g)
         assert a == b
         assert (a.pi, a.degree, a.root) == (b.pi, b.degree, b.root)
         if a.degree == 1:
@@ -330,7 +331,7 @@ def _exhaustive_fns(F):
 def test_place_values_match_repeated_division_exhaustive(q):
     """Horner at degree-one places and dense division at degree two,
     against the first route, at every place of degree <= 2."""
-    places = [FinitePlace._of_factor(pi) for pi in monic_irreducibles(q, "t", 2)]
+    places = [FinitePlace(pi) for pi in monic_irreducibles(q, "t", 2)]
     _same_as_first_route(places, _exhaustive_fns(FiniteField(q)))
 
 
@@ -342,7 +343,7 @@ def test_dense_value_route_matches_repeated_division(q):
     F = FiniteField(q)
     fns = _exhaustive_fns(F)
     for pi in monic_irreducibles(q, "t", 2):
-        place = FinitePlace._of_factor(pi)
+        place = FinitePlace(pi)
         for f in fns:
             v = multiplicity(f.num, pi)[0] - multiplicity(f.den, pi)[0]
             assert place.val(f) == place.val_dense(f.num.to_dense(), f.den.to_dense()) == v
@@ -364,15 +365,18 @@ def test_place_values_match_repeated_division_sampled_f49():
             )
             if num and den:
                 fns.append(RationalFn(num, den))
-        _same_as_first_route([FinitePlace._of_factor(pi)], fns)
+        _same_as_first_route([FinitePlace(pi)], fns)
 
 
 def test_place_and_ring_refuse_bad_moduli():
     for text in ["t^2+2", "2*t+1", "2*t^2+2", "1"]:  # reducible, non-monic, constant
-        with pytest.raises(InvalidInput):
-            FinitePlace(Poly.parse(F3, text, T))
-    with pytest.raises(InvalidInput):
-        FinitePlace(Poly.parse(F3, "x+y", XY))
+        with pytest.raises(InvalidInput, match="is not monic irreducible"):
+            parse_place(F3, f"finite:{text}", T)
+    # the point of a composite place is proved the same way
+    with pytest.raises(InvalidInput, match="is not monic irreducible"):
+        parse_place(F3, "composite:x|y^2+2", XY)
+    with pytest.raises(InvalidInput, match="finite places are univariate"):
+        parse_place(F3, "finite:x+y", XY)
 
 
 def test_validated_place_factors_once(monkeypatch):
@@ -386,9 +390,12 @@ def test_validated_place_factors_once(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(poly, "factor_univariate", counting)
-    p = FinitePlace(Poly.parse(F3, "t^2+1", T))
+    p = parse_place(F3, "finite:t^2+1", T)
     assert isinstance(p.ring, QuotientRing)
     assert len(calls) == 1
+    comp = parse_place(F3, "composite:x|y^2+1", XY)
+    assert isinstance(comp.point.ring, QuotientRing)
+    assert len(calls) == 2
 
 
 def test_infinite_place():
