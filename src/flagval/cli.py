@@ -103,8 +103,9 @@ def _run(ns: argparse.Namespace) -> int:
         raise InvalidConfig("conflicting suite names given")
     if not suite:
         raise InvalidConfig("a suite name is required")
-    if ns.report and suite_name(suite) != "reconstruct-roundtrip":
-        raise InvalidConfig("--report applies to the round-trip suite only")
+    for flag in ("report", "source"):
+        if getattr(ns, flag) and suite_name(suite) != "reconstruct-roundtrip":
+            raise InvalidConfig(f"--{flag} applies to the round-trip suite only")
     q = ns.q
     place = ns.place
     if ns.psi:

@@ -10,11 +10,12 @@ factoring window of the poly layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import fqlin
 from .errors import InvalidInput
 from .ff import FiniteField
-from .poly import Poly, divmod_univariate, factor, gcd_univariate
+from .poly import Poly, _dense_mul, _from_dense, divmod_univariate, factor, gcd_univariate
 
 INF = "inf"
 _RESERVED_NAMES = (INF, "unit")
@@ -25,21 +26,26 @@ class RationalFn:
 
     Canonical form: common factors cancelled (always in one variable;
     in two variables only when both parts fit the factoring window) and
-    the denominator's leading coefficient moved into the numerator.  In
-    one variable gcd_univariate finds the common factor,
-    divmod_univariate divides it out of both parts, and a denominator
-    that is not monic is rescaled by one trusted `Poly._make` per part.
+    the denominator's leading coefficient moved into the numerator.
     `RationalFn._make` is the trusted route for a quotient its caller
     knows to be canonical.
 
-    In one variable three routes take `_make` and skip the gcd: p/1
-    (`from_poly`, `constant`), the negation -n/d, and the sum of n/d
-    and a polynomial p, which is (n + p d)/d.  Each keeps d monic, and
-    gcd(n + p d, d) = gcd(n, d) = 1.  The zero has the one form 0/1.
+    In one variable the function lives on dense coefficient tuples,
+    constant term first.  `RationalFn._of_dense` reduces dense parts to
+    lowest terms: gcd_univariate finds the common factor,
+    divmod_univariate divides it out of both parts, a denominator that
+    is not monic is rescaled, and the reduced tuples are kept as
+    `dense_parts()` beside the `Poly`s num and den built from them.
+    The validating constructor, products and general sums take that
+    route on dense lists.
 
-    In one variable `dense_parts()` gives the dense coefficient tuples
-    of num and den, converted on first use and kept, so every place of
-    F_q(t) asked about one f reads the same pair.
+    Three routes take `_make` and skip the gcd: p/1 (`from_poly`,
+    `constant`), the negation -n/d, and the sum of n/d and a polynomial
+    p, which is (n + p d)/d.  Each keeps d monic, and
+    gcd(n + p d, d) = gcd(n, d) = 1.  The zero has the one form 0/1.
+    A function built by `_make` converts its dense parts on first use
+    and keeps them, so every place of F_q(t) asked about one f reads
+    the same pair.
     """
 
     __slots__ = ("num", "den", "_dense")
@@ -54,30 +60,30 @@ class RationalFn:
             raise InvalidInput(f"variable names {_RESERVED_NAMES} are reserved")
         F = num.field
         if len(num.vars) == 1:
-            num, den = _lowest_terms(num, den)
-        else:
-            if num and num.degree() <= 3 and den.degree() <= 3:
-                nu, nparts = factor(num)
-                du, dparts = factor(den)
-                for p in list(nparts):
-                    if p in dparts:
-                        k = min(nparts[p], dparts[p])
-                        nparts[p] -= k
-                        dparts[p] -= k
-                # nu and du are the nonzero units factor split off
-                num = Poly._make(F, num.vars, {(0, 0): nu})
-                for p, k in nparts.items():
-                    if k:
-                        num = num * p**k
-                den = Poly._make(F, den.vars, {(0, 0): du})
-                for p, k in dparts.items():
-                    if k:
-                        den = den * p**k
-            lc = den.leading_coeff()
-            if lc != 1:
-                inv = F.inv(lc)
-                num = num * inv
-                den = den * inv
+            _init_dense(self, F, num.vars[0], num.to_dense(), den.to_dense())
+            return
+        if num and num.degree() <= 3 and den.degree() <= 3:
+            nu, nparts = factor(num)
+            du, dparts = factor(den)
+            for p in list(nparts):
+                if p in dparts:
+                    k = min(nparts[p], dparts[p])
+                    nparts[p] -= k
+                    dparts[p] -= k
+            # nu and du are the nonzero units factor split off
+            num = Poly._make(F, num.vars, {(0, 0): nu})
+            for p, k in nparts.items():
+                if k:
+                    num = num * p**k
+            den = Poly._make(F, den.vars, {(0, 0): du})
+            for p, k in dparts.items():
+                if k:
+                    den = den * p**k
+        lc = den.leading_coeff()
+        if lc != 1:
+            inv = F.inv(lc)
+            num = num * inv
+            den = den * inv
         _init_fn(self, num, den)
 
     @classmethod
@@ -85,6 +91,14 @@ class RationalFn:
         """Trusted construction: num/den is already in canonical form."""
         self = object.__new__(cls)
         _init_fn(self, num, den)
+        return self
+
+    @classmethod
+    def _of_dense(cls, F: FiniteField, var: str, n, d) -> "RationalFn":
+        """n/d in F_q(var) from dense lists of field codes, d nonzero,
+        reduced to lowest terms; trailing zeros are allowed."""
+        self = object.__new__(cls)
+        _init_dense(self, F, var, n, d)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -145,6 +159,8 @@ class RationalFn:
 
     def _coerce(self, other) -> "RationalFn":
         if isinstance(other, RationalFn):
+            if other.field is not self.field or other.vars != self.vars:
+                raise InvalidInput("mixed rational function domains")
             return other
         if isinstance(other, Poly):
             return RationalFn.from_poly(other)
@@ -162,6 +178,10 @@ class RationalFn:
                 return RationalFn._make(self.num + o.num * self.den, self.den)
             if self.den.degree() == 0:
                 return RationalFn._make(o.num + self.num * o.den, o.den)
+            F, add = self.field, self.field._add
+            (a, b), (c, d) = self.dense_parts(), o.dense_parts()
+            num = [add[x][y] for x, y in zip_longest(_dense_mul(F, a, d), _dense_mul(F, c, b), fillvalue=0)]
+            return RationalFn._of_dense(F, self.vars[0], num, _dense_mul(F, b, d))
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -184,6 +204,10 @@ class RationalFn:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if len(self.vars) == 1:
+            F = self.field
+            (a, b), (c, d) = self.dense_parts(), o.dense_parts()
+            return RationalFn._of_dense(F, self.vars[0], _dense_mul(F, a, c), _dense_mul(F, b, d))
         return RationalFn(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -220,25 +244,28 @@ def _init_fn(f: RationalFn, num: Poly, den: Poly) -> None:
     object.__setattr__(f, "_dense", None)
 
 
-def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num/den in one variable with the gcd cancelled and den monic;
-    the zero is 0/1."""
-    F = num.field
-    vars = num.vars
-    if not num:
-        return num, den._one()
-    g = gcd_univariate(num, den)
-    if g.degree() > 0:
-        num = divmod_univariate(num, g)[0]
-        den = divmod_univariate(den, g)[0]
-    lc = den.coeffs[max(den.coeffs)]
-    if lc == 1:
-        return num, den
-    s = F._mul[F._inv[lc]]
-    return (
-        Poly._make(F, vars, {e: s[c] for e, c in num.coeffs.items()}),
-        Poly._make(F, vars, {e: s[c] for e, c in den.coeffs.items()}),
-    )
+def _init_dense(f: RationalFn, F: FiniteField, var: str, n, d) -> None:
+    """Set f to n/d in lowest terms, from dense lists of field codes with
+    d nonzero and trailing zeros allowed: the gcd cancelled, d monic,
+    the zero 0/1, and the reduced lists kept as the dense parts."""
+    n, d = list(n), list(d)
+    for a in (n, d):
+        while a and not a[-1]:
+            a.pop()
+    if not n:
+        d = [1]
+    else:
+        g = gcd_univariate(F, n, d)
+        if len(g) > 1:
+            n = divmod_univariate(F, n, g)[0]
+            d = divmod_univariate(F, d, g)[0]
+        if d[-1] != 1:
+            s = F._mul[F._inv[d[-1]]]
+            n = [s[c] for c in n]
+            d = [s[c] for c in d]
+    object.__setattr__(f, "num", _from_dense(F, var, n))
+    object.__setattr__(f, "den", _from_dense(F, var, d))
+    object.__setattr__(f, "_dense", (tuple(n), tuple(d)))
 
 
 class DivisorRep:

@@ -23,7 +23,7 @@ from functools import reduce
 
 from .errors import InvalidInput
 from .fields import INF, RationalFn, to_divisor
-from .valuations import FinitePlace, InfinitePlace
+from .valuations import InfinitePlace, place_of
 
 
 def support_places(f: RationalFn, g: RationalFn) -> list:
@@ -38,8 +38,9 @@ def support_places(f: RationalFn, g: RationalFn) -> list:
                 has_inf = True
             else:
                 finite[gen] = None
-    # every gen is a monic irreducible factor_univariate returned
-    places = [FinitePlace(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
+    # every gen is a monic irreducible factor_univariate returned, and
+    # place_of keeps one place per gen across checks
+    places = [place_of(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
     if has_inf:
         places.append(InfinitePlace(f.field, f.vars[0]))
     return places

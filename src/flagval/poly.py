@@ -13,12 +13,16 @@ coefficient dict of in-range, nonzero field elements that the kernel
 built itself through the field's op tables.  The hash is computed
 lazily, on the first `hash()`, and `sort_key` is memoised per object.
 
-Univariate arithmetic (division, gcd, multiplicity, factoring) runs on
-dense coefficient lists through the field's op tables, in one division
-kernel and one synthetic-division (Horner) helper, and builds Poly
-objects only for its results.  Univariate factorization is complete and
-goes by roots first: Horner at every field element strips the linear
-factors until the cofactor is quadratic, and a monic quadratic is split
+Univariate arithmetic (product, division, gcd, multiplicity, factoring)
+runs on dense coefficient lists, constant term first, through the
+field's op tables, in one product, one division kernel and one
+synthetic-division (Horner) helper.  `gcd_univariate` and
+`divmod_univariate` take and give dense lists, so a caller that holds
+dense parts (a one-variable `RationalFn`) never converts them; the
+factoring routes build Poly objects only for their results.
+Univariate factorization is complete and goes by roots first: Horner
+at every field element strips the linear factors until the cofactor is
+quadratic, and a monic quadratic is split
 by one lookup in a per-field table of (c1*c2, c1 + c2) -> (c1, c2),
 built once for q and irreducible exactly when absent.  A root-free cubic
 is irreducible, and only a root-free cofactor of degree >= 4 is
@@ -423,26 +427,36 @@ def _divrem(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> tuple[list[in
     return quo, r
 
 
-def divmod_univariate(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of univariate polynomials, g nonzero."""
-    if not g:
+def _dense_mul(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of dense coefficient lists, constant term first; nonzero
+    trimmed inputs give a trimmed product."""
+    add, mul = F._add, F._mul
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            mx = mul[x]
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = add[prod[i + j]][mx[y]]
+    return prod
+
+
+def divmod_univariate(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of dense coefficient lists, constant term
+    first; b must be trimmed and nonzero, and both results are trimmed."""
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    F = f.field
-    var = f.vars[0]
-    q, r = _divrem(F, f.to_dense(), g.to_dense())
-    return _from_dense(F, var, q), _from_dense(F, var, r)
+    return _divrem(F, a, b)
 
 
-def gcd_univariate(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    F = f.field
-    a, b = f.to_dense(), g.to_dense()
+def gcd_univariate(F: FiniteField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Monic gcd of trimmed dense coefficient lists; gcd(0, 0) = []."""
     while b:
         a, b = b, _divrem(F, a, b)[1]
-    if a:
+    if a and a[-1] != 1:
         inv = F._mul[F._inv[a[-1]]]
-        a = [inv[c] for c in a]
-    return _from_dense(F, f.vars[0], a)
+        return [inv[c] for c in a]
+    return list(a)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
@@ -575,7 +589,6 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
                 dense.append(n % q)
                 n //= q
             dense.append(1)
-            f = _from_dense(F, var, dense)
             if d == 1:
                 irreducible = True
             elif d == 2:
@@ -583,9 +596,9 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
             elif d == 3:
                 irreducible = not any(_root_multiplicity(F, dense, r)[0] for r in range(q))
             else:
-                irreducible = all(divmod_univariate(f, g)[1] for g in lower)
+                irreducible = all(divmod_univariate(F, dense, g.to_dense())[1] for g in lower)
             if irreducible:
-                found.append(f)
+                found.append(_from_dense(F, var, dense))
     return tuple(found)
 
 

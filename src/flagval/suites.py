@@ -26,7 +26,7 @@ from .ff import FiniteField
 from .fields import RationalFn
 from .intlin import kernel_basis
 from .milnork import steinberg_check, support_places, tame_symbol, weil_reciprocity_check
-from .poly import Poly, _from_dense, monic_irreducibles
+from .poly import Poly, monic_irreducibles
 from .reconstruct import Arena, build_psi_from_valuation, extract_valuation, verify_theorem_conclusions
 from .valuations import (
     DivisorialCurve,
@@ -46,17 +46,22 @@ WITNESS_CAP = 5
 SAMPLE_CAP = 2_000_000
 
 # name -> suite function; each function carries its allowed modes (the
-# first is the default) and its default sample count as attributes, so a
-# wrapper made with functools.update_wrapper keeps them
+# first is the default), the knobs it reads and its default sample count
+# as attributes, so a wrapper made with functools.update_wrapper keeps them
 SUITES: dict = {}
 
+# the SuiteConfig fields a suite may read besides its mode
+KNOBS = ("q", "p", "seed", "arena_deg", "samples", "check", "place")
 
-def _suite(name: str, modes: tuple[str, ...], samples: int | None = None):
-    """Register a suite.  Suites that draw randomness must be given a seed
-    in sampled mode; samples is the default count for every mode."""
+
+def _suite(name: str, modes: tuple[str, ...], knobs: tuple[str, ...], samples: int | None = None):
+    """Register a suite with the knobs it reads; any other knob that is
+    set is refused.  Suites that draw randomness must be given a seed in
+    sampled mode; samples is the default count for every mode."""
 
     def register(fn):
         fn.modes = modes
+        fn.knobs = knobs
         fn.default_samples = samples
         SUITES[name] = fn
         return fn
@@ -98,10 +103,9 @@ def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     mode = cfg.mode or fn.modes[0]
     if mode not in fn.modes:
         raise InvalidConfig(f"suite {suite!r} supports modes {fn.modes}, got {mode!r}")
-    # collineation sweeps P^2(F_p) and reads only p; every other suite reads only q
-    takes, other = ("p", "q") if suite == "collineation" else ("q", "p")
-    if getattr(cfg, other) is not None:
-        raise InvalidConfig(f"suite {suite!r} takes --{takes}, not --{other}")
+    unread = [k for k in KNOBS if k not in fn.knobs and getattr(cfg, k) is not None]
+    if unread:
+        raise InvalidConfig(f"suite {suite!r} takes {_flags(fn.knobs)}, not {_flags(unread)}")
     # a zero would read as unset in the suites' `cfg.q or 3` defaults,
     # and no mode runs on fewer than one sample
     for knob in ("q", "p", "arena_deg", "samples"):
@@ -120,6 +124,10 @@ def _resolve(cfg: SuiteConfig) -> SuiteConfig:
     return cfg
 
 
+def _flags(knobs) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in knobs)
+
+
 # -- deterministic random elements --------------------------------------
 
 
@@ -130,23 +138,22 @@ def _rng_ints(seed: int):
     return random.Random(seed)
 
 
-def _random_poly(rng, field: FiniteField, var: str, max_deg: int) -> Poly:
-    # randrange(q) draws are field codes, so the trusted builder applies
-    while True:
-        dense = [rng.randrange(field.q) for _ in range(max_deg + 1)]
-        p = _from_dense(field, var, dense)
-        if p:
-            return p
-
-
 def _random_rational(rng, field: FiniteField, var: str, max_deg: int = 2) -> RationalFn:
-    return RationalFn(_random_poly(rng, field, var, max_deg), _random_poly(rng, field, var, max_deg))
+    """n/d from two dense draws of max_deg + 1 field codes, numerator
+    first, each drawn again while it is all zero."""
+    parts = []
+    for _ in range(2):
+        dense = [0]
+        while not any(dense):
+            dense = [rng.randrange(field.q) for _ in range(max_deg + 1)]
+        parts.append(dense)
+    return RationalFn._of_dense(field, var, *parts)
 
 
 # -- individual suites ---------------------------------------------------
 
 
-@_suite("flag-classify", ("exhaustive",))
+@_suite("flag-classify", ("exhaustive",), ("q",))
 def _suite_flag_classify(cfg: SuiteConfig) -> dict:
     q = cfg.q or 2
     census = flagkit.classify_flag_subsets(q)
@@ -164,7 +171,7 @@ def _suite_flag_classify(cfg: SuiteConfig) -> dict:
     }
 
 
-@_suite("prop-flag-map", ("exhaustive", "sampled"), samples=10_000)
+@_suite("prop-flag-map", ("exhaustive", "sampled"), ("q", "seed", "samples"), samples=10_000)
 def _suite_prop_flag_map(cfg: SuiteConfig) -> dict:
     if cfg.mode == "exhaustive":
         q = cfg.q or 2
@@ -193,7 +200,7 @@ def _suite_prop_flag_map(cfg: SuiteConfig) -> dict:
     }
 
 
-@_suite("lemma-p2", ("exhaustive",))
+@_suite("lemma-p2", ("exhaustive",), ("q",))
 def _suite_lemma_p2(cfg: SuiteConfig) -> dict:
     q = cfg.q or 2
     r = flagkit.sweep_decomposition_lemma(q)
@@ -209,7 +216,7 @@ def _suite_lemma_p2(cfg: SuiteConfig) -> dict:
     }
 
 
-@_suite("collineation", ("exhaustive", "sampled"), samples=10_000)
+@_suite("collineation", ("exhaustive", "sampled"), ("p", "seed", "samples"), samples=10_000)
 def _suite_collineation(cfg: SuiteConfig) -> dict:
     p = cfg.p or 3
     rep = flagkit.collineation_analyze(
@@ -245,7 +252,7 @@ def _axiom_places(field: FiniteField):
     return [FinitePlace(lin), FinitePlace(lin1), FinitePlace(deg2), InfinitePlace(field, var)]
 
 
-@_suite("valuation-axioms", ("sampled",), samples=10_000)
+@_suite("valuation-axioms", ("sampled",), ("q", "seed", "samples"), samples=10_000)
 def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     if q > 13:
@@ -316,7 +323,7 @@ def _irreducible_count(q: int, deg: int) -> int:
     return sum((q, (q * q - q) // 2, (q**3 - q) // 3)[:deg])
 
 
-@_suite("weil-inertia", ("exhaustive",))
+@_suite("weil-inertia", ("exhaustive",), ("q", "arena_deg"))
 def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -352,7 +359,7 @@ def _suite_weil_inertia(cfg: SuiteConfig) -> dict:
     }
 
 
-@_suite("c-pairs", ("exhaustive",))
+@_suite("c-pairs", ("exhaustive",), ("q",))
 def _suite_c_pairs(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -416,7 +423,7 @@ def _composite(field: FiniteField):
     return CompositePlace(curve, point)
 
 
-@_suite("ktheory", ("sampled",), samples=1_000)
+@_suite("ktheory", ("sampled",), ("q", "seed", "samples", "check"), samples=1_000)
 def _suite_ktheory(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)
@@ -503,7 +510,7 @@ def _arena(field: FiniteField, vars: tuple[str, ...], deg: int) -> Arena:
     return Arena(field, vars, gen_degree=deg)
 
 
-@_suite("reconstruct-roundtrip", ("exhaustive",), samples=50)  # conclusion sample budget
+@_suite("reconstruct-roundtrip", ("exhaustive",), ("q", "arena_deg", "samples", "place"), samples=50)  # conclusion sample budget
 def _suite_reconstruct(cfg: SuiteConfig) -> dict:
     q = cfg.q or 3
     field = FiniteField(q)

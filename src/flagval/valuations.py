@@ -14,31 +14,23 @@ into F_q[t]/(pi) at higher degree); at infinity it is (-deg a, lc(a)).
 `unit_residue(f) -> (v, r)`: the value of f and the restriction of its
 unit part to the curve, by substituting the graph.  Every check at a
 place of F_q(t) reads the dense parts that `RationalFn.dense_parts()`
-converts once per function and keeps, so asking many places about one
-f converts it once.
+keeps, so asking many places about one f converts it at most once.
+This module owns the places of F_q(t): `place_of(pi)` builds one
+FinitePlace per modulus and keeps the last 64, so `degree_sum` and
+`milnork.support_places` share a place across checks.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InvalidInput, UnsupportedResidue
 from .ff import FiniteField, power
-from .fields import INF, RationalFn, to_divisor
+from .fields import RationalFn
 from .flagkit import FlagVerdict, is_flag_map
-from .poly import Poly, _divrem, _multiplicity_dense, _root_multiplicity, is_irreducible, multiplicity
+from .poly import Poly, _dense_mul, _divrem, _multiplicity_dense, _root_multiplicity
+from .poly import factor_univariate, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
-
-
-def _dense_mul(F: FiniteField, a, b) -> list[int]:
-    """Product of dense coefficient lists, constant term first."""
-    add, mul = F._add, F._mul
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            mx = mul[x]
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = add[prod[i + j]][mx[y]]
-    return prod
 
 
 class QuotientRing:
@@ -161,7 +153,8 @@ class FinitePlace(_PlaceOfLine):
     input before it builds the place.  `ring` is the residue field: at a
     degree-one place the FiniteField itself, and the place keeps its
     root and divides by Horner; at a higher-degree place a QuotientRing,
-    whose dense modulus is pi's dense list, converted once.
+    whose dense modulus is pi's dense list, converted once.  The checks
+    that meet the same factor again and again ask `place_of(pi)`.
     """
 
     def __init__(self, pi: Poly) -> None:
@@ -195,6 +188,20 @@ class FinitePlace(_PlaceOfLine):
             return k, value
         k, _, r = _multiplicity_dense(self.field, a, self.ring._mod_dense)
         return k, self.ring._pad(r)
+
+
+# more than the distinct moduli of the small-field suites (about 40);
+# over GF(49) most moduli are fresh, and a larger cache would only hold
+# more memory
+PLACE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLACE_CACHE_SIZE)
+def place_of(pi: Poly) -> FinitePlace:
+    """The one FinitePlace of the monic irreducible pi, built on first
+    use and kept in a bounded cache; pi is trusted as FinitePlace
+    trusts it."""
+    return FinitePlace(pi)
 
 
 class InfinitePlace(_PlaceOfLine):
@@ -364,21 +371,19 @@ def degree_sum(f: RationalFn) -> int:
 
     Recomputed place by place with repeated exact division, so it
     cross-checks the factorization route; 0 for every nonzero f.  Every
-    place reads f's kept dense parts, and the sum walks the divisor's
-    generators in any order.
+    place reads f's kept dense parts: the place at infinity, then the
+    place of each irreducible factor of num and den, in any order.
     """
     if len(f.vars) != 1:
         raise InvalidInput("the degree formula is univariate-only")
     if not f:
         raise InvalidInput("the zero element has no divisor")
     num, den = f.dense_parts()
-    total = 0
-    for g in to_divisor(f).exps:
-        if g == INF:
-            place = InfinitePlace(f.field, f.vars[0])
-        else:
-            place = FinitePlace(g)
-        total += place.degree * place.val_dense(num, den)
+    total = InfinitePlace(f.field, f.vars[0]).val_dense(num, den)
+    for part in (f.num, f.den):
+        for g in factor_univariate(part)[1]:
+            place = place_of(g)
+            total += place.degree * place.val_dense(num, den)
     return total
 
 

@@ -204,16 +204,18 @@ def test_bivariate_divisor_window():
 
 
 def _old_normal_form(num, den):
-    """The first univariate normalisation: gcd, exact divisions by
-    divmod_univariate, then both parts times the inverse of den's
-    leading coefficient; the zero is 0/1."""
-    F = num.field
+    """The first univariate normalisation, on Polys: gcd_univariate and
+    the exact divisions by divmod_univariate on the to_dense lists, then
+    both parts times the inverse of den's leading coefficient; the zero
+    is 0/1."""
+    F, var = num.field, num.vars[0]
     if not num:
         return num, den._one()
-    g = gcd_univariate(num, den)
-    if g.degree() > 0:
-        num = divmod_univariate(num, g)[0]
-        den = divmod_univariate(den, g)[0]
+    a, b = num.to_dense(), den.to_dense()
+    g = gcd_univariate(F, a, b)
+    if len(g) > 1:
+        num = Poly.from_dense(F, var, divmod_univariate(F, a, g)[0])
+        den = Poly.from_dense(F, var, divmod_univariate(F, b, g)[0])
     lc = den.leading_coeff()
     if lc != 1:
         inv = F.inv(lc)
@@ -241,21 +243,29 @@ def test_univariate_normalisation_matches_the_old_route(q):
         f = RationalFn(num, den)
         old_num, old_den = _old_normal_form(num, den)
         assert f.num.coeffs == old_num.coeffs and f.den.coeffs == old_den.coeffs, (num, den)
-        cancelled += bool(num) and gcd_univariate(num, den).degree() > 0
+        cancelled += bool(num) and len(gcd_univariate(F, num.to_dense(), den.to_dense())) > 1
         rescaled += den.leading_coeff() != 1
     assert cancelled > 20 and (q == 2 or rescaled > 20)
 
 
 def _full_route(num, den):
-    """The parts the validating constructor gives num/den: _lowest_terms,
-    gcd and all."""
-    f = RationalFn(num, den)
-    return f.num.coeffs, f.den.coeffs
+    """The parts of num/den in the oracle's normal form."""
+    num, den = _old_normal_form(num, den)
+    return num.coeffs, den.coeffs
 
 
 def _parts(f):
     # compared part by part: == cross-multiplies and accepts any pair
     return f.num.coeffs, f.den.coeffs
+
+
+def _canonical_quotients(F):
+    """(polys, fs): every polynomial of degree <= 2 over F, and every
+    canonical n/d with deg n, deg d <= 2, the zero 0/1 included."""
+    polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(F.q), repeat=3)]
+    dens = [d for d in polys if d and d.leading_coeff() == 1]
+    fs = [RationalFn._make(n, d) for n in polys for d in dens if _full_route(n, d) == (n.coeffs, d.coeffs)]
+    return polys, fs
 
 
 # every (f, p) and (f, c) pair over GF(2) and GF(3); over GF(4) and
@@ -266,18 +276,11 @@ SHORTCUT_DRAWS = {2: None, 3: None, 4: (6, 3), 5: (3, 2)}
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_univariate_shortcuts_match_the_full_route(q):
     """p/1, -f, f + p, p + f, f - c and c - f skip the gcd in one
-    variable; each must give the parts the full route gives.  f ranges
-    over every canonical n/d with deg n, deg d <= 2, the zero 0/1
-    included, p over the polynomials of degree <= 2, c over 0..q."""
+    variable; each must give the parts the oracle's normal form gives.
+    f ranges over every canonical n/d with deg n, deg d <= 2, the zero
+    0/1 included, p over the polynomials of degree <= 2, c over 0..q."""
     F = FiniteField(q)
-    polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(q), repeat=3)]
-    dens = [d for d in polys if d and d.leading_coeff() == 1]
-    fs = []
-    for n in polys:
-        for d in dens:
-            f = RationalFn(n, d)
-            if _parts(f) == (n.coeffs, d.coeffs):
-                fs.append(f)
+    polys, fs = _canonical_quotients(F)
     assert sum(not f for f in fs) == 1
     for p in polys:
         assert _parts(RationalFn.from_poly(p)) == _full_route(p, p._one())
@@ -299,6 +302,51 @@ def test_univariate_shortcuts_match_the_full_route(q):
             assert _parts(RationalFn.from_poly(p) + f) == want
         g = rng.choice(fs)  # a general sum keeps the full route
         assert _parts(f + g) == _full_route(n * g.den + g.num * d, d * g.den)
+
+
+def _assert_oracle_parts(h, num, den):
+    """h has the oracle's parts of num/den, dense_parts() holds their
+    dense lists, and a zero is 0/1 and prints 0."""
+    want_num, want_den = _old_normal_form(num, den)
+    assert _parts(h) == (want_num.coeffs, want_den.coeffs), (num, den)
+    assert h.dense_parts() == (tuple(want_num.to_dense()), tuple(want_den.to_dense()))
+    if not h:
+        assert h.dense_parts() == ((), (1,)) and str(h) == "0"
+
+
+def _assert_dense_route(f, g):
+    # f*g and f+g are checked once per unordered pair, f-g both ways
+    (n1, d1), (n2, d2) = (f.num, f.den), (g.num, g.den)
+    _assert_oracle_parts(f * g, n1 * n2, d1 * d2)
+    _assert_oracle_parts(f + g, n1 * d2 + n2 * d1, d1 * d2)
+    _assert_oracle_parts(f - g, n1 * d2 - n2 * d1, d1 * d2)
+    _assert_oracle_parts(g - f, n2 * d1 - n1 * d2, d1 * d2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 49])
+def test_dense_route_matches_the_poly_level_oracle(q):
+    """RationalFn(num, den), f*g, f+g and f-g reduce on dense lists; each
+    must give the parts the Poly-level normalisation gives.  Over GF(2)
+    and GF(3) every pair of polynomials of degree <= 2 and every pair
+    of canonical f, g with deg num, deg den <= 2; above, a seeded draw."""
+    F = FiniteField(q)
+    if q <= 3:
+        polys, fs = _canonical_quotients(F)
+        pairs = itertools.product(polys, [d for d in polys if d])
+        fn_pairs = itertools.combinations_with_replacement(fs, 2)
+    else:
+        rng = random.Random(900 + q)
+        polys = [_dense_poly(F, rng, rng.randint(0, 2)) for _ in range(400)]
+        pairs = [(n, d) for n, d in zip(polys, polys[1:]) if d]
+        fs = [RationalFn(n, d) for n, d in pairs]
+        fn_pairs = [(f, rng.choice(fs)) for f in fs] + [(f, f) for f in fs[:20]]
+    zeros = 0
+    for n, d in pairs:
+        _assert_oracle_parts(RationalFn(n, d), n, d)
+    for f, g in fn_pairs:
+        _assert_dense_route(f, g)
+        zeros += not (f - g)
+    assert zeros >= 20
 
 
 def _old_to_divisor(f):

@@ -73,21 +73,25 @@ def test_report_digest(cfg, digest):
 
 
 def test_reports_do_not_depend_on_factor_cache_state():
-    """Report bytes are the same from a cold factor cache and from one that
-    a GF(49) run has filled and churned: no cache content reaches a report."""
-    from flagval import poly
+    """Report bytes are the same from cold factor and place caches and
+    from ones that a GF(49) run has filled and churned: no cache content
+    reaches a report."""
+    from flagval import poly, valuations
 
-    cached = poly._factor_univariate_cached
+    caches = (poly._factor_univariate_cached, valuations.place_of)
     cfgs = [
         SuiteConfig(suite="valuation-axioms", q=5, seed=15, samples=1000),
         SuiteConfig(suite="ktheory", q=3, seed=15, samples=500),
     ]
     cold = []
     for cfg in cfgs:
-        cached.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
         cold.append(render_report(run_suite(cfg)))
-    cached.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
     run_suite(SuiteConfig(suite="ktheory", q=49, seed=16, samples=400))
-    info = cached.cache_info()
-    assert info.currsize == info.maxsize and info.misses > 2 * info.maxsize  # filled and churned
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize and info.misses > 2 * info.maxsize  # filled and churned
     assert [render_report(run_suite(cfg)) for cfg in cfgs] == cold

@@ -43,6 +43,18 @@ def xy(text, field=F3):
     return Poly.parse(field, text, XY)
 
 
+def _divmod(f, g):
+    """divmod_univariate on the dense lists of f and g, as Polys."""
+    F, var = f.field, f.vars[0]
+    q, r = divmod_univariate(F, f.to_dense(), g.to_dense())
+    return Poly.from_dense(F, var, q), Poly.from_dense(F, var, r)
+
+
+def _gcd(f, g):
+    """gcd_univariate on the dense lists of f and g, as a Poly."""
+    return Poly.from_dense(f.field, f.vars[0], gcd_univariate(f.field, f.to_dense(), g.to_dense()))
+
+
 def test_parse_str_roundtrip():
     for s in ["0", "1", "t", "t^2+2*t+1", "2*t^3+t"]:
         assert str(t_(s)) == s
@@ -152,11 +164,11 @@ def test_evaluate_substitute_map_vars():
 def test_divmod_univariate():
     f = t_("t^4+t+1")
     g = t_("t^2+1")
-    q, r = divmod_univariate(f, g)
+    q, r = _divmod(f, g)
     assert q * g + r == f
     assert r.degree() < g.degree()
     with pytest.raises(ZeroDivisionError):
-        divmod_univariate(f, Poly.zero(F3, T))
+        _divmod(f, Poly.zero(F3, T))
 
 
 @settings(max_examples=40)
@@ -167,17 +179,17 @@ def test_divmod_property(data):
     g = Poly.from_dense(F2, "t", data.draw(dense))
     if not g:
         return
-    q, r = divmod_univariate(f, g)
+    q, r = _divmod(f, g)
     assert q * g + r == f
     assert not r or r.degree() < g.degree()
 
 
 def test_gcd_univariate():
     f = t_("t+1") * t_("t+2")
-    assert gcd_univariate(f, t_("t+1")) == t_("t+1")
-    assert gcd_univariate(f, t_("t")) == t_("1")
+    assert _gcd(f, t_("t+1")) == t_("t+1")
+    assert _gcd(f, t_("t")) == t_("1")
     sq = t_("t+1") ** 2 * t_("t")
-    assert gcd_univariate(sq, t_("t+1") * t_("t")) == t_("t+1") * t_("t")
+    assert _gcd(sq, t_("t+1") * t_("t")) == t_("t+1") * t_("t")
 
 
 def test_divide_exact_and_multiplicity():
@@ -374,7 +386,7 @@ def test_dense_kernels_match_sparse_reference(q, max_deg):
             assert multiplicity(f, g) == (parts[g], divide_exact(f, g ** parts[g]))
         # divmod agrees with the sparse exact quotient
         for h in divisors:
-            quo, rem = divmod_univariate(f, h)
+            quo, rem = _divmod(f, h)
             exact = divide_exact(f, h)
             assert (rem == Poly.zero(F, T)) == (exact is not None)
             if exact is not None:
@@ -382,9 +394,9 @@ def test_dense_kernels_match_sparse_reference(q, max_deg):
             assert quo * h + rem == f
         # the gcd is monic, divides both inputs and has the degree of the
         # common part of the two factorizations
-        assert gcd_univariate(f, prev * f) == f
+        assert _gcd(f, prev * f) == f
         for other in (_derivative(f), prev):
-            g = gcd_univariate(f, other)
+            g = _gcd(f, other)
             assert g.leading_coeff() == 1
             assert divide_exact(f, g) is not None
             if not other:
@@ -399,8 +411,18 @@ def test_dense_kernels_match_sparse_reference(q, max_deg):
 
 def test_gcd_univariate_of_zero():
     zero = Poly.zero(F3, T)
-    assert gcd_univariate(zero, zero) == zero
-    assert gcd_univariate(zero, t_("2*t+1")) == t_("t+2")
+    assert _gcd(zero, zero) == zero
+    assert _gcd(zero, t_("2*t+1")) == t_("t+2")
+
+
+def test_dense_kernels_take_and_give_lists():
+    # t^4+t+1 = (t^2+2)(t^2+1) + t+2 over GF(3), constant term first
+    assert divmod_univariate(F3, [1, 1, 0, 0, 1], [1, 0, 1]) == ([2, 0, 1], [2, 1])
+    assert divmod_univariate(F3, [1, 1], [0, 0, 2]) == ([], [1, 1])
+    with pytest.raises(ZeroDivisionError):
+        divmod_univariate(F3, [1, 1], [])
+    assert gcd_univariate(F3, [], []) == []
+    assert gcd_univariate(F3, [2, 2], [1, 0, 2]) == [1, 1]  # (t+1)(2t+1)
 
 
 # -- trusted internal construction against the validating constructor ----

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from flagval import cli, suites
 from flagval.errors import InvalidConfig, SizeBound, UnknownSuite
 from flagval.ff import FiniteField
+from flagval.fields import RationalFn
+from flagval.poly import Poly
 from flagval.suites import SuiteConfig, render_report, run_suite
 
 REPORT_KEYS = [
@@ -224,6 +227,35 @@ def test_ktheory_worked_only():
     assert rep["witnesses"]["reciprocity_samples"] == 0
 
 
+def _old_random_rational(rng, field, var, max_deg=2):
+    """The first draw: each part a Poly of max_deg + 1 randrange codes,
+    drawn again while zero, numerator first, through the validating
+    constructor."""
+
+    def part():
+        while True:
+            p = Poly.from_dense(field, var, [rng.randrange(field.q) for _ in range(max_deg + 1)])
+            if p:
+                return p
+
+    return RationalFn(part(), part())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 49])
+def test_dense_draws_follow_the_old_stream(q):
+    # the dense draw gives the same functions from the same Mersenne
+    # Twister stream, all-zero redraws included, and leaves it where
+    # the old draw left it
+    F = FiniteField(q)
+    new, old = random.Random(q), random.Random(q)
+    for _ in range(2000):
+        f = suites._random_rational(new, F, "t")
+        g = _old_random_rational(old, F, "t")
+        assert (f.num, f.den) == (g.num, g.den)
+        assert f.dense_parts() == (tuple(g.num.to_dense()), tuple(g.den.to_dense()))
+        assert new.getstate() == old.getstate()
+
+
 def test_render_report_deterministic():
     cfg = SuiteConfig(suite="ktheory", seed=11, samples=60)
     a = render_report(run_suite(cfg))
@@ -247,7 +279,9 @@ def test_suite_table_modes_and_default_samples():
         assert fn.modes and set(fn.modes) <= {"exhaustive", "sampled"}, name
         if "sampled" in fn.modes:
             assert fn.default_samples >= 1, name
-        cfg = suites._resolve(SuiteConfig(suite=name, seed=1))
+        assert fn.knobs and set(fn.knobs) <= set(suites.KNOBS), name
+        assert ("seed" in fn.knobs) == ("sampled" in fn.modes), name
+        cfg = suites._resolve(SuiteConfig(suite=name, seed=1 if "seed" in fn.knobs else None))
         assert cfg.mode == fn.modes[0]
         assert cfg.samples == fn.default_samples
 
@@ -525,9 +559,42 @@ def test_cli_refuses_the_field_knob_a_suite_does_not_read(capsys):
     # collineation sweeps P^2(F_p) and reads only --p; every other suite
     # reads only --q, so the other knob would be echoed and ignored
     assert cli.main(["collineation", "--q", "7"]) == 2
-    assert capsys.readouterr() == ("", "flagval: InvalidConfig: suite 'collineation' takes --p, not --q\n")
+    assert capsys.readouterr() == (
+        "",
+        "flagval: InvalidConfig: suite 'collineation' takes --p, --seed, --samples, not --q\n",
+    )
     assert cli.main(["valuation-axioms", "--p", "5", "--seed", "1", "--samples", "5"]) == 2
-    assert capsys.readouterr() == ("", "flagval: InvalidConfig: suite 'valuation-axioms' takes --q, not --p\n")
+    assert capsys.readouterr() == (
+        "",
+        "flagval: InvalidConfig: suite 'valuation-axioms' takes --q, --seed, --samples, not --p\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["ktheory", "--seed", "1", "--samples", "2", "--place", "curve:x"], "--place"),
+        (["lemma-p2", "--arena-deg", "2"], "--arena-deg"),
+        (["lemma-p2", "--check", "worked"], "--check"),
+        (["c-pairs", "--seed", "3"], "--seed"),
+        (["weil-inertia", "--samples", "5"], "--samples"),
+        (["flag-classify", "--samples", "5"], "--samples"),
+        (["flag-classify", "--seed", "1", "--place", "curve:x"], "--seed, --place"),
+    ],
+)
+def test_cli_refuses_knobs_a_suite_does_not_read(capsys, argv, unread):
+    # a knob the suite never reads would be echoed in the report and
+    # ignored; it is refused at once, naming the knobs the suite takes
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    takes = ", ".join("--" + k.replace("_", "-") for k in suites.SUITES[argv[0]].knobs)
+    assert (out, err) == ("", f"flagval: InvalidConfig: suite {argv[0]!r} takes {takes}, not {unread}\n")
+
+
+@pytest.mark.parametrize("suite", sorted(set(suites.SUITES) - {"reconstruct-roundtrip"}))
+def test_cli_refuses_source_off_the_round_trip(capsys, suite):
+    assert cli.main([suite, "--source", "F3(x,y)"]) == 2
+    assert capsys.readouterr() == ("", "flagval: InvalidConfig: --source applies to the round-trip suite only\n")
 
 
 _FUZZ_CHECKS = ["all", "steinberg", "reciprocity", "worked", "nonsense", ""]
@@ -545,7 +612,9 @@ def test_cli_fuzz_ends_in_a_verdict_or_a_refusal(suite, q, samples, seed, check)
     # every drawn argument list ends in exit 0/1 with a report whose
     # violations match the status, or in exit 2 with a one-line error;
     # exit 3 (a traceback) is a bug
-    argv = [suite, f"--q={q}", f"--samples={samples}", f"--seed={seed}", f"--check={check}"]
+    argv = [suite, f"--q={q}", f"--samples={samples}", f"--seed={seed}"]
+    if suite == "ktheory":  # valuation-axioms refuses --check, which it never reads
+        argv.append(f"--check={check}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

@@ -745,3 +745,36 @@ def test_psi_formula_matches_uniformizer_route(text):
         want = psi._embed_residue(_uniformizer_route(curve, text, f)[1])
         got = psi.formula(f)
         assert got == want and str(got) == str(want), str(f)
+
+
+def test_valuation_axioms_work_counts(monkeypatch):
+    # exact work of one seeded run: the draws, products and general sums
+    # reduce on dense lists without the validating constructor, each
+    # modulus has one place, and only factorisation misses and functions
+    # built by the p/1, -f and f + p shortcuts convert a Poly to a dense
+    # list.  A first run builds the arena, whose functions keep their
+    # dense parts, and the irreducible table; the counted run starts
+    # with cold factor and place caches.
+    from flagval import fields, poly, suites, valuations
+
+    cfg = suites.SuiteConfig(suite="valuation-axioms", q=5, seed=7, samples=1000)
+    suites.run_suite(cfg)
+    poly._factor_univariate_cached.cache_clear()
+    valuations.place_of.cache_clear()
+    counts = {}
+
+    def counted(name, fn):
+        counts[name] = 0
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(FinitePlace, "__init__", counted("FinitePlace", FinitePlace.__init__))
+    monkeypatch.setattr(Poly, "to_dense", counted("to_dense", Poly.to_dense))
+    monkeypatch.setattr(RationalFn, "__init__", counted("RationalFn", RationalFn.__init__))
+    monkeypatch.setattr(fields, "gcd_univariate", counted("gcd", poly.gcd_univariate))
+    assert suites.run_suite(cfg)["violations"] == 0
+    assert counts == {"FinitePlace": 18, "to_dense": 2320, "RationalFn": 0, "gcd": 3825}
