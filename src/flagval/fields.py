@@ -32,23 +32,23 @@ class RationalFn:
 
     In one variable the function lives on dense coefficient tuples,
     constant term first.  `RationalFn._of_dense` reduces dense parts to
-    lowest terms: gcd_univariate finds the common factor,
-    divmod_univariate divides it out of both parts, a denominator that
-    is not monic is rescaled, and the reduced tuples are kept as
-    `dense_parts()` beside the `Poly`s num and den built from them.
-    The validating constructor, products and general sums take that
-    route on dense lists.
+    lowest terms (gcd_univariate, exact division by divmod_univariate,
+    a monic denominator) and keeps the reduced tuples as
+    `dense_parts()`; the validating constructor, products and sums take
+    it.  Such a function makes its `Poly`s num and den only when they
+    are read (printing, factoring a Poly, substitution): `field` and
+    `vars` are slots, and `bool`, negation and sums read dense parts.
 
-    Three routes take `_make` and skip the gcd: p/1 (`from_poly`,
-    `constant`), the negation -n/d, and the sum of n/d and a polynomial
-    p, which is (n + p d)/d.  Each keeps d monic, and
+    Three routes skip the gcd: p/1 (`from_poly`, `constant`, by
+    `_make`), the negation -n/d, and the sum of n/d and a polynomial p,
+    which is (n + p d)/d.  Each keeps d monic, and
     gcd(n + p d, d) = gcd(n, d) = 1.  The zero has the one form 0/1.
     A function built by `_make` converts its dense parts on first use
     and keeps them, so every place of F_q(t) asked about one f reads
     the same pair.
     """
 
-    __slots__ = ("num", "den", "_dense")
+    __slots__ = ("field", "vars", "_num", "_den", "_dense")
     __hash__ = None  # equality is cross-multiplication; no canonical hash
 
     def __init__(self, num: Poly, den: Poly) -> None:
@@ -84,40 +84,46 @@ class RationalFn:
             inv = F.inv(lc)
             num = num * inv
             den = den * inv
-        _init_fn(self, num, den)
+        _init_fn(self, F, num.vars, num, den, None)
 
     @classmethod
     def _make(cls, num: Poly, den: Poly) -> "RationalFn":
         """Trusted construction: num/den is already in canonical form."""
         self = object.__new__(cls)
-        _init_fn(self, num, den)
+        _init_fn(self, num.field, num.vars, num, den, None)
         return self
 
     @classmethod
-    def _of_dense(cls, F: FiniteField, var: str, n, d) -> "RationalFn":
-        """n/d in F_q(var) from dense lists of field codes, d nonzero,
-        reduced to lowest terms; trailing zeros are allowed."""
+    def _of_dense(cls, F: FiniteField, var: str, n, d, coprime: bool = False) -> "RationalFn":
+        """n/d in F_q(var) from dense lists of field codes, d nonzero and
+        trailing zeros allowed, in lowest terms; no gcd when `coprime`."""
         self = object.__new__(cls)
-        _init_dense(self, F, var, n, d)
+        _init_dense(self, F, var, n, d, coprime)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalFn is immutable")
 
     @property
-    def field(self) -> FiniteField:
-        return self.num.field
+    def num(self) -> Poly:
+        """The numerator; a dense-built function makes it on first read."""
+        if self._num is None:
+            object.__setattr__(self, "_num", _from_dense(self.field, self.vars[0], self._dense[0]))
+        return self._num
 
     @property
-    def vars(self) -> tuple[str, ...]:
-        return self.num.vars
+    def den(self) -> Poly:
+        """The denominator; a dense-built function makes it on first read."""
+        if self._den is None:
+            object.__setattr__(self, "_den", _from_dense(self.field, self.vars[0], self._dense[1]))
+        return self._den
 
     def dense_parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(num, den) as dense coefficient tuples, constant term first;
         univariate only, built on first use and kept."""
         parts = self._dense
         if parts is None:
-            parts = (tuple(self.num.to_dense()), tuple(self.den.to_dense()))
+            parts = (tuple(self._num.to_dense()), tuple(self._den.to_dense()))
             object.__setattr__(self, "_dense", parts)
         return parts
 
@@ -150,7 +156,8 @@ class RationalFn:
         return f"RationalFn({self})"
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        parts = self._dense
+        return bool(self._num if parts is None else parts[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
@@ -173,22 +180,19 @@ class RationalFn:
         if o is NotImplemented:
             return NotImplemented
         if len(self.vars) == 1:
-            # n/d + p = (n + p d)/d is in lowest terms (class docstring)
-            if o.den.degree() == 0:
-                return RationalFn._make(self.num + o.num * self.den, self.den)
-            if self.den.degree() == 0:
-                return RationalFn._make(o.num + self.num * o.den, o.den)
             F, add = self.field, self.field._add
             (a, b), (c, d) = self.dense_parts(), o.dense_parts()
             num = [add[x][y] for x, y in zip_longest(_dense_mul(F, a, d), _dense_mul(F, c, b), fillvalue=0)]
-            return RationalFn._of_dense(F, self.vars[0], num, _dense_mul(F, b, d))
+            # n/d + p = (n + p d)/d is in lowest terms (class docstring)
+            return RationalFn._of_dense(F, self.vars[0], num, _dense_mul(F, b, d), len(b) == 1 or len(d) == 1)
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFn":
         if len(self.vars) == 1:
-            return RationalFn._make(-self.num, self.den)
+            n, d = self.dense_parts()
+            return RationalFn._of_dense(self.field, self.vars[0], [self.field._neg[c] for c in n], d, True)
         return RationalFn(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFn":
@@ -238,16 +242,19 @@ class RationalFn:
         return self.num == self.den * c
 
 
-def _init_fn(f: RationalFn, num: Poly, den: Poly) -> None:
-    object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den", den)
-    object.__setattr__(f, "_dense", None)
+def _init_fn(f: RationalFn, F: FiniteField, vars: tuple[str, ...], num, den, dense) -> None:
+    object.__setattr__(f, "field", F)
+    object.__setattr__(f, "vars", vars)
+    object.__setattr__(f, "_num", num)
+    object.__setattr__(f, "_den", den)
+    object.__setattr__(f, "_dense", dense)
 
 
-def _init_dense(f: RationalFn, F: FiniteField, var: str, n, d) -> None:
+def _init_dense(f: RationalFn, F: FiniteField, var: str, n, d, coprime: bool = False) -> None:
     """Set f to n/d in lowest terms, from dense lists of field codes with
-    d nonzero and trailing zeros allowed: the gcd cancelled, d monic,
-    the zero 0/1, and the reduced lists kept as the dense parts."""
+    d nonzero and trailing zeros allowed: the gcd cancelled unless n and
+    d are coprime already, d monic, the zero 0/1, and the reduced lists
+    kept as the dense parts."""
     n, d = list(n), list(d)
     for a in (n, d):
         while a and not a[-1]:
@@ -255,7 +262,7 @@ def _init_dense(f: RationalFn, F: FiniteField, var: str, n, d) -> None:
     if not n:
         d = [1]
     else:
-        g = gcd_univariate(F, n, d)
+        g = [1] if coprime else gcd_univariate(F, n, d)
         if len(g) > 1:
             n = divmod_univariate(F, n, g)[0]
             d = divmod_univariate(F, d, g)[0]
@@ -263,9 +270,7 @@ def _init_dense(f: RationalFn, F: FiniteField, var: str, n, d) -> None:
             s = F._mul[F._inv[d[-1]]]
             n = [s[c] for c in n]
             d = [s[c] for c in d]
-    object.__setattr__(f, "num", _from_dense(F, var, n))
-    object.__setattr__(f, "den", _from_dense(F, var, d))
-    object.__setattr__(f, "_dense", (tuple(n), tuple(d)))
+    _init_fn(f, F, (var,), None, None, (tuple(n), tuple(d)))
 
 
 class DivisorRep:

@@ -16,32 +16,27 @@ lazily, on the first `hash()`, and `sort_key` is memoised per object.
 Univariate arithmetic (product, division, gcd, multiplicity, factoring)
 runs on dense coefficient lists, constant term first, through the
 field's op tables, in one product, one division kernel and one
-synthetic-division (Horner) helper.  `gcd_univariate` and
-`divmod_univariate` take and give dense lists, so a caller that holds
-dense parts (a one-variable `RationalFn`) never converts them; the
-factoring routes build Poly objects only for their results.
-Univariate factorization is complete and goes by roots first: Horner
-at every field element strips the linear factors until the cofactor is
-quadratic, and a monic quadratic is split
-by one lookup in a per-field table of (c1*c2, c1 + c2) -> (c1, c2),
-built once for q and irreducible exactly when absent.  A root-free cubic
-is irreducible, and only a root-free cofactor of degree >= 4 is
-trial-divided by the enumerated monic irreducibles of degree 2 up to
-half its degree.  An input of degree d is refused with
-SizeBound when q^(d//2) exceeds `FACTOR_CANDIDATE_CAP`, whether or not
-it has roots.  Bivariate inputs keep the sparse grlex division; their
+synthetic-division (Horner) helper.  `gcd_univariate`,
+`divmod_univariate` and `factor_dense` take dense lists, so a caller
+that holds dense parts (a one-variable `RationalFn`) never converts
+them; the factoring routes build Poly objects only for their results.
+Univariate factorization is complete and goes by roots first (see
+`factor_univariate`); an input of degree d is refused with SizeBound
+when q^(d//2) exceeds `FACTOR_CANDIDATE_CAP`, whether or not it has
+roots.  Bivariate inputs keep the sparse grlex division; their
 factorization is deliberately windowed to total degree <= 3, where
 reducibility is equivalent to having a linear factor; larger elements
 must arrive pre-factored.
 
-This module owns the factorization caches.  `factor_bivariate` and
-`factor_univariate` each memoise their answer per input, as immutable
-(factor, multiplicity) pairs, and hand each caller a fresh dict.  The
-bivariate cache holds at most `FACTOR_CACHE_SIZE` (4,096) answers; the
-univariate one at most `UNIVARIATE_CACHE_SIZE` (256), which already
-catches most repeats of the small-field suites at a fraction of the
-memory.  Refusals (SizeBound) are raised before the cache and never
-stored.
+This module owns the factorization caches, which hold immutable
+(factor, multiplicity) pairs; `factor` hands each caller a fresh dict.
+The bivariate cache, keyed by the Poly, holds at most
+`FACTOR_CACHE_SIZE` (4,096) answers.  The univariate one is keyed by
+(field, variable, dense tuple), so a Poly and the dense parts of a
+`RationalFn` share its entries, and holds at most
+`UNIVARIATE_CACHE_SIZE` (256), which already catches most repeats of
+the small-field suites at a fraction of the memory.  Refusals
+(SizeBound) are raised before the cache and never stored.
 """
 
 from __future__ import annotations
@@ -618,20 +613,28 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     root-free cofactor of degree >= 4 is trial-divided by the monic
     irreducibles of degree 2 up to half its degree.  The factors are
     listed in the order of monic_irreducibles (degree, then code), with
-    a leftover irreducible last.  Raises SizeBound when q^(deg f // 2) exceeds
-    FACTOR_CANDIDATE_CAP (10,000), for example degree 6 and up over
-    GF(49): the number of candidate divisors trial division could need
-    at that degree.  Answers come from a per-input cache of at most
-    UNIVARIATE_CACHE_SIZE (256) entries, not the bivariate
-    FACTOR_CACHE_SIZE (4,096): the valuation checks repeat a few hundred
-    small inputs, and 256 entries catch nearly as many repeats as 4,096
-    while holding a sixteenth of the memory.  Each call gets its own
-    dict, which the caller may change.
+    a leftover irreducible last.  Raises SizeBound, before a dense list
+    exists, when q^(deg f // 2) exceeds FACTOR_CANDIDATE_CAP (10,000),
+    the candidate divisors trial division could need (degree 6 and up
+    over GF(49)).  The answer comes from the cache `factor_dense` reads,
+    keyed by f's dense tuple, in a fresh dict the caller may change.
     """
     if not f:
         raise InvalidInput("cannot factor the zero polynomial")
-    q = f.field.q
-    d = max(f.coeffs)[0]  # read before a dense list of length d + 1 exists
+    _refuse_past_cap(f.field.q, max(f.coeffs)[0])
+    unit, parts = _factor_univariate_cached(f.field, f.vars[0], tuple(f.to_dense()))
+    return unit, dict(parts)
+
+
+def factor_dense(F: FiniteField, var: str, a: tuple[int, ...]) -> tuple[int, tuple[tuple[Poly, int], ...]]:
+    """factor_univariate of the nonzero trimmed dense tuple a in `var`,
+    as the cached (unit, ((factor, multiplicity), ...)), with no Poly in
+    between; refused past the same cap."""
+    _refuse_past_cap(F.q, len(a) - 1)
+    return _factor_univariate_cached(F, var, a)
+
+
+def _refuse_past_cap(q: int, d: int) -> None:
     # q >= 2, so q^k > FACTOR_CANDIDATE_CAP once k reaches its bit length;
     # clamping k keeps the power small for huge degrees
     if q ** min(d // 2, FACTOR_CANDIDATE_CAP.bit_length()) > FACTOR_CANDIDATE_CAP:
@@ -639,28 +642,17 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
             f"factoring degree {d} over GF({q}) could need {q}^{d // 2} candidate divisors; "
             f"the cap is {FACTOR_CANDIDATE_CAP}"
         )
-    unit, parts = _factor_univariate_cached(f)
-    return unit, dict(parts)
 
 
 @lru_cache(maxsize=UNIVARIATE_CACHE_SIZE)
-def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...]]:
-    # roots first: t + c divides f exactly when -c is a root, so Horner
-    # at -c for every code c strips the linear factors in code order,
-    # until the cofactor has degree <= 2.  A monic quadratic cofactor is
-    # split by one lookup in _split_quadratics: Horner found no root at
-    # the codes it tried, so the roots of the lookup come after them in
-    # code order, and a miss is irreducible.  A root-free cofactor of
-    # degree 3 is irreducible; only a larger one is trial-divided, by the
-    # irreducibles of degree 2 up to half its degree, enumerated only
-    # then.  The answer as immutable pairs, in the order of
-    # monic_irreducibles with the leftover last
-    unit, f = f.make_canonical()
-    F = f.field
+def _factor_univariate_cached(F: FiniteField, var: str, a: tuple[int, ...]) -> tuple[int, tuple[tuple[Poly, int], ...]]:
+    # the route factor_univariate describes; t + c divides a exactly
+    # when -c is a root, so Horner at each -c strips linear factors in
+    # code order, and the roots a quadratic lookup finds come after them
+    unit = a[-1]
+    scale = F._mul[F._inv[unit]]
+    a = [scale[c] for c in a]
     q = F.q
-    var = f.vars[0]
-    a = f.to_dense()
-    d = len(a) - 1
     linear = monic_irreducibles(q, var, 1)
     out: dict[Poly, int] = {}
     neg = F._neg
@@ -685,7 +677,7 @@ def _factor_univariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...
             if k:
                 out[g] = k
     if len(a) > 1:
-        out[f if len(a) == d + 1 else _from_dense(F, var, a)] = 1
+        out[_from_dense(F, var, a)] = 1
     return unit, tuple(out.items())
 
 

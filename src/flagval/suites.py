@@ -34,6 +34,7 @@ from .valuations import (
     InfinitePlace,
     degree_sum,
     parse_place,
+    place_of,
     serialize_place,
     ultrametric_ok,
     valuation_flag_structure,
@@ -245,11 +246,9 @@ def _suite_collineation(cfg: SuiteConfig) -> dict:
 
 
 def _axiom_places(field: FiniteField):
-    var = "t"
-    lin = Poly.parse(field, var, (var,))
-    lin1 = Poly.parse(field, f"{var}+1", (var,))
-    deg2 = next(p for p in monic_irreducibles(field.q, var, 2) if p.degree() == 2)
-    return [FinitePlace(lin), FinitePlace(lin1), FinitePlace(deg2), InfinitePlace(field, var)]
+    # t, t+1 and the first quadratic, shared with degree_sum by place_of
+    irr = monic_irreducibles(field.q, "t", 2)
+    return [place_of(irr[0]), place_of(irr[1]), place_of(irr[field.q]), InfinitePlace(field, "t")]
 
 
 @_suite("valuation-axioms", ("sampled",), ("q", "seed", "samples"), samples=10_000)

@@ -4,20 +4,20 @@ Four kinds of places: finite and infinite places of the rational
 function field in one variable, divisorial valuations of the plane
 cut out by an irreducible curve, and rank-two composites (curve first,
 then a place of the residue field, values in Z x Z ordered
-lexicographically).  A place of F_q(t) splits each dense part a of f
-once, `_split(a) -> (k, u)`: the value of a and the residue of its unit
-part, in the place's residue field `ring`.  At a finite place that is
-one repeated-division pass, whose last remainder is the residue
-(synthetic division by t - root at a degree-one place, division by pi
-into F_q[t]/(pi) at higher degree); at infinity it is (-deg a, lc(a)).
-`val_dense(num, den)` is two splits.  A graph curve answers
-`unit_residue(f) -> (v, r)`: the value of f and the restriction of its
-unit part to the curve, by substituting the graph.  Every check at a
-place of F_q(t) reads the dense parts that `RationalFn.dense_parts()`
-keeps, so asking many places about one f converts it at most once.
-This module owns the places of F_q(t): `place_of(pi)` builds one
-FinitePlace per modulus and keeps the last 64, so `degree_sum` and
-`milnork.support_places` share a place across checks.
+lexicographically).  A place of F_q(t) splits a dense part a of f,
+`_split(a) -> (k, u)`: the value of a and the residue of its unit part
+in the place's residue field `ring`.  At a finite place that is one
+repeated-division pass, whose last remainder is the residue (Horner by
+t - root at degree one, division by pi into F_q[t]/(pi) above); at
+infinity it is (-deg a, lc(a)).  `val_dense(num, den)` is two splits.
+A graph curve answers `unit_residue(f) -> (v, r)`: the value of f and
+the restriction of its unit part to the curve.  The checks at places
+of F_q(t) read the dense parts that `RationalFn.dense_parts()` keeps.
+
+This module owns the places of F_q(t) and their memos: `place_of(pi)`
+keeps one FinitePlace per modulus, the last 64, for the suites' fixed
+places, `degree_sum` and `milnork.support_places`, and each finite
+place keeps the splits of the last SPLIT_MEMO_SIZE (128) parts it met.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .ff import FiniteField, power
 from .fields import RationalFn
 from .flagkit import FlagVerdict, is_flag_map
 from .poly import Poly, _dense_mul, _divrem, _multiplicity_dense, _root_multiplicity
-from .poly import factor_univariate, is_irreducible, multiplicity
+from .poly import factor_dense, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
 
 
@@ -154,7 +154,8 @@ class FinitePlace(_PlaceOfLine):
     degree-one place the FiniteField itself, and the place keeps its
     root and divides by Horner; at a higher-degree place a QuotientRing,
     whose dense modulus is pi's dense list, converted once.  The checks
-    that meet the same factor again and again ask `place_of(pi)`.
+    that meet the same factor again and again ask `place_of(pi)`, and
+    share its split memo.
     """
 
     def __init__(self, pi: Poly) -> None:
@@ -162,6 +163,7 @@ class FinitePlace(_PlaceOfLine):
         self.vars = pi.vars
         self.pi = pi
         self.degree = pi.degree()
+        self._memo: dict[tuple, tuple] = {}
         if self.degree == 1:
             self.root = self.field.neg(pi.coeffs.get((0,), 0))
             self.ring = self.field
@@ -182,13 +184,23 @@ class FinitePlace(_PlaceOfLine):
         """(k, u): pi^k exactly divides the nonzero dense list a, and u is
         the residue of the cofactor a / pi^k: its value at the root for a
         degree-one place, and otherwise its class in the residue ring,
-        the last remainder of the division pass."""
-        if self.degree == 1:
-            k, _, value = _root_multiplicity(self.field, a, self.root)
-            return k, value
-        k, _, r = _multiplicity_dense(self.field, a, self.ring._mod_dense)
-        return k, self.ring._pad(r)
+        the last remainder of the division pass; memoised, oldest out first."""
+        a = tuple(a)
+        memo = self._memo
+        out = memo.get(a)
+        if out is None:
+            if self.degree == 1:
+                k, _, u = _root_multiplicity(self.field, a, self.root)
+            else:
+                k, _, r = _multiplicity_dense(self.field, a, self.ring._mod_dense)
+                u = self.ring._pad(r)
+            if len(memo) >= SPLIT_MEMO_SIZE:
+                del memo[next(iter(memo))]  # insertion order, not the hash seed, picks it
+            out = memo[a] = k, u
+        return out
 
+
+SPLIT_MEMO_SIZE = 128  # split memo of one place; unbounded, it held about 1 MB more on small-field
 
 # more than the distinct moduli of the small-field suites (about 40);
 # over GF(49) most moduli are fresh, and a larger cache would only hold
@@ -217,11 +229,7 @@ class InfinitePlace(_PlaceOfLine):
         self.ring = field
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, InfinitePlace)
-            and self.field.q == other.field.q
-            and self.vars == other.vars
-        )
+        return isinstance(other, InfinitePlace) and (self.field.q, self.vars) == (other.field.q, other.vars)
 
     def __hash__(self) -> int:
         return hash(("infinite", self.field.q, self.vars))
@@ -323,11 +331,7 @@ class CompositePlace:
         self.vars = curve.vars
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CompositePlace)
-            and self.curve == other.curve
-            and self.point == other.point
-        )
+        return isinstance(other, CompositePlace) and (self.curve, self.point) == (other.curve, other.point)
 
     def __hash__(self) -> int:
         return hash(("composite", self.curve, self.point))
@@ -380,8 +384,8 @@ def degree_sum(f: RationalFn) -> int:
         raise InvalidInput("the zero element has no divisor")
     num, den = f.dense_parts()
     total = InfinitePlace(f.field, f.vars[0]).val_dense(num, den)
-    for part in (f.num, f.den):
-        for g in factor_univariate(part)[1]:
+    for part in (num, den):
+        for g, _ in factor_dense(f.field, f.vars[0], part)[1]:
             place = place_of(g)
             total += place.degree * place.val_dense(num, den)
     return total

@@ -20,7 +20,8 @@ from flagval.fields import (
     from_divisor,
     to_divisor,
 )
-from flagval.poly import Poly, divmod_univariate, factor, gcd_univariate
+from flagval.poly import Poly, divmod_univariate, factor, gcd_univariate, monic_irreducibles
+from flagval.valuations import FinitePlace, InfinitePlace, ultrametric_ok
 from test_fqlin import rref
 
 F3 = FiniteField(3)
@@ -347,6 +348,54 @@ def test_dense_route_matches_the_poly_level_oracle(q):
         _assert_dense_route(f, g)
         zeros += not (f - g)
     assert zeros >= 20
+
+
+def _count_from_dense(monkeypatch):
+    """A list that grows by one for every Poly made from a dense list,
+    by the lazy parts or by the factoring kernel."""
+    from flagval import fields, poly
+
+    made = []
+    real = poly._from_dense
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fields, "_from_dense", counted)
+    monkeypatch.setattr(poly, "_from_dense", counted)
+    return made
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_dense_built_functions_make_their_parts_on_first_read(q, monkeypatch):
+    """A function built from dense lists makes num and den only when they
+    are read, and they are the Polys of its dense parts.  field, vars,
+    bool, -f, f + g and the checks of ultrametric_ok read the dense parts
+    and make no Poly; str, == and to_divisor give what the same quotient
+    built from Polys gives, and the zero prints 0."""
+    F = FiniteField(q)
+    _, fs = _canonical_quotients(F)
+    places = [FinitePlace(pi) for pi in monic_irreducibles(q, "t", 2)] + [InfinitePlace(F, "t")]
+    made = _count_from_dense(monkeypatch)
+    dense = [RationalFn._of_dense(F, "t", *f.dense_parts()) for f in fs]
+    for f in dense:
+        assert f.field is F and f.vars == T and not f + (-f)
+        for g in dense[::7]:
+            if f and g and f + g:
+                ultrametric_ok(places, f, g)
+    assert made == [] and sum(not f for f in dense) == 1
+    for f, by_polys in zip(dense, fs):
+        assert bool(f) == bool(by_polys)
+        n, d = f.dense_parts()
+        before = len(made)
+        assert f.num == Poly.from_dense(F, "t", list(n)) and f.den == Poly.from_dense(F, "t", list(d))
+        assert f.num is f.num and f.den is f.den and len(made) == before + 2  # made once and kept
+        assert str(f) == str(by_polys) and f == by_polys and by_polys == f
+        if f:
+            _same_divisor(to_divisor(f), to_divisor(by_polys))
+        else:
+            assert str(f) == "0"
 
 
 def _old_to_divisor(f):

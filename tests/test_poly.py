@@ -582,11 +582,10 @@ def _univariate_cases():
 
 
 def test_univariate_cache_matches_uncached_and_multiplies_back():
-    kernel = poly_module._factor_univariate_cached.__wrapped__
     for f in _univariate_cases():
         first = factor_univariate(f)
         cached = factor_univariate(f)
-        unit, parts = kernel(f)
+        unit, parts = _KERNEL(f)
         assert cached == first == (unit, dict(parts))
         assert list(cached[1].items()) == list(parts)  # same factors, same order
         unit, parts = cached
@@ -683,7 +682,9 @@ def _gf49_factor_sample(n=500):
     return out
 
 
-_KERNEL = poly_module._factor_univariate_cached.__wrapped__
+def _KERNEL(f):
+    """The uncached factoring kernel, on the dense tuple of the Poly f."""
+    return poly_module._factor_univariate_cached.__wrapped__(f.field, f.vars[0], tuple(f.to_dense()))
 
 
 def test_monic_irreducibles_match_trial_division():

@@ -1,7 +1,12 @@
 """Places, valuations, residues, serialization."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +15,11 @@ from hypothesis import strategies as st
 from flagval.errors import FlagvalError, InvalidInput, UnsupportedResidue
 from flagval.ff import FiniteField
 from flagval.fields import INF, RationalFn, to_divisor
+from flagval import poly as poly_module
 from flagval.poly import (
     Poly,
+    _multiplicity_dense,
+    _root_multiplicity,
     divide_exact,
     factor_univariate,
     is_irreducible,
@@ -20,6 +28,7 @@ from flagval.poly import (
 )
 from flagval.projspace import EmbeddedSubspace
 from flagval.valuations import (
+    SPLIT_MEMO_SIZE,
     CompositePlace,
     DivisorialCurve,
     FinitePlace,
@@ -351,6 +360,65 @@ def test_dense_value_route_matches_repeated_division(q):
     for f in fns:
         v = f.den.degree() - f.num.degree()
         assert place.val(f) == place.val_dense(f.num.to_dense(), f.den.to_dense()) == v
+
+
+def _cold_split(place, a):
+    """(k, u) of the nonzero dense list a by one division pass, with no
+    memo: the kernels a cold place calls."""
+    F = place.field
+    if place.degree == 1:
+        k, _, value = _root_multiplicity(F, list(a), place.root)
+        return k, value
+    k, _, r = _multiplicity_dense(F, list(a), place.ring._mod_dense)
+    return k, place.ring._pad(r)
+
+
+def _memo_agrees(pi, parts):
+    """The memoised split of every part at the place of pi equals the cold
+    one on first use, on a repeat (asked with a list) and after the part
+    has been evicted; the memo never holds more than SPLIT_MEMO_SIZE."""
+    place = FinitePlace(pi)
+    q = place.field.q
+    want = [_cold_split(place, a) for a in parts]
+    assert [place._split(a) for a in parts] == want
+    assert len(place._memo) <= SPLIT_MEMO_SIZE
+    assert [place._split(list(a)) for a in parts] == want
+    # SPLIT_MEMO_SIZE fresh parts of degree 8 push every earlier one out
+    filler = [tuple(n // q**i % q for i in range(8)) + (1,) for n in range(SPLIT_MEMO_SIZE)]
+    for a in filler:
+        place._split(a)
+    assert list(place._memo) == filler
+    assert [place._split(a) for a in parts] == want
+    assert len(place._memo) == SPLIT_MEMO_SIZE
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_split_memo_matches_cold_splits_exhaustive(q):
+    # every nonzero dense list of degree <= 4, at every place of degree <= 2
+    parts = [
+        a + (c,)
+        for d in range(5)
+        for a in itertools.product(range(q), repeat=d)
+        for c in range(1, q)
+    ]
+    assert len(parts) == q**5 - 1
+    for pi in monic_irreducibles(q, "t", 2):
+        _memo_agrees(pi, parts)
+
+
+def test_split_memo_matches_cold_splits_sampled_f49():
+    # seeded parts of degree <= 4, many with a planted power of an
+    # irreducible, at every place of degree <= 2 over GF(49)
+    rng = random.Random(4949)
+    places = monic_irreducibles(49, "t", 2)
+    parts = []
+    for _ in range(30):
+        a = [rng.randrange(49) for _ in range(rng.randint(0, 2))] + [rng.randrange(1, 49)]
+        while len(a) < 4:
+            a = poly_module._dense_mul(FiniteField(49), a, rng.choice(places).to_dense())
+        parts.append(tuple(a))
+    for pi in places:
+        _memo_agrees(pi, parts)
 
 
 def test_place_values_match_repeated_division_sampled_f49():
@@ -747,14 +815,18 @@ def test_psi_formula_matches_uniformizer_route(text):
         assert got == want and str(got) == str(want), str(f)
 
 
-def test_valuation_axioms_work_counts(monkeypatch):
-    # exact work of one seeded run: the draws, products and general sums
-    # reduce on dense lists without the validating constructor, each
-    # modulus has one place, and only factorisation misses and functions
-    # built by the p/1, -f and f + p shortcuts convert a Poly to a dense
-    # list.  A first run builds the arena, whose functions keep their
-    # dense parts, and the irreducible table; the counted run starts
-    # with cold factor and place caches.
+def _axiom_work_counts(patch) -> dict:
+    """Exact work of one seeded valuation-axioms run, counted by wrappers
+    that `patch(owner, name, wrapper)` installs.
+
+    The draws, products and sums reduce on dense lists without the
+    validating constructor, each modulus has one place, every place
+    splits a part once while its memo keeps it ("splits" counts the
+    division passes, the memo misses), and a Poly part is made only
+    when something reads it.  A first run builds the arena, whose
+    functions keep their dense parts, and the irreducible table; the
+    counted run starts with cold factor and place caches.
+    """
     from flagval import fields, poly, suites, valuations
 
     cfg = suites.SuiteConfig(suite="valuation-axioms", q=5, seed=7, samples=1000)
@@ -772,9 +844,42 @@ def test_valuation_axioms_work_counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(FinitePlace, "__init__", counted("FinitePlace", FinitePlace.__init__))
-    monkeypatch.setattr(Poly, "to_dense", counted("to_dense", Poly.to_dense))
-    monkeypatch.setattr(RationalFn, "__init__", counted("RationalFn", RationalFn.__init__))
-    monkeypatch.setattr(fields, "gcd_univariate", counted("gcd", poly.gcd_univariate))
+    patch(FinitePlace, "__init__", counted("FinitePlace", FinitePlace.__init__))
+    patch(Poly, "to_dense", counted("to_dense", Poly.to_dense))
+    patch(RationalFn, "__init__", counted("RationalFn", RationalFn.__init__))
+    patch(fields, "gcd_univariate", counted("gcd", poly.gcd_univariate))
+    from_dense = counted("_from_dense", poly._from_dense)
+    patch(poly, "_from_dense", from_dense)
+    patch(fields, "_from_dense", from_dense)
+    for name in ("_root_multiplicity", "_multiplicity_dense"):  # both add to one count
+        patch(valuations, name, counted("splits", getattr(poly, name)))
     assert suites.run_suite(cfg)["violations"] == 0
-    assert counts == {"FinitePlace": 18, "to_dense": 2320, "RationalFn": 0, "gcd": 3825}
+    return counts
+
+
+AXIOM_WORK_COUNTS = {"FinitePlace": 15, "to_dense": 759, "RationalFn": 0, "gcd": 3825, "_from_dense": 836, "splits": 15147}
+
+
+def test_valuation_axioms_work_counts(monkeypatch):
+    assert _axiom_work_counts(monkeypatch.setattr) == AXIOM_WORK_COUNTS
+
+
+_AXIOM_WORK_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_valuations import _axiom_work_counts
+print(json.dumps(_axiom_work_counts(setattr)))
+"""
+
+
+def test_valuation_axioms_work_counts_do_not_depend_on_the_hash_seed():
+    # the split memos evict in insertion order and every cache is keyed
+    # by value, so the counts are the same under every string-hash seed
+    tests = Path(__file__).resolve().parent
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _AXIOM_WORK_SCRIPT, str(tests)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == AXIOM_WORK_COUNTS, seed
