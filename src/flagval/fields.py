@@ -26,30 +26,25 @@ class RationalFn:
 
     Canonical form: common factors cancelled (always in one variable;
     in two variables only when both parts fit the factoring window) and
-    the denominator's leading coefficient moved into the numerator.
-    `RationalFn._make` is the trusted route for a quotient its caller
-    knows to be canonical.
+    the denominator monic.  `_make` is the trusted route for a quotient
+    its caller knows to be canonical.  `==` compares dense parts in one
+    variable, where every function is canonical, and cross-multiplies
+    in two.
 
     In one variable the function lives on dense coefficient tuples,
-    constant term first.  `RationalFn._of_dense` reduces dense parts to
-    lowest terms (gcd_univariate, exact division by divmod_univariate,
-    a monic denominator) and keeps the reduced tuples as
-    `dense_parts()`; the validating constructor, products and sums take
-    it.  Such a function makes its `Poly`s num and den only when they
-    are read (printing, factoring a Poly, substitution): `field` and
-    `vars` are slots, and `bool`, negation and sums read dense parts.
-
-    Three routes skip the gcd: p/1 (`from_poly`, `constant`, by
-    `_make`), the negation -n/d, and the sum of n/d and a polynomial p,
-    which is (n + p d)/d.  Each keeps d monic, and
+    constant term first, kept as `dense_parts()`.  `_of_dense` reduces
+    them to lowest terms (gcd_univariate, exact division by
+    divmod_univariate, a monic denominator) for the validating
+    constructor, products and sums; a `_make`-built function converts
+    its Polys to them once, on first use.  num and den are made only when read
+    (printing, factoring a Poly, substitution).  Three routes skip the
+    gcd and keep d monic: p/1 (`from_poly`, `constant`, an int
+    operand), -n/d, and n/d + p = (n + p d)/d, one product, since
     gcd(n + p d, d) = gcd(n, d) = 1.  The zero has the one form 0/1.
-    A function built by `_make` converts its dense parts on first use
-    and keeps them, so every place of F_q(t) asked about one f reads
-    the same pair.
     """
 
     __slots__ = ("field", "vars", "_num", "_den", "_dense")
-    __hash__ = None  # equality is cross-multiplication; no canonical hash
+    __hash__ = None  # two-variable equality cross-multiplies; no canonical hash
 
     def __init__(self, num: Poly, den: Poly) -> None:
         if not den:
@@ -162,6 +157,8 @@ class RationalFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
+        if len(self.vars) == 1 and other.vars == self.vars and other.field is self.field:
+            return self.dense_parts() == other.dense_parts()  # both canonical
         return self.num * other.den == other.num * self.den
 
     def _coerce(self, other) -> "RationalFn":
@@ -172,7 +169,10 @@ class RationalFn:
         if isinstance(other, Poly):
             return RationalFn.from_poly(other)
         if isinstance(other, int):
-            return RationalFn.constant(self.field, self.vars, self.field.from_int(other))
+            c = self.field.from_int(other)
+            if len(self.vars) == 1:
+                return RationalFn._of_dense(self.field, self.vars[0], [c], [1], True)
+            return RationalFn.constant(self.field, self.vars, c)
         return NotImplemented
 
     def __add__(self, other) -> "RationalFn":
@@ -182,9 +182,12 @@ class RationalFn:
         if len(self.vars) == 1:
             F, add = self.field, self.field._add
             (a, b), (c, d) = self.dense_parts(), o.dense_parts()
-            num = [add[x][y] for x, y in zip_longest(_dense_mul(F, a, d), _dense_mul(F, c, b), fillvalue=0)]
-            # n/d + p = (n + p d)/d is in lowest terms (class docstring)
-            return RationalFn._of_dense(F, self.vars[0], num, _dense_mul(F, b, d), len(b) == 1 or len(d) == 1)
+            if len(b) == 1:
+                (a, b), (c, d) = (c, d), (a, b)
+            poly = len(d) == 1  # n/b + p = (n + p b)/b is in lowest terms (class docstring)
+            ad, bd = (a, b) if poly else (_dense_mul(F, a, d), _dense_mul(F, b, d))
+            num = [add[x][y] for x, y in zip_longest(ad, _dense_mul(F, c, b), fillvalue=0)]
+            return RationalFn._of_dense(F, self.vars[0], num, bd, poly)
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__

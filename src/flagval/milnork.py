@@ -8,7 +8,8 @@ coefficient, so the symbol never asks which kind of place it is at.
 Residues enter only where the partner's exponent is nonzero, and the
 symbol inverts at most once.  The parts are the dense tuples a
 function converts once and keeps, so a check converts f and g once for
-all its places.
+all its places.  The support of {f, g} is read off the same parts, by
+`poly.factor_univariate` and their degrees, with no divisor.
 
 Residues are computed in each place's residue field `place.ring`: the
 FiniteField itself at degree-one and infinite places, a QuotientRing
@@ -22,27 +23,31 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import InvalidInput
-from .fields import INF, RationalFn, to_divisor
+from .fields import RationalFn
+from .poly import factor_univariate
 from .valuations import InfinitePlace, place_of
 
 
 def support_places(f: RationalFn, g: RationalFn) -> list:
-    """Places where f or g has nonzero value, in canonical order."""
+    """Places where f or g has nonzero value: the factors of their dense
+    parts by `Poly.sort_key`, then infinity if a part pair differs in degree."""
     if len(f.vars) != 1 or len(g.vars) != 1:
         raise InvalidInput("symbols are taken in F_q(t)")
+    F, var = f.field, f.vars[0]
     finite: dict = {}
     has_inf = False
     for h in (f, g):
-        for gen in to_divisor(h).exps:
-            if gen == INF:
-                has_inf = True
-            else:
-                finite[gen] = None
-    # every gen is a monic irreducible factor_univariate returned, and
-    # place_of keeps one place per gen across checks
+        if not h:
+            raise InvalidInput("zero has no divisor")
+        num, den = h.dense_parts()
+        has_inf = has_inf or len(num) != len(den)
+        for part in (num, den):
+            for pi, _ in factor_univariate(F, var, part)[1]:
+                finite[pi] = None
+    # in lowest terms every factor of a part has nonzero value
     places = [place_of(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
     if has_inf:
-        places.append(InfinitePlace(f.field, f.vars[0]))
+        places.append(InfinitePlace(F, var))
     return places
 
 
@@ -84,20 +89,14 @@ def tame_symbol(f: RationalFn, g: RationalFn, place):
 
 def steinberg_check(f: RationalFn) -> bool:
     """All tame residues of {f, 1-f} equal 1."""
-    if not f or f == RationalFn.constant(f.field, f.vars, 1):
+    if not f or f.dense_parts() == ((1,), (1,)):
         raise InvalidInput("Steinberg check needs f outside {0, 1}")
     g = 1 - f
-    for place in support_places(f, g):
-        if tame_symbol(f, g, place) != place.ring.one:
-            return False
-    return True
+    return all(tame_symbol(f, g, place) == place.ring.one for place in support_places(f, g))
 
 
 def weil_reciprocity_check(f: RationalFn, g: RationalFn) -> bool:
     """Product over all places of the residue-field norms of the tame
     symbols equals 1 — a global law that exercises every local path."""
-    field = f.field
-    total = 1
-    for place in support_places(f, g):
-        total = field.mul(total, place.ring.norm(tame_symbol(f, g, place)))
-    return total == 1
+    norms = (place.ring.norm(tame_symbol(f, g, place)) for place in support_places(f, g))
+    return reduce(f.field.mul, norms, 1) == 1

@@ -17,9 +17,10 @@ Univariate arithmetic (product, division, gcd, multiplicity, factoring)
 runs on dense coefficient lists, constant term first, through the
 field's op tables, in one product, one division kernel and one
 synthetic-division (Horner) helper.  `gcd_univariate`,
-`divmod_univariate` and `factor_dense` take dense lists, so a caller
-that holds dense parts (a one-variable `RationalFn`) never converts
-them; the factoring routes build Poly objects only for their results.
+`divmod_univariate` and `factor_univariate` take dense lists, so a
+caller that holds dense parts (a one-variable `RationalFn`) never
+converts them; the factoring routes build Poly objects only for their
+results, and `factor` is the one entry that takes a one-variable Poly.
 Univariate factorization is complete and goes by roots first (see
 `factor_univariate`); an input of degree d is refused with SizeBound
 when q^(d//2) exceeds `FACTOR_CANDIDATE_CAP`, whether or not it has
@@ -604,8 +605,9 @@ def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
 FACTOR_CANDIDATE_CAP = 10_000
 
 
-def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
-    """Complete factorization (unit, {monic irreducible: multiplicity}).
+def factor_univariate(F: FiniteField, var: str, a: tuple[int, ...]) -> tuple[int, tuple[tuple[Poly, int], ...]]:
+    """Complete factorization of the nonzero trimmed dense tuple a in
+    `var`, as the cached (unit, ((monic irreducible, multiplicity), ...)).
 
     Linear factors come from the roots, found by Horner at each field
     element down to a quadratic cofactor, which one table lookup splits
@@ -613,23 +615,10 @@ def factor_univariate(f: Poly) -> tuple[int, dict[Poly, int]]:
     root-free cofactor of degree >= 4 is trial-divided by the monic
     irreducibles of degree 2 up to half its degree.  The factors are
     listed in the order of monic_irreducibles (degree, then code), with
-    a leftover irreducible last.  Raises SizeBound, before a dense list
-    exists, when q^(deg f // 2) exceeds FACTOR_CANDIDATE_CAP (10,000),
-    the candidate divisors trial division could need (degree 6 and up
-    over GF(49)).  The answer comes from the cache `factor_dense` reads,
-    keyed by f's dense tuple, in a fresh dict the caller may change.
+    a leftover irreducible last.  Raises SizeBound when
+    q^(deg a // 2) exceeds FACTOR_CANDIDATE_CAP (10,000), the candidate
+    divisors trial division could need (degree 6 and up over GF(49)).
     """
-    if not f:
-        raise InvalidInput("cannot factor the zero polynomial")
-    _refuse_past_cap(f.field.q, max(f.coeffs)[0])
-    unit, parts = _factor_univariate_cached(f.field, f.vars[0], tuple(f.to_dense()))
-    return unit, dict(parts)
-
-
-def factor_dense(F: FiniteField, var: str, a: tuple[int, ...]) -> tuple[int, tuple[tuple[Poly, int], ...]]:
-    """factor_univariate of the nonzero trimmed dense tuple a in `var`,
-    as the cached (unit, ((factor, multiplicity), ...)), with no Poly in
-    between; refused past the same cap."""
     _refuse_past_cap(F.q, len(a) - 1)
     return _factor_univariate_cached(F, var, a)
 
@@ -731,9 +720,15 @@ def _factor_bivariate_cached(f: Poly) -> tuple[int, tuple[tuple[Poly, int], ...]
 
 
 def factor(f: Poly) -> tuple[int, dict[Poly, int]]:
-    if len(f.vars) == 1:
-        return factor_univariate(f)
-    return factor_bivariate(f)
+    """(unit, {irreducible: multiplicity}) of a nonzero Poly in a fresh
+    dict; in one variable refused past the cap before any dense list."""
+    if len(f.vars) != 1:
+        return factor_bivariate(f)
+    if not f:
+        raise InvalidInput("cannot factor the zero polynomial")
+    _refuse_past_cap(f.field.q, max(f.coeffs)[0])
+    unit, parts = factor_univariate(f.field, f.vars[0], tuple(f.to_dense()))
+    return unit, dict(parts)
 
 
 def is_irreducible(f: Poly) -> bool:

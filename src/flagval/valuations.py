@@ -29,7 +29,7 @@ from .ff import FiniteField, power
 from .fields import RationalFn
 from .flagkit import FlagVerdict, is_flag_map
 from .poly import Poly, _dense_mul, _divrem, _multiplicity_dense, _root_multiplicity
-from .poly import factor_dense, is_irreducible, multiplicity
+from .poly import factor_univariate, is_irreducible, multiplicity
 from .projspace import EmbeddedSubspace
 
 
@@ -385,7 +385,7 @@ def degree_sum(f: RationalFn) -> int:
     num, den = f.dense_parts()
     total = InfinitePlace(f.field, f.vars[0]).val_dense(num, den)
     for part in (num, den):
-        for g, _ in factor_dense(f.field, f.vars[0], part)[1]:
+        for g, _ in factor_univariate(f.field, f.vars[0], part)[1]:
             place = place_of(g)
             total += place.degree * place.val_dense(num, den)
     return total

@@ -21,6 +21,8 @@ from flagval.fields import (
     to_divisor,
 )
 from flagval.poly import Poly, divmod_univariate, factor, gcd_univariate, monic_irreducibles
+from flagval.projspace import EmbeddedSubspace
+from flagval.suites import _random_rational
 from flagval.valuations import FinitePlace, InfinitePlace, ultrametric_ok
 from test_fqlin import rref
 
@@ -260,10 +262,11 @@ def _parts(f):
     return f.num.coeffs, f.den.coeffs
 
 
-def _canonical_quotients(F):
-    """(polys, fs): every polynomial of degree <= 2 over F, and every
-    canonical n/d with deg n, deg d <= 2, the zero 0/1 included."""
-    polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(F.q), repeat=3)]
+def _canonical_quotients(F, max_deg=2):
+    """(polys, fs): every polynomial of degree <= max_deg over F, and
+    every canonical n/d with deg n, deg d <= max_deg, the zero 0/1
+    included."""
+    polys = [Poly.from_dense(F, "t", list(c)) for c in itertools.product(range(F.q), repeat=max_deg + 1)]
     dens = [d for d in polys if d and d.leading_coeff() == 1]
     fs = [RationalFn._make(n, d) for n in polys for d in dens if _full_route(n, d) == (n.coeffs, d.coeffs)]
     return polys, fs
@@ -303,6 +306,44 @@ def test_univariate_shortcuts_match_the_full_route(q):
             assert _parts(RationalFn.from_poly(p) + f) == want
         g = rng.choice(fs)  # a general sum keeps the full route
         assert _parts(f + g) == _full_route(n * g.den + g.num * d, d * g.den)
+
+
+def _cross_equal(f, g):
+    """The first equality: f = g iff f.num g.den = g.num f.den."""
+    return f.num * g.den == g.num * f.den
+
+
+def _assert_equality_matches(fns):
+    for f in fns:
+        for g in fns:
+            assert (f == g) == _cross_equal(f, g), (str(f), str(g))
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_univariate_equality_matches_cross_multiplication(q, max_deg):
+    """== compares dense parts in one variable, so every route must give
+    canonical parts: the trusted quotients (the zero 0/1 included), p/1
+    from from_poly, the points of projspace lines l(1, g) made by
+    _make, and the same values built again by the validating
+    constructor, by sums and by int coercions."""
+    F = FiniteField(q)
+    polys, fs = _canonical_quotients(F, max_deg)
+    fns = fs + [RationalFn.from_poly(p) for p in polys]
+    fns += [RationalFn(f.num, f.den) for f in fs] + [f + 0 for f in fs] + [1 - (1 - f) for f in fs]
+    for g in fs[::3]:
+        if not g.is_constant():
+            fns += EmbeddedSubspace.line(g).functions
+    _assert_equality_matches(fns)
+
+
+def test_univariate_equality_matches_cross_multiplication_sampled_f49():
+    # 300 pairs drawn as the ktheory suite draws them, each function with
+    # a second copy from the validating constructor
+    rng = random.Random(4949)
+    F49 = FiniteField(49)
+    for _ in range(300):
+        f, g = _random_rational(rng, F49, "t"), _random_rational(rng, F49, "t")
+        _assert_equality_matches([f, g, RationalFn(f.num, f.den), g - f + f, f - f])
 
 
 def _assert_oracle_parts(h, num, den):

@@ -1,6 +1,7 @@
 """Tame symbols, Steinberg relation and reciprocity."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from flagval import milnork, suites
 from flagval.errors import InvalidInput
 from flagval.ff import FiniteField
-from flagval.fields import RationalFn
+from flagval.fields import INF, RationalFn, to_divisor
 from flagval.milnork import steinberg_check, support_places, tame_symbol, weil_reciprocity_check
 from flagval.poly import Poly, monic_irreducibles
 from flagval.suites import SuiteConfig, run_suite
@@ -196,6 +197,43 @@ def _canonical_fns(q, max_deg):
                 if (f.num, f.den) == (n, d):
                     out.append(f)
     return out
+
+
+def _support_oracle(f, g):
+    """The divisor route of the support: the generators of to_divisor(f)
+    and to_divisor(g), finite ones by Poly.sort_key, infinity last."""
+    finite, inf = {}, False
+    for h in (f, g):
+        for gen in to_divisor(h).exps:
+            if gen == INF:
+                inf = True
+            else:
+                finite[gen] = None
+    places = [FinitePlace(pi) for pi in sorted(finite, key=lambda p: p.sort_key())]
+    return places + [InfinitePlace(f.field, "t")] * inf
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_support_places_match_the_divisor_route_exhaustive(q, max_deg):
+    # every ordered pair of canonical functions: the same places in the
+    # same order, and a zero on either side refused as before
+    fns = _canonical_fns(q, max_deg)
+    for f in fns:
+        for g in fns:
+            assert support_places(f, g) == _support_oracle(f, g), (str(f), str(g))
+    zero = RationalFn.constant(FiniteField(q), ("t",), 0)
+    for pair in ((fns[0], zero), (zero, fns[0])):
+        with pytest.raises(InvalidInput, match="zero has no divisor"):
+            support_places(*pair)
+
+
+def test_support_places_match_the_divisor_route_sampled_f49():
+    # 300 pairs drawn as the ktheory suite draws them, parts of degree <= 2
+    rng = random.Random(4949)
+    F49 = FiniteField(49)
+    for _ in range(300):
+        f, g = suites._random_rational(rng, F49, "t"), suites._random_rational(rng, F49, "t")
+        assert support_places(f, g) == _support_oracle(f, g), (str(f), str(g))
 
 
 @pytest.mark.parametrize("q,max_deg", [(2, 1), (3, 1), (4, 1), (2, 2)])

@@ -17,7 +17,6 @@ from flagval.poly import (
     divmod_univariate,
     factor,
     factor_bivariate,
-    factor_univariate,
     gcd_univariate,
     irreducible_canonicals_bivariate,
     is_irreducible,
@@ -218,13 +217,13 @@ def test_monic_irreducibles_f2_deg3():
 
 
 def test_factor_univariate():
-    unit, parts = factor_univariate(t_("t^3+1"))
+    unit, parts = factor(t_("t^3+1"))
     assert unit == 1 and parts == {t_("t+1"): 3}
-    unit, parts = factor_univariate(t_("2*t^2+2"))
+    unit, parts = factor(t_("2*t^2+2"))
     assert unit == 2 and parts == {t_("t^2+1"): 1}
     # reassembly
     f = t_("t^5+t^3+2*t+1")
-    unit, parts = factor_univariate(f)
+    unit, parts = factor(f)
     out = Poly.constant(F3, T, unit)
     for g, e in parts.items():
         assert is_irreducible(g)
@@ -247,12 +246,12 @@ def test_factor_univariate_candidate_cap():
     start = time.perf_counter()
     for f in refused + refused:  # a refusal is not cached: the repeat is refused again
         with pytest.raises(SizeBound):
-            factor_univariate(f)
+            factor(f)
     assert time.perf_counter() - start < 1.0
     assert poly_module._factor_univariate_cached.cache_info() == before
     # degree 5 (49^2 candidates) still factors completely
     f5 = Poly.from_dense(F49, "t", [7, 0, 1]) * Poly.from_dense(F49, "t", [2, 30, 0, 1])
-    unit, parts = factor_univariate(f5)
+    unit, parts = factor(f5)
     out = Poly.constant(F49, T, unit)
     for g, e in parts.items():
         assert is_irreducible(g)
@@ -366,7 +365,7 @@ def test_dense_kernels_match_sparse_reference(q, max_deg):
     divisors = monic_irreducibles(q, "t", 2 if q < 9 else 1)
     prev = Poly.constant(F, T, 1)
     for f in polys:
-        unit, parts = factor_univariate(f)
+        unit, parts = factor(f)
         assert unit == 1
         # the factors multiply back to the input
         back = Poly.constant(F, T, 1)
@@ -403,7 +402,7 @@ def test_dense_kernels_match_sparse_reference(q, max_deg):
                 assert g == f
                 continue
             assert divide_exact(other, g) is not None
-            _, oparts = factor_univariate(other)
+            _, oparts = factor(other)
             common = sum(h.degree() * min(e, oparts[h]) for h, e in parts.items() if h in oparts)
             assert g.degree() == common
         prev = f
@@ -522,7 +521,7 @@ def test_factor_cache_hands_out_fresh_dicts():
     cases = (
         (factor_bivariate, xy("x*y^2+x*y")),
         (factor, xy("x*y^2+x*y")),
-        (factor_univariate, t_("t^3+t")),
+        (factor, t_("t^3+t")),
         (factor, t_("t^3+t")),
     )
     for fn, f in cases:
@@ -583,8 +582,8 @@ def _univariate_cases():
 
 def test_univariate_cache_matches_uncached_and_multiplies_back():
     for f in _univariate_cases():
-        first = factor_univariate(f)
-        cached = factor_univariate(f)
+        first = factor(f)
+        cached = factor(f)
         unit, parts = _KERNEL(f)
         assert cached == first == (unit, dict(parts))
         assert list(cached[1].items()) == list(parts)  # same factors, same order
@@ -600,7 +599,7 @@ def test_univariate_cache_is_bounded():
     cached = poly_module._factor_univariate_cached
     cached.cache_clear()
     for f in itertools.islice(_univariate_upto(F3, 5), 300):
-        factor_univariate(f)
+        factor(f)
     info = cached.cache_info()
     assert info.misses == 300
     assert info.currsize == info.maxsize == poly_module.UNIVARIATE_CACHE_SIZE == 256

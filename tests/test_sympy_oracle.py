@@ -20,7 +20,7 @@ from sympy.polys.matrices import DomainMatrix
 from flagval import fqlin, intlin, reconstruct
 from flagval.ff import FiniteField
 from flagval.fields import from_divisor
-from flagval.poly import Poly, factor_univariate, monic_irreducibles
+from flagval.poly import Poly, factor, monic_irreducibles
 from flagval.suites import SuiteConfig, run_suite
 from flagval.valuations import QuotientRing
 
@@ -34,7 +34,7 @@ def test_factor_univariate_agrees_with_gf_factor(p, max_deg):
     for d in range(max_deg + 1):
         for tail in itertools.product(range(p), repeat=d):
             dense = list(tail) + [1]  # constant term first
-            unit, parts = factor_univariate(Poly.from_dense(F, "t", dense))
+            unit, parts = factor(Poly.from_dense(F, "t", dense))
             ours = sorted((tuple(g.to_dense()[::-1]), k) for g, k in parts.items())
             lc, theirs = gf_factor(dense[::-1], p, ZZ)  # leading coefficient first
             assert (unit, ours) == (int(lc), sorted((tuple(map(int, g)), k) for g, k in theirs))

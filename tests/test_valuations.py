@@ -21,7 +21,7 @@ from flagval.poly import (
     _multiplicity_dense,
     _root_multiplicity,
     divide_exact,
-    factor_univariate,
+    factor,
     is_irreducible,
     monic_irreducibles,
     multiplicity,
@@ -280,7 +280,7 @@ def test_quotient_ring_negative_powers_gf49_quadratics():
 def test_trusted_place_equals_validated(q, max_deg):
     # the trusted place of a factor against the place parse_place proves
     for pi in monic_irreducibles(q, "t", max_deg):
-        _, parts = factor_univariate(pi)
+        _, parts = factor(pi)
         (g,) = parts
         a, b = parse_place(FiniteField(q), f"finite:{pi}", T), FinitePlace(g)
         assert a == b
@@ -453,9 +453,9 @@ def test_validated_place_factors_once(monkeypatch):
     calls = []
     real = poly.factor_univariate
 
-    def counting(f):
-        calls.append(f)
-        return real(f)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(poly, "factor_univariate", counting)
     p = parse_place(F3, "finite:t^2+1", T)
@@ -864,22 +864,80 @@ def test_valuation_axioms_work_counts(monkeypatch):
     assert _axiom_work_counts(monkeypatch.setattr) == AXIOM_WORK_COUNTS
 
 
-_AXIOM_WORK_SCRIPT = """
+def _ktheory_work_counts(patch) -> dict:
+    """Exact work of one seeded ktheory run over GF(49), as in
+    `_axiom_work_counts`: a first run builds the irreducible tables, and
+    the counted run starts with cold factor and place caches.  Each
+    counted function is patched in every flagval module that binds it.
+
+    The symbols read the dense parts each function keeps: the support
+    comes from factoring them, with no divisor; f = 1 and the sums
+    1 - f compare and add dense tuples.  A Poly is made for a factor
+    (and the worked example's printout), and converted to a dense list
+    for a new place's modulus.
+    """
+    from flagval import fields, poly, suites, valuations
+
+    cfg = suites.SuiteConfig(suite="ktheory", q=49, seed=7, samples=400)
+    suites.run_suite(cfg)
+    poly._factor_univariate_cached.cache_clear()
+    valuations.place_of.cache_clear()
+    counts = {}
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("flagval.")]
+    for owner, name in ((fields, "to_divisor"), (poly, "_from_dense"), (poly, "_dense_mul")):
+        fn = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        for m in modules:
+            if vars(m).get(name) is fn:
+                patch(m, name, wrapper)
+    counts["to_dense"] = 0
+    to_dense = Poly.to_dense
+
+    def counted_to_dense(p):
+        counts["to_dense"] += 1
+        return to_dense(p)
+
+    patch(Poly, "to_dense", counted_to_dense)
+    assert suites.run_suite(cfg)["violations"] == 0
+    return counts
+
+
+KTHEORY_WORK_COUNTS = {"to_divisor": 0, "_from_dense": 1003, "_dense_mul": 2974, "to_dense": 904}
+
+
+def test_ktheory_work_counts(monkeypatch):
+    assert _ktheory_work_counts(monkeypatch.setattr) == KTHEORY_WORK_COUNTS
+
+
+_WORK_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from test_valuations import _axiom_work_counts
-print(json.dumps(_axiom_work_counts(setattr)))
+import test_valuations
+print(json.dumps(getattr(test_valuations, sys.argv[2])(setattr)))
 """
+
+
+def _assert_counts_under_hash_seeds(counter, want):
+    tests = Path(__file__).resolve().parent
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _WORK_SCRIPT, str(tests), counter], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == want, seed
 
 
 def test_valuation_axioms_work_counts_do_not_depend_on_the_hash_seed():
     # the split memos evict in insertion order and every cache is keyed
     # by value, so the counts are the same under every string-hash seed
-    tests = Path(__file__).resolve().parent
-    for seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-c", _AXIOM_WORK_SCRIPT, str(tests)], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == AXIOM_WORK_COUNTS, seed
+    _assert_counts_under_hash_seeds("_axiom_work_counts", AXIOM_WORK_COUNTS)
+
+
+def test_ktheory_work_counts_do_not_depend_on_the_hash_seed():
+    _assert_counts_under_hash_seeds("_ktheory_work_counts", KTHEORY_WORK_COUNTS)
