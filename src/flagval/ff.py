@@ -4,8 +4,9 @@ Elements of the field with q = p**e elements are plain ints in range(q).
 For prime q the int is the residue itself.  For prime powers the int
 encodes base-p digits, n = sum(d[i] * p**i), read as the coefficient
 vector of a polynomial in the canonical generator.  The canonical
-modulus is the lexicographically least monic irreducible of degree e
-over F_p, so two fields of the same order are literally identical.
+modulus is the monic irreducible of degree e over F_p with the least
+code sum(c_i * p**i), so two fields of the same order are literally
+identical.
 
 All arithmetic is exact table lookup, for prime and extension fields
 alike: each field builds its add, sub, mul, neg and inverse tables once,
@@ -15,6 +16,7 @@ digits.  There is no floating point here.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .errors import InvalidInput, UnsupportedField
@@ -47,71 +49,18 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _fp_poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    # a, b, mod: dense coefficient lists over F_p, mod monic.
-    deg_m = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, deg_m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(deg_m):
-                prod[i - deg_m + j] = (prod[i - deg_m + j] - c * mod[j]) % p
-    out = prod[:deg_m]
-    while len(out) < deg_m:
-        out.append(0)
-    return out
-
-
-def _fp_poly_is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Trial division of a monic polynomial by every monic of degree <= deg//2."""
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            div = [0] * (d + 1)
-            n = code
-            for i in range(d):
-                div[i] = n % p
-                n //= p
-            div[d] = 1
-            rem = list(coeffs)
-            for i in range(deg, d - 1, -1):
-                c = rem[i]
-                if c:
-                    rem[i] = 0
-                    for j in range(d):
-                        rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-            if not any(rem):
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     """Non-leading coefficients (c_0, ..., c_{e-1}) of the canonical modulus.
 
-    The modulus is the lexicographically least monic irreducible of
-    degree e over F_p, ordering candidates by their coefficient tuple.
+    The modulus is the monic irreducible of degree e over F_p with the
+    least code sum(c_i * p**i), so the top coefficient compares first:
+    the first of that degree that `poly.monic_irreducibles` lists.
     """
-    for code in range(p**e):
-        c = []
-        n = code
-        for _ in range(e):
-            c.append(n % p)
-            n //= p
-        if _fp_poly_is_irreducible(c + [1], p):
-            return tuple(c)
-    raise InvalidInput(f"no irreducible of degree {e} over F_{p}")
+    from .poly import monic_irreducibles  # poly imports ff when it loads
+
+    first = next(g for g in monic_irreducibles(p, "t", e) if g.degree() == e)
+    return tuple(first.to_dense()[:-1])
 
 
 def power(ring, a, n: int):
@@ -133,68 +82,55 @@ def power(ring, a, n: int):
 class FiniteField:
     """The field with q elements, q a prime power at most 49.
 
-    Instances of the same order share their tables; construction is
-    cached, so FiniteField(9) is FiniteField(9) holds.
+    There is one instance per order: construction is cached, so
+    FiniteField(9) is FiniteField(9) holds, and equality is identity.
+    An order that is refused caches nothing.
     """
 
     _cache: dict[int, "FiniteField"] = {}
 
     def __new__(cls, q: int) -> "FiniteField":
-        if q in cls._cache:
-            return cls._cache[q]
-        self = super().__new__(cls)
-        cls._cache[q] = self
-        return self
-
-    def __init__(self, q: int) -> None:
-        if getattr(self, "q", None) == q:
-            return
         if not isinstance(q, int) or q < 2:
             raise InvalidInput(f"field order must be an int >= 2, got {q!r}")
-        if q > MAX_ORDER:
-            raise UnsupportedField(f"order {q} exceeds the supported bound {MAX_ORDER}")
-        p, e = prime_power_decomposition(q)
-        self.q = q
-        self.p = p
-        self.e = e
-        self.modulus = canonical_modulus(p, e) if e > 1 else ()
-        self._build_tables()
+        self = cls._cache.get(q)
+        if self is None:
+            if q > MAX_ORDER:
+                raise UnsupportedField(f"order {q} exceeds the supported bound {MAX_ORDER}")
+            p, e = prime_power_decomposition(q)
+            self = super().__new__(cls)
+            self.q, self.p, self.e = q, p, e
+            self.modulus = canonical_modulus(p, e) if e > 1 else ()
+            self._build_tables()
+            cls._cache[q] = self  # only a finished field
+        return self
 
     def _build_tables(self) -> None:
-        # tables indexed [a][b], built from the digit form; for e == 1
-        # the modulus is t and every element is a constant
+        # tables indexed [a][b]; an extension field adds digit vectors
+        # and reduces their product by the modulus, once per pair b >= a
         p, q = self.p, self.q
-        mod = list(canonical_modulus(p, self.e)) + [1]
-        digits = [self._digits(n) for n in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                s = self._undigits([(x + y) % p for x, y in zip(da, db)])
-                add[a][b] = add[b][a] = s
-                m = self._undigits(_fp_poly_mulmod(da, db, mod, p))
-                mul[a][b] = mul[b][a] = m
+        if self.e == 1:
+            add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            mul = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            from .poly import _dense_mul, _divrem  # poly imports ff when it loads
+
+            Fp = FiniteField(p)
+            mod = [*self.modulus, 1]
+            weights = [p**i for i in range(self.e)]
+            digits = [[n // w % p for w in weights if n >= w] for n in range(q)]  # trimmed
+            add = [[0] * q for _ in range(q)]
+            mul = [[0] * q for _ in range(q)]
+            for a in range(q):
+                for b in range(a, q):
+                    add[a][b] = add[b][a] = sum((a // w + b // w) % p * w for w in weights)
+                    prod = _divrem(Fp, _dense_mul(Fp, digits[a], digits[b]), mod)[1]
+                    mul[a][b] = mul[b][a] = sum(map(operator.mul, prod, weights))
         neg = [row.index(0) for row in add]
         self._add = add
         self._mul = mul
         self._neg = neg
         self._sub = [[row[nb] for nb in neg] for row in add]
         self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
-
-    def _digits(self, n: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(n % self.p)
-            n //= self.p
-        return out
-
-    def _undigits(self, d: list[int]) -> int:
-        n = 0
-        for c in reversed(d):
-            n = n * self.p + c
-        return n
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:
@@ -242,9 +178,3 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
-
-    def __hash__(self) -> int:
-        return hash(("FiniteField", self.q))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteField) and other.q == self.q

@@ -566,7 +566,8 @@ def _split_quadratics(q: int) -> dict[tuple[int, int], tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, var: str, max_deg: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree 1..max_deg, in (degree, lex) order.
+    """All monic irreducibles of degree 1..max_deg, in (degree, code)
+    order, where the code of t^d + sum(c_i t^i) is sum(c_i * q**i).
 
     A quadratic is irreducible exactly when `_split_quadratics` lacks
     it; a cubic when Horner finds no root at any field element; from

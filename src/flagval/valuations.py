@@ -129,7 +129,14 @@ class QuotientRing:
 # -- places ------------------------------------------------------------
 
 
-class _PlaceOfLine:
+class _Place:
+    """A place: its repr is its `serialize_place` spec."""
+
+    def __repr__(self) -> str:
+        return f"Place({serialize_place(self)})"
+
+
+class _PlaceOfLine(_Place):
     """The value of f at a place of F_q(t), from `_split(a) -> (k, u)`:
     the value of a nonzero dense list a and the residue of its unit
     part, in the residue field `ring`."""
@@ -176,9 +183,6 @@ class FinitePlace(_PlaceOfLine):
 
     def __hash__(self) -> int:
         return hash(("finite", self.pi))
-
-    def __repr__(self) -> str:
-        return f"Place(finite:{self.pi})"
 
     def _split(self, a) -> tuple:
         """(k, u): pi^k exactly divides the nonzero dense list a, and u is
@@ -234,16 +238,13 @@ class InfinitePlace(_PlaceOfLine):
     def __hash__(self) -> int:
         return hash(("infinite", self.field.q, self.vars))
 
-    def __repr__(self) -> str:
-        return "Place(infinite)"
-
     def _split(self, a) -> tuple[int, int]:
         """(k, u): the value -deg(a) of the nonzero dense list a and its
         leading coefficient, the residue of the unit part a * t^deg(a)."""
         return 1 - len(a), a[-1]
 
 
-class DivisorialCurve:
+class DivisorialCurve(_Place):
     """Divisorial valuation of F_q(x,y): order of vanishing along an
     irreducible plane curve."""
 
@@ -265,9 +266,6 @@ class DivisorialCurve:
 
     def __hash__(self) -> int:
         return hash(("curve", self.pi))
-
-    def __repr__(self) -> str:
-        return f"Place(curve:{self.pi})"
 
     def val(self, f: RationalFn) -> int:
         if not f:
@@ -313,7 +311,7 @@ class DivisorialCurve:
         return a - b, RationalFn(num.substitute(images), den)
 
 
-class CompositePlace:
+class CompositePlace(_Place):
     """Rank-two valuation: order along a curve, then a place of the
     curve's residue field.  Values are lexicographic pairs."""
 
@@ -335,9 +333,6 @@ class CompositePlace:
 
     def __hash__(self) -> int:
         return hash(("composite", self.curve, self.point))
-
-    def __repr__(self) -> str:
-        return f"Place(composite:{self.curve.pi}|{_point_text(self.point)})"
 
     def val(self, f: RationalFn) -> tuple[int, int]:
         m, r = self.curve.unit_residue(f)
@@ -394,10 +389,6 @@ def degree_sum(f: RationalFn) -> int:
 # -- serialization -----------------------------------------------------
 
 
-def _point_text(point) -> str:
-    return "infinite" if isinstance(point, InfinitePlace) else str(point.pi)
-
-
 def serialize_place(place) -> str:
     if isinstance(place, FinitePlace):
         return f"finite:{place.pi}"
@@ -406,7 +397,7 @@ def serialize_place(place) -> str:
     if isinstance(place, DivisorialCurve):
         return f"curve:{place.pi}"
     if isinstance(place, CompositePlace):
-        return f"composite:{place.curve.pi}|{_point_text(place.point)}"
+        return f"composite:{place.curve.pi}|{serialize_place(place.point).removeprefix('finite:')}"
     raise InvalidInput(f"not a place: {place!r}")
 
 

@@ -1,5 +1,10 @@
 """Finite field arithmetic: fixed tables and algebraic laws."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +48,39 @@ def test_rejected_orders():
         FiniteField(6)
     with pytest.raises(InvalidInput):
         FiniteField(1)
+
+
+@pytest.mark.parametrize("q", [6, 3.0, [3], "3", None, True, 0, -4, 50], ids=repr)
+def test_refused_orders_raise_and_cache_nothing(q):
+    FiniteField(3)
+    before = dict(FiniteField._cache)
+    with pytest.raises(UnsupportedField if q == 50 else InvalidInput):
+        FiniteField(q)
+    assert FiniteField._cache == before
+    assert FiniteField(3) is before[3]
+
+
+@pytest.mark.parametrize(
+    "q,modulus",
+    [(4, (1, 1)), (8, (1, 1, 0)), (16, (1, 1, 0, 0)), (32, (1, 0, 1, 0, 0)),
+     (9, (1, 0)), (27, (1, 2, 0)), (25, (2, 0)), (49, (1, 0))],
+)
+def test_canonical_modulus_pinned(q, modulus):
+    # the least code sum(c_i * p**i) compares the top coefficient first:
+    # GF(8) takes t^3 + t + 1 over t^3 + t^2 + 1
+    p, e = prime_power_decomposition(q)
+    assert canonical_modulus(p, e) == FiniteField(q).modulus == modulus
+
+
+@pytest.mark.parametrize("first", ["", "import flagval.poly\n"])
+def test_extension_field_builds_in_a_fresh_interpreter(first):
+    # ff imports poly when it builds a field, and poly imports ff when it
+    # loads: either module may be the first one imported
+    script = first + "from flagval.ff import FiniteField\nprint(FiniteField(49).mul(7, 7))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["6"]  # t^2 = -1 under t^2 + 1
 
 
 def test_factorize():
