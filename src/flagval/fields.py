@@ -287,8 +287,9 @@ class DivisorRep:
     The constructor validates every generator and exponent and drops
     zero exponents; `_make` is the trusted route of to_divisor, products
     and inverses, whose exponents are already nonzero and whose
-    generators are canonical.  The class key is built on first use and
-    kept; hash and == read it together with the unit.
+    generators are canonical.  The class key is an unordered set of the
+    exponent items, built on first use and kept; hash and == read it
+    together with the unit.  Only `__str__` sorts the generators.
     """
 
     __slots__ = ("field", "vars", "exps", "unit", "_key")
@@ -326,15 +327,13 @@ class DivisorRep:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("DivisorRep is immutable")
 
-    def _sorted_items(self) -> tuple:
-        return tuple(sorted(self.exps.items(), key=lambda kv: _gen_order(kv[0])))
-
     def class_key(self) -> tuple:
-        """Identity as an element of K*/k* (unit discarded), sorted on
-        first use and kept."""
+        """Identity as an element of K*/k* (unit discarded): the field,
+        the variables and the frozenset of exponent items, in no order,
+        built on first use and kept."""
         key = self._key
         if key is None:
-            key = (self.field.q, self.vars, self._sorted_items())
+            key = (self.field.q, self.vars, frozenset(self.exps.items()))
             object.__setattr__(self, "_key", key)
         return key
 
@@ -383,9 +382,8 @@ class DivisorRep:
     def __str__(self) -> str:
         if not self.exps:
             return str(self.unit)
-        body = " ".join(
-            f"({g})^{e}" if e != 1 else f"({g})" for g, e in self._sorted_items()
-        )
+        items = sorted(self.exps.items(), key=lambda kv: _gen_order(kv[0]))
+        body = " ".join(f"({g})^{e}" if e != 1 else f"({g})" for g, e in items)
         return body if self.unit == 1 else f"{self.unit} {body}"
 
     def __repr__(self) -> str:

@@ -17,6 +17,7 @@ from . import fqlin
 from .errors import InvalidInput, SizeBound
 from .fields import RationalFn
 from .ff import FiniteField
+from .poly import Poly
 
 MAX_POINTS = 500
 
@@ -218,21 +219,31 @@ class EmbeddedSubspace:
         """l(1, g), trusted.  With g = n/d canonical (d monic, and n, d
         coprime wherever RationalFn cancels), the point (c0:c1) with
         c1 != 0 is (c0 d + c1 n)/d, as canonical as g: a common factor
-        of d and c0 d + c1 n divides c1 n.  The point (1:0) is the
-        constant 1, and g not constant is independence from 1.
+        of d and c0 d + c1 n divides c1 n.  Its numerator is summed in
+        one pass over the coefficients of d and n through the field
+        tables.  The point (1:0) is the constant 1, and g not constant
+        is independence from 1.
         """
         if g.is_constant():
             raise InvalidInput("a line l(1, g) needs a non-constant g")
         F = g.field
+        add, mul = F._add, F._mul
         self = object.__new__(cls)
         self.field = F
         self.vars = g.vars
         self.geometry = geometry(1, F.q)
         n, d = g.num, g.den
-        self.functions = [
-            RationalFn._make(d * c0 + n * c1, d) if c1 else RationalFn.constant(F, g.vars, c0)
-            for c0, c1 in self.geometry.points
-        ]
+        one = d._one()
+        self.functions = []
+        for c0, c1 in self.geometry.points:
+            if not c1:  # (1:0)
+                self.functions.append(RationalFn._make(one, one))
+                continue
+            m0, m1 = mul[c0], mul[c1]
+            out = {e: m0[c] for e, c in d.coeffs.items()} if c0 else {}
+            for e, c in n.coeffs.items():
+                out[e] = add[out.get(e, 0)][m1[c]]
+            self.functions.append(RationalFn._make(Poly._make(F, g.vars, {e: c for e, c in out.items() if c}), d))
         return self
 
     @staticmethod

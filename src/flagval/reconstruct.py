@@ -29,7 +29,10 @@ the report flags rather than silently dropped.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from functools import cache
 
 from .errors import (
     ClosureFailure,
@@ -239,7 +242,7 @@ class Arena:
     """Finite window onto the projective space of K: canonical
     irreducible generators up to a degree, catalog lines l(1,g) for
     every generator plus the ratio lines l(1,g/h) over linear h, and a
-    few planes.  Divisor computations are cached per function.  Lines
+    few planes.  Divisors and names are cached per function.  Lines
     take the trusted `EmbeddedSubspace.line` route; the planes take the
     normalising constructor.
 
@@ -258,6 +261,7 @@ class Arena:
             raise InvalidInput("arena supports one or two variables")
         self.one = RationalFn.constant(field, self.vars, 1)
         self._div_cache: dict = {}
+        self._names: dict = {}
 
         linear = [g for g in self.gens if g.degree() == 1]
         line_gens: list[RationalFn] = []
@@ -274,7 +278,7 @@ class Arena:
         for g in self.gens:
             for h in linear:
                 if g is not h:
-                    push(RationalFn.from_poly(g) / RationalFn.from_poly(h))
+                    push(RationalFn._make(g, h))  # distinct monic irreducibles are coprime
         self.line_gens = tuple(line_gens)
         self.lines = tuple(EmbeddedSubspace.line(x) for x in self.line_gens)
 
@@ -296,6 +300,15 @@ class Arena:
             d = to_divisor(f)
             self._div_cache[key] = d
         return d
+
+    def name(self, f: RationalFn) -> str:
+        """str(f), rendered once per function and kept: the report names
+        and sort keys of the round trips sharing this arena read it."""
+        key = (f.num, f.den)
+        text = self._names.get(key)
+        if text is None:
+            text = self._names[key] = str(f)
+        return text
 
     def within_bounds(self, d: DivisorRep) -> bool:
         return all(abs(e) <= EXP_BOUND for e in d.exps.values())
@@ -456,7 +469,7 @@ def build_u(arena: Arena, classes: dict) -> UniverseReport:
         divs = [arena.divisor_of(f) for f in line.functions]
         imgs = [classes[d.class_key()][2] for d in divs]
         keys = [img.class_key() for img in imgs]
-        gen_name = str(gen)
+        gen_name = arena.name(gen)
         if len(set(keys)) == len(keys):
             status.append((gen_name, "injective"))
             all_flag = False
@@ -571,14 +584,30 @@ def _collect_point_classes(psi: PsiMap, arena: Arena) -> dict:
     return classes
 
 
-def _pair_witness(target: DivisorRep, u_divs: list, u_keys: set) -> bool:
-    """Explicit factorization of target into two unit-universe classes."""
+# modulus of the additive divisor hash, the Mersenne prime 2^61 - 1
+HASH_MOD = (1 << 61) - 1
+
+
+def _divisor_hash(rng: random.Random):
+    """H(d) = sum of w(g) * e over the exponents of d, mod HASH_MOD, with
+    one weight w(g) per generator drawn from rng in first-seen order, so
+    that H(a / b) = H(a) - H(b) and the draws follow no string hash."""
+    weights: dict = defaultdict(lambda: rng.randrange(1, HASH_MOD))
+    return lambda d: sum(weights[g] * e for g, e in d.exps.items()) % HASH_MOD
+
+
+def _pair_witness(target: DivisorRep, H, u_ext: list, u_hashes: set, u_keys: set) -> bool:
+    """Explicit factorization of target into two unit-universe classes.
+    u_ext pairs each class d of the universe with H(d), and u_hashes
+    holds those hashes: d is tried only when H(target) - H(d) is one of
+    them, and then confirmed by the exact division, so a collision
+    costs one division and never a verdict."""
     if target.class_key() in u_keys:
         return True  # target * 1, and 1 lies on every injective line
-    for d in u_divs:
-        if (target / d).class_key() in u_keys:
-            return True
-    return False
+    ht = H(target)
+    return any(
+        (target / d).class_key() in u_keys for h, d in u_ext if (ht - h) % HASH_MOD in u_hashes
+    )
 
 
 def _certify_flag_on_lines(gamma: _Gamma, arena: Arena) -> tuple[bool, list[str]]:
@@ -705,13 +734,14 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
         # unit classes again; products whose factorizations would need
         # points beyond the window are counted, not failed
         u_items = sorted(
-            ur.u_classes.values(), key=lambda t: (t[1].deg_sum(), len(t[1].exps), str(t[0]))
+            ur.u_classes.values(), key=lambda t: (t[1].deg_sum(), len(t[1].exps), arena.name(t[0]))
         )
         u_divs = [d for _, d, _ in u_items]
-        u_ext_keys = set(ur.u_classes)
-        for d in u_divs:
-            u_ext_keys.add(d.inverse().class_key())
-        u_ext_divs = u_divs + [d.inverse() for d in u_divs]
+        H = _divisor_hash(random.Random(0))
+        u_ext = [(H(d), d) for d in u_divs]
+        u_ext += [(-h % HASH_MOD, d.inverse()) for h, d in u_ext]
+        u_ext_keys = {d.class_key() for _, d in u_ext}
+        u_hashes = {h for h, _ in u_ext}
 
         small = [d for d in u_divs if d.deg_sum() <= 1 and all(e > 0 for e in d.exps.values())]
         small = small[:6] or u_divs[:3]
@@ -730,7 +760,7 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
                     if not arena.within_bounds(t):
                         out_of_window += 1
                         continue
-                    if _pair_witness(t, u_ext_divs, u_ext_keys):
+                    if _pair_witness(t, H, u_ext, u_hashes, u_ext_keys):
                         found += 1
                     else:
                         unrepresented += 1
@@ -826,10 +856,11 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
         if total != 1:
             continue
         positive = sign * sum(v[1]) > 0
-        candidates.append((not positive, not f.den.is_constant(), len(str(f)), str(f)))
+        name = arena.name(f)
+        candidates.append((not positive, not f.den.is_constant(), len(name), name))
     generator = min(candidates)[3] if candidates else None
 
-    sample = sorted(str(classes[k][0]) for k in o_keys)[:12]
+    sample = sorted(arena.name(classes[k][0]) for k in o_keys)[:12]
     return ReconstructionResult(
         "valuation",
         case,
@@ -894,19 +925,23 @@ def verify_theorem_conclusions(
     if isinstance(psi, ValuationPsi):
         c2["method"] = "distinct residue classes keep distinct images"
         place = psi.place
+        # each unit's residue and image class, on first use
+        residue = cache(lambda k: place.unit_residue(units[k]))
+        image_key = cache(lambda k: psi.evaluate(units[k]).class_key())
         for i, f in enumerate(units):
             if c2["samples"] >= samples:
                 break
-            vf, rf = place.unit_residue(f)
-            for g in units[i + 1 :]:
-                vg, rg = place.unit_residue(g)
+            vf, rf = residue(i)
+            for j in range(i + 1, len(units)):
+                g = units[j]
+                vg, rg = residue(j)
                 if not (vf or vg) and (rf / rg).is_constant():
                     continue
                 c2["samples"] += 1
                 if vf or vg:
                     # the extracted value calls a non-unit of the curve a unit
                     c2["failures"].append(f"{f if vf else g} is not a unit along {place.pi}")
-                elif psi.evaluate(f).class_key() != psi.evaluate(g).class_key():
+                elif image_key(i) != image_key(j):
                     c2["passes"] += 1
                 else:
                     c2["failures"].append(f"{f} vs {g}")

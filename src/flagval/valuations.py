@@ -22,7 +22,7 @@ place keeps the splits of the last SPLIT_MEMO_SIZE (128) parts it met.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidInput, UnsupportedResidue
 from .ff import FiniteField, power
@@ -274,23 +274,28 @@ class DivisorialCurve(_Place):
         b, _ = multiplicity(f.den, self.pi)
         return a - b
 
-    def _graph(self) -> tuple[int, Poly]:
-        """Substitution killing the curve: returns (eliminated variable
-        index, its image as a polynomial in the other variable alone).
-        Only graph curves c*v + h(w) support residues."""
+    @cached_property
+    def _graph(self) -> tuple[int, dict[str, Poly]]:
+        """Substitution killing the curve: (eliminated variable index,
+        the images of both variables as polynomials in the other one
+        alone), made on first read and kept.  Only graph curves
+        c*v + h(w) support residues; any other curve raises on every
+        read."""
         for i in (0, 1):
             v = (1, 0) if i == 0 else (0, 1)
             if [exp for exp in self.pi.coeffs if exp[i]] == [v]:
                 rest = {exp: c for exp, c in self.pi.coeffs.items() if not exp[i]}
-                h = Poly(self.field, self.vars, rest).map_vars((self.vars[1 - i],), {1 - i: 0})
-                return i, h * self.field.neg(self.field.inv(self.pi.coeffs[v]))
+                w = (self.vars[1 - i],)
+                h = Poly(self.field, self.vars, rest).map_vars(w, {1 - i: 0})
+                image = h * self.field.neg(self.field.inv(self.pi.coeffs[v]))
+                return i, {self.vars[i]: image, w[0]: Poly.variable(self.field, w, w[0])}
         raise UnsupportedResidue(
             f"residues along {self.pi} need a graph curve (linear in one variable)"
         )
 
     @property
     def residue_var(self) -> str:
-        i, _ = self._graph()
+        i, _ = self._graph
         return self.vars[1 - i]
 
     def unit_residue(self, f: RationalFn) -> tuple[int, RationalFn]:
@@ -300,11 +305,9 @@ class DivisorialCurve(_Place):
         cofactors, and r is their quotient on the curve."""
         if not f:
             raise InvalidInput("the zero element has no value")
-        i, image = self._graph()
+        _, images = self._graph
         a, num = multiplicity(f.num, self.pi)
         b, den = multiplicity(f.den, self.pi)
-        w = image.vars
-        images = {self.vars[i]: image, w[0]: Poly.variable(self.field, w, w[0])}
         den = den.substitute(images)
         if not den:
             raise AssertionError("curve divides the denominator after cancellation")

@@ -6,8 +6,16 @@ once per session through the same cache the check suites use; every
 extraction test and the acceptance round trips then share one instance.
 
 The oracles below are routes no suite takes, kept here for the tests
-that compare against them; test modules import them from `conftest`.
+that compare against them, and `assert_counts_under_hash_seeds` runs
+the work-count ratchets in fresh interpreters; test modules import
+them from `conftest`.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +77,25 @@ def unit_residue(place, f):
     b, rd = place._split(den)
     ring = place.ring
     return a - b, ring.mul(rn, ring.inv(rd))
+
+
+_WORK_SCRIPT = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+module, counter = sys.argv[2].split(":")
+print(json.dumps(getattr(importlib.import_module(module), counter)(setattr)))
+"""
+
+
+def assert_counts_under_hash_seeds(counter, want):
+    """Run a work counter, "test_module:function" called with setattr as
+    its patch, in a fresh interpreter under string-hash seeds 0, 1 and 2;
+    every run must return want."""
+    tests = Path(__file__).resolve().parent
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _WORK_SCRIPT, str(tests), counter], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == want, seed

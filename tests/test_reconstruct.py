@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from flagval import reconstruct
+from conftest import assert_counts_under_hash_seeds
+from flagval import fields, reconstruct
 from flagval.errors import (
     FactoringWindowExceeded,
     InvalidInput,
@@ -577,7 +578,8 @@ def test_build_u_matches_the_evaluating_route_on_arena3(psi_x, arena3):
 
 def test_roundtrip_evaluates_psi_once_per_point(monkeypatch):
     # the three round trips of the benchmark's roundtrip workload: psi
-    # meets the catalog once per class and each plane once per point
+    # meets the catalog once per class, each plane once per point, and
+    # conclusion 2 each unit it samples once
     evaluate = reconstruct.ValuationPsi.evaluate
     callers: dict = {}
 
@@ -595,9 +597,9 @@ def test_roundtrip_evaluates_psi_once_per_point(monkeypatch):
         "check_multiplicative": 144,
         "_collect_point_classes": 1143,
         "decompose_subspace": 42,
-        "verify_theorem_conclusions": 450,
+        "verify_theorem_conclusions": 303,
     }
-    assert sum(callers.values()) == 1779
+    assert sum(callers.values()) == 1632
 
 
 _COMBINE_COUNT = """
@@ -632,3 +634,124 @@ def test_unit_lattice_work_does_not_depend_on_the_hash_seed():
         assert done.returncode == 0, done.stderr
         counts.add(int(done.stdout.splitlines()[-1]))
     assert len(counts) == 1, counts
+
+
+# -- the witness search, class keys and names ---------------------------
+
+
+def _pair_witness_by_division(target, u_divs, u_keys):
+    """The first witness route, kept as the oracle: target divided by
+    every class of the extended unit universe."""
+    if target.class_key() in u_keys:
+        return True
+    return any((target / d).class_key() in u_keys for d in u_divs)
+
+
+class _ZeroDraws:
+    """A weight source that draws 0 for every generator."""
+
+    def randrange(self, start, stop):
+        return 0
+
+
+@pytest.mark.parametrize("equal_weights", [False, True], ids=["drawn-weights", "equal-weights"])
+def test_pair_witness_matches_the_division_scan(monkeypatch, equal_weights):
+    # every sampled triple of the benchmark's three round trips and of
+    # q=3 at degree 1; with every weight 0, every candidate collides and
+    # goes to the exact division
+    witness = reconstruct._pair_witness
+    verdicts = []
+
+    def spy(target, H, u_ext, u_hashes, u_keys):
+        if equal_weights:
+            assert u_hashes == {0} and H(target) == 0
+        got = witness(target, H, u_ext, u_hashes, u_keys)
+        verdicts.append((got, _pair_witness_by_division(target, [d for _, d in u_ext], u_keys)))
+        return got
+
+    monkeypatch.setattr(reconstruct, "_pair_witness", spy)
+    if equal_weights:
+        divisor_hash = reconstruct._divisor_hash
+        monkeypatch.setattr(reconstruct, "_divisor_hash", lambda rng: divisor_hash(_ZeroDraws()))
+    for cfg in GOLDEN_TRIPS:
+        run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))
+    assert len(verdicts) == 21 + 35 + 3 * 56
+    assert all(got == want for got, want in verdicts)
+    assert {want for _, want in verdicts} == {True, False}
+
+
+def _sorted_items(d):
+    return tuple(sorted(d.exps.items(), key=lambda kv: fields._gen_order(kv[0])))
+
+
+def _text_by_sorted_items(d):
+    """The rendering of a divisor from its sorted items, kept as the oracle of `__str__`."""
+    if not d.exps:
+        return str(d.unit)
+    body = " ".join(f"({g})^{e}" if e != 1 else f"({g})" for g, e in _sorted_items(d))
+    return body if d.unit == 1 else f"{d.unit} {body}"
+
+
+def test_class_keys_match_sorted_items_on_the_q2_catalog():
+    # the q=2, degree-2 catalog, its pairwise products and their
+    # inverses: two keys are equal exactly when the sorted exponent
+    # items are, and the renderings are the sorted ones (on every
+    # catalog class and inverse, and on every 16th product)
+    F2 = FiniteField(2)
+    arena = _arena(F2, XY, 2)
+    catalog = [arena.divisor_of(f) for f in _catalog_classes(arena).values()]
+    products = [a * b for i, a in enumerate(catalog) for b in catalog[i:]]
+    divs = catalog + products + [d.inverse() for d in catalog + products]
+    pairs = {(d.class_key(), _sorted_items(d)) for d in divs}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({t for _, t in pairs})
+    assert len(pairs) < len(divs)  # some products coincide as classes
+    for d in catalog + [d.inverse() for d in catalog] + products[::16]:
+        assert str(d) == _text_by_sorted_items(d)
+    assert str(DivisorRep(F2, XY, {})) == "1"
+
+
+@pytest.mark.parametrize("q, deg", [(2, 2), (3, 1)])
+def test_arena_names_are_the_renderings(q, deg):
+    arena = _arena(FiniteField(q), XY, deg)
+    fns = list(arena.line_gens) + [f for line in arena.lines for f in line.functions]
+    assert all(arena.name(f) == str(f) for f in fns)
+    assert all(arena.name(f) is arena.name(f) for f in fns)
+
+
+def _roundtrip_work_counts(patch) -> dict:
+    """Exact work of the three round trips of the benchmark's roundtrip
+    workload on one fresh arena, counted by wrappers that
+    `patch(owner, name, wrapper)` installs.
+
+    The witness search divides only where the additive hash of a
+    candidate matches, and the arena renders each catalog function once
+    for all three trips."""
+    from flagval import suites
+
+    arena = Arena(FiniteField(2), XY, 2)
+    patch(suites, "_arena", lambda field, vars, deg: arena)
+    counts = {}
+    for owner, name in ((DivisorRep, "__truediv__"), (RationalFn, "__str__")):
+        fn = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+        counts[key] = 0
+
+        def wrapper(*args, fn=fn, key=key):
+            counts[key] += 1
+            return fn(*args)
+
+        patch(owner, name, wrapper)
+    for cfg in GOLDEN_TRIPS[1:]:
+        assert run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))["violations"] == 0
+    return counts
+
+
+ROUNDTRIP_WORK_COUNTS = {"DivisorRep.__truediv__": 120, "RationalFn.__str__": 381}
+
+
+def test_roundtrip_work_counts(monkeypatch):
+    assert _roundtrip_work_counts(monkeypatch.setattr) == ROUNDTRIP_WORK_COUNTS
+
+
+def test_roundtrip_work_counts_do_not_depend_on_the_hash_seed():
+    assert_counts_under_hash_seeds("test_reconstruct:_roundtrip_work_counts", ROUNDTRIP_WORK_COUNTS)

@@ -1,12 +1,8 @@
 """Places, valuations, residues, serialization."""
 
 import itertools
-import json
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +37,7 @@ from flagval.valuations import (
     valuation_flag_structure,
 )
 
-from conftest import evaluate, reduce_poly, unit_residue
+from conftest import assert_counts_under_hash_seeds, evaluate, reduce_poly, unit_residue
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -484,6 +480,7 @@ def test_divisorial_curve_graph():
     assert c.unit_residue(rxy("y+1")) == (0, RationalFn.parse(F3, "y+1", ("y",)))
     c2 = DivisorialCurve(Poly.parse(F3, "x^2+2*y", XY))
     assert c2.residue_var == "x"  # solves for y = x^2 (graph over x)
+    assert c2._graph is c2._graph  # made once per place
     assert c2.val(rxy("x^2+2*y")) == 1
     # substitute y -> x^2: y + 1 restricts to x^2 + 1
     assert c2.unit_residue(rxy("y+1")) == (0, RationalFn.parse(F3, "x^2+1", ("x",)))
@@ -494,8 +491,11 @@ def test_divisorial_curve_graph():
 
 
 def test_divisorial_curve_rejects_nongraph():
-    with pytest.raises(UnsupportedResidue):
-        DivisorialCurve(Poly.parse(F3, "x^2+y^2+1", XY)).unit_residue(rxy("y"))
+    # the curve constructs, and every residue read refuses
+    c = DivisorialCurve(Poly.parse(F3, "x^2+y^2+1", XY))
+    for _ in range(2):
+        with pytest.raises(UnsupportedResidue):
+            c.unit_residue(rxy("y"))
 
 
 def test_composite_place_lex():
@@ -914,30 +914,11 @@ def test_ktheory_work_counts(monkeypatch):
     assert _ktheory_work_counts(monkeypatch.setattr) == KTHEORY_WORK_COUNTS
 
 
-_WORK_SCRIPT = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-import test_valuations
-print(json.dumps(getattr(test_valuations, sys.argv[2])(setattr)))
-"""
-
-
-def _assert_counts_under_hash_seeds(counter, want):
-    tests = Path(__file__).resolve().parent
-    for seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-c", _WORK_SCRIPT, str(tests), counter], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == want, seed
-
-
 def test_valuation_axioms_work_counts_do_not_depend_on_the_hash_seed():
     # the split memos evict in insertion order and every cache is keyed
     # by value, so the counts are the same under every string-hash seed
-    _assert_counts_under_hash_seeds("_axiom_work_counts", AXIOM_WORK_COUNTS)
+    assert_counts_under_hash_seeds("test_valuations:_axiom_work_counts", AXIOM_WORK_COUNTS)
 
 
 def test_ktheory_work_counts_do_not_depend_on_the_hash_seed():
-    _assert_counts_under_hash_seeds("_ktheory_work_counts", KTHEORY_WORK_COUNTS)
+    assert_counts_under_hash_seeds("test_valuations:_ktheory_work_counts", KTHEORY_WORK_COUNTS)
