@@ -27,20 +27,21 @@ class RationalFn:
     Canonical form: common factors cancelled (always in one variable;
     in two variables only when both parts fit the factoring window) and
     the denominator monic.  `_make` is the trusted route for a quotient
-    its caller knows to be canonical.  `==` compares dense parts in one
-    variable, where every function is canonical, and cross-multiplies
-    in two.
+    its caller knows to be canonical; in either arity p/1 (`from_poly`,
+    `constant`) and `inverse` (the parts swapped, the new denominator
+    made monic) take it.  `==` compares dense parts in one variable,
+    where every function is canonical, and cross-multiplies in two.
 
     In one variable the function lives on dense coefficient tuples,
     constant term first, kept as `dense_parts()`.  `_of_dense` reduces
     them to lowest terms (gcd_univariate, exact division by
     divmod_univariate, a monic denominator) for the validating
     constructor, products and sums; a `_make`-built function converts
-    its Polys to them once, on first use.  num and den are made only when read
-    (printing, factoring a Poly, substitution).  Three routes skip the
-    gcd and keep d monic: p/1 (`from_poly`, `constant`, an int
-    operand), -n/d, and n/d + p = (n + p d)/d, one product, since
-    gcd(n + p d, d) = gcd(n, d) = 1.  The zero has the one form 0/1.
+    its Polys to them once, on first use.  num and den are made only when
+    read (printing, factoring a Poly).  Four routes skip the gcd and keep
+    d monic: p/1 (`from_poly`, `constant`, an int operand), -n/d, d/n,
+    and n/d + p = (n + p d)/d, one product, since gcd(n + p d, d) =
+    gcd(n, d) = 1.  The zero is 0/1, and `is_constant` looks for c/1.
     """
 
     __slots__ = ("field", "vars", "_num", "_den", "_dense")
@@ -124,9 +125,9 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFn":
-        if len(p.vars) == 1 and p.vars[0] not in _RESERVED_NAMES:
-            return cls._make(p, p._one())
-        return cls(p, p._one())  # two variables, or a reserved name to refuse
+        if any(v in _RESERVED_NAMES for v in p.vars):
+            return cls(p, p._one())  # the constructor refuses the name
+        return cls._make(p, p._one())
 
     @classmethod
     def constant(cls, field: FiniteField, vars: tuple[str, ...], c: int) -> "RationalFn":
@@ -226,9 +227,13 @@ class RationalFn:
         return self * o.inverse()
 
     def inverse(self) -> "RationalFn":
-        if not self.num:
+        if not self:
             raise ZeroDivisionError("inverse of zero")
-        return RationalFn(self.den, self.num)
+        if len(self.vars) == 1:
+            n, d = self.dense_parts()
+            return RationalFn._of_dense(self.field, self.vars[0], d, n, True)
+        lead, den = self.num.make_canonical()
+        return RationalFn._make(self.den * self.field.inv(lead), den)
 
     def __pow__(self, n: int) -> "RationalFn":
         if n < 0:
@@ -236,6 +241,9 @@ class RationalFn:
         return RationalFn(self.num**n, self.den**n)
 
     def is_constant(self) -> bool:
+        if len(self.vars) == 1:
+            n, d = self.dense_parts()
+            return len(n) <= 1 and len(d) == 1
         if not self.num:
             return True
         if self.num.degree() != self.den.degree():
@@ -407,10 +415,17 @@ def _gen_order(g) -> tuple:
 
 def to_divisor(f: RationalFn) -> DivisorRep:
     """Exact divisor form of a nonzero rational function."""
+    return _divisor_with_den(f, factor(f.den))
+
+
+def _divisor_with_den(f: RationalFn, den_factors: tuple) -> DivisorRep:
+    """to_divisor(f) from den_factors = factor(f.den), which is only read,
+    so functions with one denominator may share it.  It is apart from
+    to_divisor, whose arguments `bench/tracer.py` hashes."""
     if not f:
         raise InvalidInput("zero has no divisor")
     nu, nparts = factor(f.num)
-    du, dparts = factor(f.den)
+    du, dparts = den_factors
     exps = nparts  # factor hands each caller a fresh dict
     for g, k in dparts.items():
         e = exps.get(g, 0) - k

@@ -6,7 +6,7 @@ degree first, then the exponent tuple), which is all the canonical
 normalization below relies on.
 
 Validation happens at the API edge only.  The public constructors
-(`Poly(...)`, `parse`, `from_dense`, `constant`, `variable`) check every
+(`Poly(...)`, `parse`, `from_dense`, `constant`) check every
 coefficient and exponent tuple.  Results of the ring operations and the
 kernels below are built with `Poly._make`, which trusts its input: a
 coefficient dict of in-range, nonzero field elements that the kernel
@@ -106,12 +106,6 @@ class Poly:
     @classmethod
     def constant(cls, field: FiniteField, vars: tuple[str, ...], c: int) -> "Poly":
         return cls(field, vars, {(0,) * len(vars): c})
-
-    @classmethod
-    def variable(cls, field: FiniteField, vars: tuple[str, ...], name: str) -> "Poly":
-        i = vars.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(field, vars, {exp: 1})
 
     _FACTOR_RE = re.compile(r"(?:(\d+)|([A-Za-z]\w*)(?:\^(\d+))?)")
 
@@ -315,18 +309,6 @@ class Poly:
         F = self.field
         scale = F._mul[F._inv[u]]
         return u, Poly._make(F, self.vars, {e: scale[c] for e, c in self.coeffs.items()})
-
-    def substitute(self, images: dict[str, "Poly"]) -> "Poly":
-        """Replace each variable by a polynomial (all images share one domain)."""
-        some = next(iter(images.values()))
-        out = Poly.zero(some.field, some.vars)
-        for exp, c in self.coeffs.items():
-            term = Poly.constant(some.field, some.vars, c)
-            for v, e in zip(self.vars, exp):
-                if e:
-                    term = term * (images[v] ** e)
-            out = out + term
-        return out
 
     def map_vars(self, new_vars: tuple[str, ...], where: dict[int, int]) -> "Poly":
         """Reinterpret over a new variable tuple; old index i lands at where[i]."""

@@ -32,7 +32,7 @@ import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import (
     ClosureFailure,
@@ -47,13 +47,14 @@ from .fields import (
     INF,
     DivisorRep,
     RationalFn,
+    _divisor_with_den,
     algebraically_dependent,
     from_divisor,
     to_divisor,
 )
 from .flagkit import line_criterion
 from .intlin import RowLattice
-from .poly import irreducible_canonicals_bivariate, monic_irreducibles
+from .poly import factor, irreducible_canonicals_bivariate, monic_irreducibles
 from .projspace import EmbeddedSubspace, normalize_coords
 from .valuations import DivisorialCurve
 
@@ -125,15 +126,20 @@ class PsiMap:
         """Image of one generator; None stands for the trivial class."""
         return self.images.get(g)
 
-    def evaluate(self, f) -> DivisorRep:
-        d = f if isinstance(f, DivisorRep) else to_divisor(f)
+    def _exponents(self, d: DivisorRep) -> dict:
+        """The exponents of the product of image(g)**e over d, zeros
+        dropped."""
         exps: dict = {}
         for g, e in d.exps.items():
             img = self.image(g)
             if img is not None:
                 for h, k in img.exps.items():
                     exps[h] = exps.get(h, 0) + e * k
-        return DivisorRep(self.target_field, self.target_vars, exps)
+        return {h: k for h, k in exps.items() if k}
+
+    def evaluate(self, f) -> DivisorRep:
+        d = f if isinstance(f, DivisorRep) else to_divisor(f)
+        return DivisorRep(self.target_field, self.target_vars, self._exponents(d))
 
 
 class ValuationPsi(PsiMap):
@@ -142,8 +148,10 @@ class ValuationPsi(PsiMap):
     `unit_residue` splits the value off f, and psi kills it.
 
     The table is filled lazily: the formula runs once per generator, so
-    it holds at most the generators of the window.  An f whose divisor
-    lies beyond the factoring window is evaluated by the formula
+    it holds at most the generators of the window.  Its images are
+    validated as `_embed_residue` builds them, so `evaluate` sums their
+    exponents on the trusted `DivisorRep._make` route.  An f whose
+    divisor lies beyond the factoring window is evaluated by the formula
     directly.
     """
 
@@ -184,9 +192,10 @@ class ValuationPsi(PsiMap):
 
     def evaluate(self, f) -> DivisorRep:
         try:
-            return super().evaluate(f)
+            d = f if isinstance(f, DivisorRep) else to_divisor(f)
         except FactoringWindowExceeded:
             return self.formula(f)
+        return DivisorRep._make(self.target_field, self.target_vars, self._exponents(d), 1)
 
 
 def build_psi_from_valuation(
@@ -244,7 +253,9 @@ class Arena:
     every generator plus the ratio lines l(1,g/h) over linear h, and a
     few planes.  Divisors and names are cached per function.  Lines
     take the trusted `EmbeddedSubspace.line` route; the planes take the
-    normalising constructor.
+    normalising constructor.  `line_divisors` holds the divisors of
+    every line's points, parallel to its functions: the points
+    (c0 d + n)/d of l(1, n/d) share d, which is factored once per line.
 
     Valuation extraction needs two variables; the one-variable catalog
     serves the flag checks of the valuation axioms."""
@@ -268,8 +279,9 @@ class Arena:
         seen: set = set()
 
         def push(fn: RationalFn) -> None:
+            # never constant: a generator, or g/h for distinct monic irreducibles
             key = (fn.num, fn.den)
-            if key not in seen and not fn.is_constant():
+            if key not in seen:
                 seen.add(key)
                 line_gens.append(fn)
 
@@ -293,13 +305,25 @@ class Arena:
             t = RationalFn.parse(field, self.vars[0], self.vars)
             self.planes = (EmbeddedSubspace([self.one, t, t * t]),)
 
-    def divisor_of(self, f: RationalFn) -> DivisorRep:
+    def divisor_of(self, f: RationalFn, den_factors: tuple | None = None) -> DivisorRep:
+        """to_divisor(f), cached per function; den_factors is factor(f.den)
+        when the caller holds it."""
         key = (f.num, f.den)
         d = self._div_cache.get(key)
         if d is None:
-            d = to_divisor(f)
+            d = to_divisor(f) if den_factors is None else _divisor_with_den(f, den_factors)
             self._div_cache[key] = d
         return d
+
+    @cached_property
+    def line_divisors(self) -> tuple[tuple[DivisorRep, ...], ...]:
+        """Per line, its points' divisors from the divisor cache, made on
+        first read and kept; the point 1 alone may not share d."""
+        out = []
+        for gen, line in zip(self.line_gens, self.lines):
+            shared = factor(gen.den)
+            out.append(tuple(self.divisor_of(f, shared if f.den == gen.den else None) for f in line.functions))
+        return tuple(out)
 
     def name(self, f: RationalFn) -> str:
         """str(f), rendered once per function and kept: the report names
@@ -465,8 +489,7 @@ def build_u(arena: Arena, classes: dict) -> UniverseReport:
     u: dict = {}
     status: list[tuple[str, str]] = []
     all_flag = True
-    for gen, line in zip(arena.line_gens, arena.lines):
-        divs = [arena.divisor_of(f) for f in line.functions]
+    for gen, line, divs in zip(arena.line_gens, arena.lines, arena.line_divisors):
         imgs = [classes[d.class_key()][2] for d in divs]
         keys = [img.class_key() for img in imgs]
         gen_name = arena.name(gen)
@@ -575,9 +598,8 @@ def _collect_point_classes(psi: PsiMap, arena: Arena) -> dict:
     This is the one place psi meets the catalog lines: it is evaluated
     once per class, and every later stage reads its image here."""
     classes: dict = {}
-    for line in arena.lines:
-        for f in line.functions:
-            d = arena.divisor_of(f)
+    for line, divs in zip(arena.lines, arena.line_divisors):
+        for f, d in zip(line.functions, divs):
             key = d.class_key()
             if key not in classes:
                 classes[key] = (f, d, psi.evaluate(d))
@@ -612,10 +634,10 @@ def _pair_witness(target: DivisorRep, H, u_ext: list, u_hashes: set, u_keys: set
 
 def _certify_flag_on_lines(gamma: _Gamma, arena: Arena) -> tuple[bool, list[str]]:
     bad = []
-    for gen, line in zip(arena.line_gens, arena.lines):
+    for gen, line, divs in zip(arena.line_gens, arena.lines, arena.line_divisors):
         vals = []
-        for f in line.functions:
-            v = gamma.nu_key(arena.divisor_of(f).class_key())
+        for d in divs:
+            v = gamma.nu_key(d.class_key())
             vals.append(("outside",) if v is None else v)
         if not line_criterion(line.geometry, vals):
             bad.append(str(gen))
@@ -633,7 +655,7 @@ def _orient_rank_one(gamma: _Gamma, arena: Arena) -> tuple[int | None, dict]:
     for fn in arena.line_gens:
         if not fn.den.is_constant():
             continue
-        v = gamma.nu(fn)
+        v = gamma.nu(arena.divisor_of(fn))
         if v is None or any(v[0]):
             continue
         val = v[1][0] if v[1] else 0
@@ -652,7 +674,7 @@ def _orient_rank_one(gamma: _Gamma, arena: Arena) -> tuple[int | None, dict]:
             if not s:
                 continue
             vals = []
-            for h in (f, g, s, f * g):
+            for h in (arena.divisor_of(f), arena.divisor_of(g), s, f * g):
                 v = gamma.nu(h)
                 if v is None or any(v[0]):
                     vals = None
@@ -782,11 +804,11 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
         case = "A"
         bad_imgs: list[DivisorRep] = []
         seen_img: set = set()
-        for line, (_, st) in zip(arena.lines, ur.line_status):
+        for divs, (_, st) in zip(arena.line_divisors, ur.line_status):
             if st != "neither":
                 continue
-            for f in line.functions:
-                img = classes[arena.divisor_of(f).class_key()][2]
+            for d in divs:
+                img = classes[d.class_key()][2]
                 if not img.is_trivial() and img.class_key() not in seen_img:
                     seen_img.add(img.class_key())
                     bad_imgs.append(img)
@@ -901,7 +923,8 @@ def verify_theorem_conclusions(
             return None
         return sign * v[1][0] if v[1] else 0
 
-    m_fns = [fn for fn in arena.line_gens if (value(fn) or 0) > 0]
+    gen_values = [value(arena.divisor_of(fn)) for fn in arena.line_gens]
+    m_fns = [fn for fn, v in zip(arena.line_gens, gen_values) if (v or 0) > 0]
     c1 = {"samples": 0, "passes": 0, "failures": []}
     for f in m_fns:
         if c1["samples"] >= samples:
@@ -920,14 +943,14 @@ def verify_theorem_conclusions(
     if not m_fns:
         c1["note"] = "no positive-value elements in the catalog"
 
-    units = [fn for fn in arena.line_gens if value(fn) == 0]
+    units = [fn for fn, v in zip(arena.line_gens, gen_values) if v == 0]
     c2 = {"samples": 0, "passes": 0, "failures": [], "method": None}
     if isinstance(psi, ValuationPsi):
         c2["method"] = "distinct residue classes keep distinct images"
         place = psi.place
         # each unit's residue and image class, on first use
         residue = cache(lambda k: place.unit_residue(units[k]))
-        image_key = cache(lambda k: psi.evaluate(units[k]).class_key())
+        image_key = cache(lambda k: psi.evaluate(arena.divisor_of(units[k])).class_key())
         for i, f in enumerate(units):
             if c2["samples"] >= samples:
                 break
@@ -953,7 +976,8 @@ def verify_theorem_conclusions(
         for fn in units:
             if c2["samples"] >= samples:
                 break
-            if not psi.evaluate(fn).is_trivial() or arena.divisor_of(fn).is_trivial():
+            d = arena.divisor_of(fn)
+            if not psi.evaluate(d).is_trivial() or d.is_trivial():
                 continue
             c2["samples"] += 1
             hit = False

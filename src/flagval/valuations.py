@@ -246,7 +246,9 @@ class InfinitePlace(_PlaceOfLine):
 
 class DivisorialCurve(_Place):
     """Divisorial valuation of F_q(x,y): order of vanishing along an
-    irreducible plane curve."""
+    irreducible plane curve.  A graph curve c*v + h(w) also answers unit
+    residues: the cofactors are restricted to it on dense lists in w,
+    with the powers of v's image kept beside `_graph`."""
 
     def __init__(self, pi: Poly) -> None:
         if len(pi.vars) != 2:
@@ -275,20 +277,20 @@ class DivisorialCurve(_Place):
         return a - b
 
     @cached_property
-    def _graph(self) -> tuple[int, dict[str, Poly]]:
-        """Substitution killing the curve: (eliminated variable index,
-        the images of both variables as polynomials in the other one
-        alone), made on first read and kept.  Only graph curves
-        c*v + h(w) support residues; any other curve raises on every
-        read."""
+    def _graph(self) -> tuple[int, list[list[int]]]:
+        """The curve as a graph c*v + h(w): (index of the eliminated
+        variable v, the powers 1, g, g^2, ... of its image g = -h(w)/c as
+        dense lists in w), made on first read and kept; `_restrict`
+        extends the powers as it needs them.  Only graph curves support
+        residues; any other curve raises on every read."""
+        F = self.field
         for i in (0, 1):
             v = (1, 0) if i == 0 else (0, 1)
             if [exp for exp in self.pi.coeffs if exp[i]] == [v]:
-                rest = {exp: c for exp, c in self.pi.coeffs.items() if not exp[i]}
-                w = (self.vars[1 - i],)
-                h = Poly(self.field, self.vars, rest).map_vars(w, {1 - i: 0})
-                image = h * self.field.neg(self.field.inv(self.pi.coeffs[v]))
-                return i, {self.vars[i]: image, w[0]: Poly.variable(self.field, w, w[0])}
+                rest = {exp[1 - i]: c for exp, c in self.pi.coeffs.items() if not exp[i]}
+                scale = F._mul[F.neg(F.inv(self.pi.coeffs[v]))]
+                g = [scale[rest.get(k, 0)] for k in range(max(rest, default=-1) + 1)]
+                return i, [[1], g]
         raise UnsupportedResidue(
             f"residues along {self.pi} need a graph curve (linear in one variable)"
         )
@@ -298,20 +300,37 @@ class DivisorialCurve(_Place):
         i, _ = self._graph
         return self.vars[1 - i]
 
+    def _restrict(self, p: Poly) -> list[int]:
+        """p on the curve, as a dense list in w: each term c*v^a*w^b adds
+        c*g^a, shifted by b."""
+        i, powers = self._graph
+        F = self.field
+        add, mul = F._add, F._mul
+        out = [0] * (max(len(powers[1]) - 1, 1) * p.degree() + 1)  # trailing zeros allowed
+        for exp, c in p.coeffs.items():
+            a, b = exp[i], exp[1 - i]
+            while len(powers) <= a:
+                powers.append(_dense_mul(F, powers[-1], powers[1]))
+            mc = mul[c]
+            for k, x in enumerate(powers[a], b):
+                if x:
+                    out[k] = add[out[k]][mc[x]]
+        return out
+
     def unit_residue(self, f: RationalFn) -> tuple[int, RationalFn]:
         """(v, r): the value v of f and the restriction r of its unit part
         f / pi^v to the curve, an element of F_q(w) for the surviving
         coordinate w.  One multiplicity pass on num and den leaves the
-        cofactors, and r is their quotient on the curve."""
+        cofactors, and r is the quotient of their restrictions, reduced
+        on dense lists."""
         if not f:
             raise InvalidInput("the zero element has no value")
-        _, images = self._graph
         a, num = multiplicity(f.num, self.pi)
         b, den = multiplicity(f.den, self.pi)
-        den = den.substitute(images)
-        if not den:
+        den = self._restrict(den)
+        if not any(den):
             raise AssertionError("curve divides the denominator after cancellation")
-        return a - b, RationalFn(num.substitute(images), den)
+        return a - b, RationalFn._of_dense(self.field, self.residue_var, self._restrict(num), den)
 
 
 class CompositePlace(_Place):

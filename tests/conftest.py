@@ -11,6 +11,7 @@ the work-count ratchets in fresh interpreters; test modules import
 them from `conftest`.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -61,6 +62,30 @@ def evaluate(p, point):
                 c = F.mul(c, F.pow(x, e))
         total = F.add(total, c)
     return total
+
+
+def substitute(p, images):
+    """p with each variable replaced by a Poly from images; every image
+    lives in one domain."""
+    from flagval.poly import Poly
+
+    some = next(iter(images.values()))
+    out = Poly.zero(some.field, some.vars)
+    for exp, c in p.coeffs.items():
+        term = Poly.constant(some.field, some.vars, c)
+        for v, e in zip(p.vars, exp):
+            if e:
+                term = term * (images[v] ** e)
+        out = out + term
+    return out
+
+
+def bivariate_polys(F, max_deg):
+    """Every nonzero polynomial in x, y of total degree <= max_deg over F."""
+    from flagval.poly import Poly
+
+    monos = [e for e in itertools.product(range(max_deg + 1), repeat=2) if sum(e) <= max_deg]
+    return [Poly(F, ("x", "y"), dict(zip(monos, c))) for c in itertools.product(range(F.q), repeat=len(monos)) if any(c)]
 
 
 def reduce_poly(ring, p):

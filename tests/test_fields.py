@@ -24,6 +24,7 @@ from flagval.poly import Poly, divmod_univariate, factor, gcd_univariate, monic_
 from flagval.projspace import EmbeddedSubspace
 from flagval.suites import _random_rational
 from flagval.valuations import FinitePlace, InfinitePlace, ultrametric_ok
+from conftest import bivariate_polys
 from test_fqlin import rref
 
 F3 = FiniteField(3)
@@ -65,7 +66,7 @@ def test_construction_errors():
 def test_trusted_routes_refuse_reserved_names(name):
     # from_poly and constant skip the gcd in one variable, not the check
     with pytest.raises(InvalidInput):
-        RationalFn.from_poly(Poly.variable(F3, (name,), name))
+        RationalFn.from_poly(Poly.parse(F3, name, (name,)))
     with pytest.raises(InvalidInput):
         RationalFn.constant(F3, (name,), 1)
     with pytest.raises(InvalidInput):
@@ -306,6 +307,72 @@ def test_univariate_shortcuts_match_the_full_route(q):
             assert _parts(RationalFn.from_poly(p) + f) == want
         g = rng.choice(fs)  # a general sum keeps the full route
         assert _parts(f + g) == _full_route(n * g.den + g.num * d, d * g.den)
+
+
+# every n/d over GF(2); over GF(3), where the n/d number 530k, a seeded
+# draw of them
+BIVARIATE_INVERSE_DRAWS = {2: None, 3: 3000}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_bivariate_trusted_routes_match_the_constructor(q):
+    """from_poly(p) is _make(p, 1) and f.inverse() swaps the parts of a
+    canonical f with a monic denominator, in two variables as in one;
+    each must give the parts the validating constructor gives, for every
+    p of degree <= 2 (the zero included) and n/d with n, d of degree <= 2."""
+    F = FiniteField(q)
+    polys = bivariate_polys(F, 2)
+    for p in polys + [Poly.zero(F, XY)]:
+        assert _parts(RationalFn.from_poly(p)) == _parts(RationalFn(p, p._one()))
+    draws = BIVARIATE_INVERSE_DRAWS[q]
+    rng = random.Random(600 + q)
+    pairs = itertools.product(polys, polys) if draws is None else ((rng.choice(polys), rng.choice(polys)) for _ in range(draws))
+    rescaled = 0
+    for n, d in pairs:
+        f = RationalFn(n, d)
+        assert _parts(f.inverse()) == _parts(RationalFn(f.den, f.num))
+        rescaled += f.num.leading_coeff() != 1
+    assert q == 2 or rescaled > draws // 2
+
+
+def test_bivariate_trusted_routes_beyond_the_window():
+    # parts of degree 4 over GF(4): the constructor neither factors nor
+    # cancels them, and only makes the denominator monic
+    F = FiniteField(4)
+    rng = random.Random(604)
+    for _ in range(60):
+        p = _random_poly(F, rng, XY, 4)
+        assert _parts(RationalFn.from_poly(p)) == _parts(RationalFn(p, p._one()))
+        f = RationalFn(_random_poly(F, rng, XY, 4), p)
+        assert max(f.num.degree(), f.den.degree()) > 3
+        assert _parts(f.inverse()) == _parts(RationalFn(f.den, f.num))
+
+
+def _old_is_constant(f):
+    """The first is_constant: equal degrees, then num == den * c."""
+    n, d = f.num, f.den
+    if not n:
+        return True
+    if n.degree() != d.degree():
+        return False
+    return n == d * f.field.div(n.leading_coeff(), d.leading_coeff())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_univariate_inverse_and_is_constant_match_the_constructor(q):
+    """In one variable inverse() swaps the dense parts and makes the new
+    denominator monic with no gcd, and is_constant() reads the dense
+    parts; both against the validating route on every canonical n/d with
+    deg n, deg d <= 2, the zero 0/1 included, built both ways."""
+    F = FiniteField(q)
+    _, fs = _canonical_quotients(F)
+    constants = 0
+    for f in fs + [RationalFn(f.num, f.den) for f in fs]:
+        assert f.is_constant() == _old_is_constant(f)
+        constants += f.is_constant()
+        if f:
+            assert _parts(f.inverse()) == _parts(RationalFn(f.den, f.num))
+    assert constants == 2 * q
 
 
 def _cross_equal(f, g):

@@ -718,35 +718,89 @@ def test_arena_names_are_the_renderings(q, deg):
     assert all(arena.name(f) is arena.name(f) for f in fns)
 
 
+@pytest.mark.parametrize("q, deg", [(2, 1), (2, 2), (3, 1)])
+def test_arena_lines_and_their_divisors(q, deg):
+    # push keeps no constancy check: a generator, or g/h for distinct
+    # monic irreducibles, is never constant, so every counted line is
+    # built; each line's divisors are to_divisor of its points, the very
+    # objects of the arena's divisor cache
+    from flagval.suites import _arena_line_count
+
+    arena = Arena(FiniteField(q), XY, deg)
+    assert len(arena.lines) == _arena_line_count(q, deg)
+    assert not any(g.is_constant() for g in arena.line_gens)
+    assert len(arena.line_divisors) == len(arena.lines)
+    for line, divs in zip(arena.lines, arena.line_divisors):
+        assert len(divs) == len(line.functions)
+        for f, d in zip(line.functions, divs):
+            want = to_divisor(f)
+            assert (d.class_key(), d.unit) == (want.class_key(), want.unit), str(f)
+            assert arena.divisor_of(f) is d
+
+
+@pytest.mark.parametrize("place", ["curve:x^2+y", "curve:y^2+x", "curve:x^2+x+y"])
+def test_valuation_psi_sums_images_on_the_trusted_route(place):
+    # ValuationPsi.evaluate builds with DivisorRep._make; the base
+    # PsiMap.evaluate is the validating route on the same image table
+    F2 = FiniteField(2)
+    arena = _arena(F2, XY, 2)
+    curve = parse_place(F2, place, XY)
+    w = curve.residue_var
+    psi = build_psi_from_valuation(curve, {w: w}, F2, (w, "z"))
+    fns = [f for line in arena.lines for f in line.functions]
+    assert len(fns) == 3 * len(arena.lines)
+    trivial = 0
+    for f in fns:
+        got, want = psi.evaluate(f), PsiMap.evaluate(psi, f)
+        assert (got.exps, got.unit, got.class_key()) == (want.exps, want.unit, want.class_key()), str(f)
+        trivial += got.is_trivial()
+    assert 0 < trivial < len(fns)
+
+
 def _roundtrip_work_counts(patch) -> dict:
     """Exact work of the three round trips of the benchmark's roundtrip
     workload on one fresh arena, counted by wrappers that
-    `patch(owner, name, wrapper)` installs.
+    `patch(owner, name, wrapper)` installs; a module-level function is
+    patched in every flagval module that binds it.
 
     The witness search divides only where the additive hash of a
     candidate matches, and the arena renders each catalog function once
-    for all three trips."""
-    from flagval import suites
+    for all three trips.  Each line's shared denominator is factored
+    once, the conclusions read catalog values from the arena's
+    divisors, canonical inverses and polynomials skip the validating
+    constructor, and psi's images are summed on the trusted route."""
+    from flagval import fields, poly, suites
 
     arena = Arena(FiniteField(2), XY, 2)
     patch(suites, "_arena", lambda field, vars, deg: arena)
     counts = {}
-    for owner, name in ((DivisorRep, "__truediv__"), (RationalFn, "__str__")):
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("flagval.")]
+    methods = ((DivisorRep, "__truediv__"), (RationalFn, "__str__"), (RationalFn, "__init__"), (DivisorRep, "__init__"))
+    for owner, name in methods + ((fields, "to_divisor"), (poly, "factor")):
         fn = getattr(owner, name)
-        key = f"{owner.__name__}.{name}"
+        key = f"{owner.__name__}.{name}" if isinstance(owner, type) else name
         counts[key] = 0
 
         def wrapper(*args, fn=fn, key=key):
             counts[key] += 1
             return fn(*args)
 
-        patch(owner, name, wrapper)
+        for target in (owner, *modules):
+            if vars(target).get(name) is fn:
+                patch(target, name, wrapper)
     for cfg in GOLDEN_TRIPS[1:]:
         assert run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))["violations"] == 0
     return counts
 
 
-ROUNDTRIP_WORK_COUNTS = {"DivisorRep.__truediv__": 120, "RationalFn.__str__": 381}
+ROUNDTRIP_WORK_COUNTS = {
+    "DivisorRep.__truediv__": 120,
+    "RationalFn.__str__": 381,
+    "RationalFn.__init__": 538,
+    "DivisorRep.__init__": 264,
+    "to_divisor": 726,
+    "factor": 2577,
+}
 
 
 def test_roundtrip_work_counts(monkeypatch):

@@ -37,7 +37,7 @@ from flagval.valuations import (
     valuation_flag_structure,
 )
 
-from conftest import assert_counts_under_hash_seeds, evaluate, reduce_poly, unit_residue
+from conftest import assert_counts_under_hash_seeds, bivariate_polys, evaluate, reduce_poly, substitute, unit_residue
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -737,8 +737,8 @@ def _uniformizer_route(curve, text, f):
     assert a == b
     gone, image, kept = GRAPHS[text]
     w = (kept,)
-    images = {gone: Poly.parse(F, image, w), kept: Poly.variable(F, w, kept)}
-    return v, RationalFn(num.substitute(images), den.substitute(images))
+    images = {gone: Poly.parse(F, image, w), kept: Poly.parse(F, kept, w)}
+    return v, RationalFn(substitute(num, images), substitute(den, images))
 
 
 def _check_curve_residues(F, texts, fns):
@@ -793,6 +793,94 @@ def test_curve_residues_match_uniformizer_route_f3_sampled():
         pi = RationalFn.from_poly(Poly.parse(F3, text, XY))
         fns = [RationalFn(draw(), draw()) * pi ** rng.randint(-2, 2) for _ in range(60)]
         _check_curve_residues(F3, [text], fns)
+
+
+# the curves of the substitution oracle, written as GRAPHS is; over
+# GF(2) and GF(4), -1 = 1
+SUBSTITUTION_GRAPHS = {
+    **{text: GRAPHS[text] for text in ("x", "x^2+y", "y^2+x", "x^2+x+y")},
+    "y": ("y", "0", "x"),
+    "x+y": ("x", "-y", "y"),
+}
+
+
+def _substitution_route(curve, text):
+    """The residue route before the dense kernel, as a function of f:
+    the multiplicity pass, then `substitute` of the graph into each
+    cofactor, then the validating constructor.  Each part's pass and
+    substitution is done once."""
+    F = curve.field
+    gone, image, kept = SUBSTITUTION_GRAPHS[text]
+    w = (kept,)
+    images = {gone: Poly.parse(F, image, w), kept: Poly.parse(F, kept, w)}
+    parts = {}
+
+    def part(p):
+        if p not in parts:
+            k, rest = multiplicity(p, curve.pi)
+            parts[p] = k, substitute(rest, images)
+        return parts[p]
+
+    def route(f):
+        (a, num), (b, den) = part(f.num), part(f.den)
+        return a - b, RationalFn(num, den)
+
+    return route
+
+
+def _check_dense_residues(F, fns):
+    """unit_residue against the substitution route at every curve of
+    SUBSTITUTION_GRAPHS, by value and dense parts, and the composite
+    place composite:x|y against the point's value on that route."""
+    for text in SUBSTITUTION_GRAPHS:
+        curve = DivisorialCurve(Poly.parse(F, text, XY))
+        route = _substitution_route(curve, text)
+        for f in fns:
+            v, r = curve.unit_residue(f)
+            want_v, want_r = route(f)
+            assert (v, r.vars, r.dense_parts()) == (want_v, want_r.vars, want_r.dense_parts()), (text, str(f))
+    comp = parse_place(F, "composite:x|y", XY)
+    route = _substitution_route(comp.curve, "x")
+    for f in fns:
+        v, r = route(f)
+        assert comp.val(f) == (v, comp.point.val(r)), str(f)
+
+
+def test_dense_curve_residues_match_substitution_f2():
+    # every n/d with n, d nonzero of total degree <= 2 over GF(2)
+    polys = bivariate_polys(FiniteField(2), 2)
+    assert len(polys) == 63
+    _check_dense_residues(FiniteField(2), [RationalFn._make(n, d) for n in polys for d in polys])
+
+
+def test_dense_curve_residues_match_substitution_f3():
+    # over GF(3) the 530k n/d of degree <= 2 take minutes: every part
+    # alone, p/1 and 1/p, since each part is restricted on its own, and
+    # a seeded draw of n/d for the final reduction
+    polys = bivariate_polys(F3, 2)
+    one = polys[0]._one()
+    rng = random.Random(33)
+    fns = [RationalFn._make(p, one) for p in polys] + [RationalFn._make(one, p) for p in polys]
+    fns += [RationalFn._make(rng.choice(polys), rng.choice(polys)) for _ in range(2000)]
+    _check_dense_residues(F3, fns)
+
+
+def test_dense_curve_residues_match_substitution_f4_sampled():
+    # seeded n/d with parts of degree <= 3 over GF(4)
+    F4 = FiniteField(4)
+    factors = bivariate_polys(F4, 1)  # common factors for the final gcd
+    rng = random.Random(34)
+    monos = [e for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
+
+    def draw():
+        while True:
+            p = Poly(F4, XY, {m: rng.randrange(4) for m in monos})
+            if p:
+                return p
+
+    fns = [RationalFn._make(draw(), draw()) for _ in range(300)]
+    fns += [RationalFn._make(draw() * a, draw() * a) for a in rng.sample(factors, 40)]
+    _check_dense_residues(F4, fns)
 
 
 @pytest.mark.parametrize("text", ["x^2+y", "y^2+x", "x^2+x+y"])
