@@ -181,14 +181,10 @@ class RationalFn:
         if o is NotImplemented:
             return NotImplemented
         if len(self.vars) == 1:
-            F, add = self.field, self.field._add
             (a, b), (c, d) = self.dense_parts(), o.dense_parts()
-            if len(b) == 1:
-                (a, b), (c, d) = (c, d), (a, b)
-            poly = len(d) == 1  # n/b + p = (n + p b)/b is in lowest terms (class docstring)
-            ad, bd = (a, b) if poly else (_dense_mul(F, a, d), _dense_mul(F, b, d))
-            num = [add[x][y] for x, y in zip_longest(ad, _dense_mul(F, c, b), fillvalue=0)]
-            return RationalFn._of_dense(F, self.vars[0], num, bd, poly)
+            num, den = _dense_sum(self.field, a, b, c, d)
+            # n/b + p = (n + p b)/b is in lowest terms (class docstring)
+            return RationalFn._of_dense(self.field, self.vars[0], num, den, len(b) == 1 or len(d) == 1)
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -251,6 +247,20 @@ class RationalFn:
         F = self.field
         c = F.div(self.num.leading_coeff(), self.den.leading_coeff())
         return self.num == self.den * c
+
+
+def _dense_sum(F: FiniteField, a, b, c, d) -> tuple[list[int], list[int]]:
+    """The unreduced parts (a d + c b, b d) of a/b + c/d from dense lists
+    with monic denominators, the numerator trimmed; a denominator 1
+    costs no product."""
+    if len(b) == 1:
+        (a, b), (c, d) = (c, d), (a, b)
+    ad, bd = (a, b) if len(d) == 1 else (_dense_mul(F, a, d), _dense_mul(F, b, d))
+    add = F._add
+    num = [add[x][y] for x, y in zip_longest(ad, _dense_mul(F, c, b), fillvalue=0)]
+    while num and not num[-1]:
+        num.pop()
+    return num, bd
 
 
 def _init_fn(f: RationalFn, F: FiniteField, vars: tuple[str, ...], num, den, dense) -> None:

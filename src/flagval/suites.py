@@ -272,8 +272,7 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
                 ultra_bad += 1
                 if len(ultra_fail) < WITNESS_CAP:
                     ultra_fail.append(f"{serialize_place(place)}: {f} , {g}")
-        h = f * g
-        if not (degree_sum(f) == 0 and degree_sum(g) == 0 and degree_sum(h) == 0):
+        if not (degree_sum(f) == 0 and degree_sum(g) == 0 and degree_sum(f, g) == 0):
             deg_bad += 1
             if len(degsum_fail) < WITNESS_CAP:
                 degsum_fail.append(f"{f} , {g}")

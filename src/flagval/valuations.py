@@ -12,7 +12,9 @@ t - root at degree one, division by pi into F_q[t]/(pi) above); at
 infinity it is (-deg a, lc(a)).  `val_dense(num, den)` is two splits.
 A graph curve answers `unit_residue(f) -> (v, r)`: the value of f and
 the restriction of its unit part to the curve.  The checks at places
-of F_q(t) read the dense parts that `RationalFn.dense_parts()` keeps.
+of F_q(t) read the dense parts that `RationalFn.dense_parts()` keeps;
+the two axiom checks read the values of a sum or a product off its
+unreduced parts, since a value does not depend on the representative.
 
 This module owns the places of F_q(t) and their memos: `place_of(pi)`
 keeps one FinitePlace per modulus, the last 64, for the suites' fixed
@@ -22,11 +24,11 @@ place keeps the splits of the last SPLIT_MEMO_SIZE (128) parts it met.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import InvalidInput, UnsupportedResidue
 from .ff import FiniteField, power
-from .fields import RationalFn
+from .fields import RationalFn, _dense_sum
 from .flagkit import FlagVerdict, is_flag_map
 from .poly import Poly, _dense_mul, _divrem, _multiplicity_dense, _root_multiplicity
 from .poly import factor_univariate, is_irreducible, multiplicity
@@ -371,40 +373,47 @@ def valuation_flag_structure(place, S: EmbeddedSubspace) -> FlagVerdict:
 
 
 def ultrametric_ok(places, f: RationalFn, g: RationalFn) -> list[bool | None]:
-    """Triangle inequality for one pair at each place of F_q(t), f+g built
-    once; None at every place when f+g = 0 (no value).  Every place reads
-    the kept dense parts of f, g and f+g through `val_dense`."""
-    s = f + g
-    if not s:
-        return [None] * len(places)
+    """Triangle inequality for one pair of nonzero functions at each place
+    of F_q(t); None at every place when f+g = 0 (no value).  f+g is read
+    as the unreduced (a d + c b)/(b d) of the dense parts a/b of f and c/d
+    of g, the parts `RationalFn.__add__` reduces: a value does not depend
+    on the representative, so no gcd is taken.  Every place reads the
+    three quotients through `val_dense`."""
     if not (f and g):
         raise InvalidInput("the zero element has no value")
-    dense = [h.dense_parts() for h in (f, g, s)]
-    out = []
-    for place in places:
-        vf, vg, vs = (place.val_dense(num, den) for num, den in dense)
-        out.append(vs >= min(vf, vg) and (vf == vg or vs == min(vf, vg)))
-    return out
+    f._coerce(g)  # refuses mixed domains
+    (a, b), (c, d) = f.dense_parts(), g.dense_parts()
+    s = _dense_sum(f.field, a, b, c, d)
+    if not s[0]:
+        return [None] * len(places)
+    values = ([place.val_dense(num, den) for num, den in ((a, b), (c, d), s)] for place in places)
+    return [vs >= min(vf, vg) and (vf == vg or vs == min(vf, vg)) for vf, vg, vs in values]
 
 
-def degree_sum(f: RationalFn) -> int:
-    """Sum of deg(place) * val(place, f) over all places of F_q(t).
+def degree_sum(f: RationalFn, *more: RationalFn) -> int:
+    """Sum of deg(place) * val(place, h) over all places of F_q(t), for h
+    the product of f and `more`; 0 for every nonzero h.
 
     Recomputed place by place with repeated exact division, so it
-    cross-checks the factorization route; 0 for every nonzero f.  Every
-    place reads f's kept dense parts: the place at infinity, then the
-    place of each irreducible factor of num and den, in any order.
+    cross-checks the factorization route.  h is read as the unreduced
+    quotient of the products of the dense numerators and denominators,
+    with no gcd, and the sum is D(num) - D(den) for D(a) = -deg a + the
+    sum of deg P * v_P(a) over the places P of a's irreducible factors:
+    each part is split at its own places alone.
     """
     if len(f.vars) != 1:
         raise InvalidInput("the degree formula is univariate-only")
-    if not f:
+    if not (f and all(more)):
         raise InvalidInput("the zero element has no divisor")
-    num, den = f.dense_parts()
-    total = InfinitePlace(f.field, f.vars[0]).val_dense(num, den)
-    for part in (num, den):
-        for g, _ in factor_univariate(f.field, f.vars[0], part)[1]:
-            place = place_of(g)
-            total += place.degree * place.val_dense(num, den)
+    F, var = f.field, f.vars[0]
+    parts = [f._coerce(g).dense_parts() for g in (f, *more)]  # refuses mixed domains
+    total = 0
+    for sign, dense in zip((1, -1), zip(*parts)):
+        a = reduce(lambda x, y: tuple(_dense_mul(F, x, y)), dense)
+        total += sign * (1 - len(a))  # -deg a, the value of a at infinity
+        for pi, _ in factor_univariate(F, var, a)[1]:
+            place = place_of(pi)
+            total += sign * place.degree * place._split(a)[0]
     return total
 
 

@@ -517,6 +517,11 @@ def test_ultrametric_fixed():
     assert ultrametric_ok([p], rt("t+1"), rt("t+2")) == [True]
     with pytest.raises(InvalidInput):  # f+g = g is nonzero, but f has no value
         ultrametric_ok([p], rt("0"), rt("t"))
+    for f, g in ((rt("t"), rt("0")), (rt("0"), rt("0"))):  # zero operands come first, even when f+g = 0
+        with pytest.raises(InvalidInput, match="the zero element has no value"):
+            ultrametric_ok([p], f, g)
+    with pytest.raises(InvalidInput):
+        ultrametric_ok([p], rt("t"), rt("t", F5))
 
 
 def _ultrametric_one_place(place, f, g):
@@ -533,13 +538,18 @@ def _ultrametric_one_place(place, f, g):
 
 
 class _NumeratorDegree:
-    """Not a valuation (deg num of 1/t + t is 2), so the check can fail."""
+    """Not a valuation (deg num of 1/t + t is 2), so the check can fail.
+    It is a function on K*: it reads the numerator of the canonical form
+    of whatever representative num/den it is handed."""
+
+    def __init__(self, field):
+        self.field = field
 
     def val(self, f):
         return f.num.degree()
 
     def val_dense(self, num, den):
-        return len(num) - 1
+        return len(RationalFn._of_dense(self.field, "t", num, den).dense_parts()[0]) - 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -551,7 +561,7 @@ def test_ultrametric_matches_the_per_place_oracle(q):
         FinitePlace(Poly.parse(F, "t+1", T)),
         FinitePlace(deg2),
         InfinitePlace(F, "t"),
-        _NumeratorDegree(),
+        _NumeratorDegree(F),
     ]
     rng = random.Random(1400 + q)
 
@@ -611,6 +621,122 @@ def test_degree_sum_zero():
         degree_sum(rxy("x"))
     with pytest.raises(InvalidInput):
         degree_sum(RationalFn.constant(F3, T, 0))
+
+
+def _axiom_places(F):
+    deg2 = next(p for p in monic_irreducibles(F.q, "t", 2) if p.degree() == 2)
+    places = [FinitePlace(Poly.from_dense(F, "t", [c, 1])) for c in range(min(F.q, 3))]
+    return places + [FinitePlace(deg2), InfinitePlace(F, "t"), _NumeratorDegree(F)]
+
+
+def _check_axioms_on_pair(places, f, g):
+    """The axiom checks on their unreduced sum and product against the
+    reduced f + g and f * g."""
+    assert degree_sum(f, g) == degree_sum(f * g) == 0, (str(f), str(g))
+    assert ultrametric_ok(places, f, g) == [_ultrametric_one_place(p, f, g) for p in places], (str(f), str(g))
+
+
+def _small_quotients(F):
+    """Every canonical n/d with n nonzero and deg n, deg d <= 1."""
+    polys = [Poly.from_dense(F, "t", [a, b]) for a in range(F.q) for b in range(F.q)]
+    out = {}
+    for n in polys:
+        for d in polys:
+            if n and d:
+                f = RationalFn(n, d)
+                out[f.dense_parts()] = f
+    return list(out.values())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_axioms_on_unreduced_parts_exhaustive(q):
+    F = FiniteField(q)
+    places = _axiom_places(F)
+    fs = _small_quotients(F)
+    for f in fs:
+        for g in fs:
+            _check_axioms_on_pair(places, f, g)
+
+
+@pytest.mark.parametrize("q, max_deg", [(5, 3), (49, 2)])
+def test_axioms_on_unreduced_parts_sampled(q, max_deg):
+    F = FiniteField(q)
+    places = _axiom_places(F)
+    rng = random.Random(3400 + q)
+
+    def part():
+        while True:
+            p = Poly.from_dense(F, "t", [rng.randrange(q) for _ in range(rng.randint(1, max_deg + 1))])
+            if p:
+                return p
+
+    for _ in range(300):
+        _check_axioms_on_pair(places, RationalFn(part(), part()), RationalFn(part(), part()))
+
+
+def test_axioms_where_the_unreduced_parts_share_a_factor():
+    """f and 1/f, f and f, and sums that cancel: the parts of the sum
+    (a d + c b)/(b d) or of the product (a c)/(b d) have a common factor,
+    which the checks never divide out."""
+    from flagval.fields import _dense_mul, _dense_sum
+    from flagval.poly import gcd_univariate
+
+    def shared(num, den):
+        return bool(num) and len(gcd_univariate(F3, num, den)) > 1
+
+    places = _axiom_places(F3)
+    fs = [rt("t+1/t^2"), rt("t^2+1/t^3+2"), rt("2*t/t^2+t+2"), rt("1/t^2+1")]
+    sums = [(rt("1/t"), rt("t+2/t")), (rt("t+1/t^2"), rt("2/t^2")), (rt("1/t^2+1"), rt("t/t^2+1"))]
+    sums += [(f, f) for f in fs]
+    products = [(f, f.inverse()) for f in fs] + [(f, rt("t+1") * f.inverse()) for f in fs]
+    for f, g in sums:
+        assert shared(*_dense_sum(F3, *f.dense_parts(), *g.dense_parts())), (str(f), str(g))
+    for f, g in products:
+        (a, b), (c, d) = f.dense_parts(), g.dense_parts()
+        assert shared(_dense_mul(F3, a, c), _dense_mul(F3, b, d)), (str(f), str(g))
+    for f, g in sums + products:
+        _check_axioms_on_pair(places, f, g)
+
+
+def _drop_last_factor(monkeypatch):
+    """factor_univariate, as valuations binds it, loses the last factor."""
+    from flagval import valuations
+
+    real = valuations.factor_univariate
+
+    def lossy(F, var, a):
+        unit, factors = real(F, var, a)
+        return unit, factors[:-1]
+
+    monkeypatch.setattr(valuations, "factor_univariate", lossy)
+
+
+def test_degree_sum_sees_a_lost_factor_on_reduced_and_unreduced_parts(monkeypatch):
+    _drop_last_factor(monkeypatch)
+    f, g = rt("t^2+1"), rt("1/t")
+    assert degree_sum(f) == -2 and degree_sum(rt("t^2/t+1")) == -1
+    assert degree_sum(f, g) == -1  # (t^2+1)/t, unreduced
+    assert degree_sum(rt("t/t+1"), rt("t+1/t^2+1")) == 1  # t(t+1)/((t+1)(t^2+1)), with a common factor
+
+
+def test_valuation_axioms_reports_every_injected_violation(monkeypatch):
+    from flagval import suites, valuations
+
+    cfg = suites.SuiteConfig(suite="valuation-axioms", q=3, seed=11, samples=40)
+    clean = suites.run_suite(cfg)
+    assert clean["violations"] == 0
+    # a lost factor breaks the degree formula, and only it
+    _drop_last_factor(monkeypatch)
+    rep = suites.run_suite(cfg)
+    fails = rep["witnesses"]["degree_sum_failures"]
+    assert rep["violations"] > 0 and fails and rep["witnesses"]["ultrametric_failures"] == []
+    monkeypatch.undo()
+    # -v at infinity is no valuation: the ultrametric check fails there
+    split = valuations.InfinitePlace._split
+    monkeypatch.setattr(valuations.InfinitePlace, "_split", lambda self, a: (-split(self, a)[0], a[-1]))
+    rep = suites.run_suite(cfg)
+    fails = rep["witnesses"]["ultrametric_failures"]
+    assert fails and all(w.startswith("infinite: ") for w in fails) and rep["violations"] > len(fails)
 
 
 def _check_places_against_divisor(f):
@@ -907,8 +1033,9 @@ def _axiom_work_counts(patch) -> dict:
     """Exact work of one seeded valuation-axioms run, counted by wrappers
     that `patch(owner, name, wrapper)` installs.
 
-    The draws, products and sums reduce on dense lists without the
-    validating constructor, each modulus has one place, every place
+    The draws reduce on dense lists without the validating constructor,
+    the checks read unreduced sum and product parts (no gcd: "gcd"
+    counts the draws'), each modulus has one place, every place
     splits a part once while its memo keeps it ("splits" counts the
     division passes, the memo misses), and a Poly part is made only
     when something reads it.  A first run builds the arena, whose
@@ -945,7 +1072,7 @@ def _axiom_work_counts(patch) -> dict:
     return counts
 
 
-AXIOM_WORK_COUNTS = {"FinitePlace": 15, "to_dense": 759, "RationalFn": 0, "gcd": 3825, "_from_dense": 836, "splits": 15147}
+AXIOM_WORK_COUNTS = {"FinitePlace": 15, "to_dense": 810, "RationalFn": 0, "gcd": 2000, "_from_dense": 1051, "splits": 11308}
 
 
 def test_valuation_axioms_work_counts(monkeypatch):
