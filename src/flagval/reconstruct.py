@@ -13,12 +13,15 @@ its order certified by flag behavior on every catalog line.  psi is
 evaluated as the product of its generator images over the divisor
 form, so it is a homomorphism on K*/k* by construction.
 
-Extraction evaluates psi once per catalog class and once per plane
-point; the checks of the theorem's conclusions evaluate it again on
-the elements they sample.  `_collect_point_classes` holds the image of
-every class, and the unit universe and the extraction routes read that
-table.  A plane's decomposition reads the images of its line points
-from its own point images: up to a constant, which psi ignores,
+Extraction runs in stages: a multiplicativity precheck, the kernel
+sweep over the catalog, the plane decompositions, the unit universe,
+route selection (main, B or A; `_select_route`), the quotient and the
+order certificate.  It evaluates psi once per catalog class and once
+per plane point; the checks of the theorem's conclusions evaluate it
+again on the elements they sample.  `_collect_point_classes` holds the
+image of every class, and the unit universe and the extraction routes
+read that table.  A plane's decomposition reads the images of its line
+points from its own point images: up to a constant, which psi ignores,
 fi + c*fj and f + c are points of the same plane.
 
 All verdicts are arena-relative; the window parameters are recorded in
@@ -354,10 +357,8 @@ class Arena:
 
 @dataclass
 class Decomposition:
-    subspace: EmbeddedSubspace
     s1: tuple[int, ...]
     classes: tuple[tuple[int, tuple[int, ...]], ...]  # (representative, members)
-    images: tuple[DivisorRep, ...]
     l43_ok: bool
     l43_report: dict
 
@@ -457,15 +458,8 @@ def decompose_subspace(psi: PsiMap, S: EmbeddedSubspace) -> Decomposition:
                         f"l({fi},{fj}) meets the kernel at +{c}({fj})"
                     )
 
-    ok = not any(violations.values())
-    return Decomposition(
-        S,
-        tuple(s1),
-        tuple((r, tuple(members[r])) for r in reps),
-        tuple(images),
-        ok,
-        violations,
-    )
+    classes = tuple((r, tuple(members[r])) for r in reps)
+    return Decomposition(tuple(s1), classes, not any(violations.values()), violations)
 
 
 # -- the unit universe -------------------------------------------------
@@ -644,71 +638,156 @@ def _certify_flag_on_lines(gamma: _Gamma, arena: Arena) -> tuple[bool, list[str]
     return not bad, bad
 
 
+def _rank_one_value(coords, sign: int = 1) -> int | None:
+    """sign times the first free coordinate of nu's coords, 0 when there
+    is none; None outside the window or off the torsion-free part."""
+    if coords is None or any(coords[0]):
+        return None
+    return sign * coords[1][0] if coords[1] else 0
+
+
 def _orient_rank_one(gamma: _Gamma, arena: Arena) -> tuple[int | None, dict]:
     """Pick the sign making sampled pairs satisfy the ultrametric rule
     and additivity on products; a map and its negative cannot both."""
     stats = {1: 0, -1: 0, "pairs": 0}
     # mix unit-value and nonzero-value polynomials: pairs with distinct
     # values are the only ones the ultrametric rule can discriminate
-    zeros: list[RationalFn] = []
-    nonzeros: list[RationalFn] = []
+    zeros: list[tuple[RationalFn, int]] = []
+    nonzeros: list[tuple[RationalFn, int]] = []
     for fn in arena.line_gens:
         if not fn.den.is_constant():
             continue
-        v = gamma.nu(arena.divisor_of(fn))
-        if v is None or any(v[0]):
+        val = _rank_one_value(gamma.nu(arena.divisor_of(fn)))
+        if val is None:
             continue
-        val = v[1][0] if v[1] else 0
         if val == 0:
             if len(zeros) < 6 and fn.num.degree() == 1:
-                zeros.append(fn)
+                zeros.append((fn, val))
         elif len(nonzeros) < 4:
-            nonzeros.append(fn)
+            nonzeros.append((fn, val))
         if len(zeros) >= 6 and len(nonzeros) >= 4:
             break
-    fns = zeros + nonzeros
-    for i in range(len(fns)):
-        for j in range(i + 1, len(fns)):
-            f, g = fns[i], fns[j]
-            s = f + g
-            if not s:
-                continue
-            vals = []
-            for h in (arena.divisor_of(f), arena.divisor_of(g), s, f * g):
-                v = gamma.nu(h)
-                if v is None or any(v[0]):
-                    vals = None
-                    break
-                vals.append(v[1][0])
-            if vals is None:
-                continue
-            vf, vg, vs, vp = vals
-            stats["pairs"] += 1
-            for sign in (1, -1):
-                a, b, c = sign * vf, sign * vg, sign * vs
-                if c < min(a, b) or (a != b and c != min(a, b)):
-                    stats[sign] += 1
-                if sign * vp != a + b:
-                    stats[sign] += 1
-    if stats["pairs"] == 0:
-        return None, stats
+    for (f, vf), (g, vg) in itertools.combinations(zeros + nonzeros, 2):
+        s = f + g
+        if not s:
+            continue
+        vs = _rank_one_value(gamma.nu(s))
+        vp = None if vs is None else _rank_one_value(gamma.nu(f * g))
+        if vp is None:
+            continue
+        stats["pairs"] += 1
+        for sign in (1, -1):
+            a, b, c = sign * vf, sign * vg, sign * vs
+            if c < min(a, b) or (a != b and c != min(a, b)):
+                stats[sign] += 1
+            if sign * vp != a + b:
+                stats[sign] += 1
     good = [s for s in (1, -1) if stats[s] == 0]
-    if len(good) == 1:
-        return good[0], stats
-    if len(good) == 2:
-        return 1, stats  # samples cannot separate the signs; canonical choice
-    return None, stats
+    # when the samples cannot separate the signs, 1 is the canonical choice
+    return (good[0] if good and stats["pairs"] else None), stats
+
+
+def _no_valuation(
+    verdict: str, case: str | None, arena: Arena, lemma_checks: dict, notes: list
+) -> ReconstructionResult:
+    """The report of a run that extracts no valuation: "injective" before
+    any route, or "inconclusive" from case A, whose hypothesis failed."""
+    held = None if case is None else False
+    return ReconstructionResult(
+        verdict, case, arena.describe(), hypothesis_held=held, lemma_checks=lemma_checks, notes=tuple(notes)
+    )
+
+
+def _select_route(
+    arena: Arena, classes: dict, kernel_keys: set, ur: UniverseReport, lemma_checks: dict, flags: dict, notes: list
+) -> tuple[str, set | None]:
+    """(case, unit keys) of the route the unit universe selects: a flag
+    map on every line (B, the map is already its own valuation; no line
+    is injective then), products of injective lines (main), or else all
+    non-flag images confined to one dependence class (A, units pulled
+    back from there).  Case A answers None for the unit keys, with a
+    note saying why, when it finds no valuation."""
+    if ur.all_lines_flag:
+        notes.append("flag map on every catalog line; the map is its own valuation")
+        return "B", set(kernel_keys)
+    if not ur.u_classes:
+        bad_imgs: list[DivisorRep] = []
+        seen_img: set = set()
+        for divs, (_, st) in zip(arena.line_divisors, ur.line_status):
+            if st != "neither":
+                continue
+            for d in divs:
+                img = classes[d.class_key()][2]
+                if not img.is_trivial() and img.class_key() not in seen_img:
+                    seen_img.add(img.class_key())
+                    bad_imgs.append(img)
+        rep = bad_imgs[0]
+        if not all(_related(rep, other, DEP_BOUND) for other in bad_imgs[1:]):
+            notes.append(
+                "images of non-flag lines span independent directions; "
+                "no single one-dimensional subfield receives them"
+            )
+            return "A", None
+        unit_keys = {
+            key for key, (_, _, img) in classes.items() if img.is_trivial() or _related(img, rep, DEP_BOUND)
+        }
+        if len(unit_keys) == len(classes):
+            notes.append("detected unit group covers the whole window; the quotient is trivial")
+            return "A", None
+        return "A", unit_keys
+
+    if not ur.hypothesis_held:
+        notes.append(
+            "independent-image hypothesis failed on this window; "
+            "multiplicative closure is verified directly instead"
+        )
+    # closure: sampled triple products of units must factor into two
+    # unit classes again; products whose factorizations would need
+    # points beyond the window are counted, not failed
+    u_items = sorted(ur.u_classes.values(), key=lambda t: (t[1].deg_sum(), len(t[1].exps), arena.name(t[0])))
+    u_divs = [d for _, d, _ in u_items]
+    H = _divisor_hash(random.Random(0))
+    u_ext = [(H(d), d) for d in u_divs]
+    u_ext += [(-h % HASH_MOD, d.inverse()) for h, d in u_ext]
+    u_ext_keys = {d.class_key() for _, d in u_ext}
+    u_hashes = {h for h, _ in u_ext}
+
+    small = [d for d in u_divs if d.deg_sum() <= 1 and all(e > 0 for e in d.exps.values())]
+    small = small[:6] or u_divs[:3]
+    found = 0
+    unrepresented = 0
+    out_of_window = 0
+    seen_triples: set = set()
+    for a, b, c in itertools.product(small, repeat=3):
+        t = a * b * c
+        tk = t.class_key()
+        if tk in seen_triples:
+            continue
+        seen_triples.add(tk)
+        if not arena.within_bounds(t):
+            out_of_window += 1
+        elif _pair_witness(t, H, u_ext, u_hashes, u_ext_keys):
+            found += 1
+        else:
+            unrepresented += 1
+    if found == 0:
+        raise ClosureFailure(
+            "no sampled triple product of units factors through the window; "
+            "the arena is too small to certify closure"
+        )
+    lemma_checks["l45"] = True
+    flags["l45_triples_factored"] = found
+    flags["l45_triples_beyond_window"] = unrepresented
+    if out_of_window:
+        flags["l45_triples_beyond_exponent_bound"] = out_of_window
+    return "main", set(ur.u_classes)
 
 
 def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
-    """Full pipeline: multiplicativity precheck, kernel sweep, unit
-    universe, route selection, quotient computation, and order
-    certification through flag behavior on every catalog line.
-
-    Routes: products of injective lines (main), flag map on every line
-    (the map is already its own valuation), or all non-flag images
-    confined to one dependence class (units pulled back from there).
-    """
+    """Full pipeline, one stage after another: multiplicativity
+    precheck, kernel sweep, plane decompositions, unit universe, route
+    selection (`_select_route`), quotient computation, and order
+    certification through flag behavior on every catalog line."""
     if len(arena.vars) != 2:
         raise InvalidInput("valuation extraction needs a two-variable arena")
     defects = check_multiplicative(psi, list(arena.line_gens[:12]))
@@ -719,7 +798,6 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
     kernel_keys = {
         key for key, (_, d, img) in classes.items() if img.is_trivial() and not d.is_trivial()
     }
-    arena_desc = arena.describe()
 
     lemma_checks: dict = {"l43": None, "l45": None, "p46": None}
     notes: list[str] = []
@@ -733,119 +811,12 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
         notes.append(f"plane decomposition aborted: {e}")
 
     if not kernel_keys:
-        return ReconstructionResult(
-            "injective",
-            None,
-            arena_desc,
-            lemma_checks=lemma_checks,
-            notes=tuple(notes + ["no kernel detectable on the arena"]),
-        )
-
+        notes.append("no kernel detectable on the arena")
+        return _no_valuation("injective", None, arena, lemma_checks, notes)
     ur = build_u(arena, classes)
-
-    if ur.u_classes:
-        case = "main"
-        unit_keys = set(ur.u_classes)
-        if not ur.hypothesis_held:
-            notes.append(
-                "independent-image hypothesis failed on this window; "
-                "multiplicative closure is verified directly instead"
-            )
-
-        # closure: sampled triple products of units must factor into two
-        # unit classes again; products whose factorizations would need
-        # points beyond the window are counted, not failed
-        u_items = sorted(
-            ur.u_classes.values(), key=lambda t: (t[1].deg_sum(), len(t[1].exps), arena.name(t[0]))
-        )
-        u_divs = [d for _, d, _ in u_items]
-        H = _divisor_hash(random.Random(0))
-        u_ext = [(H(d), d) for d in u_divs]
-        u_ext += [(-h % HASH_MOD, d.inverse()) for h, d in u_ext]
-        u_ext_keys = {d.class_key() for _, d in u_ext}
-        u_hashes = {h for h, _ in u_ext}
-
-        small = [d for d in u_divs if d.deg_sum() <= 1 and all(e > 0 for e in d.exps.values())]
-        small = small[:6] or u_divs[:3]
-        found = 0
-        unrepresented = 0
-        out_of_window = 0
-        seen_triples: set = set()
-        for a in small:
-            for b in small:
-                for c in small:
-                    t = a * b * c
-                    tk = t.class_key()
-                    if tk in seen_triples:
-                        continue
-                    seen_triples.add(tk)
-                    if not arena.within_bounds(t):
-                        out_of_window += 1
-                        continue
-                    if _pair_witness(t, H, u_ext, u_hashes, u_ext_keys):
-                        found += 1
-                    else:
-                        unrepresented += 1
-        if found == 0:
-            raise ClosureFailure(
-                "no sampled triple product of units factors through the window; "
-                "the arena is too small to certify closure"
-            )
-        lemma_checks["l45"] = True
-        flags["l45_triples_factored"] = found
-        flags["l45_triples_beyond_window"] = unrepresented
-        if out_of_window:
-            flags["l45_triples_beyond_exponent_bound"] = out_of_window
-    elif ur.all_lines_flag:
-        case = "B"
-        unit_keys = set(kernel_keys)
-        notes.append("flag map on every catalog line; the map is its own valuation")
-    else:
-        case = "A"
-        bad_imgs: list[DivisorRep] = []
-        seen_img: set = set()
-        for divs, (_, st) in zip(arena.line_divisors, ur.line_status):
-            if st != "neither":
-                continue
-            for d in divs:
-                img = classes[d.class_key()][2]
-                if not img.is_trivial() and img.class_key() not in seen_img:
-                    seen_img.add(img.class_key())
-                    bad_imgs.append(img)
-        rep = bad_imgs[0]
-        for other in bad_imgs[1:]:
-            if not _related(rep, other, DEP_BOUND):
-                return ReconstructionResult(
-                    "inconclusive",
-                    "A",
-                    arena_desc,
-                    hypothesis_held=False,
-                    lemma_checks=lemma_checks,
-                    notes=tuple(
-                        notes
-                        + [
-                            "images of non-flag lines span independent directions; "
-                            "no single one-dimensional subfield receives them"
-                        ]
-                    ),
-                )
-        unit_keys = {
-            key
-            for key, (_, d, img) in classes.items()
-            if img.is_trivial() or _related(img, rep, DEP_BOUND)
-        }
-        if len(unit_keys) == len(classes):
-            return ReconstructionResult(
-                "inconclusive",
-                "A",
-                arena_desc,
-                hypothesis_held=False,
-                lemma_checks=lemma_checks,
-                notes=tuple(
-                    notes
-                    + ["detected unit group covers the whole window; the quotient is trivial"]
-                ),
-            )
+    case, unit_keys = _select_route(arena, classes, kernel_keys, ur, lemma_checks, flags, notes)
+    if unit_keys is None:
+        return _no_valuation("inconclusive", case, arena, lemma_checks, notes)
 
     gamma = _Gamma(classes, unit_keys)
 
@@ -886,7 +857,7 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
     return ReconstructionResult(
         "valuation",
         case,
-        arena_desc,
+        arena.describe(),
         tuple(sample),
         len(o_keys),
         gamma.free_rank,
@@ -904,92 +875,73 @@ def extract_valuation(psi: PsiMap, arena: Arena) -> ReconstructionResult:
 # -- theorem conclusions -------------------------------------------------
 
 
+def _tally(outcomes: list, text=str) -> dict:
+    """Samples, passes and failure texts of (item, passed) outcomes; only
+    a failed item is rendered, by text.  The callers draw the outcomes
+    themselves, so psi is evaluated where each check is written."""
+    return {
+        "samples": len(outcomes),
+        "passes": sum(ok for _, ok in outcomes),
+        "failures": [text(item) for item, ok in outcomes if not ok],
+    }
+
+
 def verify_theorem_conclusions(
     result: ReconstructionResult, psi: PsiMap, arena: Arena, samples: int = 50
 ) -> dict:
     """Conclusion (1): psi is trivial on 1 + m.  Conclusion (2): the
     induced map at the residue level is injective.  Both are sampled on
-    the arena against the extracted quotient.  For a ValuationPsi,
-    conclusion (2) compares the unit residues at the curve, and an
-    extracted unit of nonzero curve value is a failed sample."""
+    the arena against the extracted quotient, at most `samples` times
+    each.  For a ValuationPsi, conclusion (2) compares the unit residues
+    at the curve, and an extracted unit of nonzero curve value is a
+    failed sample."""
     if result.verdict != "valuation" or result.nu is None:
         raise InvalidInput("conclusions are checked against a valuation verdict")
     nu = result.nu
     sign = result.orientation or 1
 
-    def value(f):
-        v = nu(f)
-        if v is None or any(v[0]):
-            return None
-        return sign * v[1][0] if v[1] else 0
-
-    gen_values = [value(arena.divisor_of(fn)) for fn in arena.line_gens]
+    gen_values = [_rank_one_value(nu(arena.divisor_of(fn)), sign) for fn in arena.line_gens]
     m_fns = [fn for fn, v in zip(arena.line_gens, gen_values) if (v or 0) > 0]
-    c1 = {"samples": 0, "passes": 0, "failures": []}
-    for f in m_fns:
-        if c1["samples"] >= samples:
-            break
-        for g in [arena.one] + m_fns:
-            cand = f * g + 1
-            if not cand:
-                continue
-            c1["samples"] += 1
-            if psi.evaluate(cand).is_trivial():
-                c1["passes"] += 1
-            else:
-                c1["failures"].append(str(cand))
-            if c1["samples"] >= samples:
-                break
+    cands = (f * g + 1 for f in m_fns for g in [arena.one] + m_fns)
+    c1 = _tally(list(itertools.islice(((c, psi.evaluate(c).is_trivial()) for c in cands if c), samples)))
     if not m_fns:
         c1["note"] = "no positive-value elements in the catalog"
 
     units = [fn for fn, v in zip(arena.line_gens, gen_values) if v == 0]
-    c2 = {"samples": 0, "passes": 0, "failures": [], "method": None}
+    c2 = {"samples": 0}
     if isinstance(psi, ValuationPsi):
-        c2["method"] = "distinct residue classes keep distinct images"
         place = psi.place
         # each unit's residue and image class, on first use
         residue = cache(lambda k: place.unit_residue(units[k]))
         image_key = cache(lambda k: psi.evaluate(arena.divisor_of(units[k])).class_key())
-        for i, f in enumerate(units):
-            if c2["samples"] >= samples:
-                break
-            vf, rf = residue(i)
-            for j in range(i + 1, len(units)):
-                g = units[j]
-                vg, rg = residue(j)
-                if not (vf or vg) and (rf / rg).is_constant():
-                    continue
-                c2["samples"] += 1
-                if vf or vg:
-                    # the extracted value calls a non-unit of the curve a unit
-                    c2["failures"].append(f"{f if vf else g} is not a unit along {place.pi}")
-                elif image_key(i) != image_key(j):
-                    c2["passes"] += 1
-                else:
-                    c2["failures"].append(f"{f} vs {g}")
-                if c2["samples"] >= samples:
-                    break
+        pairs = ((i, j, residue(i), residue(j)) for i in range(len(units)) for j in range(i + 1, len(units)))
+        # a pair is sampled unless both are units with residues a constant
+        # apart; bad is the first one of nonzero curve value, if any
+        sampled = (
+            (i, j, units[i] if vf else units[j] if vg else None)
+            for i, j, (vf, rf), (vg, rg) in pairs
+            if vf or vg or not (rf / rg).is_constant()
+        )
+        outcomes = [
+            ((units[i], units[j], bad), bad is None and image_key(i) != image_key(j))
+            for i, j, bad in itertools.islice(sampled, samples)
+        ]
+
+        def failure(item) -> str:
+            f, g, bad = item
+            # a bad element: the extracted value calls a non-unit of the curve a unit
+            return f"{f} vs {g}" if bad is None else f"{bad} is not a unit along {place.pi}"
+
+        c2 = {**_tally(outcomes, failure), "method": "distinct residue classes keep distinct images"}
     if c2["samples"] == 0:
-        c2["method"] = "kernel units are constants modulo the maximal ideal"
-        F = arena.field
-        for fn in units:
-            if c2["samples"] >= samples:
-                break
-            d = arena.divisor_of(fn)
-            if not psi.evaluate(d).is_trivial() or d.is_trivial():
-                continue
-            c2["samples"] += 1
-            hit = False
-            for c in range(1, F.q):
-                shifted = fn - c
-                if shifted and (value(shifted) or 0) > 0:
-                    hit = True
-                    break
-            if hit:
-                c2["passes"] += 1
-            else:
-                c2["failures"].append(str(fn))
+        # a catalog generator is never constant, so its divisor is never trivial
+        kernel = (fn for fn in units if psi.evaluate(arena.divisor_of(fn)).is_trivial())
+        shifts = range(1, arena.field.q)
+        outcomes = [
+            (fn, any(s and (_rank_one_value(nu(s), sign) or 0) > 0 for s in (fn - c for c in shifts)))
+            for fn in itertools.islice(kernel, samples)
+        ]
+        c2 = {**_tally(outcomes), "method": "kernel units are constants modulo the maximal ideal"}
 
     return {
         "conclusion1": c1,

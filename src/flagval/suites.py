@@ -15,6 +15,7 @@ unbounded lists capped at a small fixed size.  A process exit status of
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -29,6 +30,7 @@ from .milnork import steinberg_check, support_places, tame_symbol, weil_reciproc
 from .poly import Poly, monic_irreducibles
 from .reconstruct import Arena, build_psi_from_valuation, extract_valuation, verify_theorem_conclusions
 from .valuations import (
+    CompositePlace,
     DivisorialCurve,
     FinitePlace,
     InfinitePlace,
@@ -132,16 +134,10 @@ def _flags(knobs) -> str:
 # -- deterministic random elements --------------------------------------
 
 
-def _rng_ints(seed: int):
-    """Stdlib Mersenne generator; stable across platforms for a fixed seed."""
-    import random
-
-    return random.Random(seed)
-
-
 def _random_rational(rng, field: FiniteField, var: str, max_deg: int = 2) -> RationalFn:
     """n/d from two dense draws of max_deg + 1 field codes, numerator
-    first, each drawn again while it is all zero."""
+    first, each drawn again while it is all zero.  rng is the stdlib
+    Mersenne generator of the config's seed, stable across platforms."""
     parts = []
     for _ in range(2):
         dense = [0]
@@ -259,7 +255,7 @@ def _suite_valuation_axioms(cfg: SuiteConfig) -> dict:
         raise SizeBound("the valuation subspace catalog supports q <= 13")
     field = FiniteField(q)
     places = _axiom_places(field)
-    rng = _rng_ints(cfg.seed)
+    rng = random.Random(cfg.seed)
     ultra_bad = 0
     deg_bad = 0
     ultra_fail: list[str] = []
@@ -414,8 +410,6 @@ def _suite_c_pairs(cfg: SuiteConfig) -> dict:
 
 
 def _composite(field: FiniteField):
-    from .valuations import CompositePlace
-
     curve = DivisorialCurve(Poly.parse(field, "x", ("x", "y")))
     point = FinitePlace(Poly.parse(field, curve.residue_var, (curve.residue_var,)))
     return CompositePlace(curve, point)
@@ -428,7 +422,7 @@ def _suite_ktheory(cfg: SuiteConfig) -> dict:
     check = cfg.check or "all"
     if check not in ("all", "steinberg", "reciprocity", "worked"):
         raise InvalidConfig(f"unknown ktheory check {check!r}")
-    rng = _rng_ints(cfg.seed)
+    rng = random.Random(cfg.seed)
     cases = 0
     failures: list[str] = []
 

@@ -96,7 +96,6 @@ class CPairVerdict:
     cyclic: bool
     # witness: (h, P_a, P_b, minor) with the 2x2 minor nonzero in R
     witness: tuple | None = None
-    rows: tuple = ()  # per-subfield value matrices, for reports
 
 
 def _minor(a, b, c, d) -> int:
@@ -111,14 +110,12 @@ def c_pair_test(gamma: WeilElement, gamma_p: WeilElement, family) -> CPairVerdic
     otherwise ProportionalPair is raised (the test presumes a rank-2
     span).  Witnesses are re-verified by fresh evaluation.
     """
-    rows_report = []
     found = None
     all_pairs = []
     for h in family:
         restricted = [
             (P, gamma.evaluate(fh), gamma_p.evaluate(fh)) for P, fh in subfield_generators(h)
         ]
-        rows_report.append((str(h), tuple((str(P), a, b) for P, a, b in restricted)))
         all_pairs.extend((a, b) for _, a, b in restricted)
         if found is None:
             for i in range(len(restricted)):
@@ -140,7 +137,7 @@ def c_pair_test(gamma: WeilElement, gamma_p: WeilElement, family) -> CPairVerdic
     if not independent:
         raise ProportionalPair("the two characters are proportional on the arena")
     if found is None:
-        return CPairVerdict(True, rows=tuple(rows_report))
+        return CPairVerdict(True)
     h, Pa, Pb, m = found
     # independent re-verification of the witness
     fa = compose_rational(Pa, h)
@@ -150,7 +147,7 @@ def c_pair_test(gamma: WeilElement, gamma_p: WeilElement, family) -> CPairVerdic
     )
     if again != m:
         raise AssertionError("witness minor failed re-verification")
-    return CPairVerdict(False, witness=(str(h), str(Pa), str(Pb), m), rows=tuple(rows_report))
+    return CPairVerdict(False, witness=(str(h), str(Pa), str(Pb), m))
 
 
 def _unit_element(gens, exponents) -> RationalFn:

@@ -6,9 +6,10 @@ once per session through the same cache the check suites use; every
 extraction test and the acceptance round trips then share one instance.
 
 The oracles below are routes no suite takes, kept here for the tests
-that compare against them, and `assert_counts_under_hash_seeds` runs
-the work-count ratchets in fresh interpreters; test modules import
-them from `conftest`.
+that compare against them.  The work-count ratchets install their
+counters with `count_calls` and run again in fresh interpreters
+through `assert_counts_under_hash_seeds`.  Test modules import these
+from `conftest`.
 """
 
 import itertools
@@ -102,6 +103,31 @@ def unit_residue(place, f):
     b, rd = place._split(den)
     ring = place.ring
     return a - b, ring.mul(rn, ring.inv(rd))
+
+
+def flagval_bindings(owner, name: str) -> list:
+    """(module, name) for every loaded flagval module that binds name to
+    the object owner binds it to."""
+    fn = getattr(owner, name)
+    return [(m, name) for key, m in sorted(sys.modules.items()) if key.startswith("flagval.") and vars(m).get(name) is fn]
+
+
+def count_calls(patch, bindings: dict) -> dict:
+    """Call counters for the work-count ratchets.  For each key, every
+    (owner, name) binding it lists is replaced, through patch(owner,
+    name, wrapper), by a wrapper that adds one to counts[key] and calls
+    the function bound there; bindings under one key add to one count.
+    Returns counts, which the wrappers keep filling."""
+    counts = dict.fromkeys(bindings, 0)
+    for key, pairs in bindings.items():
+        for owner, name in pairs:
+
+            def wrapper(*args, fn=getattr(owner, name), key=key):
+                counts[key] += 1
+                return fn(*args)
+
+            patch(owner, name, wrapper)
+    return counts
 
 
 _WORK_SCRIPT = """

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import assert_counts_under_hash_seeds
+from conftest import assert_counts_under_hash_seeds, count_calls, flagval_bindings
 from flagval import fields, reconstruct
 from flagval.errors import (
     FactoringWindowExceeded,
@@ -285,14 +286,52 @@ def _uc(text, vars=U1):
 CASE_B_DIGEST = "5d070f98781c482af95d89c72435114b2ecb5fe616a1e2b83720937d9e695a76"
 
 
-def test_case_b_value_character(arena3):
-    psi_b = PsiMap({CURVE_X.pi: _uc("w", W)}, F3, W)
-    res = extract_valuation(psi_b, arena3)
-    assert hashlib.sha256(json.dumps(res.to_json_obj()).encode()).hexdigest() == CASE_B_DIGEST
-    assert res.verdict == "valuation" and res.case == "B"
-    assert res.gamma_rank == 1 and res.gamma_torsion == ()
-    assert res.orientation == 1
-    assert res.o_units_size == 4080
+@pytest.fixture(scope="module")
+def psi_b():
+    return PsiMap({CURVE_X.pi: _uc("w", W)}, F3, W)
+
+
+@pytest.fixture(scope="module")
+def res_b(psi_b, arena3):
+    return extract_valuation(psi_b, arena3)
+
+
+def test_case_b_value_character(res_b):
+    assert hashlib.sha256(json.dumps(res_b.to_json_obj()).encode()).hexdigest() == CASE_B_DIGEST
+    assert res_b.verdict == "valuation" and res_b.case == "B"
+    assert res_b.gamma_rank == 1 and res_b.gamma_torsion == ()
+    assert res_b.orientation == 1
+    assert res_b.o_units_size == 4080
+
+
+def test_case_b_conclusions_take_the_kernel_unit_method(res_b, psi_b, arena3):
+    # a table psi has no curve residues, so conclusion 2 asks whether each
+    # sampled kernel unit is a constant modulo the maximal ideal; the value
+    # character kills y as well, which is no constant modulo x
+    conc = verify_theorem_conclusions(res_b, psi_b, arena3, samples=10)
+    assert conc["conclusion1"] == {"samples": 10, "passes": 10, "failures": []}
+    c2 = conc["conclusion2"]
+    assert c2["method"] == "kernel units are constants modulo the maximal ideal"
+    assert (c2["samples"], c2["passes"]) == (10, 2)
+    assert c2["failures"] == ["y", "x+y", "x+2*y", "y+1", "x+y+1", "x+2*y+1", "y+2", "x+y+2"]
+    assert conc["all_passed"] is False
+
+
+def _constant_value_group(value):
+    """A stand-in value group whose nu gives every element one free coordinate."""
+    return SimpleNamespace(nu=lambda d: ((), (value,)))
+
+
+def test_orientation_tie_takes_the_positive_sign(small_arena3):
+    # every sampled value 0: both signs pass every pair, and 1 is chosen
+    sign, stats = reconstruct._orient_rank_one(_constant_value_group(0), small_arena3)
+    assert (sign, stats) == (1, {1: 0, -1: 0, "pairs": 15})
+
+
+def test_orientation_without_a_good_sign(small_arena3):
+    # every sampled value 1: nu(fg) = 1 is not nu(f) + nu(g) under either sign
+    sign, stats = reconstruct._orient_rank_one(_constant_value_group(1), small_arena3)
+    assert (sign, stats) == (None, {1: 6, -1: 6, "pairs": 6})
 
 
 def test_extraction_needs_two_variables():
@@ -523,6 +562,31 @@ def test_decompose_matches_for_psi_x_and_a_scaled_constant(psi_x, arena3):
         _decomposition_agrees(psi_x, S)
         dec = _decomposition_agrees(table, S)
         assert "l(1,x) at x+1" in dec.l43_report["unit_lines"]
+
+
+def test_decompose_reports_a_related_pair_line_leaving_its_part():
+    # x and y go to u and u^2, one dependence class, but x + y goes to v,
+    # which is independent of u
+    gx, gy, gxy = (Poly.parse(F3, t, XY) for t in ("x", "y", "x+y"))
+    table = PsiMap({gx: _uc("u", UV), gy: _uc("u^2", UV), gxy: _uc("v", UV)}, F3, UV)
+    S = EmbeddedSubspace([RationalFn.constant(F3, XY, 1), rxy("x"), rxy("y")])
+    dec = _decomposition_agrees(table, S)
+    assert [len(members) for _, members in dec.classes] == [2, 1]
+    assert dec.l43_report == {
+        "closure": [],
+        "unit_lines": [],
+        "pair_lines": ["l(y,x) at +1(x)", "l(y,x+y) meets the kernel at +1(x+y)", "l(x,x+y) meets the kernel at +1(x+y)"],
+    }
+
+
+def test_decompose_reports_a_product_leaving_its_part(monkeypatch):
+    # under a relation that holds only between equal or trivial classes,
+    # the square of u is outside the class of u
+    monkeypatch.setattr(reconstruct, "_related", lambda a, b, bound: a.is_trivial() or b.is_trivial() or a.class_key() == b.class_key())
+    table = PsiMap({Poly.parse(F3, "x", XY): _uc("u", UV)}, F3, UV)
+    dec = decompose_subspace(table, EmbeddedSubspace([RationalFn.constant(F3, XY, 1), rxy("x"), rxy("y")]))
+    assert not dec.l43_ok
+    assert dec.l43_report == {"closure": ["(x)*(x) leaves its part"], "unit_lines": [], "pair_lines": []}
 
 
 def test_decompose_refuses_a_plane_without_a_constant_first_point(psi_x):
@@ -759,9 +823,9 @@ def test_valuation_psi_sums_images_on_the_trusted_route(place):
 
 def _roundtrip_work_counts(patch) -> dict:
     """Exact work of the three round trips of the benchmark's roundtrip
-    workload on one fresh arena, counted by wrappers that
-    `patch(owner, name, wrapper)` installs; a module-level function is
-    patched in every flagval module that binds it.
+    workload on one fresh arena, counted by the wrappers `count_calls`
+    installs through patch; a module-level function is patched in every
+    flagval module that binds it.
 
     The witness search divides only where the additive hash of a
     candidate matches, and the arena renders each catalog function once
@@ -773,21 +837,10 @@ def _roundtrip_work_counts(patch) -> dict:
 
     arena = Arena(FiniteField(2), XY, 2)
     patch(suites, "_arena", lambda field, vars, deg: arena)
-    counts = {}
-    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("flagval.")]
     methods = ((DivisorRep, "__truediv__"), (RationalFn, "__str__"), (RationalFn, "__init__"), (DivisorRep, "__init__"))
-    for owner, name in methods + ((fields, "to_divisor"), (poly, "factor")):
-        fn = getattr(owner, name)
-        key = f"{owner.__name__}.{name}" if isinstance(owner, type) else name
-        counts[key] = 0
-
-        def wrapper(*args, fn=fn, key=key):
-            counts[key] += 1
-            return fn(*args)
-
-        for target in (owner, *modules):
-            if vars(target).get(name) is fn:
-                patch(target, name, wrapper)
+    bindings = {f"{owner.__name__}.{name}": [(owner, name)] for owner, name in methods}
+    bindings |= {name: flagval_bindings(owner, name) for owner, name in ((fields, "to_divisor"), (poly, "factor"))}
+    counts = count_calls(patch, bindings)
     for cfg in GOLDEN_TRIPS[1:]:
         assert run_suite(SuiteConfig(suite="reconstruct-roundtrip", **cfg))["violations"] == 0
     return counts

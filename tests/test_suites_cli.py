@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -225,6 +226,92 @@ def test_ktheory_worked_only():
     assert rep["cases_total"] == 1
     assert rep["witnesses"]["steinberg_samples"] == 0
     assert rep["witnesses"]["reciprocity_samples"] == 0
+
+
+def _cli_report(capsys, argv):
+    """Exit status and parsed report of one CLI run."""
+    code = cli.main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("check, target", [("steinberg", "steinberg_check"), ("reciprocity", "weil_reciprocity_check")])
+def test_ktheory_reports_every_injected_sample_failure(monkeypatch, capsys, check, target):
+    # every sampled check fails; the witnesses are the first five samples
+    seen = []
+
+    def fails(*fns):
+        seen.append(" , ".join(str(f) for f in fns))
+        return False
+
+    monkeypatch.setattr(suites, target, fails)
+    code, rep = _cli_report(capsys, ["ktheory", "--seed", "11", "--samples", "6", "--check", check])
+    assert code == 1
+    assert rep["violations"] == len(seen) == 6
+    assert rep["witnesses"]["failures"] == [f"{check}: {text}" for text in seen[:5]]
+
+
+def test_ktheory_reports_a_broken_worked_example(monkeypatch, capsys):
+    # a residue of 2 at each of the three places: the norms multiply to 8 = 2 mod 3
+    monkeypatch.setattr(suites, "tame_symbol", lambda f, g, place: 2)
+    code, rep = _cli_report(capsys, ["ktheory", "--seed", "11", "--check", "worked"])
+    assert code == 1
+    assert rep["violations"] == 1
+    w = rep["witnesses"]
+    assert w["worked"]["residues"] == [2, 2, 2] and w["worked"]["norm_product"] == 2
+    assert w["failures"] == ["worked reciprocity product is not 1"]
+
+
+def test_c_pairs_reports_every_injected_failure(monkeypatch, capsys):
+    from flagval.weil import CPairVerdict
+
+    # no pair is cyclic and no witness is found; no support either
+    monkeypatch.setattr(suites, "c_pair_test", lambda gamma, gamma_p, family: CPairVerdict(False))
+    monkeypatch.setattr(suites, "find_supporting_valuation", lambda *args: None)
+    code, rep = _cli_report(capsys, ["c-pairs"])
+    assert code == 1
+    assert rep["violations"] == 3
+    assert rep["witnesses"]["failures"] == [
+        "independent pair was not refuted",
+        "composite pair failed the subfield family",
+        "no supporting valuation found",
+    ]
+    assert rep["witnesses"]["support"] is None
+    # the real pair tests, and a support search that answers curve:y
+    monkeypatch.undo()
+    monkeypatch.setattr(suites, "find_supporting_valuation", lambda gamma, gamma_p, universe, gens: (universe[2], (0, 1)))
+    code, rep = _cli_report(capsys, ["c-pairs"])
+    assert code == 1
+    assert rep["violations"] == 1
+    assert rep["witnesses"]["failures"] == ["support search returned {'place': 'curve:y', 'combination': [0, 1]}"]
+
+
+def test_weil_inertia_reports_every_injected_failure(monkeypatch, capsys):
+    # no solved row passes the inertia check, so every place is a failure
+    monkeypatch.setattr(suites, "is_inertia", lambda values, units: False)
+    code, rep = _cli_report(capsys, ["weil-inertia"])
+    assert code == 1
+    assert rep["violations"] == len(rep["witnesses"]["places"]) == 15
+    assert rep["witnesses"]["failures"] == rep["witnesses"]["places"][:5]
+
+
+def test_roundtrip_reports_failed_conclusions(monkeypatch, capsys):
+    # checked against the opposite sign, the elements conclusion 1 calls
+    # positive have value -1, and psi does not kill 1 + m for them
+    verify = suites.verify_theorem_conclusions
+
+    def against_the_opposite_sign(res, psi, arena, samples):
+        return verify(replace(res, orientation=-res.orientation), psi, arena, samples=samples)
+
+    monkeypatch.setattr(suites, "verify_theorem_conclusions", against_the_opposite_sign)
+    code, rep = _cli_report(capsys, ["reconstruct-roundtrip", "--arena-deg", "1", "--place", "curve:x", "--samples", "10"])
+    assert code == 1
+    assert rep["violations"] == 1
+    w = rep["witnesses"]
+    assert w["failures"] == ["conclusion checks failed"]
+    checks = w["report"]["conclusion_checks"]
+    assert checks["all_passed"] is False
+    assert checks["conclusion1"]["passes"] < checks["conclusion1"]["samples"] == 10
+    assert checks["conclusion2"]["passes"] == checks["conclusion2"]["samples"]
 
 
 def _old_random_rational(rng, field, var, max_deg=2):

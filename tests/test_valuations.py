@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,7 @@ from flagval.valuations import (
     valuation_flag_structure,
 )
 
-from conftest import assert_counts_under_hash_seeds, bivariate_polys, evaluate, reduce_poly, substitute, unit_residue
+from conftest import assert_counts_under_hash_seeds, bivariate_polys, count_calls, evaluate, flagval_bindings, reduce_poly, substitute, unit_residue
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -1030,8 +1029,8 @@ def test_psi_formula_matches_uniformizer_route(text):
 
 
 def _axiom_work_counts(patch) -> dict:
-    """Exact work of one seeded valuation-axioms run, counted by wrappers
-    that `patch(owner, name, wrapper)` installs.
+    """Exact work of one seeded valuation-axioms run, counted by the
+    wrappers `count_calls` installs through patch.
 
     The draws reduce on dense lists without the validating constructor,
     the checks read unreduced sum and product parts (no gcd: "gcd"
@@ -1048,26 +1047,15 @@ def _axiom_work_counts(patch) -> dict:
     suites.run_suite(cfg)
     poly._factor_univariate_cached.cache_clear()
     valuations.place_of.cache_clear()
-    counts = {}
-
-    def counted(name, fn):
-        counts[name] = 0
-
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    patch(FinitePlace, "__init__", counted("FinitePlace", FinitePlace.__init__))
-    patch(Poly, "to_dense", counted("to_dense", Poly.to_dense))
-    patch(RationalFn, "__init__", counted("RationalFn", RationalFn.__init__))
-    patch(fields, "gcd_univariate", counted("gcd", poly.gcd_univariate))
-    from_dense = counted("_from_dense", poly._from_dense)
-    patch(poly, "_from_dense", from_dense)
-    patch(fields, "_from_dense", from_dense)
-    for name in ("_root_multiplicity", "_multiplicity_dense"):  # both add to one count
-        patch(valuations, name, counted("splits", getattr(poly, name)))
+    bindings = {
+        "FinitePlace": [(FinitePlace, "__init__")],
+        "to_dense": [(Poly, "to_dense")],
+        "RationalFn": [(RationalFn, "__init__")],
+        "gcd": [(fields, "gcd_univariate")],
+        "_from_dense": [(poly, "_from_dense"), (fields, "_from_dense")],
+        "splits": [(valuations, "_root_multiplicity"), (valuations, "_multiplicity_dense")],
+    }
+    counts = count_calls(patch, bindings)
     assert suites.run_suite(cfg)["violations"] == 0
     return counts
 
@@ -1097,27 +1085,9 @@ def _ktheory_work_counts(patch) -> dict:
     suites.run_suite(cfg)
     poly._factor_univariate_cached.cache_clear()
     valuations.place_of.cache_clear()
-    counts = {}
-    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("flagval.")]
-    for owner, name in ((fields, "to_divisor"), (poly, "_from_dense"), (poly, "_dense_mul")):
-        fn = getattr(owner, name)
-        counts[name] = 0
-
-        def wrapper(*args, fn=fn, name=name):
-            counts[name] += 1
-            return fn(*args)
-
-        for m in modules:
-            if vars(m).get(name) is fn:
-                patch(m, name, wrapper)
-    counts["to_dense"] = 0
-    to_dense = Poly.to_dense
-
-    def counted_to_dense(p):
-        counts["to_dense"] += 1
-        return to_dense(p)
-
-    patch(Poly, "to_dense", counted_to_dense)
+    functions = ((fields, "to_divisor"), (poly, "_from_dense"), (poly, "_dense_mul"))
+    bindings = {name: flagval_bindings(owner, name) for owner, name in functions}
+    counts = count_calls(patch, {**bindings, "to_dense": [(Poly, "to_dense")]})
     assert suites.run_suite(cfg)["violations"] == 0
     return counts
 

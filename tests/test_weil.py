@@ -131,7 +131,6 @@ def test_c_pair_refutation_frozen():
     assert not v.cyclic
     h, Pa, Pb, minor = v.witness
     assert (h, Pa, Pb, minor) == ("(x)/(y)", "s", "s+1", -1)
-    assert v.rows
 
 
 def test_c_pair_composite_passes():
