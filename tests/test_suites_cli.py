@@ -21,6 +21,7 @@ from flagval.ff import FiniteField
 from flagval.fields import RationalFn
 from flagval.poly import Poly
 from flagval.suites import SuiteConfig, render_report, run_suite
+from flagval.weil import CPairVerdict
 
 REPORT_KEYS = [
     "suite",
@@ -262,8 +263,6 @@ def test_ktheory_reports_a_broken_worked_example(monkeypatch, capsys):
 
 
 def test_c_pairs_reports_every_injected_failure(monkeypatch, capsys):
-    from flagval.weil import CPairVerdict
-
     # no pair is cyclic and no witness is found; no support either
     monkeypatch.setattr(suites, "c_pair_test", lambda gamma, gamma_p, family: CPairVerdict(False))
     monkeypatch.setattr(suites, "find_supporting_valuation", lambda *args: None)
